@@ -3,8 +3,9 @@
 The module split: syntax holds terms, formulas, parsing and the
 instantiation closure; calculus names the rule systems and checks
 serialized derivations; engine decides entailment by closure-local
-saturation and extracts proofs; semantics evaluates override models,
-builds countermodels, and carries the brute-force oracle; algebra maps
+saturation in one problem session per hypothesis and query set, and
+extracts proofs; semantics evaluates override models, builds
+countermodels, and carries the brute-force oracle; algebra maps
 information terms onto formulas; generators produce machine, Horn,
 random, and chain instances; cli binds everything to problem files.
 """
@@ -18,7 +19,14 @@ from .calculus import (
     derivation_from_json,
     derivation_to_json,
 )
-from .engine import Verdict, entails, extract_proof, multi_entails, saturate
+from .engine import (
+    Session,
+    Verdict,
+    entails,
+    extract_proof,
+    multi_entails,
+    saturate,
+)
 from .semantics import (
     CountermodelError,
     OverrideFn,
@@ -66,6 +74,7 @@ __all__ = [
     "ParseError",
     "Report",
     "ResourceLimit",
+    "Session",
     "StandardModel",
     "Term",
     "TooLarge",

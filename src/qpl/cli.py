@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands bind the library modules to problem files: check and prove
-decide entailment and emit derivations or countermodels, closure and
-oracle expose the universe construction and the semantic brute-force
-check, verify-proof replays serialized derivations, algebra compares
+decide entailment and emit derivations or countermodels (check decides
+all its queries in one engine Session), closure and oracle expose the
+universe construction and the semantic brute-force check,
+verify-proof replays serialized derivations, algebra compares
 information terms, gen produces reproducible instance suites, and bench
 runs the scaling family.
 
@@ -25,7 +26,7 @@ from .calculus import (
     derivation_from_json,
     derivation_to_json,
 )
-from .engine import entails
+from .engine import Session, entails
 from .generators import (
     bounded_halting_instance,
     chain_family,
@@ -146,16 +147,8 @@ def cmd_check(args) -> int:
         print("error: no queries given", file=sys.stderr)
         raise SystemExit(2)
     hyps = prob.formulas
-    verdicts = [
-        entails(
-            hyps,
-            q,
-            variant,
-            closure_cap=args.closure_cap,
-            with_proof=args.proof is not None,
-        )
-        for q in queries
-    ]
+    session = Session(hyps, queries, variant, closure_cap=args.closure_cap)
+    verdicts = session.verdicts(with_proof=args.proof is not None)
     if args.json:
         _print_json(
             {
@@ -268,16 +261,24 @@ def cmd_verify_proof(args) -> int:
     declared = obj.get("vars", [])
     if not isinstance(declared, list):
         raise ValueError("'vars' must be an array")
-    variant = CalculusVariant.from_name(obj.get("variant", "qpl"))
+    for key, items in (("vars", declared), ("hyps", obj["hyps"])):
+        if not all(isinstance(s, str) for s in items):
+            raise ValueError(f"{key!r} entries must be strings")
+    name = obj.get("variant", "qpl")
+    if not isinstance(name, str):
+        raise ValueError("'variant' must be a string")
+    variant = CalculusVariant.from_name(name)
     symbols = SymbolTable()
     hyps = [parse_formula(s, declared, symbols=symbols) for s in obj["hyps"]]
     failures = 0
     for i, entry in enumerate(obj["proofs"]):
         if not isinstance(entry, dict) or "derivation" not in entry:
             raise ValueError(f"proof {i}: missing 'derivation'")
-        q = None
-        if entry.get("query") is not None:
-            q = parse_formula(entry["query"], declared, symbols=symbols)
+        q = entry.get("query")
+        if q is not None:
+            if not isinstance(q, str):
+                raise ValueError(f"proof {i}: 'query' must be a string or null")
+            q = parse_formula(q, declared, symbols=symbols)
         d = derivation_from_json(entry["derivation"], declared, symbols)
         rep = check_derivation(d, variant, hyps, q)
         if rep.ok:
@@ -583,3 +584,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    run()

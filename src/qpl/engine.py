@@ -4,15 +4,22 @@ The decision procedure works on the closure universe of the problem: every
 rule of the selected calculus is compiled to finitely many instances whose
 premises and conclusion are universe members, each instance carries a
 counter of its not-yet-derived distinct premises, and a worklist drives
-counters down until the query is reached or nothing fires. Every derived
+counters down until every query is reached or nothing fires. Every derived
 formula records one provenance entry (first derivation wins), which makes
 proof extraction a pure graph walk.
+
+A Session is the one owner of a problem's closure, compiled rules and
+fixpoint: it builds the closure over the hypotheses and every query at
+once, compiles the rules over it once, saturates once, and hands out each
+query's verdict and proof from that shared state. entails and
+multi_entails are thin wrappers over it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 
 from .calculus import CalculusVariant, Derivation, DerivationNode
 from .syntax import (
@@ -121,15 +128,16 @@ def saturate(
     hyps,
     ct: ClosureTable,
     variant: CalculusVariant,
-    stop_at: Formula | None = None,
+    stop_at: Formula | Iterable[Formula] | None = None,
     compiled: CompiledRules | None = None,
 ) -> SaturationState:
     """Derive members of the closure from hyps under the variant's rules.
 
-    With stop_at the propagation may halt as soon as that member is
-    derived, in which case the state is not a fixpoint. Deriving the
-    falsity constant (in variants that have its elimination rule) floods
-    the rest of the universe at once.
+    stop_at is one target formula or a collection of them. Propagation may
+    halt as soon as every target is derived, in which case the state is not
+    a fixpoint; without targets it runs to the fixpoint. Deriving the
+    falsity constant (in variants that have its elimination rule) derives
+    every target at once, or floods the whole universe when there are none.
     """
     if compiled is None:
         compiled = compile_rules(ct, variant)
@@ -143,11 +151,15 @@ def saturate(
     agenda: deque[int] = deque()
     push = agenda.append
     if stop_at is None:
-        sid = -1
-    else:
-        sid = idx.get(stop_at, -1)
-        if sid < 0:
+        stop_at = ()
+    elif isinstance(stop_at, Formula):
+        stop_at = (stop_at,)
+    targets = set()
+    for f in stop_at:
+        tid = idx.get(f, -1)
+        if tid < 0:
             raise ValueError("stop_at must be a member of the closure universe")
+        targets.add(tid)
     bid = compiled.bottom_id
     for h in hyps:
         hid = idx.get(h, -1)
@@ -163,7 +175,8 @@ def saturate(
             prov[fid] = ("axiom", name)
             push(fid)
     fired = 0
-    stopped = sid >= 0 and derived[sid] == 1
+    pending = targets.difference(agenda)  # all derived so far is queued
+    stopped = bool(targets) and not pending
     bot_hit = bid >= 0 and derived[bid] == 1
     if not stopped and not bot_hit:
         pop = agenda.popleft
@@ -179,10 +192,12 @@ def saturate(
                     if not derived[conc]:
                         derived[conc] = 1
                         prov[conc] = ("rule", name, premids)
-                        if conc == sid:
-                            stopped = True
-                            brk = True
-                            break
+                        if conc in pending:
+                            pending.discard(conc)
+                            if not pending:
+                                stopped = True
+                                brk = True
+                                break
                         if conc == bid:
                             bot_hit = True
                             brk = True
@@ -193,10 +208,11 @@ def saturate(
     fixpoint = not stopped and not agenda
     if bot_hit:
         botprem = (bid,)
-        if sid >= 0:
-            if not derived[sid]:
-                derived[sid] = 1
-                prov[sid] = ("rule", "BotE", botprem)
+        if targets:
+            for t in targets:
+                if not derived[t]:
+                    derived[t] = 1
+                    prov[t] = ("rule", "BotE", botprem)
             fixpoint = False
         else:
             for j in range(n):
@@ -224,6 +240,62 @@ class Verdict:
     hyps: tuple[Formula, ...]
     query: Formula
     variant: CalculusVariant
+    session: Session = field(repr=False, compare=False)
+
+
+class Session:
+    """One problem: hypotheses and every query known up front.
+
+    The session builds one closure over the hypotheses plus all queries,
+    compiles the variant's rules over it once, and saturates once, stopping
+    when every query is derived or at the fixpoint. Verdicts, their proofs
+    and their stats all come from that shared state, so with several
+    queries the stats describe the whole session, closure_cap bounds the
+    joint universe, and a countermodel lives on the joint parameter set.
+
+    qpl_fixpoint is the full-strength fixpoint countermodels are read
+    from: the session's own state under qpl once it is a fixpoint, and for
+    a weaker variant None until semantics.verdict_countermodel builds it on
+    the first refusal and keeps it here for the rest.
+    """
+
+    def __init__(
+        self,
+        hyps,
+        queries,
+        variant: CalculusVariant,
+        *,
+        closure_cap: int = DEFAULT_CLOSURE_CAP,
+    ):
+        self.hyps = tuple(hyps)
+        self.queries = tuple(queries)
+        self.variant = variant
+        ct = closure([*self.hyps, *self.queries], cap=closure_cap)
+        compiled = compile_rules(ct, variant)
+        state = saturate(self.hyps, ct, variant, stop_at=self.queries,
+                         compiled=compiled)
+        self.closure_table = ct
+        self.state = state
+        self.qpl_fixpoint: SaturationState | None = (
+            state if state.fixpoint and variant is CalculusVariant.QPL else None
+        )
+        self.stats = {
+            "universe_size": ct.stats.size,
+            "instances_compiled": len(compiled.instances),
+            "instances_fired": state.instances_fired,
+            "derived_count": state.derived_count,
+        }
+
+    def verdicts(self, *, with_proof: bool = True) -> list[Verdict]:
+        """One verdict per query, in query order."""
+        ct, state = self.closure_table, self.state
+        out = []
+        for q in self.queries:
+            ok = state.derived[ct.index[q]] == 1
+            proof = extract_proof(state, ct, q) if ok and with_proof else None
+            out.append(Verdict(ok, proof, dict(self.stats), ct, state,
+                               self.hyps, q, self.variant, self))
+        return out
 
 
 def entails(
@@ -234,19 +306,8 @@ def entails(
     closure_cap: int = DEFAULT_CLOSURE_CAP,
     with_proof: bool = True,
 ) -> Verdict:
-    hyp_list = list(hyps)
-    ct = closure([*hyp_list, query], cap=closure_cap)
-    compiled = compile_rules(ct, variant)
-    state = saturate(hyp_list, ct, variant, stop_at=query, compiled=compiled)
-    ok = state.derived[ct.index[query]] == 1
-    proof = extract_proof(state, ct, query) if ok and with_proof else None
-    stats = {
-        "universe_size": ct.stats.size,
-        "instances_compiled": len(compiled.instances),
-        "instances_fired": state.instances_fired,
-        "derived_count": state.derived_count,
-    }
-    return Verdict(ok, proof, stats, ct, state, tuple(hyp_list), query, variant)
+    session = Session(hyps, [query], variant, closure_cap=closure_cap)
+    return session.verdicts(with_proof=with_proof)[0]
 
 
 def multi_entails(
@@ -256,11 +317,8 @@ def multi_entails(
     *,
     closure_cap: int = DEFAULT_CLOSURE_CAP,
 ) -> list[bool]:
-    hyp_list = list(hyps)
-    query_list = list(queries)
-    ct = closure([*hyp_list, *query_list], cap=closure_cap)
-    state = saturate(hyp_list, ct, variant)
-    return [state.derived[ct.index[f]] == 1 for f in query_list]
+    session = Session(hyps, queries, variant, closure_cap=closure_cap)
+    return [v.entailed for v in session.verdicts(with_proof=False)]
 
 
 def extract_proof(

@@ -164,11 +164,15 @@ def encode_phi(m: TwoRegisterMachine) -> Formula:
 def bounded_halting_instance(
     m: TwoRegisterMachine, t: int
 ) -> tuple[list[Formula], Formula]:
-    """Hypotheses and query deciding whether the machine halts within t
-    steps: the start configuration, the step axiom, and an explicit
-    successor chain n0 .. n<t> standing in for the seriality conjunct."""
+    """Hypotheses and query deciding whether the machine halts while both
+    registers stay within 0..t: the start configuration, the step axiom,
+    and an explicit successor chain n0 .. n<t> standing in for the
+    seriality conjunct. The chain bounds register values, not steps, and
+    its links are reusable, so halting within t steps implies entailment
+    but a run longer than t steps is entailed too once t reaches its peak
+    register value."""
     if t < 0:
-        raise ValueError("step bound must be nonnegative")
+        raise ValueError("register bound must be nonnegative")
     hyps = [_config(0, const("n0"), const("n0")), _step_axiom(m)]
     for k in range(t):
         hyps.append(atom("S", const(f"n{k}"), const(f"n{k + 1}")))

@@ -292,19 +292,22 @@ def verdict_countermodel(
 ) -> tuple[StandardModel, OverrideFn] | None:
     """Countermodel for a failed verdict, or None when none exists.
 
-    The construction is complete only for the full calculus, so refusals
-    under a weaker variant are re-saturated at full strength first; if
-    that derives the query there is no countermodel to give.
+    The construction is complete only for the full calculus, so it reads
+    the session's qpl fixpoint. Under a weaker variant that means one
+    re-saturation at full strength, made on the first refusal and kept on
+    the session for the rest; if it derives the query there is no
+    countermodel to give.
     """
     if verdict.entailed:
         return None
-    ct = verdict.closure_table
-    if verdict.variant == CalculusVariant.QPL:
-        state = verdict.state
-    else:
-        state = saturate(verdict.hyps, ct, CalculusVariant.QPL)
-        if state.derived[ct.index[verdict.query]]:
-            return None
+    session = verdict.session
+    ct = session.closure_table
+    state = session.qpl_fixpoint
+    if state is None:
+        state = saturate(session.hyps, ct, CalculusVariant.QPL)
+        session.qpl_fixpoint = state
+    if state.derived[ct.index[verdict.query]]:
+        return None
     return countermodel(verdict.hyps, verdict.query, state, ct)
 
 

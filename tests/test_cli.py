@@ -7,10 +7,14 @@ proof, prove returns 1 when no derivation exists.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import qpl
 from qpl import cli
 from qpl.calculus import CalculusVariant as V
 from qpl.engine import entails
@@ -99,6 +103,38 @@ def test_check_countermodel_note_when_unavailable(tmp_path, capsys):
     entry = json.loads(out.read_text())["countermodels"][0]
     assert entry["model"] is None
     assert "full calculus" in entry["note"]
+
+
+def test_check_several_queries_write_one_verifiable_proof(tmp_path, capsys):
+    hyps = write(
+        tmp_path,
+        "h.qpl",
+        "@vars x\nR(c)\nforall x. R(x) -> S(x)\np & q\nq -> r\n",
+    )
+    qf = write(tmp_path, "q.qpl", "S(c)\nr\nR(d)\nq & p\nexists x. S(x)\n")
+    out = tmp_path / "proof.json"
+    assert cli.main(
+        ["check", hyps, "--query-file", qf, "--json", "--proof", str(out)]
+    ) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["entailed"] for r in doc["results"]] == [True, True, False, True, True]
+    assert len(json.loads(out.read_text())["proofs"]) == 4
+    assert cli.main(["verify-proof", str(out)]) == 0
+    assert capsys.readouterr().out == "ok: 4 proof(s) verified\n"
+
+
+def test_check_several_queries_share_one_session(tmp_path, capsys):
+    hyps = write(tmp_path, "h.qpl", "R(c)\n")
+    out = tmp_path / "cm.json"
+    assert cli.main(
+        ["check", hyps, "q", "R(d)", "--json", "--countermodel", str(out)]
+    ) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results[0]["stats"] == results[1]["stats"]
+    assert results[0]["stats"]["universe_size"] == 3
+    entries = json.loads(out.read_text())["countermodels"]
+    # the model for q lives on the joint parameter set, d included
+    assert [e["model"]["universe"] for e in entries] == [["c", "d"], ["c", "d"]]
 
 
 def test_check_no_queries_is_input_error(tmp_path):
@@ -207,6 +243,71 @@ def test_verify_proof_malformed_exits_2(tmp_path, capsys):
     bad = write(tmp_path, "bad.json", "{not json")
     assert cli.main(["verify-proof", bad]) == 2
     assert cli.main(["verify-proof", write(tmp_path, "o.json", "{}")]) == 2
+
+
+_GOOD_DOC = {
+    "variant": "qpl",
+    "vars": [],
+    "hyps": ["p"],
+    "proofs": [
+        {
+            "query": "p",
+            "derivation": {
+                "root": 0,
+                "nodes": [
+                    {"id": 0, "kind": "hypothesis", "label": "p", "parents": []}
+                ],
+            },
+        }
+    ],
+}
+
+
+def _doc_with(**changes):
+    doc = json.loads(json.dumps(_GOOD_DOC))
+    for key, value in changes.items():
+        if key == "query":
+            doc["proofs"][0]["query"] = value
+        else:
+            doc[key] = value
+    return json.dumps(doc)
+
+
+_VERIFY_CASES = [
+    ("good", _doc_with(), 0),
+    ("good-null-query", _doc_with(query=None), 0),
+    ("foreign-hypothesis", _doc_with(hyps=[]), 1),  # well-formed, rejected
+    ("wrong-conclusion", _doc_with(query="q"), 1),  # well-formed, rejected
+    ("not-json", "{not json", 2),
+    ("not-object", "[]", 2),
+    ("empty-object", "{}", 2),
+    ("hyps-string", _doc_with(hyps="p"), 2),
+    ("hyps-int", _doc_with(hyps=[1]), 2),
+    ("hyps-null", _doc_with(hyps=[None]), 2),
+    ("vars-string", _doc_with(vars="x"), 2),
+    ("vars-int", _doc_with(vars=[3]), 2),
+    ("variant-int", _doc_with(variant=5), 2),
+    ("variant-null", _doc_with(variant=None), 2),
+    ("variant-unknown", _doc_with(variant="classical"), 2),
+    ("query-int", _doc_with(query=7), 2),
+    ("query-array", _doc_with(query=["p"]), 2),
+    ("proof-int", _doc_with(proofs=[1]), 2),
+    ("proof-no-derivation", _doc_with(proofs=[{"query": "p"}]), 2),
+    ("derivation-array", _doc_with(proofs=[{"query": "p", "derivation": []}]), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "text,code",
+    [case[1:] for case in _VERIFY_CASES],
+    ids=[case[0] for case in _VERIFY_CASES],
+)
+def test_verify_proof_exit_codes(tmp_path, capsys, text, code):
+    path = write(tmp_path, "doc.json", text)
+    assert cli.main(["verify-proof", path]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: ")
 
 
 # --------------------------------------------------------------- closure
@@ -354,6 +455,28 @@ def test_bench_chain(capsys):
 
 
 # ------------------------------------------------------------------ misc
+
+def _run_module(*args):
+    src = os.path.dirname(os.path.dirname(qpl.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "qpl.cli", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_module_entry_point_runs(tmp_path):
+    hyps = write(tmp_path, "h.qpl", CHAIN)
+    done = _run_module("check", hyps, "A -> B")
+    assert done.returncode == 0
+    assert done.stdout == "entailed: A -> B\n"
+    missing = _run_module("check", str(tmp_path / "absent.qpl"), "p")
+    assert missing.returncode == 2
+    assert missing.stderr.startswith("error: ")
+
 
 def test_no_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:

@@ -11,12 +11,19 @@ from qpl import engine as en
 from qpl.calculus import CalculusVariant as V
 from qpl.calculus import check_derivation, derivation_to_json
 from qpl.engine import (
+    Session,
     compile_rules,
     entails,
     extract_proof,
     local_axioms,
     multi_entails,
     saturate,
+)
+from qpl.generators import random_instance
+from qpl.semantics import (
+    satisfies,
+    semantic_yields_bruteforce,
+    verdict_countermodel,
 )
 from qpl.syntax import (
     ResourceLimit,
@@ -403,3 +410,116 @@ def test_entails_without_proof():
     assert v.entailed and v.proof is None
     v2 = entails([pp, imp(pp, qq)], qq, V.ORIGINAL)
     assert v2.entailed and v2.proof is not None
+
+
+# ------------------------------------------------------------------ session
+
+def test_saturate_one_target_set_matches_formula():
+    rng = random.Random(97)
+    for _ in range(60):
+        variant = V(rng.randrange(5))
+        hyps = [_random_formula(rng, 2, variant) for _ in range(rng.randrange(3))]
+        query = _random_formula(rng, 2, variant)
+        ct = closure([*hyps, query])
+        a = saturate(hyps, ct, variant, stop_at=query)
+        b = saturate(hyps, ct, variant, stop_at={query})
+        assert a == b
+
+
+def test_saturate_stops_once_every_target_is_derived():
+    hyps = [p, imp(p, q), imp(q, r), imp(r, s)]
+    ct = closure(hyps)
+    state = saturate(hyps, ct, V.ORIGINAL, stop_at=[r, q])
+    assert state.derived[ct.index[q]] and state.derived[ct.index[r]]
+    assert not state.derived[ct.index[s]]
+    assert not state.fixpoint
+    full = saturate(hyps, ct, V.ORIGINAL, stop_at=[])
+    assert full.fixpoint and full.derived[ct.index[s]]
+
+
+def test_saturate_stops_at_once_when_targets_are_hypotheses():
+    hyps = [p, imp(p, q)]
+    ct = closure(hyps)
+    for stop_at in (p, [p], [imp(p, q), p]):
+        state = saturate(hyps, ct, V.ORIGINAL, stop_at=stop_at)
+        assert state.instances_fired == 0
+        assert not state.fixpoint and not state.derived[ct.index[q]]
+
+
+def test_saturate_bottom_derives_every_target():
+    hyps = [p, imp(p, bot())]
+    ct = closure([*hyps, q, r, s])
+    state = saturate(hyps, ct, V.L2, stop_at=[q, r])
+    assert state.derived[ct.index[q]] and state.derived[ct.index[r]]
+    assert state.provenance[ct.index[r]][1] == "BotE"
+    assert not state.fixpoint
+
+
+def test_session_builds_one_closure_for_all_queries(monkeypatch):
+    calls = []
+    real = en.closure
+    monkeypatch.setattr(en, "closure", lambda *a, **k: calls.append(1) or real(*a, **k))
+    session = Session([p, imp(p, q)], [q, r, imp(p, q)], V.ORIGINAL)
+    got = session.verdicts()
+    assert len(calls) == 1
+    assert [v.entailed for v in got] == [True, False, True]
+    assert all(v.stats == session.stats for v in got)
+    assert all(v.closure_table is session.closure_table for v in got)
+    assert got[1].proof is None and got[1].state.fixpoint
+
+
+def test_session_resaturates_once_for_weaker_variant(monkeypatch):
+    from qpl import semantics
+
+    calls = []
+    real = semantics.saturate
+    monkeypatch.setattr(
+        semantics, "saturate", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    session = Session([p], [q, r, disj(p, q)], V.ORIGINAL)
+    models = [verdict_countermodel(v) for v in session.verdicts()]
+    assert len(calls) == 1
+    assert models[0] is not None and models[1] is not None
+    assert models[2] is None
+
+
+def test_session_agrees_with_single_queries_and_oracle():
+    """Differential gate for the shared session: on random multi-query
+    instances of every variant, joint verdicts equal single-query ones,
+    every proof checks, every countermodel refutes its query on the joint
+    closure, and under qpl the verdicts equal the brute-force oracle's."""
+    rng = random.Random(2307)
+    counts = {"instances": 0, "proofs": 0, "models": 0, "oracle": 0}
+    for i in range(600):
+        variant = V(i % 5)
+        hyps, queries = random_instance(rng, None, rng.randrange(3, 6), variant)
+        session = Session(hyps, queries, variant)
+        verdicts = session.verdicts()
+        ct = session.closure_table
+        assert [v.query for v in verdicts] == queries
+        for v, q in zip(verdicts, queries):
+            single = entails(hyps, q, variant, with_proof=False)
+            assert v.entailed == single.entailed, (hyps, q, variant)
+            if v.entailed:
+                rep = check_derivation(v.proof, variant, set(hyps),
+                                       expected_conclusion=q)
+                assert rep.ok, (hyps, q, variant, rep)
+                counts["proofs"] += 1
+                continue
+            mo = verdict_countermodel(v)
+            if mo is None:
+                assert entails(hyps, q, V.QPL, with_proof=False).entailed
+            else:
+                m, o = mo
+                memo: dict = {}
+                assert all(satisfies(m, o, h, ct, memo) for h in hyps)
+                assert not satisfies(m, o, q, ct, memo)
+                counts["models"] += 1
+        if variant == V.QPL:
+            for v, q in zip(verdicts, queries):
+                assert v.entailed == semantic_yields_bruteforce(hyps, q), (hyps, q)
+                counts["oracle"] += 1
+        counts["instances"] += 1
+    assert counts["instances"] == 600
+    assert counts["proofs"] >= 300 and counts["models"] >= 300
+    assert counts["oracle"] >= 360
