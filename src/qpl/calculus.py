@@ -21,7 +21,6 @@ from .syntax import (
     Formula,
     Imp,
     Or,
-    ResourceLimit,
     SymbolTable,
     Term,
     Top,
@@ -462,34 +461,3 @@ def derivation_from_json(
         )
         nodes.append(DerivationNode(nid, formula, kind, rule, tuple(parents)))
     return Derivation(root=obj["root"], nodes=tuple(nodes))
-
-
-def expand_tree(d: Derivation, cap: int = 100_000) -> Derivation:
-    """Unfold the DAG reachable from the root into a tree.
-
-    Shared nodes are duplicated; nodes unreachable from the root are
-    dropped. The result can be exponentially larger, hence the cap.
-    """
-    node_map = {n.id: n for n in d.nodes}
-    out: list[DerivationNode] = []
-    frames: list[tuple[int, list[int], object]] = [
-        (d.root, [], iter(node_map[d.root].parents))
-    ]
-    root_id = -1
-    while frames:
-        nid, acc, it = frames[-1]
-        pid = next(it, None)
-        if pid is not None:
-            frames.append((pid, [], iter(node_map[pid].parents)))
-            continue
-        if len(out) >= cap:
-            raise ResourceLimit(f"expanded tree exceeds cap of {cap} nodes")
-        n = node_map[nid]
-        new_id = len(out)
-        out.append(DerivationNode(new_id, n.label, n.kind, n.rule, tuple(acc)))
-        frames.pop()
-        if frames:
-            frames[-1][1].append(new_id)
-        else:
-            root_id = new_id
-    return Derivation(root=root_id, nodes=tuple(out))

@@ -44,7 +44,6 @@ from .semantics import (
 )
 from .syntax import (
     DEFAULT_CLOSURE_CAP,
-    ParseError,
     ResourceLimit,
     SymbolTable,
     bot,
@@ -74,27 +73,6 @@ def _print_json(doc) -> None:
 def _write_json(path: str, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_dump(doc) + "\n")
-
-
-def _parse_query_lines(text: str, declared, symbols: SymbolTable):
-    names = list(declared)
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        cut = raw.find("#")
-        line = (raw if cut < 0 else raw[:cut]).strip()
-        if not line:
-            continue
-        if line.startswith("@"):
-            words = line.split()
-            if words[0] != "@vars":
-                raise ParseError(f"line {lineno}: unknown directive {words[0]!r}")
-            names.extend(w for w in words[1:] if w not in names)
-            continue
-        try:
-            out.append(parse_formula(line, names, symbols=symbols))
-        except ParseError as e:
-            raise ParseError(f"line {lineno}: {e}") from None
-    return out
 
 
 def _variant(args) -> CalculusVariant:
@@ -138,10 +116,9 @@ def cmd_check(args) -> int:
         for q in args.queries
     ]
     if args.query_file:
+        text = _read_text(args.query_file)
         queries.extend(
-            _parse_query_lines(
-                _read_text(args.query_file), prob.declared_vars, prob.symbols
-            )
+            parse_problem(text, prob.declared_vars, prob.symbols).formulas
         )
     if not queries:
         print("error: no queries given", file=sys.stderr)

@@ -256,7 +256,9 @@ class Session:
     qpl_fixpoint is the full-strength fixpoint countermodels are read
     from: the session's own state under qpl once it is a fixpoint, and for
     a weaker variant None until semantics.verdict_countermodel builds it on
-    the first refusal and keeps it here for the rest.
+    the first refusal and keeps it here for the rest. qpl_countermodel is
+    the (model, override) pair read from that fixpoint, likewise built on
+    the first refusal and shared by every refused query.
     """
 
     def __init__(
@@ -279,6 +281,7 @@ class Session:
         self.qpl_fixpoint: SaturationState | None = (
             state if state.fixpoint and variant is CalculusVariant.QPL else None
         )
+        self.qpl_countermodel: tuple | None = None
         self.stats = {
             "universe_size": ct.stats.size,
             "instances_compiled": len(compiled.instances),
@@ -362,30 +365,3 @@ def extract_proof(
         memo[fid] = nid
         nodes.append(DerivationNode(nid, universe[fid], kind, rule, parents))
     return Derivation(root=memo[tid], nodes=tuple(nodes))
-
-
-def local_axioms(hyps, queries=()) -> list[Formula]:
-    """Implications with equal sides occurring as subformulas, outermost
-    first within each formula, deduplicated across the whole input."""
-    seen: set[Formula] = set()
-    out: list[Formula] = []
-    stack: list[Formula] = []
-    for f in (*hyps, *queries):
-        stack.append(f)
-        while stack:
-            g = stack.pop()
-            if g in seen:
-                continue
-            seen.add(g)
-            cls = g.__class__
-            if cls is Imp:
-                if g.l is g.r:
-                    out.append(g)
-                stack.append(g.r)
-                stack.append(g.l)
-            elif cls in (And, Or):
-                stack.append(g.r)
-                stack.append(g.l)
-            elif cls in (Forall, Exists):
-                stack.append(g.body)
-    return out

@@ -10,6 +10,11 @@ against this semantics is decidable by finite enumeration, which is what
 the brute-force oracle does, and every failed engine verdict can be
 turned into an explicit countermodel whose override bits mirror the
 derived set.
+
+One evaluator, truth_mask, implements the semantics: it computes a
+formula's truth in a batch of models at once, one bit per model.
+satisfies and the agreement check inside countermodel run it on a batch
+of one; the oracle runs it once on the batch of every model.
 """
 
 from __future__ import annotations
@@ -109,61 +114,62 @@ def override_domain(ct: ClosureTable) -> list[Formula]:
     return out
 
 
-def _sat(model, override, f, ct, memo):
+def truth_mask(f, atoms, overrides, full, ct, memo):
+    """Truth of the closure member f in a batch of models, as a bit mask.
+
+    Bit i of a mask is f's value in the i-th model of the batch and full
+    has one bit per model. atoms maps a ground atom, and overrides an
+    override-domain formula, to its mask; memo caches masks per formula
+    across calls over the same batch. A single model is the batch of one,
+    with full = 1 and each mask a plain truth value.
+    """
     got = memo.get(f)
     if got is not None:
         return got
     cls = f.__class__
     if cls is Atom:
-        v = model.holds(f)
+        m = atoms(f)
     elif cls is Top:
-        v = True
+        m = full
     elif cls is Bot:
-        v = False
+        m = 0
     elif cls is And:
-        v = _sat(model, override, f.l, ct, memo) and _sat(
-            model, override, f.r, ct, memo
-        )
+        m = truth_mask(f.l, atoms, overrides, full, ct, memo)
+        m &= truth_mask(f.r, atoms, overrides, full, ct, memo)
     elif cls is Or:
-        if f.l is f.r:
-            v = _sat(model, override, f.l, ct, memo)
-        else:
-            v = (
-                _sat(model, override, f.l, ct, memo)
-                or _sat(model, override, f.r, ct, memo)
-                or override.assignment[f]
-            )
+        m = truth_mask(f.l, atoms, overrides, full, ct, memo)
+        if f.l is not f.r:
+            m |= truth_mask(f.r, atoms, overrides, full, ct, memo)
+            m |= overrides(f)
     elif cls is Imp:
         if f.l is f.r:
-            v = True
+            m = full
         else:
-            v = _sat(model, override, f.r, ct, memo) or (
-                not _sat(model, override, f.l, ct, memo)
-                and override.assignment[f]
-            )
+            m = truth_mask(f.r, atoms, overrides, full, ct, memo)
+            lhs = truth_mask(f.l, atoms, overrides, full, ct, memo)
+            m |= full & ~lhs & overrides(f)
+    elif f.var not in f.body.free:
+        m = truth_mask(f.body, atoms, overrides, full, ct, memo)
     elif cls is Forall:
-        if f.var not in f.body.free:
-            v = _sat(model, override, f.body, ct, memo)
-        else:
-            v = override.assignment[f] and all(
-                _sat(model, override, g, ct, memo) for g in ct.sub_instances[f]
-            )
+        m = overrides(f)
+        for g in ct.sub_instances[f]:
+            m &= truth_mask(g, atoms, overrides, full, ct, memo)
     else:
-        if f.var not in f.body.free:
-            v = _sat(model, override, f.body, ct, memo)
-        else:
-            v = any(
-                _sat(model, override, g, ct, memo) for g in ct.sub_instances[f]
-            ) or override.assignment[f]
-    memo[f] = v
-    return v
+        m = overrides(f)
+        for g in ct.sub_instances[f]:
+            m |= truth_mask(g, atoms, overrides, full, ct, memo)
+    memo[f] = m
+    return m
 
 
 def satisfies(model: StandardModel, override: OverrideFn, x: Formula,
              ct: ClosureTable, memo: dict | None = None) -> bool:
     if x not in ct.index:
         raise ValueError("formula outside the closure universe")
-    return _sat(model, override, x, ct, {} if memo is None else memo)
+    return bool(
+        truth_mask(x, model.holds, override.assignment.__getitem__, 1, ct,
+                   {} if memo is None else memo)
+    )
 
 
 def semantic_yields_bruteforce(
@@ -175,9 +181,9 @@ def semantic_yields_bruteforce(
 ) -> bool:
     """Exhaustively quantify over structures and override functions.
 
-    Truth of every closure formula across all 2^k assignment
-    combinations is carried as one k-bit-per-combination integer, so the
-    enumeration is a single bottom-up pass over the closure.
+    Every combination of atom and override bits is one model of a single
+    batch of 2^k, so truth of every closure formula in all of them comes
+    out of one truth_mask pass over the closure.
     """
     hyp_list = list(hyps)
     ct = closure([*hyp_list, query], cap=closure_cap)
@@ -197,55 +203,12 @@ def semantic_yields_bruteforce(
             m |= m << width
             width <<= 1
         masks.append(m)
-    bit = {a: masks[j] for j, a in enumerate(slots)}
-    omask = {f: masks[len(slots) + j] for j, f in enumerate(dom)}
+    bits = dict(zip([*slots, *dom], masks)).__getitem__
     memo: dict = {}
-
-    def ev(f):
-        got = memo.get(f)
-        if got is not None:
-            return got
-        cls = f.__class__
-        if cls is Atom:
-            m = bit[f]
-        elif cls is Top:
-            m = full
-        elif cls is Bot:
-            m = 0
-        elif cls is And:
-            m = ev(f.l) & ev(f.r)
-        elif cls is Or:
-            if f.l is f.r:
-                m = ev(f.l)
-            else:
-                m = ev(f.l) | ev(f.r) | omask[f]
-        elif cls is Imp:
-            if f.l is f.r:
-                m = full
-            else:
-                m = ev(f.r) | (full & ~ev(f.l) & omask[f])
-        elif cls is Forall:
-            if f.var not in f.body.free:
-                m = ev(f.body)
-            else:
-                m = omask[f]
-                for g in ct.sub_instances[f]:
-                    m &= ev(g)
-        else:
-            if f.var not in f.body.free:
-                m = ev(f.body)
-            else:
-                m = 0
-                for g in ct.sub_instances[f]:
-                    m |= ev(g)
-                m |= omask[f]
-        memo[f] = m
-        return m
-
     hm = full
     for h in hyp_list:
-        hm &= ev(h)
-    return hm & ~ev(query) & full == 0
+        hm &= truth_mask(h, bits, bits, full, ct, memo)
+    return hm & ~truth_mask(query, bits, bits, full, ct, memo) & full == 0
 
 
 def countermodel(
@@ -278,9 +241,13 @@ def countermodel(
     override = OverrideFn(
         {f: bool(state.derived[ct.index[f]]) for f in override_domain(ct)}
     )
-    memo: dict = {}
+    derived, index, memo = state.derived, ct.index, {}
+
+    def bits(f):
+        return derived[index[f]]
+
     for fid, f in enumerate(ct.universe):
-        if _sat(model, override, f, ct, memo) != bool(state.derived[fid]):
+        if truth_mask(f, bits, bits, 1, ct, memo) != derived[fid]:
             raise CountermodelError(
                 f"semantic value of {render(f)} disagrees with the derived set"
             )
@@ -296,7 +263,9 @@ def verdict_countermodel(
     the session's qpl fixpoint. Under a weaker variant that means one
     re-saturation at full strength, made on the first refusal and kept on
     the session for the rest; if it derives the query there is no
-    countermodel to give.
+    countermodel to give. The model copies that fixpoint, not the query,
+    so it is built on the first refusal and kept on the session too: every
+    query the fixpoint leaves underived is refuted by the same model.
     """
     if verdict.entailed:
         return None
@@ -308,7 +277,11 @@ def verdict_countermodel(
         session.qpl_fixpoint = state
     if state.derived[ct.index[verdict.query]]:
         return None
-    return countermodel(verdict.hyps, verdict.query, state, ct)
+    if session.qpl_countermodel is None:
+        session.qpl_countermodel = countermodel(
+            verdict.hyps, verdict.query, state, ct
+        )
+    return session.qpl_countermodel
 
 
 def countermodel_json(model: StandardModel, override: OverrideFn) -> dict:

@@ -236,10 +236,6 @@ def free_vars(a: Formula) -> frozenset[str]:
     return a.free
 
 
-def quantifier_depth(a: Formula) -> int:
-    return a.qdepth
-
-
 def formula_length(a: Formula) -> int:
     """Symbol count under the module's length convention."""
     return a.length
@@ -360,26 +356,6 @@ def parameters_star(formulas) -> ParamSet:
         out.append(const(FIXED_CONSTANT))
         return ParamSet(tuple(out), True)
     return ParamSet(tuple(out), False)
-
-
-# ---------------------------------------------------------- subformulas
-
-def literal_subformulas(a: Formula) -> set[Formula]:
-    """Subformulas as written; quantified bodies are not instantiated."""
-    out: set[Formula] = set()
-    stack = [a]
-    while stack:
-        f = stack.pop()
-        if f in out:
-            continue
-        out.add(f)
-        cls = f.__class__
-        if cls in (And, Or, Imp):
-            stack.append(f.l)
-            stack.append(f.r)
-        elif cls in (Forall, Exists):
-            stack.append(f.body)
-    return out
 
 
 # -------------------------------------------------------------- closure
@@ -661,11 +637,19 @@ class Problem:
     symbols: SymbolTable
 
 
-def parse_problem(text: str) -> Problem:
-    """One formula per line; '#' comments; '@vars x y' declares free vars."""
+def parse_problem(
+    text: str, declared_vars=(), symbols: SymbolTable | None = None
+) -> Problem:
+    """One formula per line; '#' comments; '@vars x y' declares free vars.
+
+    declared_vars and symbols continue an earlier problem's, so a file of
+    queries reads against its hypothesis file; the Problem returned holds
+    this text's formulas, the names declared so far and the shared table.
+    """
     formulas: list[Formula] = []
-    declared: list[str] = []
-    symbols = SymbolTable()
+    declared: list[str] = list(declared_vars)
+    if symbols is None:
+        symbols = SymbolTable()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         cut = raw.find("#")
         line = (raw if cut < 0 else raw[:cut]).strip()

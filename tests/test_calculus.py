@@ -16,11 +16,9 @@ from qpl.calculus import (
     check_derivation,
     derivation_from_json,
     derivation_to_json,
-    expand_tree,
     match_rule,
 )
 from qpl.syntax import (
-    ResourceLimit,
     atom,
     bot,
     conj,
@@ -29,7 +27,6 @@ from qpl.syntax import (
     exists,
     forall,
     imp,
-    render,
     top,
     var,
 )
@@ -367,22 +364,3 @@ def test_json_reserved_labels_accepted():
 def test_json_malformed(blob):
     with pytest.raises(ValueError):
         derivation_from_json(blob)
-
-
-# -------------------------------------------------------------- expand_tree
-
-def test_expand_tree_duplicates_shared_nodes():
-    d = _sample_derivation()
-    tree = expand_tree(d)
-    assert len(tree.nodes) == 5  # the shared hypothesis leaf appears twice
-    labels = sorted(render(n.label) for n in tree.nodes)
-    assert labels.count("p & q") == 2
-    rep = check_derivation(tree, V.ORIGINAL, {conj(p, q)},
-                           expected_conclusion=conj(q, p))
-    assert rep.ok
-
-
-def test_expand_tree_cap():
-    d = _sample_derivation()
-    with pytest.raises(ResourceLimit):
-        expand_tree(d, cap=3)

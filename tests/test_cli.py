@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import qpl
-from qpl import cli
+from qpl import cli, semantics
 from qpl.calculus import CalculusVariant as V
 from qpl.engine import entails
 from qpl.generators import random_horn
@@ -135,6 +135,59 @@ def test_check_several_queries_share_one_session(tmp_path, capsys):
     entries = json.loads(out.read_text())["countermodels"]
     # the model for q lives on the joint parameter set, d included
     assert [e["model"]["universe"] for e in entries] == [["c", "d"], ["c", "d"]]
+
+
+def test_check_builds_one_countermodel_for_all_refusals(
+    tmp_path, capsys, monkeypatch
+):
+    calls = []
+    arities = semantics.relation_arities
+    monkeypatch.setattr(
+        semantics, "relation_arities", lambda ct: calls.append(1) or arities(ct)
+    )
+    hyps = write(tmp_path, "h.qpl", CHAIN)
+    out = tmp_path / "cm.json"
+    assert cli.main(
+        ["check", hyps, "A -> C", "C", "B -> C", "C | A", "--countermodel", str(out)]
+    ) == 0
+    assert len(calls) == 1
+    model = {
+        "atoms_true": [],
+        "override": {"A -> B": True, "A -> C": False, "B -> C": True, "C | A": False},
+        "universe": ["_0"],
+    }
+    want = {
+        "countermodels": [
+            {"model": model, "note": None, "query": q}
+            for q in ("A -> C", "C", "C | A")
+        ]
+    }
+    assert out.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+def test_check_query_file_continues_problem_vars(tmp_path, capsys):
+    hyps = write(tmp_path, "h.qpl", "@vars x\nR(x)\n")
+    qf = write(tmp_path, "q.qpl", "R(x)\n@vars y\nR(y)\nR(x) & R(y)\n")
+    assert cli.main(["check", hyps, "--query-file", qf, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["entailed"] for r in doc["results"]] == [True, False, False]
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("p\n@vars forall\n", 2),
+        ("@vars _z\np\n", 1),
+        ("@vars 1x\n", 1),
+        ("p\n\n@var x\n", 3),
+        ("# comment\np &\n", 2),
+    ],
+)
+def test_check_query_file_bad_line_exits_2(tmp_path, capsys, text, line):
+    hyps = write(tmp_path, "h.qpl", CHAIN)
+    qf = write(tmp_path, "q.qpl", text)
+    assert cli.main(["check", hyps, "--query-file", qf]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
 
 def test_check_no_queries_is_input_error(tmp_path):

@@ -15,7 +15,6 @@ from qpl.engine import (
     compile_rules,
     entails,
     extract_proof,
-    local_axioms,
     multi_entails,
     saturate,
 )
@@ -293,21 +292,6 @@ def test_proofs_are_deterministic():
         return json.dumps(derivation_to_json(v.proof))
 
     assert run() == run()
-
-
-# ------------------------------------------------------------- local axioms
-
-def test_local_axioms_vectors():
-    assert local_axioms([imp(imp(q, q), r)], [r]) == [imp(q, q)]
-    assert local_axioms([imp(p, q)], [q]) == []
-    ax = imp(imp(p, p), imp(p, p))
-    assert local_axioms([ax], []) == [ax, imp(p, p)]
-
-
-def test_local_axioms_first_occurrence_order():
-    f1 = conj(imp(q, q), imp(p, p))
-    f2 = imp(p, p)
-    assert local_axioms([f1], [f2]) == [imp(q, q), imp(p, p)]
 
 
 # ---------------------------------------------------------------- chains

@@ -25,6 +25,13 @@ from qpl.semantics import (
     verdict_countermodel,
 )
 from qpl.syntax import (
+    And,
+    Atom,
+    Bot,
+    Forall,
+    Imp,
+    Or,
+    Top,
     atom,
     bot,
     closure,
@@ -73,10 +80,35 @@ def enumerate_semantics(ct):
             yield m, OverrideFn(dict(zip(dom, obits)))
 
 
+def naive_holds(m, o, f, ct):
+    """The override semantics read clause by clause on booleans, apart from
+    the library's evaluator, as an independent reference for it."""
+    def ev(g):
+        return naive_holds(m, o, g, ct)
+
+    cls = type(f)
+    if cls is Atom:
+        return m.holds(f)
+    if cls in (Top, Bot):
+        return cls is Top
+    if cls is And:
+        return ev(f.l) and ev(f.r)
+    if cls is Or:
+        return ev(f.l) or ev(f.r) or (f.l is not f.r and o.assignment[f])
+    if cls is Imp:
+        return f.l is f.r or ev(f.r) or (not ev(f.l) and o.assignment[f])
+    if f.var not in f.body.free:
+        return ev(f.body)
+    insts = [ev(g) for g in ct.sub_instances[f]]
+    if cls is Forall:
+        return o.assignment[f] and all(insts)
+    return o.assignment[f] or any(insts)
+
+
 def naive_yields(hyps, query, ct):
     for m, o in enumerate_semantics(ct):
-        if all(satisfies(m, o, h, ct) for h in hyps):
-            if not satisfies(m, o, query, ct):
+        if all(naive_holds(m, o, h, ct) for h in hyps):
+            if not naive_holds(m, o, query, ct):
                 return False
     return True
 
@@ -297,6 +329,20 @@ def test_bruteforce_matches_naive_enumeration():
         fast = semantic_yields_bruteforce(hyps, query)
         slow = naive_yields(hyps, query, ct)
         assert fast is slow
+        checked += 1
+
+
+def test_satisfies_matches_naive_evaluator():
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 20:
+        hyps, query, ct = _draw_instance(rng, max_exponent=8)
+        if ct is None:
+            continue
+        for m, o in enumerate_semantics(ct):
+            memo = {}
+            for f in ct.universe:
+                assert satisfies(m, o, f, ct, memo) is naive_holds(m, o, f, ct)
         checked += 1
 
 

@@ -26,11 +26,9 @@ from qpl.syntax import (
     formula_length,
     free_vars,
     imp,
-    literal_subformulas,
     parameters_star,
     parse_formula,
     parse_problem,
-    quantifier_depth,
     render,
     substitute,
     top,
@@ -289,19 +287,11 @@ def test_parameters_star_first_occurrence_order():
     assert ps.contains_fixed
 
 
-def test_literal_subformulas_vectors():
-    f = forall("x", imp(atom("R", x), p))
-    assert literal_subformulas(f) == {f, imp(atom("R", x), p), atom("R", x), p}
-    assert literal_subformulas(conj(p, q)) == {conj(p, q), p, q}
-    g = exists("y", atom("S", y))
-    assert literal_subformulas(g) == {g, atom("S", y)}
-
-
 def test_quantifier_depth_vectors():
-    assert quantifier_depth(forall("x", exists("y", atom("S", x, y)))) == 2
-    assert quantifier_depth(imp(conj(p, q), r)) == 0
+    assert forall("x", exists("y", atom("S", x, y))).qdepth == 2
+    assert imp(conj(p, q), r).qdepth == 0
     two = conj(forall("x", atom("R", x)), exists("y", atom("S", y)))
-    assert quantifier_depth(two) == 1
+    assert two.qdepth == 1
 
 
 # ------------------------------------------------------------------ lengths
