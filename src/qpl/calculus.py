@@ -429,12 +429,13 @@ def derivation_from_json(
 ) -> Derivation:
     if not isinstance(obj, dict):
         raise ValueError("derivation must be a JSON object")
-    if not isinstance(obj.get("root"), int):
+    if type(obj.get("root")) is not int:  # bool is an int subclass
         raise ValueError("derivation needs an integer 'root'")
     if not isinstance(obj.get("nodes"), list):
         raise ValueError("derivation needs a 'nodes' array")
     if symbols is None:
         symbols = SymbolTable()
+    declared = frozenset(declared_vars)
     nodes = []
     for item in obj["nodes"]:
         if not isinstance(item, dict):
@@ -444,7 +445,7 @@ def derivation_from_json(
         kind = item.get("kind")
         rule = item.get("rule")
         parents = item.get("parents")
-        if not isinstance(nid, int):
+        if type(nid) is not int:
             raise ValueError("node id must be an integer")
         if not isinstance(label, str):
             raise ValueError(f"node {nid}: label must be a string")
@@ -453,11 +454,11 @@ def derivation_from_json(
         if rule is not None and not isinstance(rule, str):
             raise ValueError(f"node {nid}: rule must be a string or null")
         if not isinstance(parents, list) or not all(
-            isinstance(x, int) for x in parents
+            type(x) is int for x in parents
         ):
             raise ValueError(f"node {nid}: parents must be an integer array")
         formula = parse_formula(
-            label, declared_vars, symbols=symbols, allow_reserved=True
+            label, declared, symbols=symbols, allow_reserved=True
         )
         nodes.append(DerivationNode(nid, formula, kind, rule, tuple(parents)))
     return Derivation(root=obj["root"], nodes=tuple(nodes))

@@ -152,6 +152,8 @@ def cmd_check(args) -> int:
         )
     if args.countermodel is not None:
         entries = []
+        # Refused queries of one session share one model; render it once.
+        rendered, model = None, None
         for v in verdicts:
             if v.entailed:
                 continue
@@ -166,12 +168,10 @@ def cmd_check(args) -> int:
                     }
                 )
             else:
+                if mo is not rendered:
+                    rendered, model = mo, countermodel_json(*mo)
                 entries.append(
-                    {
-                        "query": render(v.query),
-                        "model": countermodel_json(*mo),
-                        "note": None,
-                    }
+                    {"query": render(v.query), "model": model, "note": None}
                 )
         _write_json(args.countermodel, {"countermodels": entries})
     return 0

@@ -454,170 +454,57 @@ class SymbolTable:
             )
 
 
-_PUNCT = {
-    "&": "amp",
-    "|": "bar",
-    "~": "tilde",
-    "(": "lparen",
-    ")": "rparen",
-    ".": "dot",
-    ",": "comma",
-}
+# A token is "->", one of "&|~().,", or an identifier; whitespace separates
+# tokens. _TOKEN skips any other character, so a text holds an unexpected
+# character exactly when its tokens are shorter than its non-whitespace
+# characters; _SCAN then finds the first one.
+_TOKEN = re.compile(r"->|[&|~().,]|[A-Za-z_][A-Za-z0-9_']*")
+_SCAN = re.compile(_TOKEN.pattern + r"|(\S)")
 
-_TOKEN_RE = re.compile(r"(->)|([&|~().,])|([A-Za-z_][A-Za-z0-9_']*)|(\s+)|(.)")
+# Every token that is not an identifier; "" marks the end of input.
+_NON_IDENT = frozenset(
+    {"", "->", "&", "|", "~", "(", ")", ".", ",", *_KEYWORDS}
+)
 
+# Binary connectives: binding strength and constructor. "&" binds tighter
+# than "|", which binds tighter than "->".
+_BINARY = {"&": (3, conj), "|": (2, disj), "->": (1, imp)}
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    out = []
-    for m in _TOKEN_RE.finditer(text):
-        pos = m.start()
-        if m.group(1):
-            out.append(("arrow", "->", pos))
-        elif m.group(2):
-            ch = m.group(2)
-            out.append((_PUNCT[ch], ch, pos))
-        elif m.group(3):
-            word = m.group(3)
-            out.append(("kw" if word in _KEYWORDS else "ident", word, pos))
-        elif m.group(4):
-            continue
-        else:
-            raise ParseError(f"unexpected character {m.group(5)!r}", pos)
-    out.append(("eof", "", len(text)))
-    return out
+# The token after an operand folds every pending operator at least as
+# strong as its reach: a connective's own strength, so that "&" and "|"
+# group to the left, but 2 for the right-associative "->"; any other
+# token reaches 1 and folds back to the nearest '(', quantifier or start.
+_REACH = {"&": 3, "|": 2, "->": 2}
+
+# Stack frames are (strength, left operand or binder names, constructor).
+# A pending "~" is the strongest; '(', a quantifier scope and the start of
+# input have strength 0, so that no token's reach folds them.
+_NOT = (4, None, None)
+_OPEN = (0, "(", None)
+_START = (0, "", None)
 
 
-class _Parser:
-    def __init__(self, text, declared_vars, symbols, allow_reserved):
-        self.toks = _tokenize(text)
-        self.i = 0
-        self.declared = frozenset(declared_vars)
-        self.symbols = symbols if symbols is not None else SymbolTable()
-        self.allow_reserved = allow_reserved
-        self.bound: list[str] = []
+def _got(tok: str) -> str:
+    return repr(tok) if tok else "end of input"
 
-    def peek(self):
-        return self.toks[self.i]
 
-    def next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
+def _column(text: str, i: int) -> int:
+    """Column of token i of text, or len(text) for the end of input;
+    recomputed only for an error, so that parsing keeps no positions."""
+    starts = [m.start() for m in _TOKEN.finditer(text)]
+    return starts[i] if i < len(starts) else len(text)
 
-    def expect(self, kind, what):
-        tok = self.next()
-        if tok[0] != kind:
-            got = repr(tok[1]) if tok[0] != "eof" else "end of input"
-            raise ParseError(f"expected {what}, got {got}", tok[2])
-        return tok
 
-    def check_name(self, name, pos):
-        if name.startswith(RESERVED_PREFIX) and not self.allow_reserved:
-            raise ReservedNameError(
-                f"identifiers starting with {RESERVED_PREFIX!r} are reserved: "
-                f"{name!r}",
-                pos,
-            )
+def _error(message: str, text: str, i: int) -> ParseError:
+    return ParseError(message, _column(text, i))
 
-    def parse(self) -> Formula:
-        f = self.formula()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        return f
 
-    def formula(self) -> Formula:
-        tok = self.peek()
-        if tok[0] == "kw" and tok[1] in ("forall", "exists"):
-            return self.quantified()
-        return self.implication()
-
-    def quantified(self) -> Formula:
-        tok = self.next()
-        ctor = forall if tok[1] == "forall" else exists
-        names = []
-        while self.peek()[0] == "ident":
-            name_tok = self.next()
-            self.check_name(name_tok[1], name_tok[2])
-            names.append(name_tok[1])
-        if not names:
-            raise ParseError("expected bound variable", self.peek()[2])
-        self.expect("dot", "'.'")
-        self.bound.extend(names)
-        body = self.formula()
-        del self.bound[-len(names):]
-        for name in reversed(names):
-            body = ctor(name, body)
-        return body
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "arrow":
-            self.next()
-            return imp(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek()[0] == "bar":
-            self.next()
-            f = disj(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self.peek()[0] == "amp":
-            self.next()
-            f = conj(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        if self.peek()[0] == "tilde":
-            self.next()
-            return imp(self.unary(), _BOT)
-        return self.atomic()
-
-    def atomic(self) -> Formula:
-        tok = self.next()
-        kind, text, pos = tok
-        if kind == "kw":
-            if text == "true":
-                return _TOP
-            if text == "false":
-                return _BOT
-            raise ParseError(
-                f"{text!r} must be parenthesized in this position", pos
-            )
-        if kind == "lparen":
-            f = self.formula()
-            self.expect("rparen", "')'")
-            return f
-        if kind == "ident":
-            self.check_name(text, pos)
-            if self.peek()[0] == "lparen":
-                self.next()
-                args = [self.term()]
-                while self.peek()[0] == "comma":
-                    self.next()
-                    args.append(self.term())
-                self.expect("rparen", "')'")
-                self.symbols.observe(text, len(args), pos)
-                return atom(text, *args)
-            self.symbols.observe(text, 0, pos)
-            return atom(text)
-        got = repr(text) if kind != "eof" else "end of input"
-        raise ParseError(f"expected a formula, got {got}", pos)
-
-    def term(self) -> Term:
-        tok = self.next()
-        if tok[0] != "ident":
-            got = repr(tok[1]) if tok[0] != "eof" else "end of input"
-            raise ParseError(f"expected a term, got {got}", tok[2])
-        name = tok[1]
-        self.check_name(name, tok[2])
-        if name in self.bound or name in self.declared:
-            return var(name)
-        return const(name)
+def _reserved(name: str, text: str, i: int) -> ReservedNameError:
+    return ReservedNameError(
+        f"identifiers starting with {RESERVED_PREFIX!r} are reserved: "
+        f"{name!r}",
+        _column(text, i),
+    )
 
 
 def parse_formula(
@@ -627,7 +514,118 @@ def parse_formula(
     symbols: SymbolTable | None = None,
     allow_reserved: bool = False,
 ) -> Formula:
-    return _Parser(text, declared_vars, symbols, allow_reserved).parse()
+    """Parse one formula; raise ParseError (or its subclasses ArityError
+    and ReservedNameError) with the column of the first error.
+
+    An iterative operator-precedence parser: open parentheses, prefix
+    negations, quantifier scopes and binary connectives awaiting their
+    right operand sit on an explicit stack, so nesting depth is bounded
+    by memory only. A quantifier may open the whole text, a parenthesized
+    formula or a quantifier body, and extends as far right as possible.
+    """
+    toks = _TOKEN.findall(text)
+    if len("".join(toks)) != len("".join(text.split())):
+        m = next(m for m in _SCAN.finditer(text) if m.group(1))
+        raise ParseError(f"unexpected character {m.group(1)!r}", m.start())
+    toks.append("")
+    declared = frozenset(declared_vars)
+    if symbols is None:
+        symbols = SymbolTable()
+    arities = symbols.arities
+    check_reserved = not allow_reserved
+    bound: list[str] = []
+    stack: list[tuple] = [_START]
+    i = 0
+    while True:
+        # Prefixes, then one atomic formula f.
+        t = toks[i]
+        i += 1
+        if t not in _NON_IDENT:
+            if check_reserved and t.startswith(RESERVED_PREFIX):
+                raise _reserved(t, text, i - 1)
+            if toks[i] == "(":
+                rel_at = i - 1
+                args = []
+                while True:
+                    i += 1
+                    u = toks[i]
+                    if u in _NON_IDENT:
+                        raise _error(f"expected a term, got {_got(u)}", text, i)
+                    if check_reserved and u.startswith(RESERVED_PREFIX):
+                        raise _reserved(u, text, i)
+                    args.append(
+                        var(u) if u in bound or u in declared else const(u)
+                    )
+                    i += 1
+                    if toks[i] != ",":
+                        break
+                if toks[i] != ")":
+                    raise _error(f"expected ')', got {_got(toks[i])}", text, i)
+                i += 1
+                if arities.setdefault(t, len(args)) != len(args):
+                    symbols.observe(t, len(args), _column(text, rel_at))
+                f = atom(t, *args)
+            else:
+                if arities.setdefault(t, 0) != 0:
+                    symbols.observe(t, 0, _column(text, i - 1))
+                f = atom(t)
+        elif t == "~":
+            stack.append(_NOT)
+            continue
+        elif t == "(":
+            stack.append(_OPEN)
+            continue
+        elif t == "true":
+            f = _TOP
+        elif t == "false":
+            f = _BOT
+        elif t == "forall" or t == "exists":
+            if stack[-1][0]:  # not where a formula starts
+                raise _error(
+                    f"{t!r} must be parenthesized in this position", text, i - 1
+                )
+            names = []
+            while toks[i] not in _NON_IDENT:
+                if check_reserved and toks[i].startswith(RESERVED_PREFIX):
+                    raise _reserved(toks[i], text, i)
+                names.append(toks[i])
+                i += 1
+            if not names:
+                raise _error("expected bound variable", text, i)
+            if toks[i] != ".":
+                raise _error(f"expected '.', got {_got(toks[i])}", text, i)
+            i += 1
+            bound.extend(names)
+            stack.append((0, names, forall if t == "forall" else exists))
+            continue
+        else:
+            raise _error(f"expected a formula, got {_got(t)}", text, i - 1)
+        # Connectives and closing tokens after f.
+        while True:
+            t = toks[i]
+            reach = _REACH.get(t, 1)
+            while stack[-1][0] >= reach:
+                _, left, ctor = stack.pop()
+                f = imp(f, _BOT) if ctor is None else ctor(left, f)
+            op = _BINARY.get(t)
+            if op is not None:
+                stack.append((op[0], f, op[1]))
+                i += 1
+                break
+            frame = stack.pop()
+            if frame is _OPEN:
+                if t != ")":
+                    raise _error(f"expected ')', got {_got(t)}", text, i)
+                i += 1
+            elif frame is _START:
+                if t:
+                    raise _error(f"unexpected {t!r}", text, i)
+                return f
+            else:
+                _, names, ctor = frame
+                del bound[-len(names):]
+                for name in reversed(names):
+                    f = ctor(name, f)
 
 
 @dataclass

@@ -165,6 +165,32 @@ def test_check_builds_one_countermodel_for_all_refusals(
     assert out.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
+def test_check_renders_shared_countermodel_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    render_model = cli.countermodel_json
+    monkeypatch.setattr(
+        cli, "countermodel_json", lambda *mo: calls.append(1) or render_model(*mo)
+    )
+    hyps = write(tmp_path, "h.qpl", CHAIN)
+    out = tmp_path / "cm.json"
+    assert cli.main(
+        ["check", hyps, "A -> C", "C", "B -> C", "C | A", "--countermodel", str(out)]
+    ) == 0
+    assert len(calls) == 1
+    model = {
+        "atoms_true": [],
+        "override": {"A -> B": True, "A -> C": False, "B -> C": True, "C | A": False},
+        "universe": ["_0"],
+    }
+    want = {
+        "countermodels": [
+            {"model": dict(model), "note": None, "query": q}
+            for q in ("A -> C", "C", "C | A")
+        ]
+    }
+    assert out.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
 def test_check_query_file_continues_problem_vars(tmp_path, capsys):
     hyps = write(tmp_path, "h.qpl", "@vars x\nR(x)\n")
     qf = write(tmp_path, "q.qpl", "R(x)\n@vars y\nR(y)\nR(x) & R(y)\n")
@@ -326,6 +352,21 @@ def _doc_with(**changes):
     return json.dumps(doc)
 
 
+_HYP_P = {"id": 0, "kind": "hypothesis", "label": "p", "parents": []}
+
+
+def _derivation_doc(root, nodes, hyps=("p",), query="p"):
+    derivation = {"root": root, "nodes": nodes}
+    return json.dumps(
+        {
+            "variant": "qpl",
+            "vars": [],
+            "hyps": list(hyps),
+            "proofs": [{"query": query, "derivation": derivation}],
+        }
+    )
+
+
 _VERIFY_CASES = [
     ("good", _doc_with(), 0),
     ("good-null-query", _doc_with(query=None), 0),
@@ -347,6 +388,24 @@ _VERIFY_CASES = [
     ("proof-int", _doc_with(proofs=[1]), 2),
     ("proof-no-derivation", _doc_with(proofs=[{"query": "p"}]), 2),
     ("derivation-array", _doc_with(proofs=[{"query": "p", "derivation": []}]), 2),
+    # JSON true/false are not node numbers, although Python's bool is an int
+    ("root-bool", _derivation_doc(False, [_HYP_P]), 2),
+    ("id-bool", _derivation_doc(0, [{**_HYP_P, "id": False}]), 2),
+    (
+        "parents-bool",
+        _derivation_doc(
+            2,
+            [
+                _HYP_P,
+                {**_HYP_P, "id": 1, "label": "q"},
+                {"id": 2, "kind": "rule", "rule": "AndI", "label": "p & q",
+                 "parents": [False, True]},
+            ],
+            hyps=["p", "q"],
+            query="p & q",
+        ),
+        2,
+    ),
 ]
 
 

@@ -9,6 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpl import syntax as sy
+from qpl.calculus import CalculusVariant as V
+from qpl.generators import (
+    Dec,
+    Inc,
+    TwoRegisterMachine,
+    bounded_halting_instance,
+    chain_family,
+    random_instance,
+)
 from qpl.syntax import (
     ArityError,
     ClashError,
@@ -126,6 +135,152 @@ def test_arity_tracked_across_shared_table():
     parse_formula("R(c)", symbols=table)
     with pytest.raises(ArityError):
         parse_formula("R(c, d)", symbols=table)
+
+
+_RESERVED = "identifiers starting with '_' are reserved"
+
+# (text, exception class, str(e), position): the first error in reading
+# order wins, except that an unexpected character anywhere is reported
+# before any grammar error.
+_PARSE_ERROR_CASES = [
+    ("p & & q $", ParseError, "unexpected character '$' (column 8)", 8),
+    ("p -> -> q ∧", ParseError, "unexpected character '∧' (column 10)", 10),
+    ("(p | ) @ q", ParseError, "unexpected character '@' (column 7)", 7),
+    ("p\xa0& q $", ParseError, "unexpected character '$' (column 6)", 6),
+    ("1x", ParseError, "unexpected character '1' (column 0)", 0),
+    ("x'' -> 'y", ParseError, "unexpected character \"'\" (column 7)", 7),
+    ("p ->> q", ParseError, "unexpected character '>' (column 4)", 4),
+    ("p --> q", ParseError, "unexpected character '-' (column 2)", 2),
+    ("R(forall)", ParseError, "expected a term, got 'forall' (column 2)", 2),
+    ("R(x, true)", ParseError, "expected a term, got 'true' (column 5)", 5),
+    ("p -> forall x. q", ParseError,
+     "'forall' must be parenthesized in this position (column 5)", 5),
+    ("~forall x. p", ParseError,
+     "'forall' must be parenthesized in this position (column 1)", 1),
+    ("p & forall x. q", ParseError,
+     "'forall' must be parenthesized in this position (column 4)", 4),
+    ("p | exists y. q", ParseError,
+     "'exists' must be parenthesized in this position (column 4)", 4),
+    ("forall . p", ParseError, "expected bound variable (column 7)", 7),
+    ("forall true. p", ParseError, "expected bound variable (column 7)", 7),
+    ("forall x p", ParseError, "expected '.', got end of input (column 10)", 10),
+    ("forall x (p)", ParseError, "expected '.', got '(' (column 9)", 9),
+    ("forall x forall. p", ParseError,
+     "expected '.', got 'forall' (column 9)", 9),
+    ("(p & q", ParseError, "expected ')', got end of input (column 6)", 6),
+    ("(forall x. p", ParseError, "expected ')', got end of input (column 12)", 12),
+    ("R(a b)", ParseError, "expected ')', got 'b' (column 4)", 4),
+    ("p q", ParseError, "unexpected 'q' (column 2)", 2),
+    ("forall x. p ) q", ParseError, "unexpected ')' (column 12)", 12),
+    ("true(a)", ParseError, "unexpected '(' (column 4)", 4),
+    ("", ParseError, "expected a formula, got end of input (column 0)", 0),
+    ("p ->", ParseError, "expected a formula, got end of input (column 4)", 4),
+    ("p &\t&\nq", ParseError, "expected a formula, got '&' (column 4)", 4),
+    ("R(a,)", ParseError, "expected a term, got ')' (column 4)", 4),
+    ("_r(a)", ReservedNameError, f"{_RESERVED}: '_r' (column 0)", 0),
+    ("R(_c)", ReservedNameError, f"{_RESERVED}: '_c' (column 2)", 2),
+    ("forall x _y. p", ReservedNameError, f"{_RESERVED}: '_y' (column 9)", 9),
+    ("R(a) & R(a, b) & &", ArityError,
+     "relation 'R' used with 2 argument(s) but earlier with 1 (column 7)", 7),
+    ("Q(a, b) -> (Q(a) | p)", ArityError,
+     "relation 'Q' used with 1 argument(s) but earlier with 2 (column 12)", 12),
+]
+
+
+@pytest.mark.parametrize("text,cls,message,position", _PARSE_ERROR_CASES)
+def test_parse_error_table(text, cls, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert type(err.value) is cls
+    assert str(err.value) == message
+    assert err.value.position == position
+
+
+DEEP = 5000
+
+
+def _deep_implication():
+    text = " -> ".join(f"p{i}" for i in range(DEEP + 1))
+    f = atom(f"p{DEEP}")
+    for i in reversed(range(DEEP)):
+        f = imp(atom(f"p{i}"), f)
+    return text, f
+
+
+def _deep_negation():
+    f = p
+    for _ in range(DEEP):
+        f = imp(f, bot())
+    return "~" * DEEP + "p", f
+
+
+def _deep_parentheses():
+    text = "(" * DEEP + "p0" + "".join(f" -> p{i})" for i in range(1, DEEP + 1))
+    f = atom("p0")
+    for i in range(1, DEEP + 1):
+        f = imp(f, atom(f"p{i}"))
+    return text, f
+
+
+def _deep_quantifiers():
+    body = f"R(x0) & R(x{DEEP - 1})"
+    text = "".join(f"(forall x{i}. " for i in range(DEEP)) + body + ")" * DEEP
+    f = conj(atom("R", var("x0")), atom("R", var(f"x{DEEP - 1}")))
+    for i in reversed(range(DEEP)):
+        f = forall(f"x{i}", f)
+    return text, f
+
+
+_DEEP_CASES = [_deep_implication, _deep_negation, _deep_parentheses,
+               _deep_quantifiers]
+
+
+@pytest.mark.parametrize("case", _DEEP_CASES)
+def test_parse_deep_nesting(case):
+    text, expected = case()
+    assert parse_formula(text) is expected
+    problem = parse_problem(f"# {DEEP} levels\n{text}\nq\n")
+    assert len(problem.formulas) == 2
+    assert problem.formulas[0] is expected
+
+
+def _round_trip_corpus():
+    rng = random.Random(7)
+    for variant in V:
+        for _ in range(40):
+            hyps, queries = random_instance(rng, None, 2, variant)
+            yield from hyps
+            yield from queries
+    machine = TwoRegisterMachine({0: Inc(1, 2), 2: Inc(2, 3), 3: Dec(1, 1, 0)})
+    hyps, query = bounded_halting_instance(machine, 4)
+    yield from hyps
+    yield query
+    hyps, query = chain_family(2000)
+    yield from hyps
+    yield query
+
+
+def test_parse_render_round_trip_on_generated_formulas():
+    n = 0
+    for f in _round_trip_corpus():
+        assert parse_formula(render(f), free_vars(f)) is f
+        n += 1
+    assert n > 1000
+
+
+_NOISE = st.sampled_from(
+    ["->", "&", "|", "~", "(", ")", ".", ",", "forall", "exists", "true",
+     "false", "x", "y", "R", "p", "_r", " ", "\t", "\xa0", "-", ">", "$", "1",
+     "'", "é", "∧"]
+)
+
+
+@given(st.lists(_NOISE, max_size=30).map("".join), st.booleans())
+def test_parse_raises_only_parse_errors(text, allow_reserved):
+    try:
+        parse_formula(text, ("x",), allow_reserved=allow_reserved)
+    except ParseError:
+        pass
 
 
 def test_problem_file():
