@@ -15,19 +15,16 @@ from .syntax import (
     And,
     Atom,
     Bot,
-    ClashError,
     Exists,
     Forall,
     Formula,
     Imp,
     Or,
     SymbolTable,
-    Term,
     Top,
     VAR,
     parse_formula,
     render,
-    substitute,
 )
 
 
@@ -62,32 +59,6 @@ _VARIANT_NAMES = {
 }
 _VARIANTS_BY_NAME = {name: v for v, name in _VARIANT_NAMES.items()}
 
-# earliest variant carrying each rule; the sets are cumulative
-RULE_MIN_VARIANT = {
-    "TopI": CalculusVariant.ORIGINAL,
-    "AndI": CalculusVariant.ORIGINAL,
-    "AndE_L": CalculusVariant.ORIGINAL,
-    "AndE_R": CalculusVariant.ORIGINAL,
-    "ImpI": CalculusVariant.ORIGINAL,
-    "ImpE": CalculusVariant.ORIGINAL,
-    "OrI_L": CalculusVariant.L1,
-    "OrI_R": CalculusVariant.L1,
-    "OrE": CalculusVariant.L1,
-    "BotE": CalculusVariant.L2,
-    "ImpAx": CalculusVariant.PFQPL,
-    "ForallI": CalculusVariant.QPL,
-    "ForallE": CalculusVariant.QPL,
-    "ExistsI": CalculusVariant.QPL,
-    "ExistsE": CalculusVariant.QPL,
-}
-
-_RULE_ARITY = {
-    "TopI": 0,
-    "ImpAx": 0,
-    "AndI": 2,
-    "ImpE": 2,
-}
-
 UNKNOWN_RULE = "unknown_rule"
 SHAPE = "shape"
 SIDE_CONDITION = "side_condition"
@@ -106,50 +77,179 @@ class RejectReason:
     message: str
 
 
-def _infer_witness(body: Formula, v: str, instance: Formula):
-    """Find the unique term t with body[v := t] == instance.
+# A rule check gets the premises, as many as the rule has, and the conclusion.
+# It returns a (code, message) fault, or falls through to None on an instance.
 
-    Returns (True, t), (True, None) when v has no free occurrence and the
-    instance equals the body, or (False, None) when no such t exists.
+def _top_i(ps, c):
+    if not isinstance(c, Top):
+        return SHAPE, "conclusion must be the truth constant"
+
+
+def _and_i(ps, c):
+    if not (isinstance(c, And) and c.l is ps[0] and c.r is ps[1]):
+        return SHAPE, "conclusion must conjoin the premises in order"
+
+
+def _and_e_l(ps, c):
+    if not (isinstance(ps[0], And) and ps[0].l is c):
+        return SHAPE, "conclusion must be the left conjunct"
+
+
+def _and_e_r(ps, c):
+    if not (isinstance(ps[0], And) and ps[0].r is c):
+        return SHAPE, "conclusion must be the right conjunct"
+
+
+def _or_i_l(ps, c):
+    if not (isinstance(c, Or) and c.l is ps[0]):
+        return SHAPE, "premise must be the left disjunct"
+
+
+def _or_i_r(ps, c):
+    if not (isinstance(c, Or) and c.r is ps[0]):
+        return SHAPE, "premise must be the right disjunct"
+
+
+def _or_e(ps, c):
+    prem = ps[0]
+    if not isinstance(prem, Or) or (c is not prem.l and c is not prem.r):
+        return SHAPE, "premise must be a disjunction of the conclusion"
+    if prem.l is not prem.r:
+        return SIDE_CONDITION, "premise disjuncts must be equal"
+
+
+def _imp_i(ps, c):
+    if not (isinstance(c, Imp) and c.r is ps[0]):
+        return SHAPE, "premise must be the consequent of the conclusion"
+
+
+def _imp_e(ps, c):
+    if not (isinstance(ps[1], Imp) and ps[1].l is ps[0] and ps[1].r is c):
+        return SHAPE, "premises must read antecedent, implication"
+
+
+def _imp_ax(ps, c):
+    if not (isinstance(c, Imp) and c.l is c.r):
+        return SHAPE, "axiom instances are implications with equal sides"
+
+
+def _bot_e(ps, c):
+    if not isinstance(ps[0], Bot):
+        return SHAPE, "premise must be the falsity constant"
+
+
+def _forall_i(ps, c):
+    if not (isinstance(c, Forall) and c.body is ps[0]):
+        return SHAPE, "conclusion must quantify the premise"
+    if c.var in ps[0].free:
+        return SIDE_CONDITION, f"{c.var} occurs free in the premise"
+
+
+def _exists_e(ps, c):
+    if not (isinstance(ps[0], Exists) and ps[0].body is c):
+        return SHAPE, "conclusion must be the premise body"
+    if ps[0].var in c.free:
+        return SIDE_CONDITION, f"{ps[0].var} occurs free in the conclusion"
+
+
+def _instance_fault(body: Formula, v: str, instance: Formula, mismatch: str):
+    """None when instance is body[v := t] for a term t substitutable for v,
+    else (SHAPE, mismatch), or a side-condition fault when t is captured.
+
+    One walk over both finds t. Every binder it passes has a free v below,
+    so t is captured exactly when it is a variable named by one of them.
     """
-    if v not in body.free:
-        return (True, None) if body is instance else (False, None)
-    found: list[Term] = []
-
-    def walk(b: Formula, i: Formula) -> bool:
-        # invariant: v occurs free in b
-        cb = b.__class__
-        if cb is not i.__class__:
-            return False
-        if cb is Atom:
+    witness = None
+    binders = set()
+    stack = [(body, instance)]
+    while stack:
+        b, i = stack.pop()
+        if v not in b.free:
+            if b is not i:
+                return SHAPE, mismatch
+            continue
+        cls = b.__class__
+        if cls is not i.__class__:
+            return SHAPE, mismatch
+        if cls is Atom:
             if b.rel != i.rel or len(b.args) != len(i.args):
-                return False
+                return SHAPE, mismatch
             for u, w in zip(b.args, i.args):
                 if u.kind == VAR and u.name == v:
-                    if found:
-                        if found[0] is not w:
-                            return False
-                    else:
-                        found.append(w)
+                    if witness is None:
+                        witness = w
+                    elif witness is not w:
+                        return SHAPE, mismatch
                 elif u is not w:
-                    return False
-            return True
-        if cb in (And, Or, Imp):
-            for bb, ii in ((b.l, i.l), (b.r, i.r)):
-                if v in bb.free:
-                    if not walk(bb, ii):
-                        return False
-                elif bb is not ii:
-                    return False
-            return True
-        # quantifier; v free below, so the binder differs from v
-        if b.var != i.var:
-            return False
-        return walk(b.body, i.body)
+                    return SHAPE, mismatch
+        elif cls is Forall or cls is Exists:
+            # v is free below, so this binder is not v
+            if b.var != i.var:
+                return SHAPE, mismatch
+            binders.add(b.var)
+            stack.append((b.body, i.body))
+        else:  # And, Or, Imp
+            stack.append((b.r, i.r))
+            stack.append((b.l, i.l))
+    if witness is not None and witness.kind == VAR and witness.name in binders:
+        return SIDE_CONDITION, f"term {witness.name} is not substitutable (clash)"
+    return None
 
-    if not walk(body, instance):
-        return (False, None)
-    return (True, found[0])
+
+def _forall_e(ps, c):
+    prem = ps[0]
+    if not isinstance(prem, Forall):
+        return SHAPE, "premise must be universally quantified"
+    return _instance_fault(
+        prem.body, prem.var, c, "conclusion is not an instance of the premise body"
+    )
+
+
+def _exists_i(ps, c):
+    if not isinstance(c, Exists):
+        return SHAPE, "conclusion must be existentially quantified"
+    return _instance_fault(
+        c.body, c.var, ps[0], "premise is not an instance of the conclusion body"
+    )
+
+
+# name -> (earliest variant carrying the rule, premise count, check); the
+# rule sets are cumulative
+RULES = {
+    "TopI": (CalculusVariant.ORIGINAL, 0, _top_i),
+    "AndI": (CalculusVariant.ORIGINAL, 2, _and_i),
+    "AndE_L": (CalculusVariant.ORIGINAL, 1, _and_e_l),
+    "AndE_R": (CalculusVariant.ORIGINAL, 1, _and_e_r),
+    "ImpI": (CalculusVariant.ORIGINAL, 1, _imp_i),
+    "ImpE": (CalculusVariant.ORIGINAL, 2, _imp_e),
+    "OrI_L": (CalculusVariant.L1, 1, _or_i_l),
+    "OrI_R": (CalculusVariant.L1, 1, _or_i_r),
+    "OrE": (CalculusVariant.L1, 1, _or_e),
+    "BotE": (CalculusVariant.L2, 1, _bot_e),
+    "ImpAx": (CalculusVariant.PFQPL, 0, _imp_ax),
+    "ForallI": (CalculusVariant.QPL, 1, _forall_i),
+    "ForallE": (CalculusVariant.QPL, 1, _forall_e),
+    "ExistsI": (CalculusVariant.QPL, 1, _exists_i),
+    "ExistsE": (CalculusVariant.QPL, 1, _exists_e),
+}
+
+
+def _rule_fault(variant: CalculusVariant, name: str, ps, conclusion: Formula):
+    """None when ps and conclusion form an instance of the named rule in
+    variant, else the (code, message) of the first fault."""
+    entry = RULES.get(name)
+    if entry is None:
+        return UNKNOWN_RULE, f"unknown rule {name!r}"
+    first, arity, check = entry
+    if variant < first:
+        msg = f"rule {name} is not part of the {variant.cli_name} calculus"
+        return UNKNOWN_RULE, msg
+    if len(ps) != arity:
+        return SHAPE, f"{name} expects {arity} premise(s), got {len(ps)}"
+    fault = check(ps, conclusion)
+    if fault is None:
+        return None
+    return fault[0], f"{name}: {fault[1]}"
 
 
 def match_rule(
@@ -158,111 +258,10 @@ def match_rule(
     premises,
     conclusion: Formula,
 ) -> RuleInstance | RejectReason:
-    minv = RULE_MIN_VARIANT.get(name)
-    if minv is None:
-        return RejectReason(UNKNOWN_RULE, f"unknown rule {name!r}")
-    if variant < minv:
-        return RejectReason(
-            UNKNOWN_RULE,
-            f"rule {name} is not part of the {variant.cli_name} calculus",
-        )
     ps = tuple(premises)
-    want = _RULE_ARITY.get(name, 1)
-    if len(ps) != want:
-        return RejectReason(
-            SHAPE, f"{name} expects {want} premise(s), got {len(ps)}"
-        )
-
-    def shape(msg: str) -> RejectReason:
-        return RejectReason(SHAPE, f"{name}: {msg}")
-
-    def side(msg: str) -> RejectReason:
-        return RejectReason(SIDE_CONDITION, f"{name}: {msg}")
-
-    if name == "TopI":
-        if not isinstance(conclusion, Top):
-            return shape("conclusion must be the truth constant")
-    elif name == "AndI":
-        if not (
-            isinstance(conclusion, And)
-            and conclusion.l is ps[0]
-            and conclusion.r is ps[1]
-        ):
-            return shape("conclusion must conjoin the premises in order")
-    elif name == "AndE_L":
-        if not (isinstance(ps[0], And) and ps[0].l is conclusion):
-            return shape("conclusion must be the left conjunct")
-    elif name == "AndE_R":
-        if not (isinstance(ps[0], And) and ps[0].r is conclusion):
-            return shape("conclusion must be the right conjunct")
-    elif name == "OrI_L":
-        if not (isinstance(conclusion, Or) and conclusion.l is ps[0]):
-            return shape("premise must be the left disjunct")
-    elif name == "OrI_R":
-        if not (isinstance(conclusion, Or) and conclusion.r is ps[0]):
-            return shape("premise must be the right disjunct")
-    elif name == "OrE":
-        prem = ps[0]
-        if not isinstance(prem, Or) or (
-            conclusion is not prem.l and conclusion is not prem.r
-        ):
-            return shape("premise must be a disjunction of the conclusion")
-        if prem.l is not prem.r:
-            return side("premise disjuncts must be equal")
-    elif name == "ImpI":
-        if not (isinstance(conclusion, Imp) and conclusion.r is ps[0]):
-            return shape("premise must be the consequent of the conclusion")
-    elif name == "ImpE":
-        if not (
-            isinstance(ps[1], Imp)
-            and ps[1].l is ps[0]
-            and ps[1].r is conclusion
-        ):
-            return shape("premises must read antecedent, implication")
-    elif name == "ImpAx":
-        if not (isinstance(conclusion, Imp) and conclusion.l is conclusion.r):
-            return shape("axiom instances are implications with equal sides")
-    elif name == "BotE":
-        if not isinstance(ps[0], Bot):
-            return shape("premise must be the falsity constant")
-    elif name == "ForallI":
-        if not (isinstance(conclusion, Forall) and conclusion.body is ps[0]):
-            return shape("conclusion must quantify the premise")
-        if conclusion.var in ps[0].free:
-            return side(f"{conclusion.var} occurs free in the premise")
-    elif name == "ExistsE":
-        if not (isinstance(ps[0], Exists) and ps[0].body is conclusion):
-            return shape("conclusion must be the premise body")
-        if ps[0].var in conclusion.free:
-            return side(f"{ps[0].var} occurs free in the conclusion")
-    elif name == "ForallE":
-        prem = ps[0]
-        if not isinstance(prem, Forall):
-            return shape("premise must be universally quantified")
-        ok, t = _infer_witness(prem.body, prem.var, conclusion)
-        if not ok:
-            return shape("conclusion is not an instance of the premise body")
-        if t is not None:
-            try:
-                result = substitute(prem.body, prem.var, t)
-            except ClashError:
-                return side(f"term {t.name} is not substitutable (clash)")
-            if result is not conclusion:
-                return shape("conclusion is not an instance of the premise body")
-    elif name == "ExistsI":
-        if not isinstance(conclusion, Exists):
-            return shape("conclusion must be existentially quantified")
-        ok, t = _infer_witness(conclusion.body, conclusion.var, ps[0])
-        if not ok:
-            return shape("premise is not an instance of the conclusion body")
-        if t is not None:
-            try:
-                result = substitute(conclusion.body, conclusion.var, t)
-            except ClashError:
-                return side(f"term {t.name} is not substitutable (clash)")
-            if result is not ps[0]:
-                return shape("premise is not an instance of the conclusion body")
-
+    fault = _rule_fault(variant, name, ps, conclusion)
+    if fault is not None:
+        return RejectReason(*fault)
     return RuleInstance(name, ps, conclusion)
 
 
@@ -314,27 +313,25 @@ def _check_node(node, node_map, variant, hypset):
         if node.parents:
             return False, "axiom node has parents"
         label = node.label
-        if isinstance(label, Top):
-            expected = "TopI"
-        elif isinstance(label, Imp) and label.l is label.r:
-            if variant < CalculusVariant.PFQPL:
-                return False, (
-                    f"axiom {render(label)} is not part of the "
-                    f"{variant.cli_name} calculus"
-                )
-            expected = "ImpAx"
-        else:
+        expected = "TopI" if isinstance(label, Top) else "ImpAx"
+        first, _, check = RULES[expected]
+        if check((), label) is not None:
             return False, f"{render(label)} is not an axiom"
+        if variant < first:
+            return False, (
+                f"axiom {render(label)} is not part of the "
+                f"{variant.cli_name} calculus"
+            )
         if node.rule is not None and node.rule != expected:
             return False, f"axiom node labeled with rule {node.rule!r}"
         return True, None
     if node.kind == "rule":
         if node.rule is None:
             return False, "rule node is missing its rule name"
-        prems = tuple(node_map[pid].label for pid in node.parents)
-        res = match_rule(variant, node.rule, prems, node.label)
-        if isinstance(res, RejectReason):
-            return False, f"{res.code}: {res.message}"
+        prems = [node_map[pid].label for pid in node.parents]
+        fault = _rule_fault(variant, node.rule, prems, node.label)
+        if fault is not None:
+            return False, f"{fault[0]}: {fault[1]}"
         return True, None
     return False, f"unknown node kind {node.kind!r}"
 

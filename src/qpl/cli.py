@@ -9,8 +9,9 @@ information terms, gen produces reproducible instance suites, and bench
 runs the scaling family.
 
 Exit codes: 0 for a successful decision regardless of verdict, 2 for
-input errors, 3 for resource limits. prove returns 1 when no derivation
-exists; verify-proof returns 1 for a well-formed but invalid proof.
+input errors, 3 for resource limits, input nested too deeply for the
+recursive walkers among them. prove returns 1 when no derivation exists;
+verify-proof returns 1 for a well-formed but invalid proof.
 """
 
 import argparse
@@ -454,11 +455,10 @@ def cmd_bench_chain(args) -> int:
 
 # --------------------------------------------------------------- parser
 
-def _add_common(p, *, variant="qpl", closure_cap=True):
-    p.add_argument("--variant", default=variant, help="orig|l1|l2|pfqpl|qpl")
+def _add_common(p):
+    p.add_argument("--variant", default="qpl", help="orig|l1|l2|pfqpl|qpl")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    if closure_cap:
-        p.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP)
+    p.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -553,6 +553,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ResourceLimit as e:
         print(f"resource limit: {e}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        # the recursive formula and term walkers give out on deep nesting
+        print("resource limit: input nested too deeply", file=sys.stderr)
         return 3
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

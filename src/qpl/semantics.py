@@ -70,10 +70,15 @@ def relation_arities(ct: ClosureTable) -> dict:
     """Relation symbols occurring anywhere in the universe, in first
     left-to-right occurrence order, mapped to their arity."""
     out: dict = {}
+    seen: set = set()
     for f in ct.universe:
         stack = [f]
         while stack:
             g = stack.pop()
+            # a formula seen before had its whole subtree walked then
+            if g in seen:
+                continue
+            seen.add(g)
             cls = g.__class__
             if cls is Atom:
                 ar = len(g.args)

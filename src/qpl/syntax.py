@@ -319,10 +319,6 @@ class ParamSet:
     elements: tuple[Term, ...]
     contains_fixed: bool
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(t.name for t in self.elements)
-
 
 def _collect_params(f: Formula, bound: frozenset[str], seen: set, out: list) -> None:
     cls = f.__class__
@@ -363,7 +359,6 @@ def parameters_star(formulas) -> ParamSet:
 @dataclass(frozen=True)
 class ClosureStats:
     size: int
-    n_params: int
     depth: int
     input_length: int
     closure_length: int
@@ -426,7 +421,6 @@ def closure(s, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureTable:
             queue.extend(insts)
     stats = ClosureStats(
         size=len(universe),
-        n_params=len(elements),
         depth=max((f.qdepth for f in inputs), default=0),
         input_length=sum(f.length for f in inputs),
         closure_length=sum(f.length for f in universe),

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import json
+import pathlib
 
 import pytest
 
@@ -27,6 +29,7 @@ from qpl.syntax import (
     exists,
     forall,
     imp,
+    parse_formula,
     top,
     var,
 )
@@ -364,3 +367,164 @@ def test_json_reserved_labels_accepted():
 def test_json_malformed(blob):
     with pytest.raises(ValueError):
         derivation_from_json(blob)
+
+
+# ------------------------------------------------------ pinned verdicts
+
+def _f(text):
+    return parse_formula(text, ("x", "y"))
+
+
+# (variant, rule, premises, conclusion, code, message), every rejection
+# match_rule can give
+_MATCH_REJECTIONS = [
+    ("qpl", "Cut", ["p"], "p", "unknown_rule", "unknown rule 'Cut'"),
+    ("l1", "BotE", ["false"], "p", "unknown_rule",
+     "rule BotE is not part of the l1 calculus"),
+    ("qpl", "ImpE", ["p"], "q", "shape", "ImpE expects 2 premise(s), got 1"),
+    ("qpl", "ImpAx", ["p"], "p -> p", "shape",
+     "ImpAx expects 0 premise(s), got 1"),
+    ("qpl", "TopI", [], "p", "shape",
+     "TopI: conclusion must be the truth constant"),
+    ("qpl", "AndI", ["q", "p"], "p & q", "shape",
+     "AndI: conclusion must conjoin the premises in order"),
+    ("qpl", "AndE_L", ["p & q"], "q", "shape",
+     "AndE_L: conclusion must be the left conjunct"),
+    ("qpl", "AndE_R", ["p"], "p", "shape",
+     "AndE_R: conclusion must be the right conjunct"),
+    ("qpl", "OrI_L", ["q"], "p | q", "shape",
+     "OrI_L: premise must be the left disjunct"),
+    ("qpl", "OrI_R", ["p"], "p | q", "shape",
+     "OrI_R: premise must be the right disjunct"),
+    ("qpl", "OrE", ["p | p"], "q", "shape",
+     "OrE: premise must be a disjunction of the conclusion"),
+    ("qpl", "OrE", ["p | q"], "q", "side_condition",
+     "OrE: premise disjuncts must be equal"),
+    ("qpl", "ImpI", ["p"], "p -> q", "shape",
+     "ImpI: premise must be the consequent of the conclusion"),
+    ("qpl", "ImpE", ["p -> q", "p"], "q", "shape",
+     "ImpE: premises must read antecedent, implication"),
+    ("qpl", "ImpAx", [], "p -> q", "shape",
+     "ImpAx: axiom instances are implications with equal sides"),
+    ("qpl", "BotE", ["p"], "q", "shape",
+     "BotE: premise must be the falsity constant"),
+    ("qpl", "ForallI", ["p"], "exists x. p", "shape",
+     "ForallI: conclusion must quantify the premise"),
+    ("qpl", "ForallI", ["R(x)"], "forall x. R(x)", "side_condition",
+     "ForallI: x occurs free in the premise"),
+    ("qpl", "ExistsE", ["forall x. p"], "p", "shape",
+     "ExistsE: conclusion must be the premise body"),
+    ("qpl", "ExistsE", ["exists x. R(x)"], "R(x)", "side_condition",
+     "ExistsE: x occurs free in the conclusion"),
+    ("qpl", "ForallE", ["R(c)"], "R(c)", "shape",
+     "ForallE: premise must be universally quantified"),
+    ("qpl", "ForallE", ["forall x. S(x, x)"], "S(c, d)", "shape",
+     "ForallE: conclusion is not an instance of the premise body"),
+    ("qpl", "ForallE", ["forall x. p"], "q", "shape",
+     "ForallE: conclusion is not an instance of the premise body"),
+    ("qpl", "ForallE", ["forall x. exists y. S(x, y)"], "exists y. S(y, y)",
+     "side_condition", "ForallE: term y is not substitutable (clash)"),
+    ("qpl", "ExistsI", ["R(c)"], "forall x. R(x)", "shape",
+     "ExistsI: conclusion must be existentially quantified"),
+    ("qpl", "ExistsI", ["S(c, d)"], "exists x. S(x, x)", "shape",
+     "ExistsI: premise is not an instance of the conclusion body"),
+    ("qpl", "ExistsI", ["exists y. S(y, y)"], "exists x. exists y. S(x, y)",
+     "side_condition", "ExistsI: term y is not substitutable (clash)"),
+]
+
+
+@pytest.mark.parametrize(
+    "variant,name,premises,conclusion,code,message", _MATCH_REJECTIONS
+)
+def test_match_rule_rejection_table(
+    variant, name, premises, conclusion, code, message
+):
+    res = match_rule(
+        V.from_name(variant), name, [_f(s) for s in premises], _f(conclusion)
+    )
+    assert res == RejectReason(code, message)
+
+
+# (variant, kind, rule, parent labels, label, reason); each parent is a
+# hypothesis node, the judged node comes last
+_NODE_REJECTIONS = [
+    ("qpl", "hypothesis", None, ["p"], "p", "hypothesis node has parents"),
+    ("qpl", "hypothesis", "AndI", [], "p",
+     "hypothesis node carries a rule name"),
+    ("qpl", "hypothesis", None, [], "p & q",
+     "p & q is not among the hypotheses"),
+    ("qpl", "axiom", None, ["p"], "true", "axiom node has parents"),
+    ("l2", "axiom", None, [], "p -> p",
+     "axiom p -> p is not part of the l2 calculus"),
+    ("qpl", "axiom", "ImpAx", [], "p -> q", "p -> q is not an axiom"),
+    ("qpl", "axiom", "ImpAx", [], "true", "axiom node labeled with rule 'ImpAx'"),
+    ("qpl", "rule", None, [], "p", "rule node is missing its rule name"),
+    ("qpl", "assumption", None, [], "p", "unknown node kind 'assumption'"),
+    ("qpl", "rule", "ImpE", ["p -> q", "p"], "q",
+     "shape: ImpE: premises must read antecedent, implication"),
+    ("pfqpl", "rule", "ForallE", ["forall x. R(x)"], "R(c)",
+     "unknown_rule: rule ForallE is not part of the pfqpl calculus"),
+    ("qpl", "rule", "TopI", ["p"], "true",
+     "shape: TopI expects 0 premise(s), got 1"),
+    ("qpl", "rule", "ExistsI", ["exists y. S(y, y)"],
+     "exists x. exists y. S(x, y)",
+     "side_condition: ExistsI: term y is not substitutable (clash)"),
+]
+
+
+@pytest.mark.parametrize(
+    "variant,kind,rule,parents,label,reason", _NODE_REJECTIONS
+)
+def test_check_node_rejection_table(variant, kind, rule, parents, label, reason):
+    nodes = [_node(i, _f(s), "hypothesis") for i, s in enumerate(parents)]
+    k = len(parents)
+    nodes.append(_node(k, _f(label), kind, rule, range(k)))
+    hyps = {n.label for n in nodes[:k]}
+    rep = check_derivation(Derivation(k, tuple(nodes)), V.from_name(variant), hyps)
+    assert not rep.ok and not rep.structural_errors
+    assert [(r.node_id, r.reason) for r in rep.failures()] == [(k, reason)]
+
+
+def _deep_instance_pair(depth=5000):
+    """exists y. (S(x, y) -> ... -> S(x, y)), depth implications deep,
+    with x replaced by the constant c and by the captured variable y."""
+    bodies = []
+    for t in (x, c, y):
+        g = atom("S", t, y)
+        for _ in range(depth):
+            g = imp(atom("S", t, y), g)
+        bodies.append(exists("y", g))
+    return bodies
+
+
+def test_instance_rules_on_deep_bodies():
+    body, inst, captured = _deep_instance_pair()
+    prem = forall("x", body)
+    _accepted(match_rule(V.QPL, "ForallE", [prem], inst))
+    _accepted(match_rule(V.QPL, "ExistsI", [inst], exists("x", body)))
+    res = match_rule(V.QPL, "ForallE", [prem], captured)
+    assert res == RejectReason(
+        "side_condition", "ForallE: term y is not substitutable (clash)"
+    )
+    res = match_rule(V.QPL, "ExistsI", [captured], exists("x", body))
+    assert res == RejectReason(
+        "side_condition", "ExistsI: term y is not substitutable (clash)"
+    )
+
+
+def test_checker_is_independent_of_the_engine():
+    """The checker must not share the engine's instance construction."""
+    tree = ast.parse(pathlib.Path(ca.__file__).read_text())
+    imported, used = set(), set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom):
+            imported.add(("." * n.level) + (n.module or ""))
+            used.update(a.name for a in n.names)
+        elif isinstance(n, ast.Import):
+            imported.update(a.name for a in n.names)
+        elif isinstance(n, ast.Name):
+            used.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            used.add(n.attr)
+    assert not imported & {".engine", "qpl.engine", "engine"}
+    assert not used & {"substitute", "closure", "compile_rules"}

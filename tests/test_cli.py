@@ -422,6 +422,60 @@ def test_verify_proof_exit_codes(tmp_path, capsys, text, code):
         assert err.startswith("error: ")
 
 
+# ------------------------------------------------------------ deep input
+
+DEPTH = 5000
+_DEEP_CHAIN = " -> ".join(f"p{i}" for i in range(DEPTH)) + "\n"
+_DEEP_SUM = " + ".join(["a"] * DEPTH)
+_DEEP_BODY = "R(x) -> " * DEPTH + "R(x)"
+_DEEP_FORALL_E = json.dumps(
+    {
+        "variant": "qpl",
+        "vars": [],
+        "hyps": [f"forall x. {_DEEP_BODY}"],
+        "proofs": [
+            {
+                "query": _DEEP_BODY.replace("x", "c"),
+                "derivation": {
+                    "root": 1,
+                    "nodes": [
+                        {"id": 0, "kind": "hypothesis", "rule": None,
+                         "label": f"forall x. {_DEEP_BODY}", "parents": []},
+                        {"id": 1, "kind": "rule", "rule": "ForallE",
+                         "label": _DEEP_BODY.replace("x", "c"), "parents": [0]},
+                    ],
+                },
+            }
+        ],
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["check", "{deep}", "p0"], 3),
+        (["prove", "{deep}", "p0"], 3),
+        (["closure", "{deep}"], 3),
+        (["oracle", "{deep}", "p0"], 3),
+        (["algebra", _DEEP_SUM, "a"], 3),
+        (["verify-proof", "{proof}"], 0),
+    ],
+    ids=["check", "prove", "closure", "oracle", "algebra", "verify-proof"],
+)
+def test_deep_input_keeps_exit_contract(tmp_path, capsys, argv, code):
+    paths = {
+        "{deep}": write(tmp_path, "deep.qpl", _DEEP_CHAIN),
+        "{proof}": write(tmp_path, "proof.json", _DEEP_FORALL_E),
+    }
+    assert cli.main([paths.get(a, a) for a in argv]) == code
+    err = capsys.readouterr().err
+    if code == 3:
+        assert err == "resource limit: input nested too deeply\n"
+    else:
+        assert err == ""
+
+
 # --------------------------------------------------------------- closure
 
 def test_closure_reports_bound(tmp_path, capsys):
