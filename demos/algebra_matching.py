@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Decide term-order questions by translating them to entailments.
+"""Decide term-order questions as entailments.
 
 Terms are built from generators, join, and a left-annihilating
-composition. The order s >= t is defined through the engine itself:
-translate both sides to formulas and ask whether the left side yields
-the right at the smallest calculus variant.
+composition. A term is itself a formula of the original calculus (join
+is conjunction, composition is implication, 0 is truth), and the order
+s >= t is defined through the engine: s >= t exactly when s yields t at
+the smallest calculus variant.
 """
 
-from qpl.algebra import parse_term, render_term, term_equal, term_geq, term_to_formula
+from qpl.algebra import parse_term, render_term, term_equal, term_geq
 from qpl import CalculusVariant, entails, render
 
 PAIRS = [
@@ -29,7 +30,6 @@ for left, right in PAIRS:
 
 print()
 s = parse_term("(a * b) + b")
-f = term_to_formula(s)
-print(f"{render_term(s)!r} translates to the formula {render(f)!r}")
-v = entails([f], term_to_formula(parse_term("b")), CalculusVariant.ORIGINAL)
+print(f"{render_term(s)!r} is the formula {render(s)!r}")
+v = entails([s], parse_term("b"), CalculusVariant.ORIGINAL)
 print(f"and the engine confirms it yields 'b': {v.entailed}")

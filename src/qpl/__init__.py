@@ -5,8 +5,8 @@ instantiation closure; calculus names the rule systems and checks
 serialized derivations; engine decides entailment by closure-local
 saturation in one problem session per hypothesis and query set, and
 extracts proofs; semantics evaluates override models, builds
-countermodels, and carries the brute-force oracle; algebra maps
-information terms onto formulas; generators produce machine, Horn,
+countermodels, and carries the brute-force oracle; algebra reads
+information terms as `orig` formulas; generators produce machine, Horn,
 random, and chain instances; cli binds everything to problem files.
 """
 

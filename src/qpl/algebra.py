@@ -1,189 +1,135 @@
 """Infon terms: a join semilattice with zero and a weak pseudocomplement.
 
-Terms are built from generators and 0 by + (join) and * (weak
-pseudocomplement). Reading 0 as truth, + as conjunction and * as
-implication turns a term into a formula of the original calculus, and
-that calculus decides the term order: s >= t exactly when the formula
-for s entails the formula for t. There is no rewriting to normal form
-here; the engine is the decision procedure.
+A term is an `orig` formula, interned like every formula: 0 is truth, a
+generator is a nullary atom, + (join) is conjunction and * (weak
+pseudocomplement) is implication. The original calculus decides the term
+order, s >= t exactly when s entails t; there is no normal form here.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .calculus import CalculusVariant
 from .engine import entails
-from .syntax import Formula, ParseError, ReservedNameError, atom, conj, imp, top
+from .syntax import And, Atom, Formula, Imp, Top, atom, conj, imp, top
+from .syntax import ParseError, ReservedNameError
+
+Zero, Gen, Join, PComp = top, atom, conj, imp
 
 
-class InfonTerm:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Zero(InfonTerm):
-    pass
-
-
-@dataclass(frozen=True)
-class Gen(InfonTerm):
-    name: str
-
-
-@dataclass(frozen=True)
-class Join(InfonTerm):
-    l: InfonTerm
-    r: InfonTerm
-
-
-@dataclass(frozen=True)
-class PComp(InfonTerm):
-    l: InfonTerm
-    r: InfonTerm
-
-
-def term_size(t: InfonTerm) -> int:
-    if isinstance(t, (Zero, Gen)):
-        return 1
-    return 1 + term_size(t.l) + term_size(t.r)
-
-
-def term_to_formula(t: InfonTerm) -> Formula:
-    if isinstance(t, Zero):
-        return top()
-    if isinstance(t, Gen):
-        return atom(t.name)
-    if isinstance(t, Join):
-        return conj(term_to_formula(t.l), term_to_formula(t.r))
-    if isinstance(t, PComp):
-        return imp(term_to_formula(t.l), term_to_formula(t.r))
-    raise TypeError(f"not an infon term: {t!r}")
-
-
-def term_geq(s: InfonTerm, t: InfonTerm) -> bool:
+def term_geq(s: Formula, t: Formula) -> bool:
     """Whether s >= t in the free algebra, decided through the calculus."""
-    return entails(
-        [term_to_formula(s)], term_to_formula(t), CalculusVariant.ORIGINAL
-    ).entailed
+    return entails([s], t, CalculusVariant.ORIGINAL, with_proof=False).entailed
 
 
-def term_equal(s: InfonTerm, t: InfonTerm) -> bool:
+def term_equal(s: Formula, t: Formula) -> bool:
     return term_geq(s, t) and term_geq(t, s)
 
 
 # ------------------------------------------------------------- grammar
 
-_TOKEN = re.compile(r"(0)|([+*()])|([A-Za-z_][A-Za-z0-9_']*)|(\s+)|(.)")
+_TOKEN = re.compile(r"[0+*()]|[A-Za-z_][A-Za-z0-9_']*|(\s+)|(.)")
+
+# Operators: strength and constructor. Both group to the left, so the token
+# after an operand folds every pending operator at least as strong as its
+# own; any other token folds back to the nearest '(' or the start.
+_BINARY = {"+": (1, conj), "*": (2, imp)}
+_OPEN = (0, "(", None)
+_START = (0, "", None)
 
 
-def _tokenize(text: str):
-    out = []
+def parse_term(text: str) -> Formula:
+    """Parse one term, or raise ParseError (or ReservedNameError) with the
+    column of the first error; a character no token covers comes first.
+    Operator precedence with an explicit stack, so depth is unbounded."""
+    toks = []
     for m in _TOKEN.finditer(text):
-        zero, op, ident, space, bad = m.groups()
-        if space is not None:
+        if m.group(2) is not None:
+            raise ParseError(f"unexpected character {m.group(2)!r}", m.start())
+        if m.group(1) is None:
+            toks.append((m.group(), m.start()))
+    toks.append(("", len(text)))  # "" ends the input
+    take = iter(toks).__next__
+    stack: list[tuple] = [_START]
+    while True:
+        # Open parentheses, then one generator or 0 as f.
+        tok, at = take()
+        if tok == "(":
+            stack.append(_OPEN)
             continue
-        if bad is not None:
-            raise ParseError(f"unexpected character {bad!r}", m.start())
-        if zero is not None:
-            out.append(("zero", "0", m.start()))
-        elif op is not None:
-            out.append((op, op, m.start()))
+        if tok == "0":
+            f = top()
+        elif tok[:1] == "_":
+            raise ReservedNameError(f"identifier {tok!r} uses the reserved prefix", at)
+        elif tok[:1].isalpha():
+            f = atom(tok)
         else:
-            out.append(("ident", ident, m.start()))
-    return out
-
-
-class _TermParser:
-    def __init__(self, toks, text):
-        self.toks = toks
-        self.pos = 0
-        self.end = len(text)
-
-    def peek(self):
-        if self.pos < len(self.toks):
-            return self.toks[self.pos]
-        return None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.end)
-        self.pos += 1
-        return tok
-
-    def sum_(self) -> InfonTerm:
-        t = self.prod()
+            raise _unexpected(tok, at)
+        # Operators and closing tokens after f; each one is consumed.
         while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "+":
-                return t
-            self.pos += 1
-            t = Join(t, self.prod())
-
-    def prod(self) -> InfonTerm:
-        t = self.unit()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "*":
-                return t
-            self.pos += 1
-            t = PComp(t, self.unit())
-
-    def unit(self) -> InfonTerm:
-        kind, value, at = self.take()
-        if kind == "zero":
-            return Zero()
-        if kind == "ident":
-            if value.startswith("_"):
-                raise ReservedNameError(
-                    f"identifier {value!r} uses the reserved prefix", at
-                )
-            return Gen(value)
-        if kind == "(":
-            t = self.sum_()
-            kind2, _, at2 = self.take()
-            if kind2 != ")":
-                raise ParseError("expected ')'", at2)
-            return t
-        raise ParseError(f"unexpected token {value!r}", at)
+            tok, at = take()
+            op = _BINARY.get(tok)
+            reach = op[0] if op else 1
+            while stack[-1][0] >= reach:
+                _, left, ctor = stack.pop()
+                f = ctor(left, f)
+            if op is not None:
+                stack.append((op[0], f, op[1]))
+                break
+            frame = stack.pop()
+            if frame is _START and not tok:
+                return f
+            if frame is not _OPEN or tok != ")":
+                raise _unexpected(tok, at, frame is _OPEN)
 
 
-def parse_term(text: str) -> InfonTerm:
-    parser = _TermParser(_tokenize(text), text)
-    t = parser.sum_()
-    tok = parser.peek()
-    if tok is not None:
-        raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
-    return t
+def _unexpected(tok: str, at: int, closing: bool = False) -> ParseError:
+    message = "expected ')'" if closing else f"unexpected token {tok!r}"
+    return ParseError(message if tok else "unexpected end of input", at)
 
 
-def render_term(t: InfonTerm) -> str:
-    return _render(t, 0, False)
+# Strength and infix of each operator. An operand is parenthesized when it
+# binds more loosely than its parent, or as loosely and on the right.
+_INFIX = {And: (1, " + "), Imp: (2, " * ")}
 
 
-def _render(t: InfonTerm, level: int, right: bool) -> str:
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, Gen):
-        return t.name
-    if isinstance(t, Join):
-        s = f"{_render(t.l, 1, False)} + {_render(t.r, 1, True)}"
-        return f"({s})" if level > 1 or (level == 1 and right) else s
-    s = f"{_render(t.l, 2, False)} * {_render(t.r, 2, True)}"
-    return f"({s})" if level > 2 or (level == 2 and right) else s
+def render_term(t: Formula) -> str:
+    """The text parse_term reads back as t, with no redundant parentheses;
+    TypeError when the formula t is not a term."""
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        f = stack.pop()
+        cls = f.__class__
+        if cls is str:
+            out.append(f)
+        elif cls is Top:
+            out.append("0")
+        elif cls is Atom and not f.args:
+            out.append(f.rel)
+        elif cls in _INFIX:
+            strength, infix = _INFIX[cls]
+            for operand, right in ((f.r, 1), (f.l, 0)):
+                inner = _INFIX.get(operand.__class__)
+                if inner is not None and inner[0] < strength + right:
+                    stack += (")", operand, "(")
+                else:
+                    stack.append(operand)
+                if right:
+                    stack.append(infix)
+        else:
+            raise TypeError(f"not an infon term: {f!r}")
+    return "".join(out)
 
 
-def random_term(rng, max_nodes: int = 12, gens=("a", "b", "c")) -> InfonTerm:
+def random_term(rng, max_nodes: int = 12, gens=("a", "b", "c")) -> Formula:
     """Uniform-ish term with at most max_nodes nodes, at least one."""
     if max_nodes < 3 or rng.random() < 0.3:
         if rng.random() < 0.15:
-            return Zero()
-        return Gen(rng.choice(gens))
+            return top()
+        return atom(rng.choice(gens))
     left = rng.randrange(1, max_nodes - 1)
-    ctor = Join if rng.random() < 0.5 else PComp
-    return ctor(
-        random_term(rng, left, gens),
-        random_term(rng, max_nodes - 1 - left, gens),
-    )
+    ctor = conj if rng.random() < 0.5 else imp
+    right = max_nodes - 1 - left
+    return ctor(random_term(rng, left, gens), random_term(rng, right, gens))

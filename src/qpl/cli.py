@@ -20,7 +20,7 @@ import random
 import sys
 import time
 
-from .algebra import parse_term, render_term, term_equal, term_geq
+from .algebra import parse_term, render_term, term_geq
 from .calculus import (
     CalculusVariant,
     check_derivation,
@@ -333,12 +333,13 @@ def cmd_oracle(args) -> int:
 def cmd_algebra(args) -> int:
     s = parse_term(args.s)
     t = parse_term(args.t)
+    s_geq_t, t_geq_s = term_geq(s, t), term_geq(t, s)
     doc = {
         "s": render_term(s),
         "t": render_term(t),
-        "s_geq_t": term_geq(s, t),
-        "t_geq_s": term_geq(t, s),
-        "equal": term_equal(s, t),
+        "s_geq_t": s_geq_t,
+        "t_geq_s": t_geq_s,
+        "equal": s_geq_t and t_geq_s,
     }
     if args.json:
         _print_json(doc)
@@ -555,7 +556,7 @@ def main(argv=None) -> int:
         print(f"resource limit: {e}", file=sys.stderr)
         return 3
     except RecursionError:
-        # the recursive formula and term walkers give out on deep nesting
+        # the recursive formula walkers give out on deep nesting
         print("resource limit: input nested too deeply", file=sys.stderr)
         return 3
     except (OSError, ValueError) as e:

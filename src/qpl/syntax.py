@@ -320,34 +320,47 @@ class ParamSet:
     contains_fixed: bool
 
 
-def _collect_params(f: Formula, bound: frozenset[str], seen: set, out: list) -> None:
-    cls = f.__class__
-    if cls is Atom:
-        for t in f.args:
-            if t.kind == CONST or t.name not in bound:
-                if t not in seen:
-                    seen.add(t)
-                    out.append(t)
-    elif cls in (And, Or, Imp):
-        _collect_params(f.l, bound, seen, out)
-        _collect_params(f.r, bound, seen, out)
-    elif cls in (Forall, Exists):
-        _collect_params(f.body, bound | {f.var}, seen, out)
+def _collect_params(formulas) -> list[Term]:
+    """Constants and free variables of formulas, first occurrence first.
+    Under each quantifier body the explicit stack holds the binder set
+    outside it, so popping that marker restores it after the body."""
+    seen: set = set()
+    out: list = []
+    bound = _EMPTY
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    for f in formulas:
+        while True:
+            cls = f.__class__
+            if cls is Atom:
+                for t in f.args:
+                    if (t.kind == CONST or t.name not in bound) and t not in seen:
+                        seen.add(t)
+                        out.append(t)
+            elif cls is Imp or cls is And or cls is Or:
+                push(f.r)
+                f = f.l
+                continue
+            elif cls is Forall or cls is Exists:
+                push(bound)
+                bound = bound | {f.var}
+                f = f.body
+                continue
+            elif cls is frozenset:
+                bound = f
+            if not stack:
+                break
+            f = pop()
+    return out
 
 
 def parameters(f: Formula) -> tuple[Term, ...]:
     """Constants and free variables of one formula, first occurrence first."""
-    seen: set = set()
-    out: list = []
-    _collect_params(f, _EMPTY, seen, out)
-    return tuple(out)
+    return tuple(_collect_params([f]))
 
 
 def parameters_star(formulas) -> ParamSet:
-    seen: set = set()
-    out: list = []
-    for f in formulas:
-        _collect_params(f, _EMPTY, seen, out)
+    out = _collect_params(formulas)
     if not any(t.kind == CONST for t in out):
         out.append(const(FIXED_CONSTANT))
         return ParamSet(tuple(out), True)

@@ -16,36 +16,23 @@ from qpl.algebra import (
     render_term,
     term_equal,
     term_geq,
-    term_size,
-    term_to_formula,
 )
 from qpl.calculus import CalculusVariant as V
 from qpl.engine import entails
 from qpl.semantics import semantic_yields_bruteforce
-from qpl.syntax import ParseError, atom, conj, imp, top
+from qpl.syntax import (
+    ParseError,
+    ReservedNameError,
+    atom,
+    bot,
+    const,
+    disj,
+    forall,
+)
 
 a = Gen("a")
 b = Gen("b")
 c = Gen("c")
-
-
-# ------------------------------------------------------------- mapping
-
-def test_mapping_join():
-    assert term_to_formula(Join(a, b)) is conj(atom("a"), atom("b"))
-
-
-def test_mapping_pcomp_zero():
-    assert term_to_formula(PComp(a, Zero())) is imp(atom("a"), top())
-
-
-def test_mapping_zero():
-    assert term_to_formula(Zero()) is top()
-
-
-def test_mapping_nested():
-    t = PComp(Join(a, Zero()), Gen("b"))
-    assert term_to_formula(t) is imp(conj(atom("a"), top()), atom("b"))
 
 
 # ---------------------------------------------------------------- order
@@ -76,9 +63,8 @@ def test_generator_vs_self_pcomp():
     assert not term_geq(t, a)
     assert not term_equal(a, t)
     # same two verdicts through the semantic route
-    fa, ft = term_to_formula(a), term_to_formula(t)
-    assert semantic_yields_bruteforce([fa], ft) is True
-    assert semantic_yields_bruteforce([ft], fa) is False
+    assert semantic_yields_bruteforce([a], t) is True
+    assert semantic_yields_bruteforce([t], a) is False
 
 
 def test_term_geq_is_original_entailment():
@@ -87,7 +73,7 @@ def test_term_geq_is_original_entailment():
         s = random_term(rng, rng.randrange(1, 13))
         t = random_term(rng, rng.randrange(1, 13))
         got = term_geq(s, t)
-        want = entails([term_to_formula(s)], term_to_formula(t), V.ORIGINAL).entailed
+        want = entails([s], t, V.ORIGINAL).entailed
         assert got is want
 
 
@@ -99,9 +85,7 @@ def test_original_entailment_implies_semantic_yield():
         t = random_term(rng, rng.randrange(1, 9))
         if term_geq(s, t):
             hits += 1
-            assert semantic_yields_bruteforce(
-                [term_to_formula(s)], term_to_formula(t)
-            )
+            assert semantic_yields_bruteforce([s], t)
     assert hits >= 8
 
 
@@ -184,9 +168,7 @@ def test_matching_corollary_random():
     for _ in range(120):
         s = random_term(rng, rng.randrange(1, 13))
         t = random_term(rng, rng.randrange(1, 13))
-        via_engine = entails(
-            [term_to_formula(s)], term_to_formula(t), V.ORIGINAL
-        ).entailed
+        via_engine = entails([s], t, V.ORIGINAL).entailed
         # s entails t iff s >= t iff joining t into s changes nothing
         via_order = term_equal(Join(s, t), s)
         assert via_engine is via_order
@@ -227,6 +209,74 @@ def test_parse_errors(text):
         parse_term(text)
 
 
+# Exact class, message and column of each rejection. Tokenizing comes
+# first, so a character no token covers is reported before any syntax error.
+PARSE_ERROR_TABLE = [
+    ("", ParseError, "unexpected end of input (column 0)", 0),
+    ("a +", ParseError, "unexpected end of input (column 3)", 3),
+    ("(a", ParseError, "unexpected end of input (column 2)", 2),
+    ("a ++ b", ParseError, "unexpected token '+' (column 3)", 3),
+    (
+        "_x",
+        ReservedNameError,
+        "identifier '_x' uses the reserved prefix (column 0)",
+        0,
+    ),
+    ("a b", ParseError, "unexpected token 'b' (column 2)", 2),
+    ("(a b)", ParseError, "expected ')' (column 3)", 3),
+    ("+ a", ParseError, "unexpected token '+' (column 0)", 0),
+    ("a + ()", ParseError, "unexpected token ')' (column 5)", 5),
+    ("a & b", ParseError, "unexpected character '&' (column 2)", 2),
+    ("a )", ParseError, "unexpected token ')' (column 2)", 2),
+    ("01", ParseError, "unexpected character '1' (column 1)", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "text,cls,message,position",
+    PARSE_ERROR_TABLE,
+    ids=[repr(row[0]) for row in PARSE_ERROR_TABLE],
+)
+def test_parse_error_table(text, cls, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_term(text)
+    assert type(info.value) is cls
+    assert (str(info.value), info.value.position) == (message, position)
+
+
+@pytest.mark.parametrize("word", ["true", "false", "forall", "exists"])
+def test_keyword_generator_rejected(word):
+    with pytest.raises(ValueError) as info:
+        parse_term(f"a + {word}")
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"not a relation symbol: {word!r}"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        bot,
+        lambda: disj(a, b),
+        lambda: atom("R", const("c")),
+        lambda: forall("x", a),
+        lambda: Join(a, PComp(bot(), b)),
+    ],
+    ids=["false", "or", "relation", "forall", "nested"],
+)
+def test_render_rejects_non_terms(make):
+    with pytest.raises(TypeError):
+        render_term(make())
+
+
+def test_deep_terms_parse_and_render():
+    right = "a * (" * 4999 + "a * b" + ")" * 4999
+    t = parse_term(right)
+    assert t.length == 10001
+    assert render_term(t) == right
+    left = " + ".join(["a"] * 5000)
+    assert render_term(parse_term(left)) == left
+
+
 def test_render_round_trip_fixed():
     for text, want in PARSE_VECTORS:
         assert parse_term(render_term(want)) == want
@@ -251,7 +301,7 @@ def test_random_term_caps_size():
     rng = random.Random(5)
     for _ in range(100):
         t = random_term(rng, 12)
-        assert 1 <= term_size(t) <= 12
+        assert 1 <= t.length <= 12
 
 
 def test_random_term_deterministic():
@@ -263,4 +313,4 @@ def test_random_term_deterministic():
 def test_random_term_varies():
     rng = random.Random(18)
     kinds = {type(random_term(rng, 12)).__name__ for _ in range(60)}
-    assert {"Join", "PComp"} <= kinds
+    assert {"And", "Imp"} <= kinds

@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import qpl
-from qpl import cli, semantics
+from qpl import algebra, cli, semantics
 from qpl.calculus import CalculusVariant as V
 from qpl.engine import entails
 from qpl.generators import random_horn
@@ -452,28 +452,28 @@ _DEEP_FORALL_E = json.dumps(
 
 
 @pytest.mark.parametrize(
-    "argv,code",
+    "argv,code,err",
     [
-        (["check", "{deep}", "p0"], 3),
-        (["prove", "{deep}", "p0"], 3),
-        (["closure", "{deep}"], 3),
-        (["oracle", "{deep}", "p0"], 3),
-        (["algebra", _DEEP_SUM, "a"], 3),
-        (["verify-proof", "{proof}"], 0),
+        (["check", "{deep}", "p0"], 0, ""),
+        (["prove", "{deep}", "p0"], 1, "not entailed: p0\n"),
+        (["closure", "{deep}"], 3, "resource limit: input nested too deeply\n"),
+        (
+            ["oracle", "{deep}", "p0"],
+            3,
+            "resource limit: enumeration exponent 9999 exceeds cap 24\n",
+        ),
+        (["algebra", _DEEP_SUM, "a"], 0, ""),
+        (["verify-proof", "{proof}"], 0, ""),
     ],
     ids=["check", "prove", "closure", "oracle", "algebra", "verify-proof"],
 )
-def test_deep_input_keeps_exit_contract(tmp_path, capsys, argv, code):
+def test_deep_input_keeps_exit_contract(tmp_path, capsys, argv, code, err):
     paths = {
         "{deep}": write(tmp_path, "deep.qpl", _DEEP_CHAIN),
         "{proof}": write(tmp_path, "proof.json", _DEEP_FORALL_E),
     }
     assert cli.main([paths.get(a, a) for a in argv]) == code
-    err = capsys.readouterr().err
-    if code == 3:
-        assert err == "resource limit: input nested too deeply\n"
-    else:
-        assert err == ""
+    assert capsys.readouterr().err == err
 
 
 # --------------------------------------------------------------- closure
@@ -538,6 +538,21 @@ def test_algebra_human(capsys):
 
 def test_algebra_parse_error_exits_2(capsys):
     assert cli.main(["algebra", "a &", "b"]) == 2
+
+
+def test_algebra_decides_each_direction_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return entails(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "entails", counting)
+    assert cli.main(["algebra", "a + b", "b + a"]) == 0
+    assert len(calls) == 2
+    assert capsys.readouterr().out == (
+        "s: a + b\nt: b + a\ns >= t: true\nt >= s: true\nequal: true\n"
+    )
 
 
 # ------------------------------------------------------------------- gen

@@ -442,6 +442,22 @@ def test_parameters_star_first_occurrence_order():
     assert ps.contains_fixed
 
 
+def test_parameters_star_binders_end_with_their_body():
+    # x is bound only inside the forall; its later free use counts
+    f = conj(forall("x", atom("R", x, c)), atom("S", x, y))
+    assert parameters_star([f]).elements == (c, x, y)
+    # an inner binder of the same name ends before the outer one does
+    g = forall("x", conj(exists("x", atom("R", x)), atom("R", x)))
+    assert parameters_star([g, atom("T", x)]).elements == (x, const("_0"))
+
+
+def test_parameters_star_deep_nesting():
+    _, f = _deep_quantifiers()
+    x0 = var("x0")
+    ps = parameters_star([conj(f, atom("R", x0, c))])
+    assert ps.elements == (x0, c)
+
+
 def test_quantifier_depth_vectors():
     assert forall("x", exists("y", atom("S", x, y))).qdepth == 2
     assert imp(conj(p, q), r).qdepth == 0
