@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from .syntax import (
     And,
@@ -267,8 +268,7 @@ def match_rule(
 
 # -------------------------------------------------------------- derivations
 
-@dataclass(frozen=True)
-class DerivationNode:
+class DerivationNode(NamedTuple):
     id: int
     label: Formula
     kind: str  # "hypothesis" | "axiom" | "rule"
@@ -282,8 +282,7 @@ class Derivation:
     nodes: tuple[DerivationNode, ...]
 
 
-@dataclass
-class NodeResult:
+class NodeResult(NamedTuple):
     node_id: int
     ok: bool
     reason: str | None
@@ -344,20 +343,31 @@ def check_derivation(
 ) -> Report:
     structural: list[str] = []
     node_map: dict[int, DerivationNode] = {}
+    # True while ids are unique and every parent id was seen before its
+    # child: that order is a topological one, so no parent is missing and
+    # there is no cycle
+    ordered = True
     for n in d.nodes:
         if n.id in node_map:
             structural.append(f"duplicate node id {n.id}")
-        else:
-            node_map[n.id] = n
+            ordered = False
+            continue
+        if ordered:
+            for pid in n.parents:
+                if pid not in node_map:
+                    ordered = False
+                    break
+        node_map[n.id] = n
     if d.root not in node_map:
         structural.append(f"root {d.root} is not a node")
-    for n in d.nodes:
-        for pid in n.parents:
-            if pid not in node_map:
-                structural.append(
-                    f"node {n.id} references missing parent {pid}"
-                )
-    if not structural:
+    if not ordered:
+        for n in d.nodes:
+            for pid in n.parents:
+                if pid not in node_map:
+                    structural.append(
+                        f"node {n.id} references missing parent {pid}"
+                    )
+    if not ordered and not structural:
         state: dict[int, int] = {}  # 0 in progress, 1 finished
         for start in node_map:
             if start in state:
@@ -450,10 +460,13 @@ def derivation_from_json(
             raise ValueError(f"node {nid}: unknown kind {kind!r}")
         if rule is not None and not isinstance(rule, str):
             raise ValueError(f"node {nid}: rule must be a string or null")
-        if not isinstance(parents, list) or not all(
-            type(x) is int for x in parents
-        ):
+        if not isinstance(parents, list):
             raise ValueError(f"node {nid}: parents must be an integer array")
+        for x in parents:
+            if type(x) is not int:
+                raise ValueError(
+                    f"node {nid}: parents must be an integer array"
+                )
         formula = parse_formula(
             label, declared, symbols=symbols, allow_reserved=True
         )

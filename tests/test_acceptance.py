@@ -7,12 +7,14 @@ exactly the instances the earlier criteria decided.
 """
 
 import contextlib
-import gc
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
-from dataclasses import replace
+from pathlib import Path
 
 from qpl import cli
 from qpl.algebra import (
@@ -62,6 +64,7 @@ from qpl.syntax import (
     var,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 _SUITES: dict = {}
 
 
@@ -81,20 +84,43 @@ def _suite_c1():
     return _SUITES["c1"]
 
 
+# one timing of entails on chain_family(argv[1]), in a fresh interpreter
+_C3_RUN = """
+import gc, sys, time
+from qpl.calculus import CalculusVariant as V
+from qpl.engine import entails
+from qpl.generators import chain_family
+hyps, q = chain_family(int(sys.argv[1]))
+gc.collect()
+t0 = time.perf_counter()
+v = entails(hyps, q, V.PFQPL, with_proof=False)
+dt = time.perf_counter() - t0
+assert v.entailed
+print(dt)
+"""
+
+
 def _suite_c3_times():
     if "c3" not in _SUITES:
+        # round-robin over the sizes, best of 3 rounds, so that a burst of
+        # host load falls on every size alike rather than on one ratio. Each
+        # timing runs in a fresh interpreter: in one process a size timed
+        # after a larger one inherits the heap that one grew, and 200k ran
+        # up to 25% faster after 800k, which biased the 400k/200k ratio
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         times = {}
-        for n in (200_000, 400_000, 800_000):
-            hyps, q = chain_family(n)
-            best = None
-            for _ in range(2):
-                gc.collect()
-                t0 = time.perf_counter()
-                v = entails(hyps, q, V.PFQPL, with_proof=False)
-                dt = time.perf_counter() - t0
-                assert v.entailed
-                best = dt if best is None else min(best, dt)
-            times[n] = best
+        for _ in range(3):
+            for n in (200_000, 400_000, 800_000):
+                done = subprocess.run(
+                    [sys.executable, "-c", _C3_RUN, str(n)],
+                    capture_output=True,
+                    text=True,
+                    env=env,
+                    timeout=120,
+                )
+                assert done.returncode == 0, done.stderr
+                dt = float(done.stdout)
+                times[n] = min(times.get(n, dt), dt)
         _SUITES["c3"] = times
     return _SUITES["c3"]
 
@@ -336,15 +362,15 @@ def _mutants(d, hypset, rng, count):
             new_label = disj(n.label, n.label)
             if new_label in hypset:
                 continue
-            m = replace(n, label=new_label)
+            m = n._replace(label=new_label)
         elif n.kind != "rule":
             continue
         elif op == 1:
-            m = replace(n, parents=(*n.parents, n.parents[0]))
+            m = n._replace(parents=(*n.parents, n.parents[0]))
         elif op == 2:
-            m = replace(n, rule="AndI" if len(n.parents) != 2 else "AndE_L")
+            m = n._replace(rule="AndI" if len(n.parents) != 2 else "AndE_L")
         else:
-            m = replace(n, parents=(max_id + 1, *n.parents[1:]))
+            m = n._replace(parents=(max_id + 1, *n.parents[1:]))
         out.append(Derivation(d.root, tuple(m if x.id == n.id else x for x in nodes)))
     return out
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from qpl.calculus import (
     CalculusVariant as V,
     Derivation,
     DerivationNode,
+    NodeResult,
     RejectReason,
     RuleInstance,
     check_derivation,
@@ -20,6 +22,8 @@ from qpl.calculus import (
     derivation_to_json,
     match_rule,
 )
+from qpl.engine import entails
+from qpl.generators import chain_family, random_instance
 from qpl.syntax import (
     atom,
     bot,
@@ -298,6 +302,87 @@ def test_check_structural_errors():
 def test_check_rule_node_without_name():
     d = Derivation(root=0, nodes=(_node(0, p, "rule", None, ()),))
     assert not check_derivation(d, V.QPL, set()).ok
+
+
+def test_node_types_are_named_tuples():
+    assert DerivationNode._fields == ("id", "label", "kind", "rule", "parents")
+    assert NodeResult._fields == ("node_id", "ok", "reason")
+    n = DerivationNode(0, atom("p0"), "hypothesis", None, ())
+    assert repr(n) == (
+        "DerivationNode(id=0, label=Formula('p0'), kind='hypothesis', "
+        "rule=None, parents=())"
+    )
+    same = DerivationNode(
+        id=0, label=atom("p0"), kind="hypothesis", rule=None, parents=()
+    )
+    assert same == n and hash(same) == hash(n)
+    assert n._replace(kind="axiom") == (0, atom("p0"), "axiom", None, ())
+    with pytest.raises(AttributeError):
+        n.label = atom("q0")
+    res = NodeResult(3, False, "why")
+    assert repr(res) == "NodeResult(node_id=3, ok=False, reason='why')"
+    assert NodeResult(node_id=3, ok=False, reason="why") == res
+    assert hash(NodeResult(3, False, "why")) == hash(res)
+    with pytest.raises(AttributeError):
+        res.ok = True
+
+
+def _extracted_proofs():
+    """Proofs as the engine extracts them: every parent before its child."""
+    hyps, goal = chain_family(200)
+    out = [(entails(hyps, goal, V.PFQPL).proof, V.PFQPL, hyps)]
+    rng = random.Random(17)
+    while len(out) < 25:
+        variant = V(rng.randrange(5))
+        hs, queries = random_instance(rng, variant=variant)
+        v = entails(hs, queries[0], variant)
+        if v.entailed and len(v.proof.nodes) > 2:
+            out.append((v.proof, variant, hs))
+    return out
+
+
+def _relisted(d, nodes):
+    return Derivation(root=d.root, nodes=tuple(nodes))
+
+
+def test_check_accepts_valid_proofs_in_any_node_order():
+    rng = random.Random(23)
+    for d, variant, hyps in _extracted_proofs():
+        want = check_derivation(d, variant, hyps)
+        assert want.ok
+        for nodes in (d.nodes[::-1], rng.sample(d.nodes, len(d.nodes))):
+            rep = check_derivation(_relisted(d, nodes), variant, hyps)
+            assert rep.ok and not rep.structural_errors
+            assert [r.node_id for r in rep.node_results] == [
+                n.id for n in nodes
+            ]
+            assert sorted(rep.node_results) == sorted(want.node_results)
+
+
+def test_check_reports_a_back_edge_in_parent_first_order():
+    # one back edge, 1 -> 3, in an otherwise parent-first listing: the
+    # search finishes leaf 0, starts at node 1 and meets it again through 3
+    pq = conj(p, q)
+    d = Derivation(
+        root=3,
+        nodes=(
+            _node(0, pq, "hypothesis"),
+            _node(1, p, "rule", "AndE_L", (0, 3)),
+            _node(2, q, "rule", "AndE_R", (0,)),
+            _node(3, conj(p, q), "rule", "AndI", (1, 2)),
+        ),
+    )
+    rep = check_derivation(d, V.ORIGINAL, {pq})
+    assert rep == ca.Report(False, ["cycle through node 1"], [])
+    # the same in an extracted proof: node 0 is a leaf every node reaches
+    for d, variant, hyps in _extracted_proofs()[:5]:
+        first = d.nodes[0]
+        back = _relisted(
+            d, (first._replace(parents=(d.root,)), *d.nodes[1:])
+        )
+        rep = check_derivation(back, variant, hyps)
+        assert rep.structural_errors == ["cycle through node 0"]
+        assert not rep.ok and not rep.node_results
 
 
 # ------------------------------------------------------------ serialization
