@@ -369,12 +369,13 @@ def test_check_reports_a_back_edge_in_parent_first_order():
             _node(0, pq, "hypothesis"),
             _node(1, p, "rule", "AndE_L", (0, 3)),
             _node(2, q, "rule", "AndE_R", (0,)),
-            _node(3, conj(p, q), "rule", "AndI", (1, 2)),
+            _node(3, pq, "rule", "AndI", (1, 2)),
         ),
     )
     rep = check_derivation(d, V.ORIGINAL, {pq})
     assert rep == ca.Report(False, ["cycle through node 1"], [])
-    # the same in an extracted proof: node 0 is a leaf every node reaches
+    # the same in extracted proofs: node 0 is a leaf the root reaches, so
+    # the search from node 0 through the root comes back to it
     for d, variant, hyps in _extracted_proofs()[:5]:
         first = d.nodes[0]
         back = _relisted(
@@ -383,6 +384,23 @@ def test_check_reports_a_back_edge_in_parent_first_order():
         rep = check_derivation(back, variant, hyps)
         assert rep.structural_errors == ["cycle through node 0"]
         assert not rep.ok and not rep.node_results
+
+
+def test_check_reports_missing_parents_of_a_duplicate_node():
+    # parent-first apart from the duplicate, whose parent is missing
+    d = Derivation(
+        root=1,
+        nodes=(
+            _node(0, p, "hypothesis"),
+            _node(1, p, "rule", "OrE", (0,)),
+            _node(0, q, "rule", "AndE_L", (5,)),
+        ),
+    )
+    rep = check_derivation(d, V.QPL, {p})
+    assert rep.structural_errors == [
+        "duplicate node id 0",
+        "node 0 references missing parent 5",
+    ]
 
 
 # ------------------------------------------------------------ serialization
