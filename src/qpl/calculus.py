@@ -24,6 +24,7 @@ from .syntax import (
     SymbolTable,
     Top,
     VAR,
+    gc_paused,
     parse_formula,
     render,
 )
@@ -335,6 +336,7 @@ def _check_node(node, node_map, variant, hypset):
     return False, f"unknown node kind {node.kind!r}"
 
 
+@gc_paused
 def check_derivation(
     d: Derivation,
     variant: CalculusVariant,
@@ -413,6 +415,7 @@ def check_derivation(
 _NODE_KINDS = ("hypothesis", "axiom", "rule")
 
 
+@gc_paused
 def derivation_to_json(d: Derivation) -> dict:
     return {
         "root": d.root,
@@ -429,6 +432,7 @@ def derivation_to_json(d: Derivation) -> dict:
     }
 
 
+@gc_paused
 def derivation_from_json(
     obj,
     declared_vars=(),

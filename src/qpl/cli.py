@@ -15,6 +15,7 @@ verify-proof returns 1 for a well-formed but invalid proof.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -49,6 +50,7 @@ from .syntax import (
     SymbolTable,
     bot,
     closure,
+    gc_paused,
     parameters_star,
     parse_formula,
     parse_problem,
@@ -462,7 +464,11 @@ def _add_common(p):
     p.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process. Building one leaves reference cycles
+    (argparse's help formatters and argument groups point back at their
+    parser), so main reuses it rather than leave garbage on every call."""
     top = argparse.ArgumentParser(
         prog="qpl",
         description="Entailment decisions, proofs, and countermodels"
@@ -548,6 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@gc_paused
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:

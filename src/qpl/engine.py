@@ -34,6 +34,7 @@ from .syntax import (
     Or,
     Top,
     closure,
+    gc_paused,
 )
 
 _HYP = ("hyp",)
@@ -261,6 +262,7 @@ class Session:
     the first refusal and shared by every refused query.
     """
 
+    @gc_paused
     def __init__(
         self,
         hyps,
@@ -289,6 +291,7 @@ class Session:
             "derived_count": state.derived_count,
         }
 
+    @gc_paused
     def verdicts(self, *, with_proof: bool = True) -> list[Verdict]:
         """One verdict per query, in query order."""
         ct, state = self.closure_table, self.state

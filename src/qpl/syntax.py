@@ -11,10 +11,27 @@ constants count 1; an atom with k >= 1 arguments counts 2k + 2 (relation
 symbol, two parentheses, k arguments, k - 1 commas); a binary connective
 adds 1 to the lengths of its operands; a quantification (quantifier plus
 bound variable) adds 1 to the length of its body.
+
+Every empty free-variable set is the one shared _EMPTY, and a connective
+whose operand's free set contains the other's shares that set, so closed
+formulas allocate no sets of their own.
+
+The entry points that build data in proportion to their input (parse_problem,
+engine.Session, the proof JSON conversions, the proof checker and cli.main)
+run under gc_paused, with the cyclic garbage collector off. That is safe
+because nothing they build can form a reference cycle: an interned formula
+refers only to formulas built before it, and closure tables, compiled
+rules, provenance, proof nodes and JSON trees are trees or DAGs over them.
+Reference counting frees all of it as soon as it is dropped, and a cycle
+made during a paused call (an exception's traceback, say) is found by the
+first collection after the call. The switch is process-wide: other threads
+run without the collector for as long as a paused call lasts.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -29,6 +46,24 @@ DEFAULT_CLOSURE_CAP = 10_000_000
 
 _IDENT_FULL = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 _KEYWORDS = frozenset({"true", "false", "forall", "exists"})
+
+
+def gc_paused(fn):
+    """Run fn with the cyclic garbage collector off, switching it back on
+    when fn returns or raises; a caller that has it off already keeps it
+    off. Only for calls whose data cannot form cycles (module docstring)."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class ClashError(Exception):
@@ -165,13 +200,16 @@ def atom(rel: str, *args: Term) -> Formula:
     if f is None:
         if not _IDENT_FULL.match(rel) or rel in _KEYWORDS:
             raise ValueError(f"not a relation symbol: {rel!r}")
+        names = []
         for t in args:
             if not isinstance(t, Term):
                 raise TypeError(f"atom argument is not a Term: {t!r}")
+            if t.kind == VAR:
+                names.append(t.name)
         f = Atom()
         f.rel = rel
         f.args = args
-        f.free = frozenset(t.name for t in args if t.kind == VAR) or _EMPTY
+        f.free = frozenset(names) if names else _EMPTY
         f.qdepth = 0
         f.length = 2 * len(args) + 2 if args else 1
         _FORMULAS[key] = f
@@ -187,7 +225,8 @@ def _mk_binary(tag: str, cls, l: Formula, r: Formula) -> Formula:
         f = cls()
         f.l = l
         f.r = r
-        f.free = l.free | r.free
+        lf, rf = l.free, r.free
+        f.free = lf if rf <= lf else rf if lf <= rf else lf | rf
         f.qdepth = l.qdepth if l.qdepth >= r.qdepth else r.qdepth
         f.length = l.length + r.length + 1
         _FORMULAS[key] = f
@@ -217,7 +256,7 @@ def _mk_quant(tag: str, cls, v: str, body: Formula) -> Formula:
         f = cls()
         f.var = v
         f.body = body
-        f.free = body.free - {v} if v in body.free else body.free
+        f.free = (body.free - {v} or _EMPTY) if v in body.free else body.free
         f.qdepth = body.qdepth + 1
         f.length = body.length + 1
         _FORMULAS[key] = f
@@ -642,6 +681,7 @@ class Problem:
     symbols: SymbolTable
 
 
+@gc_paused
 def parse_problem(
     text: str, declared_vars=(), symbols: SymbolTable | None = None
 ) -> Problem:

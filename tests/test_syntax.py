@@ -418,6 +418,52 @@ def test_free_vars_vectors():
     assert free_vars(conj(atom("R", x), exists("x", atom("R", x)))) == {"x"}
 
 
+def test_free_sets_are_shared():
+    assert imp(p, q).free is sy._EMPTY
+    assert atom("R", c, d).free is sy._EMPTY
+    assert forall("x", atom("S", x, c)).free is sy._EMPTY
+    a = atom("S", x, y)
+    assert conj(a, a).free is a.free
+    assert imp(atom("R", x), a).free is a.free
+    assert disj(a, atom("R", c)).free is a.free
+    assert conj(atom("R", x), atom("R", y)).free == {"x", "y"}
+    assert exists("w", a).free is a.free
+
+
+def _naive_free(f):
+    if isinstance(f, sy.Atom):
+        return {t.name for t in f.args if t.kind == sy.VAR}
+    if isinstance(f, (sy.And, sy.Or, sy.Imp)):
+        return _naive_free(f.l) | _naive_free(f.r)
+    if isinstance(f, (sy.Forall, sy.Exists)):
+        return _naive_free(f.body) - {f.var}
+    return set()
+
+
+def _subformulas(f):
+    yield f
+    if isinstance(f, (sy.And, sy.Or, sy.Imp)):
+        yield from _subformulas(f.l)
+        yield from _subformulas(f.r)
+    elif isinstance(f, (sy.Forall, sy.Exists)):
+        yield from _subformulas(f.body)
+
+
+@pytest.mark.parametrize("variant", list(V))
+def test_free_sets_match_naive_recomputation(variant):
+    rng = random.Random(4242 + variant)
+    checked = 0
+    for _ in range(40):
+        hyps, queries = random_instance(rng, variant=variant)
+        for member in closure([*hyps, *queries]).universe:
+            for g in _subformulas(member):
+                naive = _naive_free(g)
+                assert g.free == naive
+                assert naive or g.free is sy._EMPTY
+                checked += 1
+    assert checked > 1000
+
+
 def test_parameters_star_vectors():
     ps = parameters_star([atom("R", c, x)])
     assert ps.elements == (c, x)
