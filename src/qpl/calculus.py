@@ -438,15 +438,27 @@ def derivation_from_json(
     declared_vars=(),
     symbols: SymbolTable | None = None,
 ) -> Derivation:
+    """Read a derivation back from derivation_to_json's shape.
+
+    Labels are parsed with reserved names allowed, reading declared_vars
+    as variables. A caller that passes its own symbols table (one per
+    proof document) shares arities and parsed labels across calls: each
+    distinct label text is parsed once per declared set (SymbolTable
+    labels), and a repeat gets the same formula. Without a table every
+    label is parsed, and nothing is cached.
+    """
     if not isinstance(obj, dict):
         raise ValueError("derivation must be a JSON object")
     if type(obj.get("root")) is not int:  # bool is an int subclass
         raise ValueError("derivation needs an integer 'root'")
     if not isinstance(obj.get("nodes"), list):
         raise ValueError("derivation needs a 'nodes' array")
+    declared = frozenset(declared_vars)
     if symbols is None:
         symbols = SymbolTable()
-    declared = frozenset(declared_vars)
+        labels = None
+    else:
+        labels = symbols.labels.setdefault(declared, {})
     nodes = []
     for item in obj["nodes"]:
         if not isinstance(item, dict):
@@ -471,8 +483,12 @@ def derivation_from_json(
                 raise ValueError(
                     f"node {nid}: parents must be an integer array"
                 )
-        formula = parse_formula(
-            label, declared, symbols=symbols, allow_reserved=True
-        )
+        formula = None if labels is None else labels.get(label)
+        if formula is None:
+            formula = parse_formula(
+                label, declared, symbols=symbols, allow_reserved=True
+            )
+            if labels is not None:
+                labels[label] = formula
         nodes.append(DerivationNode(nid, formula, kind, rule, tuple(parents)))
     return Derivation(root=obj["root"], nodes=tuple(nodes))

@@ -93,6 +93,9 @@ def _resolve_seed(args):
 
 
 def _proof_doc(variant: CalculusVariant, hyps, verdicts) -> dict:
+    """The proofs of the entailed verdicts. vars declares the free variables
+    of the hyps and of every query, refused ones too: the closure
+    instantiates over all of them, so any may occur in a label."""
     names: set[str] = set()
     for f in hyps:
         names |= f.free
@@ -105,6 +108,7 @@ def _proof_doc(variant: CalculusVariant, hyps, verdicts) -> dict:
         "proofs": [
             {"query": render(v.query), "derivation": derivation_to_json(v.proof)}
             for v in verdicts
+            if v.entailed
         ],
     }
 
@@ -149,10 +153,7 @@ def cmd_check(args) -> int:
             tag = "entailed" if v.entailed else "not entailed"
             print(f"{tag}: {render(v.query)}")
     if args.proof is not None:
-        _write_json(
-            args.proof,
-            _proof_doc(variant, hyps, [v for v in verdicts if v.entailed]),
-        )
+        _write_json(args.proof, _proof_doc(variant, hyps, verdicts))
     if args.countermodel is not None:
         entries = []
         # Refused queries of one session share one model; render it once.

@@ -483,10 +483,19 @@ def closure(s, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureTable:
 # --------------------------------------------------------------- parsing
 
 class SymbolTable:
-    """Relation arities seen so far; one table spans one problem."""
+    """Relation arities seen so far; one table spans one problem.
+
+    labels caches the proof labels that calculus.derivation_from_json read
+    with this table: declared variable set -> label text -> formula. Only
+    labels that parsed are stored. Parsing is a pure function of the text,
+    the declared names and the arities, and a text that parsed once has
+    recorded all of its arities, so parsing it again would return the
+    same interned formula. parse_formula itself never reads the cache.
+    """
 
     def __init__(self):
         self.arities: dict[str, int] = {}
+        self.labels: dict[frozenset[str], dict[str, Formula]] = {}
 
     def observe(self, rel: str, arity: int, pos: int | None = None) -> None:
         prev = self.arities.get(rel)

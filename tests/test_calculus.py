@@ -25,6 +25,9 @@ from qpl.calculus import (
 from qpl.engine import entails
 from qpl.generators import chain_family, random_instance
 from qpl.syntax import (
+    ArityError,
+    ParseError,
+    SymbolTable,
     atom,
     bot,
     conj,
@@ -450,6 +453,88 @@ def test_json_reserved_labels_accepted():
     d = Derivation(root=0, nodes=(_node(0, atom("R", z), "hypothesis"),))
     back = derivation_from_json(derivation_to_json(d))
     assert back.nodes[0].label is atom("R", z)
+
+
+def _leaves(*labels):
+    """A derivation blob with one hypothesis node per label."""
+    return {
+        "root": 0,
+        "nodes": [
+            {"id": i, "label": text, "kind": "hypothesis", "rule": None,
+             "parents": []}
+            for i, text in enumerate(labels)
+        ],
+    }
+
+
+def _counting_parser(monkeypatch):
+    calls = []
+    real = ca.parse_formula
+
+    def counting(text, *args, **kwargs):
+        calls.append(text)
+        return real(text, *args, **kwargs)
+
+    monkeypatch.setattr(ca, "parse_formula", counting)
+    return calls
+
+
+def test_json_shared_table_parses_each_label_once(monkeypatch):
+    calls = _counting_parser(monkeypatch)
+    table = SymbolTable()
+    first = derivation_from_json(_leaves("p & q", "R(c)", "p & q"), (), table)
+    second = derivation_from_json(_leaves("R(c)", "q", "p & q"), (), table)
+    assert sorted(calls) == ["R(c)", "p & q", "q"]
+    assert second.nodes[0].label is first.nodes[1].label is atom("R", c)
+    assert second.nodes[2].label is first.nodes[0].label is conj(p, q)
+    assert first.nodes[2].label is first.nodes[0].label
+
+
+def test_json_shared_table_keys_on_declared_vars():
+    table = SymbolTable()
+    blob = _leaves("R(y)")
+    as_var = derivation_from_json(blob, ("y",), table)
+    as_const = derivation_from_json(blob, (), table)
+    again = derivation_from_json(blob, ["y"], table)
+    assert as_var.nodes[0].label is atom("R", y)
+    assert as_const.nodes[0].label is atom("R", const("y"))
+    assert again.nodes[0].label is atom("R", y)
+
+
+def test_json_without_a_table_parses_every_label(monkeypatch):
+    calls = _counting_parser(monkeypatch)
+    blob = _leaves("p & q", "R(c)", "p & q")
+    derivation_from_json(blob)
+    derivation_from_json(blob)
+    assert calls == ["p & q", "R(c)", "p & q"] * 2
+
+
+@pytest.mark.parametrize(
+    "labels,error,message",
+    [
+        (
+            ("p & R(a)", "R(a, b)"),
+            ArityError,
+            "relation 'R' used with 2 argument(s) but earlier with 1 (column 0)",
+        ),
+        (
+            ("R(a)", "p & (R(a)"),
+            ParseError,
+            "expected ')', got end of input (column 9)",
+        ),
+    ],
+    ids=["arity", "parse"],
+)
+def test_json_shared_table_keeps_label_errors(labels, error, message):
+    table = SymbolTable()
+    derivation_from_json(_leaves("R(a)", "p & R(a)"), (), table)
+    # a failed label is never cached, so every proof that repeats it fails
+    # with the same message
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            derivation_from_json(_leaves(*labels), (), table)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

@@ -16,8 +16,8 @@ import pytest
 
 import qpl
 from qpl import algebra, cli, semantics
-from qpl.calculus import CalculusVariant as V
-from qpl.engine import entails
+from qpl.calculus import CalculusVariant as V, derivation_from_json
+from qpl.engine import Session, entails
 from qpl.generators import random_horn
 from qpl.syntax import parse_problem
 
@@ -121,6 +121,32 @@ def test_check_several_queries_write_one_verifiable_proof(tmp_path, capsys):
     assert len(json.loads(out.read_text())["proofs"]) == 4
     assert cli.main(["verify-proof", str(out)]) == 0
     assert capsys.readouterr().out == "ok: 4 proof(s) verified\n"
+
+
+def test_proof_file_declares_variables_of_refused_queries(tmp_path, capsys):
+    # y occurs free only in the refused query Q(y), yet the session
+    # instantiates over it, so the labels of P's proof carry R(y)
+    text = "@vars y\nforall x. R(x) -> P\nforall x. R(x)\n"
+    hyps = write(tmp_path, "h.qpl", text)
+    qf = write(tmp_path, "q.qpl", "P\nQ(y)\n")
+    out = tmp_path / "proof.json"
+    assert cli.main(["check", hyps, "--query-file", qf, "--proof", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["vars"] == ["y"]
+    prob = parse_problem(text)
+    queries = parse_problem("P\nQ(y)\n", prob.declared_vars, prob.symbols).formulas
+    verdicts = Session(prob.formulas, queries, V.QPL).verdicts()
+    extracted = [v.proof for v in verdicts if v.entailed]
+    assert len(doc["proofs"]) == len(extracted) == 1
+    labels = set()
+    for entry, proof in zip(doc["proofs"], extracted):
+        back = derivation_from_json(entry["derivation"], doc["vars"])
+        assert len(back.nodes) == len(proof.nodes)
+        for read, made in zip(back.nodes, proof.nodes):
+            assert read.label is made.label
+            labels.add(entry["derivation"]["nodes"][read.id]["label"])
+    assert {"R(y)", "R(y) -> P"} <= labels
+    assert cli.main(["verify-proof", str(out)]) == 0
 
 
 def test_check_several_queries_share_one_session(tmp_path, capsys):
