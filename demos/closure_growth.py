@@ -27,7 +27,7 @@ def family(r):
 print("A small closed input first:")
 f = parse_formula("forall x. (R(x) -> (exists y. S(x, y)))")
 ct = closure([f])
-names = [t.name for t in ct.params.elements]
+names = [t.name for t in ct.params]
 print(f"  input length {ct.stats.input_length}, parameters {names}")
 print(f"  universe has {ct.stats.size} formulas, total length {ct.stats.closure_length}")
 for g in ct.universe:

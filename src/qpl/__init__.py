@@ -24,7 +24,6 @@ from .engine import (
     Verdict,
     entails,
     extract_proof,
-    multi_entails,
     saturate,
 )
 from .semantics import (
@@ -97,7 +96,6 @@ __all__ = [
     "formula_length",
     "free_vars",
     "imp",
-    "multi_entails",
     "parse_formula",
     "parse_problem",
     "render",

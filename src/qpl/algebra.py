@@ -123,13 +123,16 @@ def render_term(t: Formula) -> str:
     return "".join(out)
 
 
-def random_term(rng, max_nodes: int = 12, gens=("a", "b", "c")) -> Formula:
-    """Uniform-ish term with at most max_nodes nodes, at least one."""
+_GENERATORS = ("a", "b", "c")
+
+
+def random_term(rng, max_nodes: int = 12) -> Formula:
+    """Uniform-ish term over a, b, c: at most max_nodes nodes, at least one."""
     if max_nodes < 3 or rng.random() < 0.3:
         if rng.random() < 0.15:
             return top()
-        return atom(rng.choice(gens))
+        return atom(rng.choice(_GENERATORS))
     left = rng.randrange(1, max_nodes - 1)
     ctor = conj if rng.random() < 0.5 else imp
     right = max_nodes - 1 - left
-    return ctor(random_term(rng, left, gens), random_term(rng, right, gens))
+    return ctor(random_term(rng, left), random_term(rng, right))

@@ -66,19 +66,6 @@ SHAPE = "shape"
 SIDE_CONDITION = "side_condition"
 
 
-@dataclass(frozen=True)
-class RuleInstance:
-    name: str
-    premises: tuple[Formula, ...]
-    conclusion: Formula
-
-
-@dataclass(frozen=True)
-class RejectReason:
-    code: str
-    message: str
-
-
 # A rule check gets the premises, as many as the rule has, and the conclusion.
 # It returns a (code, message) fault, or falls through to None on an instance.
 
@@ -236,9 +223,9 @@ RULES = {
 }
 
 
-def _rule_fault(variant: CalculusVariant, name: str, ps, conclusion: Formula):
-    """None when ps and conclusion form an instance of the named rule in
-    variant, else the (code, message) of the first fault."""
+def match_rule(variant: CalculusVariant, name: str, ps, conclusion: Formula):
+    """None when the premises ps and conclusion form an instance of the
+    named rule in variant, else the (code, message) of the first fault."""
     entry = RULES.get(name)
     if entry is None:
         return UNKNOWN_RULE, f"unknown rule {name!r}"
@@ -252,19 +239,6 @@ def _rule_fault(variant: CalculusVariant, name: str, ps, conclusion: Formula):
     if fault is None:
         return None
     return fault[0], f"{name}: {fault[1]}"
-
-
-def match_rule(
-    variant: CalculusVariant,
-    name: str,
-    premises,
-    conclusion: Formula,
-) -> RuleInstance | RejectReason:
-    ps = tuple(premises)
-    fault = _rule_fault(variant, name, ps, conclusion)
-    if fault is not None:
-        return RejectReason(*fault)
-    return RuleInstance(name, ps, conclusion)
 
 
 # -------------------------------------------------------------- derivations
@@ -329,7 +303,7 @@ def _check_node(node, node_map, variant, hypset):
         if node.rule is None:
             return False, "rule node is missing its rule name"
         prems = [node_map[pid].label for pid in node.parents]
-        fault = _rule_fault(variant, node.rule, prems, node.label)
+        fault = match_rule(variant, node.rule, prems, node.label)
         if fault is not None:
             return False, f"{fault[0]}: {fault[1]}"
         return True, None

@@ -285,14 +285,14 @@ def cmd_closure(args) -> int:
     if not prob.formulas:
         raise ValueError("no formulas in input")
     ct = closure(prob.formulas, cap=args.closure_cap)
-    d = max(f.qdepth for f in prob.formulas)
-    bound = ct.stats.input_length * (len(ct.params.elements) ** d)
+    d = ct.stats.depth
+    bound = ct.stats.input_length * (len(ct.params) ** d)
     stats = {
         "inputs": len(prob.formulas),
         "input_length": ct.stats.input_length,
         "closure_length": ct.stats.closure_length,
         "universe_size": len(ct.universe),
-        "params": [t.name for t in ct.params.elements],
+        "params": [t.name for t in ct.params],
         "max_quantifier_depth": d,
         "cardinality_bound": bound,
         "within_bound": len(ct.universe) <= bound,

@@ -11,8 +11,8 @@ proof extraction a pure graph walk.
 A Session is the one owner of a problem's closure, compiled rules and
 fixpoint: it builds the closure over the hypotheses and every query at
 once, compiles the rules over it once, saturates once, and hands out each
-query's verdict and proof from that shared state. entails and
-multi_entails are thin wrappers over it.
+query's verdict and proof from that shared state. entails is the
+one-query wrapper over it.
 """
 
 from __future__ import annotations
@@ -129,16 +129,16 @@ def saturate(
     hyps,
     ct: ClosureTable,
     variant: CalculusVariant,
-    stop_at: Formula | Iterable[Formula] | None = None,
+    stop_at: Iterable[Formula] = (),
     compiled: CompiledRules | None = None,
 ) -> SaturationState:
     """Derive members of the closure from hyps under the variant's rules.
 
-    stop_at is one target formula or a collection of them. Propagation may
-    halt as soon as every target is derived, in which case the state is not
-    a fixpoint; without targets it runs to the fixpoint. Deriving the
-    falsity constant (in variants that have its elimination rule) derives
-    every target at once, or floods the whole universe when there are none.
+    stop_at is a collection of target formulas. Propagation may halt as
+    soon as every target is derived, in which case the state is not a
+    fixpoint; without targets it runs to the fixpoint. Deriving the falsity
+    constant (in variants that have its elimination rule) derives every
+    target at once, or floods the whole universe when there are none.
     """
     if compiled is None:
         compiled = compile_rules(ct, variant)
@@ -151,10 +151,6 @@ def saturate(
     instances = compiled.instances
     agenda: deque[int] = deque()
     push = agenda.append
-    if stop_at is None:
-        stop_at = ()
-    elif isinstance(stop_at, Formula):
-        stop_at = (stop_at,)
     targets = set()
     for f in stop_at:
         tid = idx.get(f, -1)
@@ -314,17 +310,6 @@ def entails(
 ) -> Verdict:
     session = Session(hyps, [query], variant, closure_cap=closure_cap)
     return session.verdicts(with_proof=with_proof)[0]
-
-
-def multi_entails(
-    hyps,
-    queries,
-    variant: CalculusVariant,
-    *,
-    closure_cap: int = DEFAULT_CLOSURE_CAP,
-) -> list[bool]:
-    session = Session(hyps, queries, variant, closure_cap=closure_cap)
-    return [v.entailed for v in session.verdicts(with_proof=False)]
 
 
 def extract_proof(

@@ -19,7 +19,6 @@ from .syntax import (
     Atom,
     Bot,
     Formula,
-    ParamSet,
     Term,
     atom,
     bot,
@@ -270,16 +269,16 @@ def _ground(a: Formula, env: dict[str, Term]) -> Formula:
     )
 
 
-def classical_horn_bottom(clauses, params: ParamSet) -> bool:
+def classical_horn_bottom(clauses, params: tuple[Term, ...]) -> bool:
     """Classical saturation verdict: the clause set derives falsity.
 
-    Bound variables range over params.elements; clause bodies are
+    Bound variables range over params; clause bodies are
     quantifier free, so grounding is plain argument replacement and a
     naive modus ponens fixpoint decides the question.
     """
     rules: list[tuple[tuple[Formula, ...], Optional[Formula]]] = []
     for cl in clauses:
-        for combo in itertools.product(params.elements, repeat=len(cl.bound_vars)):
+        for combo in itertools.product(params, repeat=len(cl.bound_vars)):
             env = dict(zip(cl.bound_vars, combo))
             ants = tuple(_ground(a, env) for a in cl.antecedents)
             cons = (
@@ -304,10 +303,11 @@ def classical_horn_bottom(clauses, params: ParamSet) -> bool:
 
 
 _BOUND_POOL = ("u1", "u2", "u3")
+_HORN_RELATIONS = ("R1", "R2", "R3")
 
 
-def _horn_atom(rng: Random, rels, arity, bound, params) -> Formula:
-    r = rng.choice(rels)
+def _horn_atom(rng: Random, arity, bound, params) -> Formula:
+    r = rng.choice(_HORN_RELATIONS)
     args = []
     for _ in range(arity[r]):
         if bound and rng.random() < 0.5:
@@ -317,26 +317,26 @@ def _horn_atom(rng: Random, rels, arity, bound, params) -> Formula:
     return atom(r, *args)
 
 
-def random_horn(
-    rng: Random, n_clauses: int, n_relations: int = 3, max_arity: int = 2
-) -> list[HornClause]:
-    """Random clause set whose bound variables (u1..u3) never collide with
-    its parameters (constants a, b and the free variable y), so every
-    ground instance the classical oracle uses is substitutable."""
-    arity = {f"R{i + 1}": rng.randrange(max_arity + 1) for i in range(n_relations)}
-    rels = sorted(arity)
+def random_horn(rng: Random, n_clauses: int) -> list[HornClause]:
+    """Random clause set over relations R1..R3 of arity at most 2, whose
+    bound variables (u1..u3) never collide with its parameters (constants
+    a, b and the free variable y), so every ground instance the classical
+    oracle uses is substitutable."""
+    if n_clauses < 0:
+        raise ValueError("clause count must be nonnegative")
+    arity = {r: rng.randrange(3) for r in _HORN_RELATIONS}
     params = (const("a"), const("b"), var("y"))
     clauses = []
     for _ in range(n_clauses):
         bound = _BOUND_POOL[: rng.randrange(3)]
         ants = tuple(
-            _horn_atom(rng, rels, arity, bound, params)
+            _horn_atom(rng, arity, bound, params)
             for _ in range(rng.randrange(3))
         )
         cons = (
             bot()
             if rng.random() < 0.3
-            else _horn_atom(rng, rels, arity, bound, params)
+            else _horn_atom(rng, arity, bound, params)
         )
         clauses.append(HornClause(bound, ants, cons))
     return clauses
@@ -382,19 +382,24 @@ def _draw_closed(rng: Random, use_quant: bool) -> Formula:
     return f
 
 
+# override entries, and the oracle's exponent (atoms plus overrides) in bits
+_OVERRIDE_LIMIT, _EXPONENT_LIMIT = 12, 24
+
+
 def random_instance(
     rng: Random,
     n_hyps: Optional[int] = None,
     n_queries: int = 1,
     variant: CalculusVariant = CalculusVariant.QPL,
-    *,
-    max_override: int = 12,
-    max_exponent: int = 24,
 ) -> tuple[list[Formula], list[Formula]]:
     """Hypotheses and queries drawn small enough for the semantic oracle:
-    the override assignment stays within max_override entries and the
-    oracle's total exponent within max_exponent bits. Propositional
-    variants get quantifier-free output."""
+    the override assignment stays within 12 entries and the oracle's total
+    exponent within 24 bits. Propositional variants get quantifier-free
+    output."""
+    if n_hyps is not None and n_hyps < 0:
+        raise ValueError("hypothesis count must be nonnegative")
+    if n_queries < 1:
+        raise ValueError("query count must be positive")
     use_quant = variant >= CalculusVariant.QPL
     if n_hyps is None:
         n_hyps = rng.randrange(1, 5)
@@ -403,9 +408,9 @@ def random_instance(
         queries = [_draw_closed(rng, use_quant) for _ in range(n_queries)]
         ct = closure([*hyps, *queries])
         dom = override_domain(ct)
-        if len(dom) > max_override:
+        if len(dom) > _OVERRIDE_LIMIT:
             continue
-        if len(ground_atoms(ct)) + len(dom) > max_exponent:
+        if len(ground_atoms(ct)) + len(dom) > _EXPONENT_LIMIT:
             continue
         return hyps, queries
 

@@ -29,7 +29,6 @@ from .syntax import (
     Atom,
     Bot,
     ClosureTable,
-    DEFAULT_CLOSURE_CAP,
     Exists,
     Forall,
     Formula,
@@ -98,7 +97,7 @@ def relation_arities(ct: ClosureTable) -> dict:
 def ground_atoms(ct: ClosureTable) -> list[Formula]:
     """Every atom over the parameter set, grouped by relation in
     first-occurrence order, argument tuples in parameter-index order."""
-    params = ct.params.elements
+    params = ct.params
     out: list[Formula] = []
     for rel, ar in relation_arities(ct).items():
         for combo in itertools.product(params, repeat=ar):
@@ -182,7 +181,6 @@ def semantic_yields_bruteforce(
     query: Formula,
     *,
     exponent_cap: int = 24,
-    closure_cap: int = DEFAULT_CLOSURE_CAP,
 ) -> bool:
     """Exhaustively quantify over structures and override functions.
 
@@ -191,7 +189,7 @@ def semantic_yields_bruteforce(
     out of one truth_mask pass over the closure.
     """
     hyp_list = list(hyps)
-    ct = closure([*hyp_list, query], cap=closure_cap)
+    ct = closure([*hyp_list, query])
     slots = ground_atoms(ct)
     dom = override_domain(ct)
     k = len(slots) + len(dom)
@@ -242,7 +240,7 @@ def countermodel(
         relations[(a.rel, a.args)] = bool(
             fid is not None and state.derived[fid]
         )
-    model = StandardModel(ct.params.elements, relations)
+    model = StandardModel(ct.params, relations)
     override = OverrideFn(
         {f: bool(state.derived[ct.index[f]]) for f in override_domain(ct)}
     )

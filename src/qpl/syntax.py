@@ -347,18 +347,6 @@ def substitute(a: Formula, x: str, t: Term) -> Formula:
 
 # ------------------------------------------------------------ parameters
 
-@dataclass(frozen=True)
-class ParamSet:
-    """Constants and free variables, in first-occurrence order.
-
-    contains_fixed marks that the fixed reserved constant was appended
-    because the input had no constants of its own.
-    """
-
-    elements: tuple[Term, ...]
-    contains_fixed: bool
-
-
 def _collect_params(formulas) -> list[Term]:
     """Constants and free variables of formulas, first occurrence first.
     Under each quantifier body the explicit stack holds the binder set
@@ -393,17 +381,14 @@ def _collect_params(formulas) -> list[Term]:
     return out
 
 
-def parameters(f: Formula) -> tuple[Term, ...]:
-    """Constants and free variables of one formula, first occurrence first."""
-    return tuple(_collect_params([f]))
-
-
-def parameters_star(formulas) -> ParamSet:
+def parameters_star(formulas) -> tuple[Term, ...]:
+    """The parameter set P of formulas: their constants and free variables
+    in first-occurrence order, with the fixed reserved constant appended
+    when they have no constant of their own."""
     out = _collect_params(formulas)
     if not any(t.kind == CONST for t in out):
         out.append(const(FIXED_CONSTANT))
-        return ParamSet(tuple(out), True)
-    return ParamSet(tuple(out), False)
+    return tuple(out)
 
 
 # -------------------------------------------------------------- closure
@@ -422,22 +407,23 @@ class ClosureTable:
 
     universe lists every formula reachable from the inputs by taking
     immediate subformulas, where a quantified formula contributes the
-    substitutable instances of its body over the parameter set; order is
-    breadth-first from the inputs. sub_instances records those instance
-    tuples per quantified member.
+    substitutable instances of its body over params, the inputs'
+    parameters_star; order is breadth-first from the inputs. sub_instances
+    records those instance tuples per quantified member.
     """
 
     universe: list[Formula]
     index: dict[Formula, int]
     sub_instances: dict[Formula, tuple[Formula, ...]]
-    params: ParamSet
+    params: tuple[Term, ...]
     stats: ClosureStats
 
 
 def closure(s, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureTable:
+    if cap < 1:
+        raise ValueError("closure cap must be positive")
     inputs = list(dict.fromkeys(s))
     params = parameters_star(inputs)
-    elements = params.elements
     universe: list[Formula] = []
     index: dict[Formula, int] = {}
     subs: dict[Formula, tuple[Formula, ...]] = {}
@@ -461,7 +447,7 @@ def closure(s, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureTable:
             insts: list[Formula] = []
             inst_seen: set[Formula] = set()
             body, v = f.body, f.var
-            for t in elements:
+            for t in params:
                 try:
                     g = substitute(body, v, t)
                 except ClashError:

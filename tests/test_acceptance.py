@@ -266,7 +266,7 @@ def test_criterion_4_closure_bound():
         s = [*hyps, *queries]
         ct = closure(s)
         d = max(f.qdepth for f in s)
-        p = len(ct.params.elements)
+        p = len(ct.params)
         assert ct.stats.size <= ct.stats.input_length * p**d
     growth = []
     for r in range(2, 6):

@@ -694,3 +694,32 @@ def test_no_subcommand_exits_2():
 def test_unknown_variant_exits_2(tmp_path, capsys):
     hyps = write(tmp_path, "h.qpl", "p\n")
     assert cli.main(["check", hyps, "p", "--variant", "classical"]) == 2
+
+
+# --------------------------------------------------- out-of-range numbers
+
+@pytest.mark.parametrize(
+    "argv,code,err",
+    [
+        (["check", "{h}", "q", "--closure-cap", "0"], 2,
+         "error: closure cap must be positive\n"),
+        (["check", "{h}", "q", "--closure-cap", "-5"], 2,
+         "error: closure cap must be positive\n"),
+        (["closure", "{h}", "--closure-cap", "0"], 2,
+         "error: closure cap must be positive\n"),
+        (["oracle", "{h}", "q", "--oracle-cap", "0"], 2,
+         "error: oracle cap must be positive\n"),
+        (["gen", "random", "--seed", "1", "--hyps", "-2"], 2,
+         "error: hypothesis count must be nonnegative\n"),
+        (["gen", "random", "--seed", "1", "--queries", "0"], 2,
+         "error: query count must be positive\n"),
+        (["gen", "horn", "--seed", "1", "--clauses", "-3"], 2,
+         "error: clause count must be nonnegative\n"),
+        (["gen", "random", "--seed", "1", "--hyps", "0"], 0, ""),
+        (["gen", "horn", "--seed", "1", "--clauses", "0"], 0, ""),
+    ],
+)
+def test_out_of_range_numbers_are_input_errors(tmp_path, capsys, argv, code, err):
+    hyps = write(tmp_path, "h.qpl", "p\np -> q\n")
+    assert cli.main([a.format(h=hyps) for a in argv]) == code
+    assert capsys.readouterr().err == err

@@ -15,7 +15,6 @@ from qpl.engine import (
     compile_rules,
     entails,
     extract_proof,
-    multi_entails,
     saturate,
 )
 from qpl.generators import random_instance
@@ -158,7 +157,7 @@ def test_saturate_bottom_inactive_below_l2():
 
 def test_saturate_early_stop():
     ct = closure([p, imp(p, q), imp(q, r)])
-    state = saturate([p, imp(p, q), imp(q, r)], ct, V.ORIGINAL, stop_at=q)
+    state = saturate([p, imp(p, q), imp(q, r)], ct, V.ORIGINAL, stop_at=[q])
     assert state.derived[ct.index[q]]
     assert not state.fixpoint
 
@@ -168,7 +167,7 @@ def test_saturate_rejects_foreign_formulas():
     with pytest.raises(ValueError):
         saturate([q], ct, V.QPL)
     with pytest.raises(ValueError):
-        saturate([p], ct, V.QPL, stop_at=q)
+        saturate([p], ct, V.QPL, stop_at=[q])
 
 
 # --------------------------------------------------------------- entailment
@@ -220,12 +219,17 @@ def test_entails_closure_cap():
         entails([f], atom("R", c, c, c, c), V.QPL, closure_cap=3)
 
 
+def _joint(hyps, queries, variant):
+    return [v.entailed
+            for v in Session(hyps, queries, variant).verdicts(with_proof=False)]
+
+
 def test_multi_entails_vectors():
-    assert multi_entails([p, imp(p, conj(q, r))], [q, r, s], V.ORIGINAL) == [
+    assert _joint([p, imp(p, conj(q, r))], [q, r, s], V.ORIGINAL) == [
         True, True, False,
     ]
-    assert multi_entails([disj(p, p)], [p], V.L1) == [True]
-    assert multi_entails([], [top(), bot()], V.QPL) == [True, False]
+    assert _joint([disj(p, p)], [p], V.L1) == [True]
+    assert _joint([], [top(), bot()], V.QPL) == [True, False]
 
 
 # --------------------------------------------------------------- extraction
@@ -355,7 +359,7 @@ def test_multi_entails_agrees_with_single_queries():
         variant = V(rng.randrange(5))
         hyps = [_random_formula(rng, 2, variant) for _ in range(rng.randrange(3))]
         queries = [_random_formula(rng, 2, variant) for _ in range(1, 4)]
-        joint = multi_entails(hyps, queries, variant)
+        joint = _joint(hyps, queries, variant)
         single = [entails(hyps, qq, variant).entailed for qq in queries]
         assert joint == single
 
@@ -398,18 +402,6 @@ def test_entails_without_proof():
 
 # ------------------------------------------------------------------ session
 
-def test_saturate_one_target_set_matches_formula():
-    rng = random.Random(97)
-    for _ in range(60):
-        variant = V(rng.randrange(5))
-        hyps = [_random_formula(rng, 2, variant) for _ in range(rng.randrange(3))]
-        query = _random_formula(rng, 2, variant)
-        ct = closure([*hyps, query])
-        a = saturate(hyps, ct, variant, stop_at=query)
-        b = saturate(hyps, ct, variant, stop_at={query})
-        assert a == b
-
-
 def test_saturate_stops_once_every_target_is_derived():
     hyps = [p, imp(p, q), imp(q, r), imp(r, s)]
     ct = closure(hyps)
@@ -424,7 +416,7 @@ def test_saturate_stops_once_every_target_is_derived():
 def test_saturate_stops_at_once_when_targets_are_hypotheses():
     hyps = [p, imp(p, q)]
     ct = closure(hyps)
-    for stop_at in (p, [p], [imp(p, q), p]):
+    for stop_at in ([p], [imp(p, q), p]):
         state = saturate(hyps, ct, V.ORIGINAL, stop_at=stop_at)
         assert state.instances_fired == 0
         assert not state.fixpoint and not state.derived[ct.index[q]]

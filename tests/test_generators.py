@@ -2,10 +2,12 @@
 classical Horn oracle, and the random suites used by the acceptance
 harness."""
 
+import hashlib
 import random
 
 import pytest
 
+from qpl.algebra import random_term, render_term
 from qpl.calculus import CalculusVariant as V, check_derivation
 from qpl.engine import entails
 from qpl.generators import (
@@ -36,6 +38,7 @@ from qpl.syntax import (
     forall,
     imp,
     parameters_star,
+    render,
     var,
 )
 
@@ -414,6 +417,49 @@ def test_random_instance_propositional_below_qpl():
         hyps, queries = random_instance(rng, variant=V.L2)
         for f in (*hyps, *queries):
             assert f.qdepth == 0
+
+
+# ------------------------------------------------------------ pinned draws
+
+def _draws(draw):
+    """draw(rng) for seeds 0-39, each followed by the generator's next 32
+    bits, so that a digest also pins how many calls each draw made."""
+    lines = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        lines.append(f"{seed}: {draw(rng)} | {rng.getrandbits(32)}")
+    return lines
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _instance_text(rng, variant):
+    hyps, queries = random_instance(rng, variant=variant)
+    return f"{' ; '.join(map(render, hyps))} |- {' ; '.join(map(render, queries))}"
+
+
+def test_generator_draws_are_pinned():
+    """Seeded draws feed the random benchmark workload and criteria 1, 5
+    and 6. These digests were taken before the generators' size options
+    became module constants; a change to any draw breaks them."""
+    instances = []
+    for v in V:
+        instances += _draws(lambda rng: _instance_text(rng, v))
+    assert _digest(instances) == (
+        "04bf77193f383d2b452c7c679372ca3993385d2fd57946bbd33ab522f7f0f3e4"
+    )
+    horn = _draws(
+        lambda rng: " ; ".join(render(c.to_formula()) for c in random_horn(rng, 5))
+    )
+    assert _digest(horn) == (
+        "14412a0b32921a67df4124c6e69c00501db8cbc2c3522ea04f945626b5aa48e5"
+    )
+    terms = _draws(lambda rng: render_term(random_term(rng)))
+    assert _digest(terms) == (
+        "945f320d60e423101b8a7fa41074261dc675286887bb64c9a6924487374426d3"
+    )
 
 
 # ------------------------------------------------------------ chain family

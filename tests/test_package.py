@@ -1,0 +1,27 @@
+"""The package's public surface: qpl.__all__."""
+
+import qpl
+
+
+def _star_import():
+    namespace = {}
+    exec("from qpl import *", namespace)
+    return namespace
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = _star_import()
+    assert len(qpl.__all__) == len(set(qpl.__all__))
+    for name in qpl.__all__:
+        assert namespace[name] is getattr(qpl, name), name
+
+
+def test_retired_names_are_gone():
+    # multi_entails was a wrapper over Session, RuleInstance and RejectReason
+    # wrapped match_rule's result, ParamSet wrapped the parameter tuple
+    namespace = _star_import()
+    modules = [qpl, qpl.engine, qpl.calculus, qpl.syntax]
+    for name in ("multi_entails", "RuleInstance", "RejectReason", "ParamSet"):
+        assert name not in namespace
+        for module in modules:
+            assert not hasattr(module, name), (module.__name__, name)

@@ -67,7 +67,7 @@ def model_from_true(ct, true_formulas):
     true_set = set(true_formulas)
     for a in ground_atoms(ct):
         rel[(a.rel, a.args)] = a in true_set
-    return StandardModel(ct.params.elements, rel)
+    return StandardModel(ct.params, rel)
 
 
 def enumerate_semantics(ct):
@@ -75,7 +75,7 @@ def enumerate_semantics(ct):
     dom = override_domain(ct)
     for bits in itertools.product([False, True], repeat=len(slots)):
         rel = {(a.rel, a.args): b for a, b in zip(slots, bits)}
-        m = StandardModel(ct.params.elements, rel)
+        m = StandardModel(ct.params, rel)
         for obits in itertools.product([False, True], repeat=len(dom)):
             yield m, OverrideFn(dict(zip(dom, obits)))
 
@@ -519,7 +519,7 @@ def test_countermodel_rejects_derived_query():
 
 def test_countermodel_rejects_partial_state():
     ct = closure([p, imp(p, q), r])
-    state = saturate([p, imp(p, q)], ct, V.QPL, stop_at=q)
+    state = saturate([p, imp(p, q)], ct, V.QPL, stop_at=[q])
     assert not state.fixpoint
     with pytest.raises(ValueError):
         countermodel([p, imp(p, q)], r, state, ct)

@@ -465,43 +465,32 @@ def test_free_sets_match_naive_recomputation(variant):
 
 
 def test_parameters_star_vectors():
-    ps = parameters_star([atom("R", c, x)])
-    assert ps.elements == (c, x)
-    assert not ps.contains_fixed
-
-    ps = parameters_star([p])
-    assert ps.elements == (const("_0"),)
-    assert ps.contains_fixed
-
-    ps = parameters_star([forall("x", atom("R", x))])
-    assert ps.elements == (const("_0"),)
-    assert ps.contains_fixed
+    assert parameters_star([atom("R", c, x)]) == (c, x)
+    assert parameters_star([p]) == (const("_0"),)
+    assert parameters_star([forall("x", atom("R", x))]) == (const("_0"),)
 
 
 def test_parameters_star_first_occurrence_order():
     fs = [atom("S", y, c), atom("R", d, x)]
-    assert parameters_star(fs).elements == (y, c, d, x)
+    assert parameters_star(fs) == (y, c, d, x)
     # bound occurrences contribute nothing
     fs = [forall("x", atom("R", x)), atom("T", y)]
-    ps = parameters_star(fs)
-    assert ps.elements == (y, const("_0"))
-    assert ps.contains_fixed
+    assert parameters_star(fs) == (y, const("_0"))
 
 
 def test_parameters_star_binders_end_with_their_body():
     # x is bound only inside the forall; its later free use counts
     f = conj(forall("x", atom("R", x, c)), atom("S", x, y))
-    assert parameters_star([f]).elements == (c, x, y)
+    assert parameters_star([f]) == (c, x, y)
     # an inner binder of the same name ends before the outer one does
     g = forall("x", conj(exists("x", atom("R", x)), atom("R", x)))
-    assert parameters_star([g, atom("T", x)]).elements == (x, const("_0"))
+    assert parameters_star([g, atom("T", x)]) == (x, const("_0"))
 
 
 def test_parameters_star_deep_nesting():
     _, f = _deep_quantifiers()
     x0 = var("x0")
-    ps = parameters_star([conj(f, atom("R", x0, c))])
-    assert ps.elements == (x0, c)
+    assert parameters_star([conj(f, atom("R", x0, c))]) == (x0, c)
 
 
 def test_quantifier_depth_vectors():
@@ -536,7 +525,7 @@ def test_formula_length_vectors(f, n):
 def test_closure_single_universal():
     ct = closure([forall("x", atom("R", x, c))])
     assert ct.universe == [forall("x", atom("R", x, c)), atom("R", c, c)]
-    assert ct.params.elements == (c,)
+    assert ct.params == (c,)
     assert ct.sub_instances[forall("x", atom("R", x, c))] == (atom("R", c, c),)
     assert ct.stats.size == 2
 
@@ -544,7 +533,7 @@ def test_closure_single_universal():
 def test_closure_propositional():
     ct = closure([imp(p, q)])
     assert ct.universe == [imp(p, q), p, q]
-    assert ct.params.elements == (const("_0"),)
+    assert ct.params == (const("_0"),)
     assert ct.stats.size == 3
     assert ct.stats.depth == 0
     assert ct.stats.input_length == 3
@@ -560,7 +549,7 @@ def test_closure_vacuous_quantifier():
 def test_closure_clash_instances_skipped():
     s = [forall("x", exists("y", atom("R", x, y))), atom("T", y)]
     ct = closure(s)
-    assert ct.params.elements == (y, const("_0"))
+    assert ct.params == (y, const("_0"))
     z = const("_0")
     inner = exists("y", atom("R", z, y))
     assert ct.universe == [
@@ -607,7 +596,7 @@ def test_closure_family_growth(r, size, total_len):
     assert ct.stats.size == size
     assert ct.stats.closure_length == total_len
     assert ct.stats.closure_length >= n * r**r
-    assert ct.stats.size <= n * len(ct.params.elements) ** ct.stats.depth
+    assert ct.stats.size <= n * len(ct.params) ** ct.stats.depth
 
 
 def _is_p_subformula(needle, hay, params):
@@ -640,7 +629,7 @@ def test_closure_matches_bounded_enumeration():
         candidates.append(forall("x", g))
         candidates.append(exists("x", g))
     candidates.append(conj(atom("R", c, c), atom("R", c, c)))
-    keep = [g for g in candidates if _is_p_subformula(g, s, ct.params.elements)]
+    keep = [g for g in candidates if _is_p_subformula(g, s, ct.params)]
     assert set(keep) == set(ct.universe)
 
 
@@ -690,11 +679,11 @@ def test_closure_matches_naive_recursion_on_random_inputs():
         fs = [_random_formula(rng, rng.randrange(1, 4))
               for _ in range(rng.randrange(1, 3))]
         ct = closure(fs)
-        naive = _naive_p_subformulas(dict.fromkeys(fs), ct.params.elements)
+        naive = _naive_p_subformulas(dict.fromkeys(fs), ct.params)
         assert set(ct.universe) == naive
         # cardinality bound from the input length
         bound = ct.stats.input_length * max(
-            1, len(ct.params.elements)
+            1, len(ct.params)
         ) ** ct.stats.depth
         assert ct.stats.size <= bound
 
@@ -704,10 +693,10 @@ def test_closure_transitive_on_members():
     for _ in range(60):
         fs = [_random_formula(rng, 3)]
         ct = closure(fs)
-        pset = set(ct.params.elements)
+        pset = set(ct.params)
         members = set(ct.universe)
         for member in ct.universe[:8]:
             inner = closure([member])
             for g in inner.universe:
-                if set(sy.parameters(g)) <= pset:
+                if set(sy._collect_params([g])) <= pset:
                     assert g in members
