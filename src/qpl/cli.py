@@ -9,9 +9,10 @@ information terms, gen produces reproducible instance suites, and bench
 runs the scaling family.
 
 Exit codes: 0 for a successful decision regardless of verdict, 2 for
-input errors, 3 for resource limits, input nested too deeply for the
-recursive walkers among them. prove returns 1 when no derivation exists;
-verify-proof returns 1 for a well-formed but invalid proof.
+input errors, 3 for resource limits, among them input nested too deeply
+for the recursive walkers and running out of memory. prove returns 1
+when no derivation exists; verify-proof returns 1 for a well-formed but
+invalid proof.
 """
 
 import argparse
@@ -87,8 +88,7 @@ def _resolve_seed(args):
     if args.seed is not None:
         return args.seed
     if args.json:
-        print("error: --seed is required with --json", file=sys.stderr)
-        return None
+        raise ValueError("--seed is required with --json")
     return random.SystemRandom().randrange(2**32)
 
 
@@ -128,8 +128,7 @@ def cmd_check(args) -> int:
             parse_problem(text, prob.declared_vars, prob.symbols).formulas
         )
     if not queries:
-        print("error: no queries given", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError("no queries given")
     hyps = prob.formulas
     session = Session(hyps, queries, variant, closure_cap=args.closure_cap)
     verdicts = session.verdicts(with_proof=args.proof is not None)
@@ -359,8 +358,6 @@ def cmd_algebra(args) -> int:
 
 def cmd_gen_horn(args) -> int:
     seed = _resolve_seed(args)
-    if seed is None:
-        return 2
     clauses = random_horn(random.Random(seed), args.clauses)
     forms = [c.to_formula() for c in clauses]
     verdict = classical_horn_bottom(clauses, parameters_star([*forms, bot()]))
@@ -408,8 +405,6 @@ def cmd_gen_machine(args) -> int:
 
 def cmd_gen_random(args) -> int:
     seed = _resolve_seed(args)
-    if seed is None:
-        return 2
     variant = _variant(args)
     hyps, queries = random_instance(
         random.Random(seed), args.hyps, args.queries, variant
@@ -570,6 +565,12 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass
+    # Reported only here: leaving the handler drops the traceback, whose
+    # frames hold what filled the memory, so printing can allocate again.
+    print("resource limit: out of memory", file=sys.stderr)
+    return 3
 
 
 def run() -> None:

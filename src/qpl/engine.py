@@ -4,9 +4,11 @@ The decision procedure works on the closure universe of the problem: every
 rule of the selected calculus is compiled to finitely many instances whose
 premises and conclusion are universe members, each instance carries a
 counter of its not-yet-derived distinct premises, and a worklist drives
-counters down until every query is reached or nothing fires. Every derived
-formula records one provenance entry (first derivation wins), which makes
-proof extraction a pure graph walk.
+counters down until nothing fires: one linear-time run to the fixpoint
+(Dowling and Gallier's counter-per-clause propagation), whatever the
+queries. Every derived formula records one provenance entry, a (kind,
+rule, premise ids) triple (first derivation wins), which makes proof
+extraction a pure graph walk.
 
 A Session is the one owner of a problem's closure, compiled rules and
 fixpoint: it builds the closure over the hypotheses and every query at
@@ -18,7 +20,6 @@ one-query wrapper over it.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .calculus import CalculusVariant, Derivation, DerivationNode
@@ -37,7 +38,7 @@ from .syntax import (
     gc_paused,
 )
 
-_HYP = ("hyp",)
+_HYP = ("hypothesis", None, ())
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,6 @@ class SaturationState:
     derived: bytearray
     provenance: list
     bot_flag: bool
-    fixpoint: bool
     instances_fired: int
     derived_count: int
 
@@ -129,16 +129,13 @@ def saturate(
     hyps,
     ct: ClosureTable,
     variant: CalculusVariant,
-    stop_at: Iterable[Formula] = (),
     compiled: CompiledRules | None = None,
 ) -> SaturationState:
-    """Derive members of the closure from hyps under the variant's rules.
+    """Derive the fixpoint of hyps in the closure under the variant's rules.
 
-    stop_at is a collection of target formulas. Propagation may halt as
-    soon as every target is derived, in which case the state is not a
-    fixpoint; without targets it runs to the fixpoint. Deriving the falsity
-    constant (in variants that have its elimination rule) derives every
-    target at once, or floods the whole universe when there are none.
+    Each provenance record is a (kind, rule, premise ids) triple. Deriving
+    the falsity constant (in variants that have its elimination rule)
+    floods the rest of the universe by BotE from it.
     """
     if compiled is None:
         compiled = compile_rules(ct, variant)
@@ -151,12 +148,6 @@ def saturate(
     instances = compiled.instances
     agenda: deque[int] = deque()
     push = agenda.append
-    targets = set()
-    for f in stop_at:
-        tid = idx.get(f, -1)
-        if tid < 0:
-            raise ValueError("stop_at must be a member of the closure universe")
-        targets.add(tid)
     bid = compiled.bottom_id
     for h in hyps:
         hid = idx.get(h, -1)
@@ -169,17 +160,14 @@ def saturate(
     for fid, name in compiled.axiom_seeds:
         if not derived[fid]:
             derived[fid] = 1
-            prov[fid] = ("axiom", name)
+            prov[fid] = ("axiom", name, ())
             push(fid)
     fired = 0
-    pending = targets.difference(agenda)  # all derived so far is queued
-    stopped = bool(targets) and not pending
     bot_hit = bid >= 0 and derived[bid] == 1
-    if not stopped and not bot_hit:
+    if not bot_hit:
         pop = agenda.popleft
         while agenda:
             fid = pop()
-            brk = False
             for i in watch[fid]:
                 cnt = counters[i] - 1
                 counters[i] = cnt
@@ -189,39 +177,22 @@ def saturate(
                     if not derived[conc]:
                         derived[conc] = 1
                         prov[conc] = ("rule", name, premids)
-                        if conc in pending:
-                            pending.discard(conc)
-                            if not pending:
-                                stopped = True
-                                brk = True
-                                break
                         if conc == bid:
                             bot_hit = True
-                            brk = True
                             break
                         push(conc)
-            if brk:
+            if bot_hit:
                 break
-    fixpoint = not stopped and not agenda
     if bot_hit:
-        botprem = (bid,)
-        if targets:
-            for t in targets:
-                if not derived[t]:
-                    derived[t] = 1
-                    prov[t] = ("rule", "BotE", botprem)
-            fixpoint = False
-        else:
-            for j in range(n):
-                if not derived[j]:
-                    derived[j] = 1
-                    prov[j] = ("rule", "BotE", botprem)
-            fixpoint = True
+        botprem = ("rule", "BotE", (bid,))
+        for j in range(n):
+            if not derived[j]:
+                derived[j] = 1
+                prov[j] = botprem
     return SaturationState(
         derived=derived,
         provenance=prov,
-        bot_flag=bid >= 0 and derived[bid] == 1,
-        fixpoint=fixpoint,
+        bot_flag=bot_hit,
         instances_fired=fired,
         derived_count=sum(derived),
     )
@@ -244,18 +215,18 @@ class Session:
     """One problem: hypotheses and every query known up front.
 
     The session builds one closure over the hypotheses plus all queries,
-    compiles the variant's rules over it once, and saturates once, stopping
-    when every query is derived or at the fixpoint. Verdicts, their proofs
-    and their stats all come from that shared state, so with several
-    queries the stats describe the whole session, closure_cap bounds the
-    joint universe, and a countermodel lives on the joint parameter set.
+    compiles the variant's rules over it once, and saturates once to the
+    fixpoint. Verdicts, their proofs and their stats all come from that
+    shared state, so with several queries the stats describe the whole
+    session's fixpoint, closure_cap bounds the joint universe, and a
+    countermodel lives on the joint parameter set.
 
     qpl_fixpoint is the full-strength fixpoint countermodels are read
-    from: the session's own state under qpl once it is a fixpoint, and for
-    a weaker variant None until semantics.verdict_countermodel builds it on
-    the first refusal and keeps it here for the rest. qpl_countermodel is
-    the (model, override) pair read from that fixpoint, likewise built on
-    the first refusal and shared by every refused query.
+    from: the session's own state under qpl, and for a weaker variant None
+    until semantics.verdict_countermodel builds it on the first refusal and
+    keeps it here for the rest. qpl_countermodel is the (model, override)
+    pair read from that fixpoint, likewise built on the first refusal and
+    shared by every refused query.
     """
 
     @gc_paused
@@ -272,12 +243,11 @@ class Session:
         self.variant = variant
         ct = closure([*self.hyps, *self.queries], cap=closure_cap)
         compiled = compile_rules(ct, variant)
-        state = saturate(self.hyps, ct, variant, stop_at=self.queries,
-                         compiled=compiled)
+        state = saturate(self.hyps, ct, variant, compiled)
         self.closure_table = ct
         self.state = state
         self.qpl_fixpoint: SaturationState | None = (
-            state if state.fixpoint and variant is CalculusVariant.QPL else None
+            state if variant is CalculusVariant.QPL else None
         )
         self.qpl_countermodel: tuple | None = None
         self.stats = {
@@ -335,20 +305,14 @@ def extract_proof(
         entry = prov[fid]
         if entry is None:
             raise RuntimeError("derived formula lacks provenance")
-        tag = entry[0]
-        if tag == "rule" and not expanded:
+        kind, rule, premids = entry
+        if premids and not expanded:
             stack.append((fid, True))
-            for pid in reversed(entry[2]):
+            for pid in reversed(premids):
                 if pid not in memo:
                     stack.append((pid, False))
             continue
-        if tag == "hyp":
-            kind, rule, parents = "hypothesis", None, ()
-        elif tag == "axiom":
-            kind, rule, parents = "axiom", entry[1], ()
-        else:
-            kind, rule = "rule", entry[1]
-            parents = tuple(memo[pid] for pid in entry[2])
+        parents = tuple(memo[pid] for pid in premids)
         nid = len(nodes)
         memo[fid] = nid
         nodes.append(DerivationNode(nid, universe[fid], kind, rule, parents))

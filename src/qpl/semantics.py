@@ -226,8 +226,6 @@ def countermodel(
         raise ValueError("query outside the closure universe")
     if state.derived[qid]:
         raise ValueError("query is derived; no countermodel exists")
-    if not state.fixpoint:
-        raise ValueError("state is not a fixpoint")
     if state.bot_flag:
         raise ValueError("falsity was derived; the derived set is everything")
     for h in hyps:

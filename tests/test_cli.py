@@ -18,8 +18,8 @@ import qpl
 from qpl import algebra, cli, semantics
 from qpl.calculus import CalculusVariant as V, derivation_from_json
 from qpl.engine import Session, entails
-from qpl.generators import random_horn
-from qpl.syntax import parse_problem
+from qpl.generators import bounded_halting_instance, parse_machine, random_horn
+from qpl.syntax import parse_problem, render
 
 CHAIN = "A -> B\nB -> C\n"
 
@@ -242,11 +242,10 @@ def test_check_query_file_bad_line_exits_2(tmp_path, capsys, text, line):
     assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
 
-def test_check_no_queries_is_input_error(tmp_path):
+def test_check_no_queries_is_input_error(tmp_path, capsys):
     hyps = write(tmp_path, "h.qpl", CHAIN)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["check", hyps])
-    assert exc.value.code == 2
+    assert cli.main(["check", hyps]) == 2
+    assert capsys.readouterr().err == "error: no queries given\n"
 
 
 def test_check_malformed_query_exits_2(tmp_path, capsys):
@@ -663,7 +662,7 @@ def test_bench_chain(capsys):
 
 # ------------------------------------------------------------------ misc
 
-def _run_module(*args):
+def _run_module(*args, preexec_fn=None):
     src = os.path.dirname(os.path.dirname(qpl.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -672,6 +671,7 @@ def _run_module(*args):
     return subprocess.run(
         [sys.executable, "-m", "qpl.cli", *args],
         capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -683,6 +683,26 @@ def test_module_entry_point_runs(tmp_path):
     missing = _run_module("check", str(tmp_path / "absent.qpl"), "p")
     assert missing.returncode == 2
     assert missing.stderr.startswith("error: ")
+
+
+def test_out_of_memory_exits_3(tmp_path):
+    resource = pytest.importorskip("resource")
+    # the three-state machine of demos/machine_reduction.py at bound 30
+    # needs about 175 MB to decide; the child may map only 100 MB
+    machine = parse_machine(
+        "state 0: inc 1 -> 2\nstate 2: inc 1 -> 3\nstate 3: inc 1 -> 1\n"
+    )
+    hyps, query = bounded_halting_instance(machine, 30)
+    path = write(tmp_path, "m30.qpl", "".join(render(h) + "\n" for h in hyps))
+    limit = 100 * 2**20
+
+    def lower_own_limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = _run_module("check", path, render(query), preexec_fn=lower_own_limit)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == "resource limit: out of memory\n"
 
 
 def test_no_subcommand_exits_2():

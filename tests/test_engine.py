@@ -116,7 +116,6 @@ def test_saturate_modus_ponens():
     ct = closure([p, imp(p, q)])
     state = saturate([p, imp(p, q)], ct, V.ORIGINAL)
     assert all(state.derived)
-    assert state.fixpoint
     qid = ct.index[q]
     assert state.provenance[qid] == ("rule", "ImpE", (ct.index[p], ct.index[imp(p, q)]))
 
@@ -142,7 +141,7 @@ def test_saturate_existential_is_inert():
 def test_saturate_bottom_floods_at_fixpoint():
     ct = closure([imp(p, bot()), p, q])
     state = saturate([imp(p, bot()), p], ct, V.L2)
-    assert state.bot_flag and state.fixpoint
+    assert state.bot_flag
     assert all(state.derived)
     assert state.provenance[ct.index[q]] == ("rule", "BotE", (ct.index[bot()],))
 
@@ -155,19 +154,10 @@ def test_saturate_bottom_inactive_below_l2():
     assert not state.bot_flag
 
 
-def test_saturate_early_stop():
-    ct = closure([p, imp(p, q), imp(q, r)])
-    state = saturate([p, imp(p, q), imp(q, r)], ct, V.ORIGINAL, stop_at=[q])
-    assert state.derived[ct.index[q]]
-    assert not state.fixpoint
-
-
 def test_saturate_rejects_foreign_formulas():
     ct = closure([p])
     with pytest.raises(ValueError):
         saturate([q], ct, V.QPL)
-    with pytest.raises(ValueError):
-        saturate([p], ct, V.QPL, stop_at=[q])
 
 
 # --------------------------------------------------------------- entailment
@@ -202,7 +192,6 @@ def test_entails_vectors(hyps, query, variant, expected):
         assert rep.ok
     else:
         assert v.proof is None
-        assert v.state.fixpoint
 
 
 def test_entails_stats():
@@ -402,33 +391,25 @@ def test_entails_without_proof():
 
 # ------------------------------------------------------------------ session
 
-def test_saturate_stops_once_every_target_is_derived():
-    hyps = [p, imp(p, q), imp(q, r), imp(r, s)]
-    ct = closure(hyps)
-    state = saturate(hyps, ct, V.ORIGINAL, stop_at=[r, q])
-    assert state.derived[ct.index[q]] and state.derived[ct.index[r]]
-    assert not state.derived[ct.index[s]]
-    assert not state.fixpoint
-    full = saturate(hyps, ct, V.ORIGINAL, stop_at=[])
-    assert full.fixpoint and full.derived[ct.index[s]]
-
-
-def test_saturate_stops_at_once_when_targets_are_hypotheses():
-    hyps = [p, imp(p, q)]
-    ct = closure(hyps)
-    for stop_at in ([p], [imp(p, q), p]):
-        state = saturate(hyps, ct, V.ORIGINAL, stop_at=stop_at)
-        assert state.instances_fired == 0
-        assert not state.fixpoint and not state.derived[ct.index[q]]
+def test_session_state_does_not_depend_on_the_queries():
+    hyps = [p, imp(p, q), imp(q, r)]
+    first, second = Session(hyps, [q], V.ORIGINAL), Session(hyps, [q, r], V.ORIGINAL)
+    assert first.closure_table.universe == second.closure_table.universe
+    assert first.state.derived == second.state.derived
+    assert first.state.provenance == second.state.provenance
+    assert first.stats == second.stats
+    assert first.state.derived[first.closure_table.index[r]]
 
 
 def test_saturate_bottom_derives_every_target():
     hyps = [p, imp(p, bot())]
-    ct = closure([*hyps, q, r, s])
-    state = saturate(hyps, ct, V.L2, stop_at=[q, r])
-    assert state.derived[ct.index[q]] and state.derived[ct.index[r]]
-    assert state.provenance[ct.index[r]][1] == "BotE"
-    assert not state.fixpoint
+    queries = [q, r, s]
+    session = Session(hyps, queries, V.L2)
+    state, idx = session.state, session.closure_table.index
+    assert state.bot_flag and all(state.derived)
+    for f in queries:
+        assert state.provenance[idx[f]] == ("rule", "BotE", (idx[bot()],))
+    assert [v.entailed for v in session.verdicts()] == [True, True, True]
 
 
 def test_session_builds_one_closure_for_all_queries(monkeypatch):
@@ -441,7 +422,7 @@ def test_session_builds_one_closure_for_all_queries(monkeypatch):
     assert [v.entailed for v in got] == [True, False, True]
     assert all(v.stats == session.stats for v in got)
     assert all(v.closure_table is session.closure_table for v in got)
-    assert got[1].proof is None and got[1].state.fixpoint
+    assert got[1].proof is None
 
 
 def test_session_resaturates_once_for_weaker_variant(monkeypatch):

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from qpl.calculus import CalculusVariant as V
-from qpl.engine import SaturationState, entails, saturate
+from qpl.engine import SaturationState, entails
 from qpl.semantics import (
     CountermodelError,
     OverrideFn,
@@ -517,14 +517,6 @@ def test_countermodel_rejects_derived_query():
         countermodel([p], p, v.state, v.closure_table)
 
 
-def test_countermodel_rejects_partial_state():
-    ct = closure([p, imp(p, q), r])
-    state = saturate([p, imp(p, q)], ct, V.QPL, stop_at=[q])
-    assert not state.fixpoint
-    with pytest.raises(ValueError):
-        countermodel([p, imp(p, q)], r, state, ct)
-
-
 def test_countermodel_rejects_foreign_hypothesis():
     v = entails([p], q, V.QPL)
     with pytest.raises(ValueError):
@@ -538,12 +530,11 @@ def test_countermodel_detects_inconsistent_state():
     prov = [None] * len(ct.universe)
     for f in (p, q):
         derived[idx[f]] = 1
-        prov[idx[f]] = ("hyp",)
+        prov[idx[f]] = ("hypothesis", None, ())
     fake = SaturationState(
         derived=derived,
         provenance=prov,
         bot_flag=False,
-        fixpoint=True,
         instances_fired=0,
         derived_count=2,
     )
