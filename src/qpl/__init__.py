@@ -56,7 +56,6 @@ from .syntax import (
     parse_formula,
     parse_problem,
     render,
-    substitute,
     top,
     var,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "satisfies",
     "saturate",
     "semantic_yields_bruteforce",
-    "substitute",
     "top",
     "var",
     "verdict_countermodel",

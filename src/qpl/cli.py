@@ -9,10 +9,10 @@ information terms, gen produces reproducible instance suites, and bench
 runs the scaling family.
 
 Exit codes: 0 for a successful decision regardless of verdict, 2 for
-input errors, 3 for resource limits, among them input nested too deeply
-for the recursive walkers and running out of memory. prove returns 1
-when no derivation exists; verify-proof returns 1 for a well-formed but
-invalid proof.
+input errors, 3 for resource limits, among them running out of memory and
+input nested too deeply for render, truth_mask or the JSON decoder. prove
+returns 1 when no derivation exists; verify-proof returns 1 for a
+well-formed but invalid proof.
 """
 
 import argparse
@@ -559,7 +559,7 @@ def main(argv=None) -> int:
         print(f"resource limit: {e}", file=sys.stderr)
         return 3
     except RecursionError:
-        # the recursive formula walkers give out on deep nesting
+        # render, semantics.truth_mask and the json decoder recurse
         print("resource limit: input nested too deeply", file=sys.stderr)
         return 3
     except (OSError, ValueError) as e:

@@ -1,5 +1,6 @@
 """Formula syntax: interned terms and formulas, parsing, printing,
-substitution, parameter extraction, and the instantiation closure.
+parameter extraction, and the instantiation closure, which instantiates
+each quantified body at every parameter in one walk.
 
 Formulas and terms are hash-interned. Building the same shape twice returns
 the same object, so equality is identity, membership tests are pointer
@@ -64,10 +65,6 @@ def gc_paused(fn):
             gc.enable()
 
     return paused
-
-
-class ClashError(Exception):
-    """Substitution would move a variable under a binder of the same name."""
 
 
 class ResourceLimit(RuntimeError):
@@ -310,39 +307,47 @@ def _wrap(g: Formula) -> str:
     return f"({s})"
 
 
-# ---------------------------------------------------------- substitution
+# --------------------------------------------------------- instantiation
 
-def substitute(a: Formula, x: str, t: Term) -> Formula:
-    """Replace every free occurrence of the variable x in a by t.
+def _instances(body: Formula, v: str, params) -> list:
+    """body[v := t] for each t in params, in order, or None where a binder
+    in body would capture the variable t; there is no renaming.
 
-    Raises ClashError when t is a variable and some replaced occurrence
-    would fall under a binder for t; there is no renaming.
+    One explicit-stack post-order walk: each shared subformula is visited
+    once, and that visit builds its instances at every parameter.
     """
-    if x not in a.free:
-        return a
-    if t.kind == VAR and t.name == x:
-        return a
-    cls = a.__class__
-    if cls is Atom:
-        return atom(
-            a.rel,
-            *[t if (u.kind == VAR and u.name == x) else u for u in a.args],
-        )
-    if cls is And:
-        return conj(substitute(a.l, x, t), substitute(a.r, x, t))
-    if cls is Or:
-        return disj(substitute(a.l, x, t), substitute(a.r, x, t))
-    if cls is Imp:
-        return imp(substitute(a.l, x, t), substitute(a.r, x, t))
-    # quantifier with x free below; binder cannot equal x
-    if t.kind == VAR and t.name == a.var:
-        raise ClashError(
-            f"substituting {t.name} for {x} is captured by the binder in "
-            f"{render(a)}"
-        )
-    if cls is Forall:
-        return forall(a.var, substitute(a.body, x, t))
-    return exists(a.var, substitute(a.body, x, t))
+    n = len(params)
+    x = var(v)
+    done: dict[Formula, list] = {}
+    stack = [body]
+    while stack:
+        f = stack.pop()
+        if f in done:
+            continue
+        cls = f.__class__
+        if v not in f.free:
+            done[f] = [f] * n
+        elif cls is Atom:
+            done[f] = [atom(f.rel, *[t if u is x else u for u in f.args])
+                       for t in params]
+        elif cls is Forall or cls is Exists:
+            sub = done.get(f.body)
+            if sub is None:
+                stack += (f, f.body)
+                continue
+            w, mk = f.var, forall if cls is Forall else exists
+            captured = var(w)
+            done[f] = [None if g is None or t is captured else mk(w, g)
+                       for t, g in zip(params, sub)]
+        else:
+            ls, rs = done.get(f.l), done.get(f.r)
+            if ls is None or rs is None:
+                stack += (f, f.l, f.r)
+                continue
+            mk = conj if cls is And else disj if cls is Or else imp
+            done[f] = [None if g is None or h is None else mk(g, h)
+                       for g, h in zip(ls, rs)]
+    return done[body]
 
 
 # ------------------------------------------------------------ parameters
@@ -444,18 +449,12 @@ def closure(s, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureTable:
             queue.append(f.l)
             queue.append(f.r)
         elif cls in (Forall, Exists):
-            insts: list[Formula] = []
-            inst_seen: set[Formula] = set()
-            body, v = f.body, f.var
-            for t in params:
-                try:
-                    g = substitute(body, v, t)
-                except ClashError:
-                    continue
-                if g not in inst_seen:
-                    inst_seen.add(g)
-                    insts.append(g)
-            subs[f] = tuple(insts)
+            insts = (f.body,)
+            if f.var in f.body.free:
+                found = dict.fromkeys(_instances(f.body, f.var, params))
+                found.pop(None, None)
+                insts = tuple(found)
+            subs[f] = insts
             queue.extend(insts)
     stats = ClosureStats(
         size=len(universe),

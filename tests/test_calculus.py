@@ -703,4 +703,4 @@ def test_checker_is_independent_of_the_engine():
         elif isinstance(n, ast.Attribute):
             used.add(n.attr)
     assert not imported & {".engine", "qpl.engine", "engine"}
-    assert not used & {"substitute", "closure", "compile_rules"}
+    assert not used & {"substitute", "_instances", "closure", "compile_rules"}

@@ -489,13 +489,25 @@ _DEEP_FORALL_E = json.dumps(
         ),
         (["algebra", _DEEP_SUM, "a"], 0, ""),
         (["verify-proof", "{proof}"], 0, ""),
+        (["check", "{forall}", "q"], 0, ""),
+        (["prove", "{forall}", "q"], 1, "not entailed: q\n"),
+        (
+            ["verify-proof", "{nested}"],
+            3,
+            "resource limit: input nested too deeply\n",
+        ),
     ],
-    ids=["check", "prove", "closure", "oracle", "algebra", "verify-proof"],
+    ids=["check", "prove", "closure", "oracle", "algebra", "verify-proof",
+         "check-forall", "prove-forall", "verify-proof-nested-json"],
 )
 def test_deep_input_keeps_exit_contract(tmp_path, capsys, argv, code, err):
+    # the json decoder recurses, so a deeply nested document hits the
+    # RecursionError backstop in cli.main
     paths = {
         "{deep}": write(tmp_path, "deep.qpl", _DEEP_CHAIN),
         "{proof}": write(tmp_path, "proof.json", _DEEP_FORALL_E),
+        "{forall}": write(tmp_path, "forall.qpl", f"forall x. {_DEEP_BODY}\n"),
+        "{nested}": write(tmp_path, "nested.json", "[" * 100_000 + "]" * 100_000),
     }
     assert cli.main([paths.get(a, a) for a in argv]) == code
     assert capsys.readouterr().err == err

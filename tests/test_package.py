@@ -18,10 +18,12 @@ def test_star_import_resolves_every_public_name():
 
 def test_retired_names_are_gone():
     # multi_entails was a wrapper over Session, RuleInstance and RejectReason
-    # wrapped match_rule's result, ParamSet wrapped the parameter tuple
+    # wrapped match_rule's result, ParamSet wrapped the parameter tuple;
+    # substitute and ClashError gave way to the closure's instantiation walk
     namespace = _star_import()
     modules = [qpl, qpl.engine, qpl.calculus, qpl.syntax]
-    for name in ("multi_entails", "RuleInstance", "RejectReason", "ParamSet"):
+    for name in ("multi_entails", "RuleInstance", "RejectReason", "ParamSet",
+                 "substitute", "ClashError"):
         assert name not in namespace
         for module in modules:
             assert not hasattr(module, name), (module.__name__, name)

@@ -1,4 +1,4 @@
-"""Syntax layer: parsing, printing, substitution, parameters, closure."""
+"""Syntax layer: parsing, printing, instantiation, parameters, closure."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from qpl.generators import (
 )
 from qpl.syntax import (
     ArityError,
-    ClashError,
     ParseError,
     ReservedNameError,
     ResourceLimit,
@@ -39,7 +38,6 @@ from qpl.syntax import (
     parse_formula,
     parse_problem,
     render,
-    substitute,
     top,
     var,
 )
@@ -356,20 +354,60 @@ def test_render_parse_round_trip(f):
     assert parse_formula(render(f), declared_vars=free_vars(f)) is f
 
 
-# ------------------------------------------------------------- substitution
+# ------------------------------------------------------------ instantiation
+
+class _Clash(Exception):
+    pass
+
+
+def _substitute(a, x, t):
+    """Reference: a[x := t] by plain recursion, raising _Clash where a
+    binder would capture t. It shares no code with syntax._instances."""
+    if x not in a.free:
+        return a
+    if t.kind == sy.VAR and t.name == x:
+        return a
+    cls = a.__class__
+    if cls is sy.Atom:
+        return atom(
+            a.rel,
+            *[t if (u.kind == sy.VAR and u.name == x) else u for u in a.args],
+        )
+    if cls is sy.And:
+        return conj(_substitute(a.l, x, t), _substitute(a.r, x, t))
+    if cls is sy.Or:
+        return disj(_substitute(a.l, x, t), _substitute(a.r, x, t))
+    if cls is sy.Imp:
+        return imp(_substitute(a.l, x, t), _substitute(a.r, x, t))
+    # quantifier with x free below; binder cannot equal x
+    if t.kind == sy.VAR and t.name == a.var:
+        raise _Clash
+    if cls is sy.Forall:
+        return forall(a.var, _substitute(a.body, x, t))
+    return exists(a.var, _substitute(a.body, x, t))
+
+
+def _reference_or_none(a, x, t):
+    try:
+        return _substitute(a, x, t)
+    except _Clash:
+        return None
+
 
 def test_substitute_vectors():
     Rxx = atom("R", x, x)
-    assert substitute(Rxx, "x", c) is atom("R", c, c)
+    assert sy._instances(Rxx, "x", [c, x, y]) == [
+        atom("R", c, c), Rxx, atom("R", y, y)
+    ]
     vac = forall("x", atom("R", x))
-    assert substitute(vac, "x", c) is vac
-    with pytest.raises(ClashError):
-        substitute(exists("y", atom("S", x, y)), "x", y)
+    assert sy._instances(vac, "x", [c, y]) == [vac, vac]
+    f = exists("y", atom("S", x, y))
+    assert sy._instances(f, "x", [y, c]) == [None, exists("y", atom("S", c, y))]
 
 
 def test_substitute_no_op_for_absent_variable():
     f = imp(p, atom("R", c))
-    assert substitute(f, "x", d) is f
+    assert sy._instances(f, "x", [d, y]) == [f, f]
 
 
 def _clash_expected(f, name, vname, binders=frozenset()):
@@ -393,9 +431,8 @@ def _clash_expected(f, name, vname, binders=frozenset()):
 @given(_formula_strategy(), st.sampled_from(["x", "w", "y", "z"]),
        st.sampled_from([c, d, var("x"), var("y"), var("z")]))
 def test_substitute_clash_and_free_var_law(f, name, t):
-    try:
-        out = substitute(f, name, t)
-    except ClashError:
+    [out] = sy._instances(f, name, [t])
+    if out is None:
         assert t.kind == sy.VAR
         assert _clash_expected(f, name, t.name)
         return
@@ -408,6 +445,15 @@ def test_substitute_clash_and_free_var_law(f, name, t):
             {t.name} if t.kind == sy.VAR else set()
         )
         assert free_vars(out) == expected
+
+
+@given(_formula_strategy(), st.sampled_from(["x", "w", "y", "z"]))
+def test_instances_match_the_recursive_reference(f, name):
+    # constants, every binder name of the strategy, and the variable itself
+    params = [c, d, const("_0"), x, w, var("y"), var("z"), var(name)]
+    assert sy._instances(f, name, params) == [
+        _reference_or_none(f, name, t) for t in params
+    ]
 
 
 # ------------------------------------------------- free vars, params, depth
@@ -609,11 +655,8 @@ def _is_p_subformula(needle, hay, params):
         )
     if isinstance(hay, (sy.Forall, sy.Exists)):
         for t in params:
-            try:
-                inst = substitute(hay.body, hay.var, t)
-            except ClashError:
-                continue
-            if _is_p_subformula(needle, inst, params):
+            inst = _reference_or_none(hay.body, hay.var, t)
+            if inst is not None and _is_p_subformula(needle, inst, params):
                 return True
     return False
 
@@ -645,11 +688,9 @@ def _naive_p_subformulas(formulas, params):
             visit(f.r)
         elif isinstance(f, (sy.Forall, sy.Exists)):
             for t in params:
-                try:
-                    inst = substitute(f.body, f.var, t)
-                except ClashError:
-                    continue
-                visit(inst)
+                inst = _reference_or_none(f.body, f.var, t)
+                if inst is not None:
+                    visit(inst)
 
     for f in formulas:
         visit(f)
