@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import partial
 from typing import NamedTuple
 
 from .syntax import (
@@ -389,14 +390,31 @@ def check_derivation(
 _NODE_KINDS = ("hypothesis", "axiom", "rule")
 
 
+def render_cached(texts: dict, f: Formula) -> str:
+    """render(f), rendered once per texts dict: texts maps each formula
+    rendered through it so far to its text."""
+    text = texts.get(f)
+    if text is None:
+        text = texts[f] = render(f)
+    return text
+
+
 @gc_paused
-def derivation_to_json(d: Derivation) -> dict:
+def derivation_to_json(d: Derivation, texts: dict | None = None) -> dict:
+    """The JSON shape of d; labels are rendered formulas.
+
+    A caller that passes its own texts dict (one per proof document, the
+    mirror of derivation_from_json's symbols) shares rendered labels across
+    calls: each distinct formula is rendered once, and the dict maps it to
+    its text. Without a dict every label is rendered, and nothing is cached.
+    """
+    label = render if texts is None else partial(render_cached, texts)
     return {
         "root": d.root,
         "nodes": [
             {
                 "id": n.id,
-                "label": render(n.label),
+                "label": label(n.label),
                 "kind": n.kind,
                 "rule": n.rule,
                 "parents": list(n.parents),

@@ -28,6 +28,7 @@ from .calculus import (
     check_derivation,
     derivation_from_json,
     derivation_to_json,
+    render_cached,
 )
 from .engine import Session, entails
 from .generators import (
@@ -66,8 +67,40 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _dump(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+_STR = json.encoder.encode_basestring_ascii
+
+
+def _dump(doc, pad="\n") -> str:
+    """json.dumps(doc, indent=2, sort_keys=True), byte for byte, without the
+    standard library's pure-Python encoder, which an indent selects. pad is
+    the newline and indentation of doc's own level."""
+    cls = doc.__class__
+    if cls is str:
+        return _STR(doc)
+    if cls is int:
+        return int.__repr__(doc)
+    if doc is None:
+        return "null"
+    if cls is bool:
+        return "true" if doc else "false"
+    inner = pad + "  "
+    if cls is list or cls is tuple:
+        if not doc:
+            return "[]"
+        items = [_dump(v, inner) for v in doc]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if cls is dict:
+        if not doc:
+            return "{}"
+        try:
+            items = [_STR(k) + ": " + _dump(doc[k], inner) for k in sorted(doc)]
+        except TypeError:  # a key that is not a str: the stdlib writes doc
+            pass
+        else:
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+    # floats and other types; JSON text has a raw newline only between
+    # items, so the padding carries the stdlib's indent to any depth
+    return json.dumps(doc, indent=2, sort_keys=True).replace("\n", pad)
 
 
 def _print_json(doc) -> None:
@@ -92,10 +125,12 @@ def _resolve_seed(args):
     return random.SystemRandom().randrange(2**32)
 
 
-def _proof_doc(variant: CalculusVariant, hyps, verdicts) -> dict:
+def _proof_doc(variant: CalculusVariant, hyps, verdicts, texts: dict) -> dict:
     """The proofs of the entailed verdicts. vars declares the free variables
     of the hyps and of every query, refused ones too: the closure
-    instantiates over all of them, so any may occur in a label."""
+    instantiates over all of them, so any may occur in a label. texts is
+    the document's rendered formulas (render_cached), shared by the hyps,
+    the queries and every label."""
     names: set[str] = set()
     for f in hyps:
         names |= f.free
@@ -104,9 +139,12 @@ def _proof_doc(variant: CalculusVariant, hyps, verdicts) -> dict:
     return {
         "variant": variant.cli_name,
         "vars": sorted(names),
-        "hyps": [render(h) for h in hyps],
+        "hyps": [render_cached(texts, h) for h in hyps],
         "proofs": [
-            {"query": render(v.query), "derivation": derivation_to_json(v.proof)}
+            {
+                "query": render_cached(texts, v.query),
+                "derivation": derivation_to_json(v.proof, texts),
+            }
             for v in verdicts
             if v.entailed
         ],
@@ -132,14 +170,15 @@ def cmd_check(args) -> int:
     hyps = prob.formulas
     session = Session(hyps, queries, variant, closure_cap=args.closure_cap)
     verdicts = session.verdicts(with_proof=args.proof is not None)
+    texts: dict = {}  # shared with the proof document
     if args.json:
         _print_json(
             {
                 "variant": variant.cli_name,
-                "hyps": [render(h) for h in hyps],
+                "hyps": [render_cached(texts, h) for h in hyps],
                 "results": [
                     {
-                        "query": render(v.query),
+                        "query": render_cached(texts, v.query),
                         "entailed": v.entailed,
                         "stats": dict(v.stats),
                     }
@@ -152,7 +191,7 @@ def cmd_check(args) -> int:
             tag = "entailed" if v.entailed else "not entailed"
             print(f"{tag}: {render(v.query)}")
     if args.proof is not None:
-        _write_json(args.proof, _proof_doc(variant, hyps, verdicts))
+        _write_json(args.proof, _proof_doc(variant, hyps, verdicts, texts))
     if args.countermodel is not None:
         entries = []
         # Refused queries of one session share one model; render it once.
@@ -215,7 +254,7 @@ def cmd_prove(args) -> int:
     if not v.entailed:
         print(f"not entailed: {render(q)}", file=sys.stderr)
         return 1
-    doc = _proof_doc(variant, prob.formulas, [v])
+    doc = _proof_doc(variant, prob.formulas, [v], {})
     if args.proof is not None:
         _write_json(args.proof, doc)
     if args.json:

@@ -288,7 +288,9 @@ def extract_proof(
     """Read one derivation DAG out of the provenance records.
 
     Nodes come out in post-order (premises before conclusions, root last)
-    and shared subderivations appear once.
+    and shared subderivations appear once. The walk visits a formula with
+    premises twice: its id first, then ~id (negative) once its premises
+    are done.
     """
     tid = ct.index.get(target, -1)
     if tid < 0 or not state.derived[tid]:
@@ -297,22 +299,26 @@ def extract_proof(
     universe = ct.universe
     memo: dict[int, int] = {}
     nodes: list[DerivationNode] = []
-    stack: list[tuple[int, bool]] = [(tid, False)]
+    stack = [tid]
     while stack:
-        fid, expanded = stack.pop()
-        if fid in memo:
-            continue
-        entry = prov[fid]
-        if entry is None:
-            raise RuntimeError("derived formula lacks provenance")
-        kind, rule, premids = entry
-        if premids and not expanded:
-            stack.append((fid, True))
-            for pid in reversed(premids):
-                if pid not in memo:
-                    stack.append((pid, False))
-            continue
-        parents = tuple(memo[pid] for pid in premids)
+        fid = stack.pop()
+        if fid < 0:
+            fid = ~fid
+            kind, rule, premids = prov[fid]
+        else:
+            if fid in memo:
+                continue
+            entry = prov[fid]
+            if entry is None:
+                raise RuntimeError("derived formula lacks provenance")
+            kind, rule, premids = entry
+            if premids:
+                stack.append(~fid)
+                for pid in reversed(premids):
+                    if pid not in memo:
+                        stack.append(pid)
+                continue
+        parents = tuple(map(memo.__getitem__, premids))
         nid = len(nodes)
         memo[fid] = nid
         nodes.append(DerivationNode(nid, universe[fid], kind, rule, parents))

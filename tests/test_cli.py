@@ -6,6 +6,7 @@ resource limits; verify-proof returns 1 for a well-formed but invalid
 proof, prove returns 1 when no derivation exists.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -13,13 +14,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qpl
 from qpl import algebra, cli, semantics
 from qpl.calculus import CalculusVariant as V, derivation_from_json
 from qpl.engine import Session, entails
 from qpl.generators import bounded_halting_instance, parse_machine, random_horn
-from qpl.syntax import parse_problem, render
+from qpl.syntax import atom, const, parse_problem, render
+from test_golden import MACHINE
 
 CHAIN = "A -> B\nB -> C\n"
 
@@ -755,3 +758,60 @@ def test_out_of_range_numbers_are_input_errors(tmp_path, capsys, argv, code, err
     hyps = write(tmp_path, "h.qpl", "p\np -> q\n")
     assert cli.main([a.format(h=hyps) for a in argv]) == code
     assert capsys.readouterr().err == err
+
+
+# ------------------------------------------------------------ JSON bytes
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_cli_documents_keep_their_bytes(tmp_path, capsys):
+    # the golden corpus's 4-state machine at t=2: 55 queries, 11 entailed
+    # and 44 refused, each with a countermodel. The digests were taken
+    # with the standard library's json.dumps writing every document.
+    hyps, halting = bounded_halting_instance(MACHINE, 2)
+    configs = [
+        atom(f"K{i}", const(f"n{a}"), const(f"n{b}"))
+        for i in (0, 1, *MACHINE.instructions)
+        for a in range(3)
+        for b in range(3)
+    ]
+    h = write(tmp_path, "h.qpl", "".join(render(f) + "\n" for f in hyps))
+    q = write(tmp_path, "q.qpl",
+              "".join(render(f) + "\n" for f in [halting, *configs]))
+    proof, model = tmp_path / "proof.json", tmp_path / "cm.json"
+    assert cli.main(["check", h, "--query-file", q, "--json",
+                     "--proof", str(proof), "--countermodel", str(model)]) == 0
+    out = capsys.readouterr().out
+    assert _sha(out.encode()) == (
+        "c8ed8ea22feb178fdfad1facd5dd93a726ad32a82cdcab248735a23ba115a5ff")
+    assert _sha(proof.read_bytes()) == (
+        "082ec2bb598c14fad7d355c1da8ab8026cc100c1482bfa276a7a6b0a3ecfb27d")
+    assert _sha(model.read_bytes()) == (
+        "e0922fe070fa2e5e270df7f0e789d1415cab6e77690e8b05d766c7820be083c8")
+    assert cli.main(["prove", h, render(halting), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert _sha(out.encode()) == (
+        "105811e8b328202f75ce86d16befc3862c9f7fe2b497817aef355da12fc8ebc8")
+
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=-2**80, max_value=2**80)
+    | st.floats() | st.sampled_from([-0.0, 1e300, -1e-300, 0.5])
+    | st.text() | st.text(st.characters(max_codepoint=0x1F))
+)
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner) | st.dictionaries(st.integers(), inner),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCS)
+@example({"a": [], "b": {}, "c": [[], {}, ()], "é\n": ({"x": [None]},)})
+def test_dump_writes_what_the_stdlib_writes(doc):
+    assert cli._dump(doc) == json.dumps(doc, indent=2, sort_keys=True)

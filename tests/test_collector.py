@@ -3,9 +3,7 @@ input run with the cyclic garbage collector off (syntax.gc_paused).
 
 Every such entry point switches the collector back on when it returns or
 raises, leaves it off for a caller that switched it off, and builds no
-reference cycles, so nothing is left for the collector to find. The one
-exception is outside qpl: each indented json.dumps the CLI makes leaves
-a small cycle of the standard library encoder's own closures.
+reference cycles, so nothing is left for the collector to find.
 """
 
 import gc
@@ -156,15 +154,6 @@ def _cli_pipeline(tmp_path):
     assert cli.main(["verify-proof", str(proof)]) == 0
 
 
-def _indented_dump_cycles(n):
-    """Objects in the reference cycles that n calls of json.dumps with an
-    indent leave: its pure-Python encoder's closures refer to each other."""
-    gc.collect()
-    for _ in range(n):
-        json.dumps({"a": [1]}, indent=2, sort_keys=True)
-    return gc.collect()
-
-
 @pytest.mark.parametrize("pipeline", ["chain", "random", "cli"])
 def test_pipelines_leave_no_cycles(pipeline, tmp_path, capsys, collector_on):
     run = {
@@ -172,8 +161,7 @@ def test_pipelines_leave_no_cycles(pipeline, tmp_path, capsys, collector_on):
         "random": _random_pipeline,
         "cli": lambda: _cli_pipeline(tmp_path),
     }[pipeline]
-    expected = _indented_dump_cycles(2) if pipeline == "cli" else 0
     cli.build_parser()  # once per process; building it leaves argparse's cycles
     gc.collect()
     run()
-    assert gc.collect() == expected
+    assert gc.collect() == 0

@@ -127,6 +127,16 @@ def test_golden_corpus():
     assert names == list(want), "case list changed; regenerate golden.json"
 
 
+def test_shared_label_texts_change_no_proof_json():
+    # one texts dict per session, as a proof document shares it
+    for name, hyps, queries, variant in _sessions():
+        texts: dict = {}
+        for v in Session(hyps, queries, variant).verdicts():
+            if v.proof is not None:
+                got = derivation_to_json(v.proof, texts)
+                assert got == derivation_to_json(v.proof), name
+
+
 def test_golden_digests_do_not_depend_on_the_hash_seed():
     script = (
         "import json, test_golden; print(json.dumps(test_golden.corpus()))"
