@@ -50,8 +50,6 @@ from .syntax import (
     disj,
     exists,
     forall,
-    formula_length,
-    free_vars,
     imp,
     parse_formula,
     parse_problem,
@@ -92,8 +90,6 @@ __all__ = [
     "exists",
     "extract_proof",
     "forall",
-    "formula_length",
-    "free_vars",
     "imp",
     "parse_formula",
     "parse_problem",

@@ -148,12 +148,18 @@ def _instance_fault(body: Formula, v: str, instance: Formula, mismatch: str):
 
     One walk over both finds t. Every binder it passes has a free v below,
     so t is captured exactly when it is a variable named by one of them.
+    A repeated (body, instance) pair, from shared subformulas, is skipped.
     """
     witness = None
     binders = set()
+    walked = set()
     stack = [(body, instance)]
     while stack:
-        b, i = stack.pop()
+        pair = stack.pop()
+        if pair in walked:
+            continue
+        walked.add(pair)
+        b, i = pair
         if v not in b.free:
             if b is not i:
                 return SHAPE, mismatch
@@ -266,49 +272,48 @@ class NodeResult(NamedTuple):
 
 @dataclass
 class Report:
+    """failures lists the nodes that do not check, in document order."""
+
     ok: bool
     structural_errors: list[str]
-    node_results: list[NodeResult]
+    failures: list[NodeResult]
     conclusion_ok: bool = True
-
-    def failures(self) -> list[NodeResult]:
-        return [r for r in self.node_results if not r.ok]
 
 
 def _check_node(node, node_map, variant, hypset):
+    """Why node does not check, or None when it does."""
     if node.kind == "hypothesis":
         if node.parents:
-            return False, "hypothesis node has parents"
+            return "hypothesis node has parents"
         if node.rule is not None:
-            return False, "hypothesis node carries a rule name"
+            return "hypothesis node carries a rule name"
         if node.label not in hypset:
-            return False, f"{render(node.label)} is not among the hypotheses"
-        return True, None
-    if node.kind == "axiom":
+            return f"{render(node.label)} is not among the hypotheses"
+    elif node.kind == "axiom":
         if node.parents:
-            return False, "axiom node has parents"
+            return "axiom node has parents"
         label = node.label
         expected = "TopI" if isinstance(label, Top) else "ImpAx"
         first, _, check = RULES[expected]
         if check((), label) is not None:
-            return False, f"{render(label)} is not an axiom"
+            return f"{render(label)} is not an axiom"
         if variant < first:
-            return False, (
+            return (
                 f"axiom {render(label)} is not part of the "
                 f"{variant.cli_name} calculus"
             )
         if node.rule is not None and node.rule != expected:
-            return False, f"axiom node labeled with rule {node.rule!r}"
-        return True, None
-    if node.kind == "rule":
+            return f"axiom node labeled with rule {node.rule!r}"
+    elif node.kind == "rule":
         if node.rule is None:
-            return False, "rule node is missing its rule name"
+            return "rule node is missing its rule name"
         prems = [node_map[pid].label for pid in node.parents]
         fault = match_rule(variant, node.rule, prems, node.label)
         if fault is not None:
-            return False, f"{fault[0]}: {fault[1]}"
-        return True, None
-    return False, f"unknown node kind {node.kind!r}"
+            return f"{fault[0]}: {fault[1]}"
+    else:
+        return f"unknown node kind {node.kind!r}"
+    return None
 
 
 @gc_paused
@@ -372,17 +377,16 @@ def check_derivation(
         return Report(False, structural, [])
 
     hypset = set(hyps)
-    results = []
-    all_ok = True
+    failures = []
     for n in d.nodes:
-        ok, reason = _check_node(n, node_map, variant, hypset)
-        results.append(NodeResult(n.id, ok, reason))
-        all_ok = all_ok and ok
+        reason = _check_node(n, node_map, variant, hypset)
+        if reason is not None:
+            failures.append(NodeResult(n.id, False, reason))
     conclusion_ok = (
         expected_conclusion is None
         or node_map[d.root].label is expected_conclusion
     )
-    return Report(all_ok and conclusion_ok, [], results, conclusion_ok)
+    return Report(not failures and conclusion_ok, [], failures, conclusion_ok)
 
 
 # ------------------------------------------------------------ serialization

@@ -42,6 +42,7 @@ from .generators import (
     simulate,
 )
 from .semantics import (
+    DEFAULT_ORACLE_CAP,
     countermodel_json,
     semantic_yields_bruteforce,
     verdict_countermodel,
@@ -58,8 +59,6 @@ from .syntax import (
     parse_problem,
     render,
 )
-
-DEFAULT_ORACLE_CAP = 24
 
 
 def _read_text(path: str) -> str:
@@ -305,7 +304,7 @@ def cmd_verify_proof(args) -> int:
         failures += 1
         for msg in rep.structural_errors:
             print(f"proof {i}: {msg}", file=sys.stderr)
-        for nr in rep.failures():
+        for nr in rep.failures:
             print(f"proof {i}: node {nr.node_id}: {nr.reason}", file=sys.stderr)
         if not rep.conclusion_ok:
             print(f"proof {i}: conclusion differs from query", file=sys.stderr)
@@ -349,8 +348,6 @@ def cmd_closure(args) -> int:
 # --------------------------------------------------------------- oracle
 
 def cmd_oracle(args) -> int:
-    if args.oracle_cap <= 0:
-        raise ValueError("oracle cap must be positive")
     prob = parse_problem(_read_text(args.hyps))
     q = parse_formula(args.query, prob.declared_vars, symbols=prob.symbols)
     yields = semantic_yields_bruteforce(

@@ -75,13 +75,12 @@ def compile_rules(ct: ClosureTable, variant: CalculusVariant) -> CompiledRules:
             add(("AndE_R", (fid,), r))
         elif cls is Or:
             if use_or:
-                l, r = idx[f.l], idx[f.r]
+                l = idx[f.l]
+                add(("OrI_L", (l,), fid))
                 if f.l is f.r:
-                    add(("OrI_L", (l,), fid))
                     add(("OrE", (fid,), l))
                 else:
-                    add(("OrI_L", (l,), fid))
-                    add(("OrI_R", (r,), fid))
+                    add(("OrI_R", (idx[f.r],), fid))
         elif cls is Forall:
             if use_quant:
                 for g in ct.sub_instances[f]:
@@ -164,25 +163,22 @@ def saturate(
             push(fid)
     fired = 0
     bot_hit = bid >= 0 and derived[bid] == 1
-    if not bot_hit:
-        pop = agenda.popleft
-        while agenda:
-            fid = pop()
-            for i in watch[fid]:
-                cnt = counters[i] - 1
-                counters[i] = cnt
-                if cnt == 0:
-                    fired += 1
-                    name, premids, conc = instances[i]
-                    if not derived[conc]:
-                        derived[conc] = 1
-                        prov[conc] = ("rule", name, premids)
-                        if conc == bid:
-                            bot_hit = True
-                            break
-                        push(conc)
-            if bot_hit:
-                break
+    pop = agenda.popleft
+    while agenda and not bot_hit:
+        fid = pop()
+        for i in watch[fid]:
+            cnt = counters[i] - 1
+            counters[i] = cnt
+            if cnt == 0:
+                fired += 1
+                name, premids, conc = instances[i]
+                if not derived[conc]:
+                    derived[conc] = 1
+                    prov[conc] = ("rule", name, premids)
+                    if conc == bid:
+                        bot_hit = True
+                        break
+                    push(conc)
     if bot_hit:
         botprem = ("rule", "BotE", (bid,))
         for j in range(n):

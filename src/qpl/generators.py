@@ -13,7 +13,7 @@ from random import Random
 from typing import Optional, Union
 
 from .calculus import CalculusVariant
-from .semantics import ground_atoms, override_domain
+from .semantics import DEFAULT_ORACLE_CAP, ground_atoms, override_domain
 from .syntax import (
     VAR,
     Atom,
@@ -382,8 +382,7 @@ def _draw_closed(rng: Random, use_quant: bool) -> Formula:
     return f
 
 
-# override entries, and the oracle's exponent (atoms plus overrides) in bits
-_OVERRIDE_LIMIT, _EXPONENT_LIMIT = 12, 24
+_OVERRIDE_LIMIT = 12
 
 
 def random_instance(
@@ -394,8 +393,8 @@ def random_instance(
 ) -> tuple[list[Formula], list[Formula]]:
     """Hypotheses and queries drawn small enough for the semantic oracle:
     the override assignment stays within 12 entries and the oracle's total
-    exponent within 24 bits. Propositional variants get quantifier-free
-    output."""
+    exponent within its default cap. Propositional variants get
+    quantifier-free output."""
     if n_hyps is not None and n_hyps < 0:
         raise ValueError("hypothesis count must be nonnegative")
     if n_queries < 1:
@@ -410,7 +409,7 @@ def random_instance(
         dom = override_domain(ct)
         if len(dom) > _OVERRIDE_LIMIT:
             continue
-        if len(ground_atoms(ct)) + len(dom) > _EXPONENT_LIMIT:
+        if len(ground_atoms(ct)) + len(dom) > DEFAULT_ORACLE_CAP:
             continue
         return hyps, queries
 

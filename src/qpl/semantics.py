@@ -43,6 +43,10 @@ from .syntax import (
 )
 
 
+# The largest oracle exponent (ground atoms plus override bits) by default
+DEFAULT_ORACLE_CAP = 24
+
+
 class TooLarge(ResourceLimit):
     """Enumeration would exceed the exponent cap; use the engine instead."""
 
@@ -180,7 +184,7 @@ def semantic_yields_bruteforce(
     hyps,
     query: Formula,
     *,
-    exponent_cap: int = 24,
+    exponent_cap: int = DEFAULT_ORACLE_CAP,
 ) -> bool:
     """Exhaustively quantify over structures and override functions.
 
@@ -188,6 +192,8 @@ def semantic_yields_bruteforce(
     batch of 2^k, so truth of every closure formula in all of them comes
     out of one truth_mask pass over the closure.
     """
+    if exponent_cap < 1:
+        raise ValueError("oracle cap must be positive")
     hyp_list = list(hyps)
     ct = closure([*hyp_list, query])
     slots = ground_atoms(ct)

@@ -128,6 +128,7 @@ def const(name: str) -> Term:
 # -------------------------------------------------------------- formulas
 
 class Formula:
+    # free: the free variable names; length: the symbol count defined above
     __slots__ = ("free", "qdepth", "length")
 
     def __repr__(self) -> str:
@@ -268,15 +269,6 @@ def exists(v: str, body: Formula) -> Formula:
     return _mk_quant("?", Exists, v, body)
 
 
-def free_vars(a: Formula) -> frozenset[str]:
-    return a.free
-
-
-def formula_length(a: Formula) -> int:
-    """Symbol count under the module's length convention."""
-    return a.length
-
-
 # ------------------------------------------------------------- rendering
 
 def render(f: Formula) -> str:
@@ -355,10 +347,15 @@ def _instances(body: Formula, v: str, params) -> list:
 def _collect_params(formulas) -> list[Term]:
     """Constants and free variables of formulas, first occurrence first.
     Under each quantifier body the explicit stack holds the binder set
-    outside it, so popping that marker restores it after the body."""
+    outside it, so popping that marker restores it after the body. A
+    connective already walked under the same binder set (visits maps each
+    binder set to those) would find nothing new, so it is skipped.
+    """
     seen: set = set()
     out: list = []
     bound = _EMPTY
+    visits: dict = {}
+    done = visits[bound] = set()
     stack: list = []
     push, pop = stack.append, stack.pop
     for f in formulas:
@@ -370,16 +367,20 @@ def _collect_params(formulas) -> list[Term]:
                         seen.add(t)
                         out.append(t)
             elif cls is Imp or cls is And or cls is Or:
-                push(f.r)
-                f = f.l
-                continue
+                if f not in done:
+                    done.add(f)
+                    push(f.r)
+                    f = f.l
+                    continue
             elif cls is Forall or cls is Exists:
                 push(bound)
                 bound = bound | {f.var}
+                done = visits.setdefault(bound, set())
                 f = f.body
                 continue
             elif cls is frozenset:
                 bound = f
+                done = visits[f]
             if not stack:
                 break
             f = pop()
@@ -482,17 +483,6 @@ class SymbolTable:
         self.arities: dict[str, int] = {}
         self.labels: dict[frozenset[str], dict[str, Formula]] = {}
 
-    def observe(self, rel: str, arity: int, pos: int | None = None) -> None:
-        prev = self.arities.get(rel)
-        if prev is None:
-            self.arities[rel] = arity
-        elif prev != arity:
-            raise ArityError(
-                f"relation {rel!r} used with {arity} argument(s) but "
-                f"earlier with {prev}",
-                pos,
-            )
-
 
 # A token is "->", one of "&|~().,", or an identifier; whitespace separates
 # tokens. _TOKEN skips any other character, so a text holds an unexpected
@@ -543,6 +533,13 @@ def _reserved(name: str, text: str, i: int) -> ReservedNameError:
     return ReservedNameError(
         f"identifiers starting with {RESERVED_PREFIX!r} are reserved: "
         f"{name!r}",
+        _column(text, i),
+    )
+
+
+def _arity_error(rel: str, n: int, prev: int, text: str, i: int) -> ArityError:
+    return ArityError(
+        f"relation {rel!r} used with {n} argument(s) but earlier with {prev}",
         _column(text, i),
     )
 
@@ -603,11 +600,11 @@ def parse_formula(
                     raise _error(f"expected ')', got {_got(toks[i])}", text, i)
                 i += 1
                 if arities.setdefault(t, len(args)) != len(args):
-                    symbols.observe(t, len(args), _column(text, rel_at))
+                    raise _arity_error(t, len(args), arities[t], text, rel_at)
                 f = atom(t, *args)
             else:
                 if arities.setdefault(t, 0) != 0:
-                    symbols.observe(t, 0, _column(text, i - 1))
+                    raise _arity_error(t, 0, arities[t], text, i - 1)
                 f = atom(t)
         elif t == "~":
             stack.append(_NOT)

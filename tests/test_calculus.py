@@ -227,14 +227,14 @@ def test_check_three_node_imp_e():
     )
     rep = check_derivation(swapped, V.ORIGINAL, {p, imp(p, q)})
     assert not rep.ok
-    assert [f.node_id for f in rep.failures()] == [2]
+    assert [f.node_id for f in rep.failures] == [2]
 
 
 def test_check_hypothesis_membership():
     d = Derivation(root=0, nodes=(_node(0, p, "hypothesis"),))
     assert check_derivation(d, V.QPL, {p}).ok
     rep = check_derivation(d, V.QPL, {q})
-    assert not rep.ok and "hypothes" in rep.failures()[0].reason
+    assert not rep.ok and "hypothes" in rep.failures[0].reason
 
 
 def test_check_axiom_shapes_and_variants():
@@ -254,14 +254,14 @@ def test_check_axiom_rule_name_consistency():
 def test_check_unknown_kind():
     d = Derivation(root=0, nodes=(_node(0, p, "assumption"),))
     rep = check_derivation(d, V.QPL, {p})
-    assert not rep.ok and "kind" in rep.failures()[0].reason
+    assert not rep.ok and "kind" in rep.failures[0].reason
 
 
 def test_check_expected_conclusion():
     d = Derivation(root=0, nodes=(_node(0, p, "hypothesis"),))
     rep = check_derivation(d, V.QPL, {p}, expected_conclusion=q)
     assert not rep.ok and not rep.conclusion_ok
-    assert not rep.failures()  # every node fine, only the root is wrong
+    assert not rep.failures  # every node fine, only the root is wrong
 
 
 def test_check_structural_errors():
@@ -344,10 +344,19 @@ def test_check_accepts_valid_proofs_in_any_node_order():
         for nodes in (d.nodes[::-1], rng.sample(d.nodes, len(d.nodes))):
             rep = check_derivation(_relisted(d, nodes), variant, hyps)
             assert rep.ok and not rep.structural_errors
-            assert [r.node_id for r in rep.node_results] == [
-                n.id for n in nodes
-            ]
-            assert sorted(rep.node_results) == sorted(want.node_results)
+            assert rep.failures == []
+
+
+def test_check_lists_failures_in_document_order():
+    rng = random.Random(29)
+    for d, variant, hyps in _extracted_proofs()[:8]:
+        for nodes in (d.nodes, d.nodes[::-1], rng.sample(d.nodes, len(d.nodes))):
+            rep = check_derivation(_relisted(d, nodes), variant, set())
+            leaves = [n.id for n in nodes if n.kind == "hypothesis"]
+            assert rep.ok == (not leaves)
+            assert [r.node_id for r in rep.failures] == leaves
+            for r in rep.failures:
+                assert not r.ok and r.reason.endswith("among the hypotheses")
 
 
 def test_check_reports_a_back_edge_in_parent_first_order():
@@ -374,7 +383,7 @@ def test_check_reports_a_back_edge_in_parent_first_order():
         )
         rep = check_derivation(back, variant, hyps)
         assert rep.structural_errors == ["cycle through node 0"]
-        assert not rep.ok and not rep.node_results
+        assert not rep.ok and not rep.failures
 
 
 def test_check_reports_missing_parents_of_a_duplicate_node():
@@ -658,7 +667,7 @@ def test_check_node_rejection_table(variant, kind, rule, parents, label, reason)
     hyps = {n.label for n in nodes[:k]}
     rep = check_derivation(Derivation(k, tuple(nodes)), V.from_name(variant), hyps)
     assert not rep.ok and not rep.structural_errors
-    assert [(r.node_id, r.reason) for r in rep.failures()] == [(k, reason)]
+    assert [(r.node_id, r.reason) for r in rep.failures] == [(k, reason)]
 
 
 def _deep_instance_pair(depth=5000):
@@ -686,6 +695,36 @@ def test_instance_rules_on_deep_bodies():
     assert res == (
         "side_condition", "ExistsI: term y is not substitutable (clash)"
     )
+
+
+def _shared_instance_triple(depth=60):
+    """exists y. S(x, y) conjoined with itself depth times, a DAG of depth
+    + 2 formulas, with x replaced by c and by the captured y."""
+    bodies = []
+    for t in (x, c, y):
+        g = exists("y", atom("S", t, y))
+        for _ in range(depth):
+            g = conj(g, g)
+        bodies.append(g)
+    return bodies
+
+
+def test_instance_rules_on_shared_bodies(within):
+    body, inst, captured = _shared_instance_triple()
+    prem, concl = forall("x", body), exists("x", body)
+    clash = "term y is not substitutable (clash)"
+    with within(1.0):
+        _accepted(match_rule(V.QPL, "ForallE", [prem], inst))
+        _accepted(match_rule(V.QPL, "ExistsI", [inst], concl))
+        res = match_rule(V.QPL, "ForallE", [prem], captured)
+        assert res == ("side_condition", f"ForallE: {clash}")
+        res = match_rule(V.QPL, "ExistsI", [captured], concl)
+        assert res == ("side_condition", f"ExistsI: {clash}")
+        # two witnesses, c on the left and y on the right
+        res = match_rule(V.QPL, "ForallE", [prem], conj(inst.l, captured.r))
+        assert res == (
+            "shape", "ForallE: conclusion is not an instance of the premise body"
+        )
 
 
 def test_checker_is_independent_of_the_engine():

@@ -213,7 +213,7 @@ def _joint(hyps, queries, variant):
             for v in Session(hyps, queries, variant).verdicts(with_proof=False)]
 
 
-def test_multi_entails_vectors():
+def test_session_verdicts_vectors():
     assert _joint([p, imp(p, conj(q, r))], [q, r, s], V.ORIGINAL) == [
         True, True, False,
     ]
@@ -342,7 +342,7 @@ def test_variant_monotonicity_on_random_instances():
         assert verdicts == sorted(verdicts), (hyps, query, verdicts)
 
 
-def test_multi_entails_agrees_with_single_queries():
+def test_session_verdicts_agree_with_single_queries():
     rng = random.Random(456)
     for _ in range(60):
         variant = V(rng.randrange(5))
@@ -353,7 +353,7 @@ def test_multi_entails_agrees_with_single_queries():
         assert joint == single
 
 
-def test_stop_at_matches_fixpoint_membership():
+def test_entails_matches_fixpoint_membership():
     rng = random.Random(789)
     for _ in range(60):
         variant = V(rng.randrange(5))
@@ -387,6 +387,29 @@ def test_entails_without_proof():
     assert v.entailed and v.proof is None
     v2 = entails([pp, imp(pp, qq)], qq, V.ORIGINAL)
     assert v2.entailed and v2.proof is not None
+
+
+def _shared_conjunction(depth):
+    """R(c) conjoined with itself depth times: depth + 1 distinct formulas,
+    2^depth leaves when read as a tree."""
+    f = atom("R", c)
+    for _ in range(depth):
+        f = conj(f, f)
+    return f
+
+
+def test_shared_subformulas_are_walked_once(within):
+    f = _shared_conjunction(60)
+    with within(1.0):
+        assert closure([f]).stats.size == 61
+        v = entails([f], atom("R", c), V.QPL)
+        assert v.entailed and v.stats["universe_size"] == 61
+        session = Session([f], [atom("R", c), f], V.QPL)
+        verdicts = session.verdicts()
+    assert session.stats["universe_size"] == 61
+    for v in verdicts:
+        assert v.entailed
+        assert check_derivation(v.proof, V.QPL, [f], v.query).ok
 
 
 # ------------------------------------------------------------------ session

@@ -19,11 +19,15 @@ def test_star_import_resolves_every_public_name():
 def test_retired_names_are_gone():
     # multi_entails was a wrapper over Session, RuleInstance and RejectReason
     # wrapped match_rule's result, ParamSet wrapped the parameter tuple;
-    # substitute and ClashError gave way to the closure's instantiation walk
+    # substitute and ClashError gave way to the closure's instantiation walk;
+    # free_vars and formula_length wrapped the free and length attributes
     namespace = _star_import()
     modules = [qpl, qpl.engine, qpl.calculus, qpl.syntax]
     for name in ("multi_entails", "RuleInstance", "RejectReason", "ParamSet",
-                 "substitute", "ClashError"):
+                 "substitute", "ClashError", "free_vars", "formula_length"):
         assert name not in namespace
         for module in modules:
             assert not hasattr(module, name), (module.__name__, name)
+    # the parser raises its arity errors itself; a Report lists failures only
+    assert not hasattr(qpl.syntax.SymbolTable, "observe")
+    assert "node_results" not in qpl.calculus.Report.__dataclass_fields__

@@ -358,6 +358,9 @@ def test_exponent_cap_kwarg():
     with pytest.raises(TooLarge):
         semantic_yields_bruteforce([disj(p, q)], p, exponent_cap=2)
     assert semantic_yields_bruteforce([disj(p, q)], p, exponent_cap=3) is False
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="^oracle cap must be positive$"):
+            semantic_yields_bruteforce([disj(p, q)], p, exponent_cap=cap)
 
 
 # -------------------------------------------------- random dual routing

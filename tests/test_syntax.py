@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden import _sessions as golden_sessions
 
 from qpl import syntax as sy
 from qpl.calculus import CalculusVariant as V
@@ -31,8 +33,6 @@ from qpl.syntax import (
     disj,
     exists,
     forall,
-    formula_length,
-    free_vars,
     imp,
     parameters_star,
     parse_formula,
@@ -86,16 +86,16 @@ def test_parse_vectors(text, expected):
 def test_parse_declared_vars():
     f = parse_formula("R(x)", declared_vars={"x"})
     assert f is atom("R", x)
-    assert free_vars(f) == {"x"}
+    assert f.free == {"x"}
     g = parse_formula("R(x)")
     assert g is atom("R", const("x"))
-    assert free_vars(g) == frozenset()
+    assert g.free == frozenset()
 
 
 def test_parse_bound_shadows_declared():
     f = parse_formula("forall x. R(x)", declared_vars={"x"})
     assert f is forall("x", atom("R", x))
-    assert free_vars(f) == frozenset()
+    assert f.free == frozenset()
 
 
 @pytest.mark.parametrize(
@@ -261,7 +261,7 @@ def _round_trip_corpus():
 def test_parse_render_round_trip_on_generated_formulas():
     n = 0
     for f in _round_trip_corpus():
-        assert parse_formula(render(f), free_vars(f)) is f
+        assert parse_formula(render(f), f.free) is f
         n += 1
     assert n > 1000
 
@@ -297,7 +297,7 @@ forall x. R(x, y)
         imp(conj(p, q), r),
         forall("x", atom("R", x, y)),
     ]
-    assert free_vars(prob.formulas[2]) == {"y"}
+    assert prob.formulas[2].free == {"y"}
 
 
 def test_problem_file_arity_error_mentions_line():
@@ -351,7 +351,7 @@ def _formula_strategy():
 
 @given(_formula_strategy())
 def test_render_parse_round_trip(f):
-    assert parse_formula(render(f), declared_vars=free_vars(f)) is f
+    assert parse_formula(render(f), declared_vars=f.free) is f
 
 
 # ------------------------------------------------------------ instantiation
@@ -438,13 +438,13 @@ def test_substitute_clash_and_free_var_law(f, name, t):
         return
     if t.kind == sy.VAR:
         assert not _clash_expected(f, name, t.name)
-    if name not in free_vars(f):
+    if name not in f.free:
         assert out is f
     else:
-        expected = (free_vars(f) - {name}) | (
+        expected = (f.free - {name}) | (
             {t.name} if t.kind == sy.VAR else set()
         )
-        assert free_vars(out) == expected
+        assert out.free == expected
 
 
 @given(_formula_strategy(), st.sampled_from(["x", "w", "y", "z"]))
@@ -459,9 +459,9 @@ def test_instances_match_the_recursive_reference(f, name):
 # ------------------------------------------------- free vars, params, depth
 
 def test_free_vars_vectors():
-    assert free_vars(forall("x", atom("R", x, y))) == {"y"}
-    assert free_vars(p) == frozenset()
-    assert free_vars(conj(atom("R", x), exists("x", atom("R", x)))) == {"x"}
+    assert forall("x", atom("R", x, y)).free == {"y"}
+    assert p.free == frozenset()
+    assert conj(atom("R", x), exists("x", atom("R", x))).free == {"x"}
 
 
 def test_free_sets_are_shared():
@@ -539,6 +539,60 @@ def test_parameters_star_deep_nesting():
     assert parameters_star([conj(f, atom("R", x0, c))]) == (x0, c)
 
 
+def _tree_params(formulas):
+    """The parameter walk as it was before it skipped repeated subformulas:
+    a reference that reads every formula as a tree."""
+    seen: set = set()
+    out: list = []
+    bound = sy._EMPTY
+    stack: list = []
+    for f in formulas:
+        while True:
+            cls = f.__class__
+            if cls is sy.Atom:
+                for t in f.args:
+                    if (t.kind == sy.CONST or t.name not in bound) and t not in seen:
+                        seen.add(t)
+                        out.append(t)
+            elif cls is sy.Imp or cls is sy.And or cls is sy.Or:
+                stack.append(f.r)
+                f = f.l
+                continue
+            elif cls is sy.Forall or cls is sy.Exists:
+                stack.append(bound)
+                bound = bound | {f.var}
+                f = f.body
+                continue
+            elif cls is frozenset:
+                bound = f
+            if not stack:
+                break
+            f = stack.pop()
+    return out
+
+
+def _shared_under_binders(depth):
+    """A DAG whose shared parts sit under several binder sets: each level
+    implies the one below from a quantification of it over one name."""
+    g = conj(atom("S", x, y), atom("R", w))
+    for k, name in zip(range(depth), itertools.cycle("xyw")):
+        ctor = forall if k % 2 else exists
+        g = imp(ctor(name, g), conj(g, atom("T", const(f"c{k}"))))
+    return g
+
+
+def test_params_walk_matches_the_tree_walk():
+    inputs = [[*hyps, *queries] for _, hyps, queries, _ in golden_sessions()]
+    rng = random.Random(2024)
+    for k in range(2000):
+        hyps, queries = random_instance(rng, None, 2, V(k % 5))
+        inputs.append([*hyps, *queries])
+    inputs += [[_shared_under_binders(n)] for n in range(1, 13)]
+    inputs.append([_shared_under_binders(6), atom("R", w), _deep_quantifiers()[1]])
+    for fs in inputs:
+        assert sy._collect_params(fs) == _tree_params(fs)
+
+
 def test_quantifier_depth_vectors():
     assert forall("x", exists("y", atom("S", x, y))).qdepth == 2
     assert imp(conj(p, q), r).qdepth == 0
@@ -563,7 +617,7 @@ def test_quantifier_depth_vectors():
     ],
 )
 def test_formula_length_vectors(f, n):
-    assert formula_length(f) == n
+    assert f.length == n
 
 
 # ------------------------------------------------------------------ closure
@@ -637,7 +691,7 @@ def _family(r):
 def test_closure_family_growth(r, size, total_len):
     f = _family(r)
     ct = closure([f])
-    n = formula_length(f)
+    n = f.length
     assert n == 2 * (2 * r) + 2 + r
     assert ct.stats.size == size
     assert ct.stats.closure_length == total_len
