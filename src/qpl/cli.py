@@ -49,6 +49,7 @@ from .semantics import (
 )
 from .syntax import (
     DEFAULT_CLOSURE_CAP,
+    VAR,
     ResourceLimit,
     SymbolTable,
     bot,
@@ -102,17 +103,9 @@ def _dump(doc, pad="\n") -> str:
     return json.dumps(doc, indent=2, sort_keys=True).replace("\n", pad)
 
 
-def _print_json(doc) -> None:
-    print(_dump(doc))
-
-
 def _write_json(path: str, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_dump(doc) + "\n")
-
-
-def _variant(args) -> CalculusVariant:
-    return CalculusVariant.from_name(args.variant)
 
 
 def _resolve_seed(args):
@@ -124,21 +117,18 @@ def _resolve_seed(args):
     return random.SystemRandom().randrange(2**32)
 
 
-def _proof_doc(variant: CalculusVariant, hyps, verdicts, texts: dict) -> dict:
-    """The proofs of the entailed verdicts. vars declares the free variables
-    of the hyps and of every query, refused ones too: the closure
-    instantiates over all of them, so any may occur in a label. texts is
-    the document's rendered formulas (render_cached), shared by the hyps,
-    the queries and every label."""
-    names: set[str] = set()
-    for f in hyps:
-        names |= f.free
-    for v in verdicts:
-        names |= v.query.free
+def _proof_doc(session: Session, verdicts, texts: dict) -> dict:
+    """The proofs of the entailed verdicts. vars declares the variable
+    parameters of the session's closure, which are the free variables of
+    the hyps and of every query, refused ones too: the closure instantiates
+    over all of them, so any may occur in a label. texts is the document's
+    rendered formulas (render_cached), shared by the hyps, the queries and
+    every label."""
+    params = session.closure_table.params
     return {
-        "variant": variant.cli_name,
-        "vars": sorted(names),
-        "hyps": [render_cached(texts, h) for h in hyps],
+        "variant": session.variant.cli_name,
+        "vars": sorted(t.name for t in params if t.kind == VAR),
+        "hyps": [render_cached(texts, h) for h in session.hyps],
         "proofs": [
             {
                 "query": render_cached(texts, v.query),
@@ -153,7 +143,7 @@ def _proof_doc(variant: CalculusVariant, hyps, verdicts, texts: dict) -> dict:
 # ---------------------------------------------------------------- check
 
 def cmd_check(args) -> int:
-    variant = _variant(args)
+    variant = CalculusVariant.from_name(args.variant)
     prob = parse_problem(_read_text(args.hyps))
     queries = [
         parse_formula(q, prob.declared_vars, symbols=prob.symbols)
@@ -166,35 +156,31 @@ def cmd_check(args) -> int:
         )
     if not queries:
         raise ValueError("no queries given")
-    hyps = prob.formulas
-    session = Session(hyps, queries, variant, closure_cap=args.closure_cap)
+    session = Session(prob.formulas, queries, variant, closure_cap=args.closure_cap)
     verdicts = session.verdicts(with_proof=args.proof is not None)
     texts: dict = {}  # shared with the proof document
     if args.json:
-        _print_json(
-            {
-                "variant": variant.cli_name,
-                "hyps": [render_cached(texts, h) for h in hyps],
-                "results": [
-                    {
-                        "query": render_cached(texts, v.query),
-                        "entailed": v.entailed,
-                        "stats": dict(v.stats),
-                    }
-                    for v in verdicts
-                ],
-            }
-        )
+        print(_dump({
+            "variant": session.variant.cli_name,
+            "hyps": [render_cached(texts, h) for h in session.hyps],
+            "results": [
+                {
+                    "query": render_cached(texts, v.query),
+                    "entailed": v.entailed,
+                    "stats": v.stats,
+                }
+                for v in verdicts
+            ],
+        }))
     else:
         for v in verdicts:
             tag = "entailed" if v.entailed else "not entailed"
             print(f"{tag}: {render(v.query)}")
     if args.proof is not None:
-        _write_json(args.proof, _proof_doc(variant, hyps, verdicts, texts))
+        _write_json(args.proof, _proof_doc(session, verdicts, texts))
     if args.countermodel is not None:
         entries = []
-        # Refused queries of one session share one model; render it once.
-        rendered, model = None, None
+        model = None  # every refused query of a session shares one model
         for v in verdicts:
             if v.entailed:
                 continue
@@ -209,8 +195,8 @@ def cmd_check(args) -> int:
                     }
                 )
             else:
-                if mo is not rendered:
-                    rendered, model = mo, countermodel_json(*mo)
+                if model is None:
+                    model = countermodel_json(*mo)
                 entries.append(
                     {"query": render(v.query), "model": model, "note": None}
                 )
@@ -246,18 +232,18 @@ def _print_tree(d) -> None:
 
 
 def cmd_prove(args) -> int:
-    variant = _variant(args)
+    variant = CalculusVariant.from_name(args.variant)
     prob = parse_problem(_read_text(args.hyps))
     q = parse_formula(args.query, prob.declared_vars, symbols=prob.symbols)
     v = entails(prob.formulas, q, variant, closure_cap=args.closure_cap)
     if not v.entailed:
         print(f"not entailed: {render(q)}", file=sys.stderr)
         return 1
-    doc = _proof_doc(variant, prob.formulas, [v], {})
+    doc = _proof_doc(v.session, [v], {})
     if args.proof is not None:
         _write_json(args.proof, doc)
     if args.json:
-        _print_json(doc)
+        print(_dump(doc))
     else:
         print(f"entailed: {render(q)}")
         if args.expand_tree:
@@ -335,7 +321,7 @@ def cmd_closure(args) -> int:
         "within_bound": len(ct.universe) <= bound,
     }
     if args.json:
-        _print_json({"universe": [render(f) for f in ct.universe], "stats": stats})
+        print(_dump({"universe": [render(f) for f in ct.universe], "stats": stats}))
     else:
         for f in ct.universe:
             print(render(f))
@@ -354,13 +340,11 @@ def cmd_oracle(args) -> int:
         prob.formulas, q, exponent_cap=args.oracle_cap
     )
     if args.json:
-        _print_json(
-            {
-                "query": render(q),
-                "yields": yields,
-                "exponent_cap": args.oracle_cap,
-            }
-        )
+        print(_dump({
+            "query": render(q),
+            "yields": yields,
+            "exponent_cap": args.oracle_cap,
+        }))
     else:
         print(f"yields: {'true' if yields else 'false'}")
     return 0
@@ -380,7 +364,7 @@ def cmd_algebra(args) -> int:
         "equal": s_geq_t and t_geq_s,
     }
     if args.json:
-        _print_json(doc)
+        print(_dump(doc))
     else:
         print(f"s: {doc['s']}")
         print(f"t: {doc['t']}")
@@ -398,15 +382,13 @@ def cmd_gen_horn(args) -> int:
     forms = [c.to_formula() for c in clauses]
     verdict = classical_horn_bottom(clauses, parameters_star([*forms, bot()]))
     if args.json:
-        _print_json(
-            {
-                "seed": seed,
-                "vars": ["y"],
-                "clauses": [render(f) for f in forms],
-                "query": "false",
-                "classical_bottom": verdict,
-            }
-        )
+        print(_dump({
+            "seed": seed,
+            "vars": ["y"],
+            "clauses": [render(f) for f in forms],
+            "query": "false",
+            "classical_bottom": verdict,
+        }))
     else:
         print(f"# seed: {seed}")
         print("# query: false")
@@ -421,16 +403,14 @@ def cmd_gen_machine(args) -> int:
     hyps, query = bounded_halting_instance(m, args.bound)
     res = simulate(m, args.bound)
     if args.json:
-        _print_json(
-            {
-                "machine": machine_to_text(m),
-                "bound": args.bound,
-                "hyps": [render(h) for h in hyps],
-                "query": render(query),
-                "halts": res.halts,
-                "steps": res.steps,
-            }
-        )
+        print(_dump({
+            "machine": machine_to_text(m),
+            "bound": args.bound,
+            "hyps": [render(h) for h in hyps],
+            "query": render(query),
+            "halts": res.halts,
+            "steps": res.steps,
+        }))
     else:
         print(f"# bound: {args.bound}")
         print(f"# query: {render(query)}")
@@ -441,19 +421,17 @@ def cmd_gen_machine(args) -> int:
 
 def cmd_gen_random(args) -> int:
     seed = _resolve_seed(args)
-    variant = _variant(args)
+    variant = CalculusVariant.from_name(args.variant)
     hyps, queries = random_instance(
         random.Random(seed), args.hyps, args.queries, variant
     )
     if args.json:
-        _print_json(
-            {
-                "seed": seed,
-                "variant": variant.cli_name,
-                "hyps": [render(h) for h in hyps],
-                "queries": [render(q) for q in queries],
-            }
-        )
+        print(_dump({
+            "seed": seed,
+            "variant": variant.cli_name,
+            "hyps": [render(h) for h in hyps],
+            "queries": [render(q) for q in queries],
+        }))
     else:
         print(f"# seed: {seed}")
         for q in queries:
@@ -466,7 +444,7 @@ def cmd_gen_random(args) -> int:
 # ---------------------------------------------------------------- bench
 
 def cmd_bench_chain(args) -> int:
-    variant = _variant(args)
+    variant = CalculusVariant.from_name(args.variant)
     hyps, query = chain_family(args.n)
     symbols = sum(f.length for f in hyps) + query.length
     t0 = time.perf_counter()
@@ -481,7 +459,7 @@ def cmd_bench_chain(args) -> int:
         "seconds": round(dt, 6),
     }
     if args.json:
-        _print_json(doc)
+        print(_dump(doc))
     else:
         for k, val in doc.items():
             print(f"{k}: {val}")

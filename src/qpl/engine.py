@@ -124,20 +124,14 @@ class SaturationState:
     derived_count: int
 
 
-def saturate(
-    hyps,
-    ct: ClosureTable,
-    variant: CalculusVariant,
-    compiled: CompiledRules | None = None,
-) -> SaturationState:
-    """Derive the fixpoint of hyps in the closure under the variant's rules.
+def saturate(hyps, ct: ClosureTable, compiled: CompiledRules) -> SaturationState:
+    """Derive the fixpoint of hyps in the closure under the compiled rules
+    (compile_rules over the same closure table).
 
     Each provenance record is a (kind, rule, premise ids) triple. Deriving
     the falsity constant (in variants that have its elimination rule)
     floods the rest of the universe by BotE from it.
     """
-    if compiled is None:
-        compiled = compile_rules(ct, variant)
     idx = ct.index
     n = len(ct.universe)
     derived = bytearray(n)
@@ -196,14 +190,15 @@ def saturate(
 
 @dataclass(frozen=True)
 class Verdict:
+    """One query's answer. stats is the session's own dict, not a copy;
+    the fixpoint and the variant are read from session."""
+
     entailed: bool
     proof: Derivation | None
     stats: dict
     closure_table: ClosureTable
-    state: SaturationState
     hyps: tuple[Formula, ...]
     query: Formula
-    variant: CalculusVariant
     session: Session = field(repr=False, compare=False)
 
 
@@ -239,7 +234,7 @@ class Session:
         self.variant = variant
         ct = closure([*self.hyps, *self.queries], cap=closure_cap)
         compiled = compile_rules(ct, variant)
-        state = saturate(self.hyps, ct, variant, compiled)
+        state = saturate(self.hyps, ct, compiled)
         self.closure_table = ct
         self.state = state
         self.qpl_fixpoint: SaturationState | None = (
@@ -261,8 +256,7 @@ class Session:
         for q in self.queries:
             ok = state.derived[ct.index[q]] == 1
             proof = extract_proof(state, ct, q) if ok and with_proof else None
-            out.append(Verdict(ok, proof, dict(self.stats), ct, state,
-                               self.hyps, q, self.variant, self))
+            out.append(Verdict(ok, proof, self.stats, ct, self.hyps, q, self))
         return out
 
 

@@ -13,7 +13,12 @@ from random import Random
 from typing import Optional, Union
 
 from .calculus import CalculusVariant
-from .semantics import DEFAULT_ORACLE_CAP, ground_atoms, override_domain
+from .semantics import (
+    DEFAULT_ORACLE_CAP,
+    _exponent,
+    override_domain,
+    relation_arities,
+)
 from .syntax import (
     VAR,
     Atom,
@@ -409,7 +414,7 @@ def random_instance(
         dom = override_domain(ct)
         if len(dom) > _OVERRIDE_LIMIT:
             continue
-        if len(ground_atoms(ct)) + len(dom) > DEFAULT_ORACLE_CAP:
+        if _exponent(ct, relation_arities(ct), dom) > DEFAULT_ORACLE_CAP:
             continue
         return hyps, queries
 

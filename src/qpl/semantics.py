@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 
 from .calculus import CalculusVariant
-from .engine import SaturationState, Verdict, saturate
+from .engine import SaturationState, Verdict, compile_rules, saturate
 from .syntax import (
     And,
     Atom,
@@ -58,10 +58,10 @@ class CountermodelError(RuntimeError):
 @dataclass(frozen=True)
 class StandardModel:
     universe: tuple[Term, ...]
-    relations: dict  # (relation name, argument tuple) -> bool, full tables
+    relations: dict  # ground atom -> bool, full tables
 
     def holds(self, f: Atom) -> bool:
-        return self.relations.get((f.rel, f.args), False)
+        return self.relations.get(f, False)
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,22 @@ def relation_arities(ct: ClosureTable) -> dict:
 def ground_atoms(ct: ClosureTable) -> list[Formula]:
     """Every atom over the parameter set, grouped by relation in
     first-occurrence order, argument tuples in parameter-index order."""
-    params = ct.params
-    out: list[Formula] = []
-    for rel, ar in relation_arities(ct).items():
-        for combo in itertools.product(params, repeat=ar):
-            out.append(atom(rel, *combo))
-    return out
+    return _ground_atoms(ct.params, relation_arities(ct))
+
+
+def _ground_atoms(params, arities: dict) -> list[Formula]:
+    return [
+        atom(rel, *args)
+        for rel, ar in arities.items()
+        for args in itertools.product(params, repeat=ar)
+    ]
+
+
+def _exponent(ct: ClosureTable, arities: dict, dom: list) -> int:
+    """The oracle's exponent, one bit per ground atom and per override
+    domain member, counted without building the atoms."""
+    n = len(ct.params)
+    return sum(n**ar for ar in arities.values()) + len(dom)
 
 
 def override_domain(ct: ClosureTable) -> list[Formula]:
@@ -196,11 +206,12 @@ def semantic_yields_bruteforce(
         raise ValueError("oracle cap must be positive")
     hyp_list = list(hyps)
     ct = closure([*hyp_list, query])
-    slots = ground_atoms(ct)
+    arities = relation_arities(ct)
     dom = override_domain(ct)
-    k = len(slots) + len(dom)
+    k = _exponent(ct, arities, dom)
     if k > exponent_cap:
         raise TooLarge(f"enumeration exponent {k} exceeds cap {exponent_cap}")
+    slots = _ground_atoms(ct.params, arities)
     total = 1 << k  # combinations; masks below carry one bit per combination
     full = (1 << total) - 1
     masks: list[int] = []
@@ -238,17 +249,13 @@ def countermodel(
         hid = ct.index.get(h)
         if hid is None or not state.derived[hid]:
             raise ValueError("hypothesis not derived in this state")
+    derived, index, memo = state.derived, ct.index, {}
     relations = {}
     for a in ground_atoms(ct):
-        fid = ct.index.get(a)
-        relations[(a.rel, a.args)] = bool(
-            fid is not None and state.derived[fid]
-        )
+        fid = index.get(a)
+        relations[a] = fid is not None and derived[fid] == 1
     model = StandardModel(ct.params, relations)
-    override = OverrideFn(
-        {f: bool(state.derived[ct.index[f]]) for f in override_domain(ct)}
-    )
-    derived, index, memo = state.derived, ct.index, {}
+    override = OverrideFn({f: derived[index[f]] == 1 for f in override_domain(ct)})
 
     def bits(f):
         return derived[index[f]]
@@ -280,13 +287,13 @@ def verdict_countermodel(
     ct = session.closure_table
     state = session.qpl_fixpoint
     if state is None:
-        state = saturate(session.hyps, ct, CalculusVariant.QPL)
+        state = saturate(session.hyps, ct, compile_rules(ct, CalculusVariant.QPL))
         session.qpl_fixpoint = state
     if state.derived[ct.index[verdict.query]]:
         return None
     if session.qpl_countermodel is None:
         session.qpl_countermodel = countermodel(
-            verdict.hyps, verdict.query, state, ct
+            session.hyps, verdict.query, state, ct
         )
     return session.qpl_countermodel
 
@@ -294,10 +301,6 @@ def verdict_countermodel(
 def countermodel_json(model: StandardModel, override: OverrideFn) -> dict:
     return {
         "universe": [t.name for t in model.universe],
-        "atoms_true": [
-            render(atom(rel, *args))
-            for (rel, args), v in model.relations.items()
-            if v
-        ],
+        "atoms_true": [render(a) for a, v in model.relations.items() if v],
         "override": {render(f): bool(v) for f, v in override.assignment.items()},
     }

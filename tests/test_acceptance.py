@@ -333,7 +333,7 @@ def _proof_doc(v):
         names |= f.free
     names |= v.query.free
     return {
-        "variant": v.variant.cli_name,
+        "variant": v.session.variant.cli_name,
         "vars": sorted(names),
         "hyps": [render(h) for h in v.hyps],
         "proofs": [
@@ -406,7 +406,7 @@ def test_criterion_8_proof_round_trip(tmp_path):
         for _ in range(100):
             v = rows[rng.randrange(len(rows))]
             (mut,) = _mutants(v.proof, hypsets[id(v)], rng, 1)
-            rep = check_derivation(mut, v.variant, v.hyps, v.query)
+            rep = check_derivation(mut, v.session.variant, v.hyps, v.query)
             assert not rep.ok, name
             rejected += 1
 
@@ -423,7 +423,7 @@ def test_criterion_8_proof_round_trip(tmp_path):
         if n < 800_000:
             assert _cli_verifies(v, path)
         else:
-            rep = check_derivation(v.proof, v.variant, v.hyps, v.query)
+            rep = check_derivation(v.proof, v.session.variant, v.hyps, v.query)
             assert rep.ok
         verified += 1
         if small_chain is None:
@@ -434,7 +434,7 @@ def test_criterion_8_proof_round_trip(tmp_path):
     for _ in range(100):
         (mut,) = _mutants(small_chain.proof, chain_hyps, rng, 1)
         rep = check_derivation(
-            mut, small_chain.variant, small_chain.hyps, small_chain.query
+            mut, small_chain.session.variant, small_chain.hyps, small_chain.query
         )
         assert not rep.ok
         rejected += 1

@@ -193,6 +193,37 @@ def test_match_exists_intro_witnesses():
     _accepted(match_rule(V.QPL, "ExistsI", [p], exists("x", p)))
 
 
+# Relation, arity and binder name are each compared on their own: without
+# any one of those comparisons, the instance below would be accepted.
+@pytest.mark.parametrize(
+    "name,premise,conclusion",
+    [
+        ("ForallE", forall("x", atom("R", x)), atom("S", c)),
+        ("ForallE", forall("x", atom("R", x)), atom("R", c, d)),
+        (
+            "ForallE",
+            forall("x", forall("y", atom("R", x, y))),
+            forall("z", atom("R", c, y)),
+        ),
+        ("ExistsI", atom("S", c), exists("x", atom("R", x))),
+        ("ExistsI", atom("R", c, d), exists("x", atom("R", x))),
+        (
+            "ExistsI",
+            forall("z", atom("R", c, y)),
+            exists("x", forall("y", atom("R", x, y))),
+        ),
+    ],
+    ids=[
+        "forall-relation", "forall-arity", "forall-binder",
+        "exists-relation", "exists-arity", "exists-binder",
+    ],
+)
+def test_match_instance_compares_relation_arity_and_binder(
+    name, premise, conclusion
+):
+    _rejected(match_rule(V.QPL, name, [premise], conclusion), ca.SHAPE)
+
+
 # --------------------------------------------------------- check_derivation
 
 def _node(nid, label, kind, rule=None, parents=()):

@@ -306,6 +306,18 @@ def test_prove_human_tree(tmp_path, capsys):
     assert "AndI" in out and "hypothesis" in out
 
 
+def test_prove_tree_prints_a_shared_subproof_once(tmp_path, capsys):
+    hyps = write(tmp_path, "h.qpl", "p & q\n")
+    assert cli.main(["prove", hyps, "p & p", "--expand-tree"]) == 0
+    assert capsys.readouterr().out == (
+        "entailed: p & p\n"
+        "[2] p & p  (AndI)\n"
+        "  [1] p  (AndE_L)\n"
+        "    [0] p & q  (hypothesis)\n"
+        "  [1] p  (AndE_L, shown above)\n"
+    )
+
+
 # ---------------------------------------------------------- verify-proof
 
 def test_verify_proof_rejects_mutations(tmp_path, capsys):
@@ -416,6 +428,8 @@ _VERIFY_CASES = [
     ("proof-int", _doc_with(proofs=[1]), 2),
     ("proof-no-derivation", _doc_with(proofs=[{"query": "p"}]), 2),
     ("derivation-array", _doc_with(proofs=[{"query": "p", "derivation": []}]), 2),
+    ("node-not-object", _derivation_doc(0, [1]), 2),
+    ("rule-int", _derivation_doc(0, [{**_HYP_P, "rule": 5}]), 2),
     # JSON true/false are not node numbers, although Python's bool is an int
     ("root-bool", _derivation_doc(False, [_HYP_P]), 2),
     ("id-bool", _derivation_doc(0, [{**_HYP_P, "id": False}]), 2),
@@ -448,6 +462,14 @@ def test_verify_proof_exit_codes(tmp_path, capsys, text, code):
     err = capsys.readouterr().err
     if code == 2:
         assert err.startswith("error: ")
+
+
+def test_verify_proof_prints_structural_errors(tmp_path, capsys):
+    path = write(tmp_path, "doc.json", _derivation_doc(9, [_HYP_P]))
+    assert cli.main(["verify-proof", path]) == 1
+    assert capsys.readouterr().err == (
+        "proof 0: root 9 is not a node\n1 of 1 proofs failed\n"
+    )
 
 
 # ------------------------------------------------------------ deep input
@@ -533,6 +555,12 @@ def test_closure_human_output(tmp_path, capsys):
     assert cli.main(["closure", hyps]) == 0
     out = capsys.readouterr().out
     assert "p & q" in out and "universe" in out
+
+
+def test_closure_without_formulas_exits_2(tmp_path, capsys):
+    empty = write(tmp_path, "h.qpl", "# no formulas\n")
+    assert cli.main(["closure", empty]) == 2
+    assert capsys.readouterr().err == "error: no formulas in input\n"
 
 
 def test_closure_cap_exits_3(tmp_path, capsys):

@@ -114,7 +114,7 @@ def test_compile_bottom_trigger_and_seeds():
 
 def test_saturate_modus_ponens():
     ct = closure([p, imp(p, q)])
-    state = saturate([p, imp(p, q)], ct, V.ORIGINAL)
+    state = saturate([p, imp(p, q)], ct, compile_rules(ct, V.ORIGINAL))
     assert all(state.derived)
     qid = ct.index[q]
     assert state.provenance[qid] == ("rule", "ImpE", (ct.index[p], ct.index[imp(p, q)]))
@@ -123,16 +123,16 @@ def test_saturate_modus_ponens():
 def test_saturate_axiom_seeding():
     hyp = imp(imp(q, q), r)
     ct = closure([hyp, r])
-    state = saturate([hyp], ct, V.PFQPL)
+    state = saturate([hyp], ct, compile_rules(ct, V.PFQPL))
     assert state.derived[ct.index[r]]
-    state = saturate([hyp], ct, V.L2)
+    state = saturate([hyp], ct, compile_rules(ct, V.L2))
     assert not state.derived[ct.index[r]]
 
 
 def test_saturate_existential_is_inert():
     f = exists("x", atom("R", x))
     ct = closure([f, atom("R", c)])
-    state = saturate([f], ct, V.QPL)
+    state = saturate([f], ct, compile_rules(ct, V.QPL))
     assert state.derived[ct.index[f]]
     assert not state.derived[ct.index[atom("R", c)]]
     assert state.derived_count == 1
@@ -140,7 +140,7 @@ def test_saturate_existential_is_inert():
 
 def test_saturate_bottom_floods_at_fixpoint():
     ct = closure([imp(p, bot()), p, q])
-    state = saturate([imp(p, bot()), p], ct, V.L2)
+    state = saturate([imp(p, bot()), p], ct, compile_rules(ct, V.L2))
     assert state.bot_flag
     assert all(state.derived)
     assert state.provenance[ct.index[q]] == ("rule", "BotE", (ct.index[bot()],))
@@ -148,7 +148,7 @@ def test_saturate_bottom_floods_at_fixpoint():
 
 def test_saturate_bottom_inactive_below_l2():
     ct = closure([bot(), q])
-    state = saturate([bot()], ct, V.L1)
+    state = saturate([bot()], ct, compile_rules(ct, V.L1))
     assert state.derived[ct.index[bot()]]
     assert not state.derived[ct.index[q]]
     assert not state.bot_flag
@@ -157,7 +157,7 @@ def test_saturate_bottom_inactive_below_l2():
 def test_saturate_rejects_foreign_formulas():
     ct = closure([p])
     with pytest.raises(ValueError):
-        saturate([q], ct, V.QPL)
+        saturate([q], ct, compile_rules(ct, V.QPL))
 
 
 # --------------------------------------------------------------- entailment
@@ -274,7 +274,7 @@ def test_extract_is_postorder_and_within_closure():
 
 def test_extract_requires_derived_target():
     ct = closure([p, q])
-    state = saturate([p], ct, V.QPL)
+    state = saturate([p], ct, compile_rules(ct, V.QPL))
     with pytest.raises(ValueError):
         extract_proof(state, ct, q)
 
@@ -361,7 +361,7 @@ def test_entails_matches_fixpoint_membership():
         query = _random_formula(rng, 2, variant)
         v = entails(hyps, query, variant)
         ct = closure([*hyps, query])
-        full = saturate(list(dict.fromkeys(hyps)), ct, variant)
+        full = saturate(list(dict.fromkeys(hyps)), ct, compile_rules(ct, variant))
         assert v.entailed == bool(full.derived[ct.index[query]])
 
 

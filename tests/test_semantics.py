@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from qpl import syntax
 from qpl.calculus import CalculusVariant as V
 from qpl.engine import SaturationState, entails
 from qpl.semantics import (
@@ -66,7 +67,7 @@ def model_from_true(ct, true_formulas):
     rel = {}
     true_set = set(true_formulas)
     for a in ground_atoms(ct):
-        rel[(a.rel, a.args)] = a in true_set
+        rel[a] = a in true_set
     return StandardModel(ct.params, rel)
 
 
@@ -74,7 +75,7 @@ def enumerate_semantics(ct):
     slots = ground_atoms(ct)
     dom = override_domain(ct)
     for bits in itertools.product([False, True], repeat=len(slots)):
-        rel = {(a.rel, a.args): b for a, b in zip(slots, bits)}
+        rel = dict(zip(slots, bits))
         m = StandardModel(ct.params, rel)
         for obits in itertools.product([False, True], repeat=len(dom)):
             yield m, OverrideFn(dict(zip(dom, obits)))
@@ -354,6 +355,15 @@ def test_too_large_binary_relation():
         semantic_yields_bruteforce(hyps, query)
 
 
+def test_too_large_is_refused_before_the_atoms_are_built():
+    # 10^5 ground atoms over 10 parameters; counting them builds none
+    cs = [const(f"c{i}") for i in range(10)]
+    before = len(syntax._FORMULAS)
+    with pytest.raises(TooLarge, match="exponent 100000 exceeds cap 24"):
+        semantic_yields_bruteforce([atom("R", *cs[:5])], atom("R", *cs[5:]))
+    assert len(syntax._FORMULAS) - before < 1000
+
+
 def test_exponent_cap_kwarg():
     with pytest.raises(TooLarge):
         semantic_yields_bruteforce([disj(p, q)], p, exponent_cap=2)
@@ -452,7 +462,7 @@ def test_countermodel_transitivity_exact():
     hyps = [imp(A, B), imp(B, C)]
     v = entails(hyps, imp(A, C), V.QPL)
     assert not v.entailed
-    m, o = countermodel(hyps, imp(A, C), v.state, v.closure_table)
+    m, o = countermodel(hyps, imp(A, C), v.session.state, v.closure_table)
     assert m.universe == (const("_0"),)
     assert all(val is False for val in m.relations.values())
     assert o.assignment == {imp(A, B): True, imp(B, C): True, imp(A, C): False}
@@ -460,7 +470,7 @@ def test_countermodel_transitivity_exact():
 
 def test_countermodel_atomic():
     v = entails([p], q, V.QPL)
-    m, o = countermodel([p], q, v.state, v.closure_table)
+    m, o = countermodel([p], q, v.session.state, v.closure_table)
     assert m.holds(p)
     assert not m.holds(q)
     assert o.assignment == {}
@@ -470,7 +480,7 @@ def test_countermodel_existential():
     ex = exists("x", atom("R", var("x")))
     v = entails([ex], Rc(), V.QPL)
     assert not v.entailed
-    m, o = countermodel([ex], Rc(), v.state, v.closure_table)
+    m, o = countermodel([ex], Rc(), v.session.state, v.closure_table)
     assert not m.holds(Rc())
     assert o.assignment == {ex: True}
 
@@ -479,7 +489,7 @@ def test_countermodel_guarded_bottom():
     h = disj(imp(top(), bot()), bot())
     v = entails([h], bot(), V.QPL)
     assert not v.entailed
-    m, o = countermodel([h], bot(), v.state, v.closure_table)
+    m, o = countermodel([h], bot(), v.session.state, v.closure_table)
     assert o.assignment == {h: True, imp(top(), bot()): False}
     assert not any(m.relations.values())
 
@@ -493,7 +503,7 @@ def test_unguarded_bottom_is_entailed():
 def test_countermodel_free_variable_is_a_parameter():
     ry = atom("R", var("y"))
     v = entails([ry], Rc(), V.QPL)
-    m, o = countermodel([ry], Rc(), v.state, v.closure_table)
+    m, o = countermodel([ry], Rc(), v.session.state, v.closure_table)
     assert m.universe == (var("y"), const("c"))
     assert m.holds(ry)
     assert not m.holds(Rc())
@@ -503,13 +513,13 @@ def test_countermodel_full_relation_table():
     h = atom("K", const("c"), const("d"))
     g = atom("K", const("d"), const("c"))
     v = entails([h], g, V.QPL)
-    m, _ = countermodel([h], g, v.state, v.closure_table)
+    m, _ = countermodel([h], g, v.session.state, v.closure_table)
     c, d = const("c"), const("d")
     assert set(m.relations) == {
-        ("K", (c, c)),
-        ("K", (c, d)),
-        ("K", (d, c)),
-        ("K", (d, d)),
+        atom("K", c, c),
+        atom("K", c, d),
+        atom("K", d, c),
+        atom("K", d, d),
     }
     assert m.holds(h) and not m.holds(g)
 
@@ -517,13 +527,13 @@ def test_countermodel_full_relation_table():
 def test_countermodel_rejects_derived_query():
     v = entails([p], p, V.QPL)
     with pytest.raises(ValueError):
-        countermodel([p], p, v.state, v.closure_table)
+        countermodel([p], p, v.session.state, v.closure_table)
 
 
 def test_countermodel_rejects_foreign_hypothesis():
     v = entails([p], q, V.QPL)
     with pytest.raises(ValueError):
-        countermodel([r], q, v.state, v.closure_table)
+        countermodel([r], q, v.session.state, v.closure_table)
 
 
 def test_countermodel_detects_inconsistent_state():
@@ -570,7 +580,7 @@ def test_countermodel_random_sweep():
         v = entails(hyps, query, V.QPL)
         if v.entailed:
             continue
-        m, o = countermodel(hyps, query, v.state, v.closure_table)
+        m, o = countermodel(hyps, query, v.session.state, v.closure_table)
         ct = v.closure_table
         assert all(satisfies(m, o, h, ct) for h in hyps)
         assert not satisfies(m, o, query, ct)
@@ -582,7 +592,7 @@ def test_countermodel_random_sweep():
 def test_countermodel_json_transitivity():
     hyps = [imp(A, B), imp(B, C)]
     v = entails(hyps, imp(A, C), V.QPL)
-    m, o = countermodel(hyps, imp(A, C), v.state, v.closure_table)
+    m, o = countermodel(hyps, imp(A, C), v.session.state, v.closure_table)
     doc = countermodel_json(m, o)
     assert doc == {
         "universe": ["_0"],
@@ -596,7 +606,7 @@ def test_countermodel_json_atoms_and_quantifier():
     ex = exists("x", atom("R", var("x")))
     hyps = [ex, atom("K", const("c"), const("d"))]
     v = entails(hyps, Rc(), V.QPL)
-    m, o = countermodel(hyps, Rc(), v.state, v.closure_table)
+    m, o = countermodel(hyps, Rc(), v.session.state, v.closure_table)
     doc = countermodel_json(m, o)
     assert doc["universe"] == ["c", "d"]
     assert doc["atoms_true"] == ["K(c, d)"]

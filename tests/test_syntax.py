@@ -182,6 +182,8 @@ _PARSE_ERROR_CASES = [
      "relation 'R' used with 2 argument(s) but earlier with 1 (column 7)", 7),
     ("Q(a, b) -> (Q(a) | p)", ArityError,
      "relation 'Q' used with 1 argument(s) but earlier with 2 (column 12)", 12),
+    ("R(c) & R", ArityError,
+     "relation 'R' used with 0 argument(s) but earlier with 1 (column 7)", 7),
 ]
 
 
