@@ -58,7 +58,7 @@ class CountermodelError(RuntimeError):
 @dataclass(frozen=True)
 class StandardModel:
     universe: tuple[Term, ...]
-    relations: dict  # ground atom -> bool, full tables
+    relations: dict  # ground atom -> bool; an atom not in it is false
 
     def holds(self, f: Atom) -> bool:
         return self.relations.get(f, False)
@@ -237,7 +237,11 @@ def countermodel(
     """Build the model whose atoms and override bits copy the derived
     set, then verify that its semantic values agree with that set on the
     whole universe. Disagreement raises CountermodelError and means the
-    saturation and the semantics have drifted apart."""
+    saturation and the semantics have drifted apart.
+
+    Only universe members can be derived, so the model's relations hold
+    the universe's atoms alone, in ground_atoms order (relation, then
+    parameter indices); every other ground atom is false."""
     qid = ct.index.get(query)
     if qid is None:
         raise ValueError("query outside the closure universe")
@@ -250,11 +254,13 @@ def countermodel(
         if hid is None or not state.derived[hid]:
             raise ValueError("hypothesis not derived in this state")
     derived, index, memo = state.derived, ct.index, {}
-    relations = {}
-    for a in ground_atoms(ct):
-        fid = index.get(a)
-        relations[a] = fid is not None and derived[fid] == 1
-    model = StandardModel(ct.params, relations)
+    rank = {rel: i for i, rel in enumerate(relation_arities(ct))}
+    pos = {t: i for i, t in enumerate(ct.params)}
+    atoms = sorted(
+        (f for f in ct.universe if f.__class__ is Atom),
+        key=lambda a: (rank[a.rel], [pos[t] for t in a.args]),
+    )
+    model = StandardModel(ct.params, {a: derived[index[a]] == 1 for a in atoms})
     override = OverrideFn({f: derived[index[f]] == 1 for f in override_domain(ct)})
 
     def bits(f):

@@ -1,6 +1,6 @@
 """Formula syntax: interned terms and formulas, parsing, printing,
-parameter extraction, and the instantiation closure, which instantiates
-each quantified body at every parameter in one walk.
+parameter extraction, and the instantiation closure, which builds each
+subformula's instances for one bound variable once per closure call.
 
 Formulas and terms are hash-interned. Building the same shape twice returns
 the same object, so equality is identity, membership tests are pointer
@@ -301,16 +301,18 @@ def _wrap(g: Formula) -> str:
 
 # --------------------------------------------------------- instantiation
 
-def _instances(body: Formula, v: str, params) -> list:
+def _instances(body: Formula, v: str, params, done: dict) -> list:
     """body[v := t] for each t in params, in order, or None where a binder
     in body would capture the variable t; there is no renaming.
 
     One explicit-stack post-order walk: each shared subformula is visited
-    once, and that visit builds its instances at every parameter.
+    once, and that visit builds its instances at every parameter. done
+    maps each subformula walked so far to its instance list; it is the
+    caller's table for v over these params, so a subformula met again in
+    a later call, under another enclosing instance, is not walked again.
     """
     n = len(params)
     x = var(v)
-    done: dict[Formula, list] = {}
     stack = [body]
     while stack:
         f = stack.pop()
@@ -433,6 +435,8 @@ def closure(s, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureTable:
     universe: list[Formula] = []
     index: dict[Formula, int] = {}
     subs: dict[Formula, tuple[Formula, ...]] = {}
+    # one instantiation table per bound variable name, for this call only
+    tables: dict[str, dict[Formula, list]] = {}
     queue: deque[Formula] = deque(inputs)
     while queue:
         f = queue.popleft()
@@ -452,7 +456,8 @@ def closure(s, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureTable:
         elif cls in (Forall, Exists):
             insts = (f.body,)
             if f.var in f.body.free:
-                found = dict.fromkeys(_instances(f.body, f.var, params))
+                done = tables.setdefault(f.var, {})
+                found = dict.fromkeys(_instances(f.body, f.var, params, done))
                 found.pop(None, None)
                 insts = tuple(found)
             subs[f] = insts

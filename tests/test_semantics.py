@@ -509,19 +509,50 @@ def test_countermodel_free_variable_is_a_parameter():
     assert not m.holds(Rc())
 
 
-def test_countermodel_full_relation_table():
+def test_countermodel_relations_hold_universe_atoms():
     h = atom("K", const("c"), const("d"))
     g = atom("K", const("d"), const("c"))
     v = entails([h], g, V.QPL)
     m, _ = countermodel([h], g, v.session.state, v.closure_table)
     c, d = const("c"), const("d")
-    assert set(m.relations) == {
-        atom("K", c, c),
-        atom("K", c, d),
-        atom("K", d, c),
-        atom("K", d, d),
-    }
+    assert m.relations == {h: True, g: False}
     assert m.holds(h) and not m.holds(g)
+    assert not m.holds(atom("K", c, c)) and not m.holds(atom("K", d, d))
+
+
+def test_countermodel_keeps_ground_atom_order():
+    # params are (d, c), and the universe lists q and S(c) before p, and
+    # R(c, d) before R(d, c); the relations follow ground_atoms instead:
+    # relation first seen, then parameter indices
+    c, d = const("c"), const("d")
+    hyps = [
+        atom("T", d, c),
+        conj(conj(p, conj(atom("R", c, d), atom("R", d, c))), atom("S", c)),
+    ]
+    v = entails(hyps, q, V.QPL)
+    m, o = verdict_countermodel(v)
+    ct = v.closure_table
+    assert [a for a in ct.universe if a.__class__ is Atom][:4] == [
+        atom("T", d, c), q, atom("S", c), p
+    ]
+    assert list(m.relations) == [a for a in ground_atoms(ct) if a in ct.index]
+    assert countermodel_json(m, o)["atoms_true"] == [
+        "T(d, c)", "p", "R(d, c)", "R(c, d)", "S(c)"
+    ]
+
+
+def test_countermodel_builds_no_ground_atom_outside_the_universe():
+    # 10 parameters: a full table of R/6 and S/4 would be 1,010,000 atoms
+    k = [const(n) for n in "abcdefghij"]
+    hyps = [atom("R", *k[:6]), atom("S", *k[6:])]
+    query = atom("S", k[0], k[0], k[0], k[0])
+    v = entails(hyps, query, V.QPL)
+    before = len(syntax._FORMULAS)
+    m, o = verdict_countermodel(v)
+    assert len(syntax._FORMULAS) - before < 1000
+    assert countermodel_json(m, o)["atoms_true"] == [
+        "R(a, b, c, d, e, f)", "S(g, h, i, j)"
+    ]
 
 
 def test_countermodel_rejects_derived_query():

@@ -398,18 +398,18 @@ def _reference_or_none(a, x, t):
 
 def test_substitute_vectors():
     Rxx = atom("R", x, x)
-    assert sy._instances(Rxx, "x", [c, x, y]) == [
+    assert sy._instances(Rxx, "x", [c, x, y], {}) == [
         atom("R", c, c), Rxx, atom("R", y, y)
     ]
     vac = forall("x", atom("R", x))
-    assert sy._instances(vac, "x", [c, y]) == [vac, vac]
+    assert sy._instances(vac, "x", [c, y], {}) == [vac, vac]
     f = exists("y", atom("S", x, y))
-    assert sy._instances(f, "x", [y, c]) == [None, exists("y", atom("S", c, y))]
+    assert sy._instances(f, "x", [y, c], {}) == [None, exists("y", atom("S", c, y))]
 
 
 def test_substitute_no_op_for_absent_variable():
     f = imp(p, atom("R", c))
-    assert sy._instances(f, "x", [d, y]) == [f, f]
+    assert sy._instances(f, "x", [d, y], {}) == [f, f]
 
 
 def _clash_expected(f, name, vname, binders=frozenset()):
@@ -433,7 +433,7 @@ def _clash_expected(f, name, vname, binders=frozenset()):
 @given(_formula_strategy(), st.sampled_from(["x", "w", "y", "z"]),
        st.sampled_from([c, d, var("x"), var("y"), var("z")]))
 def test_substitute_clash_and_free_var_law(f, name, t):
-    [out] = sy._instances(f, name, [t])
+    [out] = sy._instances(f, name, [t], {})
     if out is None:
         assert t.kind == sy.VAR
         assert _clash_expected(f, name, t.name)
@@ -453,7 +453,7 @@ def test_substitute_clash_and_free_var_law(f, name, t):
 def test_instances_match_the_recursive_reference(f, name):
     # constants, every binder name of the strategy, and the variable itself
     params = [c, d, const("_0"), x, w, var("y"), var("z"), var(name)]
-    assert sy._instances(f, name, params) == [
+    assert sy._instances(f, name, params, {}) == [
         _reference_or_none(f, name, t) for t in params
     ]
 
@@ -770,6 +770,19 @@ def _random_formula(rng, depth):
     return ctor(rng.choice(["x", "w"]), _random_formula(rng, depth - 1))
 
 
+def _assert_sub_instances_match_reference(ct):
+    # each quantified member's distinct substitutable instances, in
+    # parameter order, with the body alone for a vacuous binder
+    quantified = [f for f in ct.universe if isinstance(f, (sy.Forall, sy.Exists))]
+    assert list(ct.sub_instances) == quantified
+    for f in quantified:
+        found = dict.fromkeys(
+            _reference_or_none(f.body, f.var, t) for t in ct.params
+        )
+        found.pop(None, None)
+        assert ct.sub_instances[f] == tuple(found)
+
+
 def test_closure_matches_naive_recursion_on_random_inputs():
     rng = random.Random(20260817)
     for _ in range(150):
@@ -778,11 +791,52 @@ def test_closure_matches_naive_recursion_on_random_inputs():
         ct = closure(fs)
         naive = _naive_p_subformulas(dict.fromkeys(fs), ct.params)
         assert set(ct.universe) == naive
+        _assert_sub_instances_match_reference(ct)
         # cardinality bound from the input length
         bound = ct.stats.input_length * max(
             1, len(ct.params)
         ) ** ct.stats.depth
         assert ct.stats.size <= bound
+
+
+@pytest.mark.parametrize("text", [
+    # x bound at two levels: the inner body R(x, y) is also a subformula
+    # of the outer body, where its x is the outer one
+    "@vars y\nforall x. (R(x, y) & (exists x. R(x, y)))\nR(c, y)",
+    # S(y, c) -> S(y, d) is met again under every instance of x
+    "forall x. forall y. (R(x) & (S(y, c) -> S(y, d)))\nR(d)",
+    # x := y is captured; the second input meets the same body again
+    "@vars y\nforall x. exists y. R(x, y)\nexists x. exists y. R(x, y)\n"
+    "R(c, y)",
+])
+def test_closure_sub_instances_match_reference(text):
+    fs = parse_problem(text).formulas
+    ct = closure(fs)
+    assert set(ct.universe) == _naive_p_subformulas(fs, ct.params)
+    _assert_sub_instances_match_reference(ct)
+
+
+def test_closure_instantiates_each_pair_once(monkeypatch):
+    # the queries benchmark's machine at t=6: its step axiom is
+    # forall x. forall x'. forall y. S(x, x') -> (...), and without one
+    # table per closure every forall-y walk would rebuild the atoms that
+    # mention no y (4,214 atom calls for 294 atoms)
+    machine = TwoRegisterMachine(
+        {0: Inc(1, 2), 2: Inc(2, 3), 3: Dec(1, 4, 2), 4: Dec(2, 1, 4)}
+    )
+    hyps, query = bounded_halting_instance(machine, 6)
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return atom(*args)
+
+    monkeypatch.setattr(sy, "atom", counting)
+    ct = closure([*hyps, query])
+    atoms = sum(1 for f in ct.universe if f.__class__ is sy.Atom)
+    assert atoms == 294
+    assert calls <= 2 * atoms
 
 
 def test_closure_transitive_on_members():
