@@ -2,8 +2,11 @@
 
 A derivation is a finite DAG of labeled nodes. Hypothesis and axiom nodes
 are leaves; rule nodes list their premises as parent node ids, in the order
-the rule schema states them. The checker validates structure first and only
-then judges each node, so a malformed graph never produces rule verdicts.
+the rule schema states them. Every parent is listed before its child, so a
+node cites only earlier nodes and the listing itself shows the graph
+acyclic: the checker needs no cycle search. It validates structure first
+and only then judges each node, so a malformed graph never produces rule
+verdicts.
 """
 
 from __future__ import annotations
@@ -325,54 +328,25 @@ def check_derivation(
 ) -> Report:
     structural: list[str] = []
     node_map: dict[int, DerivationNode] = {}
-    # True while ids are unique and every parent id was seen before its
-    # child: that order is a topological one, so no parent is missing and
-    # there is no cycle
-    ordered = True
+    late = []  # (child, parent) ids where the parent was not listed yet
     for n in d.nodes:
+        for pid in n.parents:
+            if pid not in node_map:
+                late.append((n.id, pid))
         if n.id in node_map:
             structural.append(f"duplicate node id {n.id}")
-            ordered = False
-            continue
-        if ordered:
-            for pid in n.parents:
-                if pid not in node_map:
-                    ordered = False
-                    break
-        node_map[n.id] = n
+        else:
+            node_map[n.id] = n
     if d.root not in node_map:
         structural.append(f"root {d.root} is not a node")
-    if not ordered:
-        for n in d.nodes:
-            for pid in n.parents:
-                if pid not in node_map:
-                    structural.append(
-                        f"node {n.id} references missing parent {pid}"
-                    )
-    if not ordered and not structural:
-        state: dict[int, int] = {}  # 0 in progress, 1 finished
-        for start in node_map:
-            if start in state:
-                continue
-            stack = [(start, iter(node_map[start].parents))]
-            state[start] = 0
-            while stack:
-                nid, it = stack[-1]
-                pid = next(it, None)
-                if pid is None:
-                    state[nid] = 1
-                    stack.pop()
-                    continue
-                seen = state.get(pid)
-                if seen == 0:
-                    structural.append(f"cycle through node {pid}")
-                    stack.clear()
-                    break
-                if seen is None:
-                    state[pid] = 0
-                    stack.append((pid, iter(node_map[pid].parents)))
-            if structural:
-                break
+    for nid, pid in late:
+        if pid in node_map:
+            structural.append(
+                f"node {nid} references parent {pid}, which is not listed "
+                "before it"
+            )
+        else:
+            structural.append(f"node {nid} references missing parent {pid}")
     if structural:
         return Report(False, structural, [])
 

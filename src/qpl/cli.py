@@ -239,17 +239,18 @@ def cmd_prove(args) -> int:
     if not v.entailed:
         print(f"not entailed: {render(q)}", file=sys.stderr)
         return 1
-    doc = _proof_doc(v.session, [v], {})
-    if args.proof is not None:
-        _write_json(args.proof, doc)
-    if args.json:
-        print(_dump(doc))
+    if args.proof is not None or args.json:
+        doc = _proof_doc(v.session, [v], {})
+        if args.proof is not None:
+            _write_json(args.proof, doc)
+        if args.json:
+            print(_dump(doc))
+            return 0
+    print(f"entailed: {render(q)}")
+    if args.expand_tree:
+        _print_tree(v.proof)
     else:
-        print(f"entailed: {render(q)}")
-        if args.expand_tree:
-            _print_tree(v.proof)
-        else:
-            _print_flat(v.proof)
+        _print_flat(v.proof)
     return 0
 
 

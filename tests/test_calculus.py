@@ -318,7 +318,9 @@ def test_check_structural_errors():
         ),
     )
     rep = check_derivation(cyc, V.QPL, set())
-    assert not rep.ok and any("cycle" in s for s in rep.structural_errors)
+    assert rep == ca.Report(
+        False, ["node 0 references parent 1, which is not listed before it"], []
+    )
 
 
 def test_check_rule_node_without_name():
@@ -367,32 +369,46 @@ def _relisted(d, nodes):
     return Derivation(root=d.root, nodes=tuple(nodes))
 
 
-def test_check_accepts_valid_proofs_in_any_node_order():
+def _late_references(nodes):
+    """The structural errors of a listing whose parents are all nodes."""
+    seen = set()
+    out = []
+    for n in nodes:
+        out += [
+            f"node {n.id} references parent {pid}, which is not listed before it"
+            for pid in n.parents
+            if pid not in seen
+        ]
+        seen.add(n.id)
+    return out
+
+
+def test_check_rejects_valid_proofs_not_listed_parent_first():
     rng = random.Random(23)
     for d, variant, hyps in _extracted_proofs():
-        want = check_derivation(d, variant, hyps)
-        assert want.ok
+        assert check_derivation(d, variant, hyps).ok
+        assert _late_references(d.nodes[::-1])  # the root comes first
         for nodes in (d.nodes[::-1], rng.sample(d.nodes, len(d.nodes))):
+            want = _late_references(nodes)
             rep = check_derivation(_relisted(d, nodes), variant, hyps)
-            assert rep.ok and not rep.structural_errors
-            assert rep.failures == []
+            if want:
+                assert rep == ca.Report(False, want, [])
+            else:  # a draw that happens to list every parent first
+                assert rep.ok
 
 
 def test_check_lists_failures_in_document_order():
-    rng = random.Random(29)
     for d, variant, hyps in _extracted_proofs()[:8]:
-        for nodes in (d.nodes, d.nodes[::-1], rng.sample(d.nodes, len(d.nodes))):
-            rep = check_derivation(_relisted(d, nodes), variant, set())
-            leaves = [n.id for n in nodes if n.kind == "hypothesis"]
-            assert rep.ok == (not leaves)
-            assert [r.node_id for r in rep.failures] == leaves
-            for r in rep.failures:
-                assert not r.ok and r.reason.endswith("among the hypotheses")
+        rep = check_derivation(d, variant, set())
+        leaves = [n.id for n in d.nodes if n.kind == "hypothesis"]
+        assert rep.ok == (not leaves)
+        assert [r.node_id for r in rep.failures] == leaves
+        for r in rep.failures:
+            assert not r.ok and r.reason.endswith("among the hypotheses")
 
 
 def test_check_reports_a_back_edge_in_parent_first_order():
-    # one back edge, 1 -> 3, in an otherwise parent-first listing: the
-    # search finishes leaf 0, starts at node 1 and meets it again through 3
+    # one back edge, 1 -> 3, in an otherwise parent-first listing
     pq = conj(p, q)
     d = Derivation(
         root=3,
@@ -404,16 +420,25 @@ def test_check_reports_a_back_edge_in_parent_first_order():
         ),
     )
     rep = check_derivation(d, V.ORIGINAL, {pq})
-    assert rep == ca.Report(False, ["cycle through node 1"], [])
-    # the same in extracted proofs: node 0 is a leaf the root reaches, so
-    # the search from node 0 through the root comes back to it
+    assert rep == ca.Report(
+        False, ["node 1 references parent 3, which is not listed before it"], []
+    )
+    # a self-loop is the shortest back edge
+    loop = Derivation(root=0, nodes=(_node(0, p, "rule", "OrE", (0,)),))
+    assert check_derivation(loop, V.QPL, set()) == ca.Report(
+        False, ["node 0 references parent 0, which is not listed before it"], []
+    )
+    # the same in extracted proofs: node 0, a leaf, now cites the root
     for d, variant, hyps in _extracted_proofs()[:5]:
         first = d.nodes[0]
         back = _relisted(
             d, (first._replace(parents=(d.root,)), *d.nodes[1:])
         )
         rep = check_derivation(back, variant, hyps)
-        assert rep.structural_errors == ["cycle through node 0"]
+        assert rep.structural_errors == [
+            f"node {first.id} references parent {d.root}, which is not "
+            "listed before it"
+        ]
         assert not rep.ok and not rep.failures
 
 

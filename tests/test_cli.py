@@ -318,6 +318,16 @@ def test_prove_tree_prints_a_shared_subproof_once(tmp_path, capsys):
     )
 
 
+def test_prove_text_builds_no_proof_document(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("text output needs no proof document")
+
+    monkeypatch.setattr(cli, "derivation_to_json", refuse)
+    hyps = write(tmp_path, "h.qpl", "p\nq\n")
+    assert cli.main(["prove", hyps, "p & q"]) == 0
+    assert capsys.readouterr().out.startswith("entailed: p & q\n")
+
+
 # ---------------------------------------------------------- verify-proof
 
 def test_verify_proof_rejects_mutations(tmp_path, capsys):
@@ -407,6 +417,18 @@ def _derivation_doc(root, nodes, hyps=("p",), query="p"):
     )
 
 
+# a valid proof of p from p & q, listed root first
+_ROOT_FIRST = _derivation_doc(
+    1,
+    [
+        {"id": 1, "kind": "rule", "rule": "AndE_L", "label": "p",
+         "parents": [0]},
+        {"id": 0, "kind": "hypothesis", "rule": None, "label": "p & q",
+         "parents": []},
+    ],
+    hyps=["p & q"],
+)
+
 _VERIFY_CASES = [
     ("good", _doc_with(), 0),
     ("good-null-query", _doc_with(query=None), 0),
@@ -448,6 +470,16 @@ _VERIFY_CASES = [
         ),
         2,
     ),
+    # every parent must be listed before its child
+    ("root-first", _ROOT_FIRST, 1),
+    (
+        "self-loop",
+        _derivation_doc(
+            0, [{"id": 0, "kind": "rule", "rule": "OrE", "label": "p",
+                 "parents": [0]}]
+        ),
+        1,
+    ),
 ]
 
 
@@ -469,6 +501,15 @@ def test_verify_proof_prints_structural_errors(tmp_path, capsys):
     assert cli.main(["verify-proof", path]) == 1
     assert capsys.readouterr().err == (
         "proof 0: root 9 is not a node\n1 of 1 proofs failed\n"
+    )
+
+
+def test_verify_proof_prints_a_parent_listed_late(tmp_path, capsys):
+    path = write(tmp_path, "doc.json", _ROOT_FIRST)
+    assert cli.main(["verify-proof", path]) == 1
+    assert capsys.readouterr().err == (
+        "proof 0: node 1 references parent 0, which is not listed before it\n"
+        "1 of 1 proofs failed\n"
     )
 
 

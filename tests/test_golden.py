@@ -67,7 +67,7 @@ def _sessions():
         hyps, halting = bounded_halting_instance(MACHINE, t)
         configs = [
             atom(f"K{i}", const(f"n{a}"), const(f"n{b}"))
-            for i in (0, 1, *MACHINE.instructions)
+            for i in sorted({0, 1, *MACHINE.instructions})
             for a in range(t + 1)
             for b in range(t + 1)
         ]
