@@ -379,7 +379,9 @@ def render_cached(texts: dict, f: Formula) -> str:
 
 @gc_paused
 def derivation_to_json(d: Derivation, texts: dict | None = None) -> dict:
-    """The JSON shape of d; labels are rendered formulas.
+    """The JSON shape of d: {"root": id, "nodes": [...]}, each node the
+    five-element array [id, label, kind, rule, parents], where label is the
+    rendered formula, rule is null on hypotheses and parents is an id array.
 
     A caller that passes its own texts dict (one per proof document, the
     mirror of derivation_from_json's symbols) shares rendered labels across
@@ -390,14 +392,8 @@ def derivation_to_json(d: Derivation, texts: dict | None = None) -> dict:
     return {
         "root": d.root,
         "nodes": [
-            {
-                "id": n.id,
-                "label": label(n.label),
-                "kind": n.kind,
-                "rule": n.rule,
-                "parents": list(n.parents),
-            }
-            for n in d.nodes
+            [nid, label(f), kind, rule, list(parents)]
+            for nid, f, kind, rule, parents in d.nodes
         ],
     }
 
@@ -410,18 +406,21 @@ def derivation_from_json(
 ) -> Derivation:
     """Read a derivation back from derivation_to_json's shape.
 
-    Labels are parsed with reserved names allowed, reading declared_vars
-    as variables. A caller that passes its own symbols table (one per
-    proof document) shares arities and parsed labels across calls: each
-    distinct label text is parsed once per declared set (SymbolTable
-    labels), and a repeat gets the same formula. Without a table every
-    label is parsed, and nothing is cached.
+    A node may also be the object {"id", "label", "kind", "rule",
+    "parents"} that documents written before the array shape hold; both
+    are checked alike and may be mixed. Labels are parsed with reserved
+    names allowed, reading declared_vars as variables. A caller that
+    passes its own symbols table (one per proof document) shares arities
+    and parsed labels across calls: each distinct label text is parsed
+    once per declared set (SymbolTable labels), and a repeat gets the same
+    formula. Without a table every label is parsed, and nothing is cached.
     """
     if not isinstance(obj, dict):
         raise ValueError("derivation must be a JSON object")
     if type(obj.get("root")) is not int:  # bool is an int subclass
         raise ValueError("derivation needs an integer 'root'")
-    if not isinstance(obj.get("nodes"), list):
+    items = obj.get("nodes")
+    if not isinstance(items, list):
         raise ValueError("derivation needs a 'nodes' array")
     declared = frozenset(declared_vars)
     if symbols is None:
@@ -430,16 +429,29 @@ def derivation_from_json(
     else:
         labels = symbols.labels.setdefault(declared, {})
     nodes = []
-    for item in obj["nodes"]:
-        if not isinstance(item, dict):
-            raise ValueError("every node must be a JSON object")
-        nid = item.get("id")
-        label = item.get("label")
-        kind = item.get("kind")
-        rule = item.get("rule")
-        parents = item.get("parents")
-        if type(nid) is not int:
-            raise ValueError("node id must be an integer")
+    for item in items:
+        if isinstance(item, list):
+            if len(item) != 5:
+                raise ValueError(
+                    f"node at index {_index(items, item)}: expected [id, "
+                    f"label, kind, rule, parents], got {len(item)} element(s)"
+                )
+            nid, label, kind, rule, parents = item
+            if type(nid) is not int:
+                raise ValueError(
+                    f"node at index {_index(items, item)}: id must be an "
+                    f"integer, got {nid!r}"
+                )
+        elif isinstance(item, dict):
+            nid = item.get("id")
+            label = item.get("label")
+            kind = item.get("kind")
+            rule = item.get("rule")
+            parents = item.get("parents")
+            if type(nid) is not int:
+                raise ValueError("node id must be an integer")
+        else:
+            raise ValueError("every node must be a JSON array or object")
         if not isinstance(label, str):
             raise ValueError(f"node {nid}: label must be a string")
         if kind not in _NODE_KINDS:
@@ -462,3 +474,8 @@ def derivation_from_json(
                 labels[label] = formula
         nodes.append(DerivationNode(nid, formula, kind, rule, tuple(parents)))
     return Derivation(root=obj["root"], nodes=tuple(nodes))
+
+
+def _index(items: list, item) -> int:
+    """The position of item in items; only an error message needs it."""
+    return next(i for i, x in enumerate(items) if x is item)

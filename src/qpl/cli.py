@@ -11,8 +11,9 @@ runs the scaling family.
 Exit codes: 0 for a successful decision regardless of verdict, 2 for
 input errors, 3 for resource limits, among them running out of memory and
 input nested too deeply for render, truth_mask or the JSON decoder. prove
-returns 1 when no derivation exists; verify-proof returns 1 for a
-well-formed but invalid proof.
+returns 1 when no derivation exists; prove and check --proof return 1,
+writing nothing, when a proof label would read back as another formula;
+verify-proof returns 1 for a well-formed but invalid proof.
 """
 
 import argparse
@@ -48,8 +49,15 @@ from .semantics import (
     verdict_countermodel,
 )
 from .syntax import (
+    CONST,
     DEFAULT_CLOSURE_CAP,
     VAR,
+    And,
+    Atom,
+    Exists,
+    Forall,
+    Imp,
+    Or,
     ResourceLimit,
     SymbolTable,
     bot,
@@ -140,6 +148,58 @@ def _proof_doc(session: Session, verdicts, texts: dict) -> dict:
     }
 
 
+def _misread_label(session: Session, verdicts):
+    """The first label of the proofs of verdicts that holds a constant under
+    a binder of the same name, or None.
+
+    Labels carry no term kinds, so verify-proof would read that constant
+    as the bound variable: forall x. R(<constant x>, x) renders as
+    forall x. R(x, x). Parsed input never holds one, but an instance can.
+    Only binders named like a constant of the session are tracked, and
+    when there are none nothing is walked. A (subformula, tracked binders)
+    pair is walked once per call.
+    """
+    ct = session.closure_table
+    names = {t.name for t in ct.params if t.kind == CONST}
+    names.intersection_update({f.var for f in ct.sub_instances})
+    if not names:
+        return None
+    walked = set()
+    for v in verdicts:
+        if not v.entailed:
+            continue
+        for _, f, _, _, _ in v.proof.nodes:
+            stack = [(f, frozenset())]
+            while stack:
+                pair = stack.pop()
+                if pair in walked:
+                    continue
+                walked.add(pair)
+                g, bound = pair
+                cls = g.__class__
+                if cls is Atom:
+                    if any(t.kind == CONST and t.name in bound for t in g.args):
+                        return render(f)
+                elif cls is Forall or cls is Exists:
+                    if g.var in names:
+                        bound = bound | {g.var}
+                    stack.append((g.body, bound))
+                elif cls is And or cls is Or or cls is Imp:
+                    stack.append((g.r, bound))
+                    stack.append((g.l, bound))
+    return None
+
+
+def _refuse_proof(label: str) -> int:
+    print(
+        f"proof refused: label {label!r} would read back as another "
+        "formula, since a constant in it shares its name with a binder "
+        "over it",
+        file=sys.stderr,
+    )
+    return 1
+
+
 # ---------------------------------------------------------------- check
 
 def cmd_check(args) -> int:
@@ -158,6 +218,10 @@ def cmd_check(args) -> int:
         raise ValueError("no queries given")
     session = Session(prob.formulas, queries, variant, closure_cap=args.closure_cap)
     verdicts = session.verdicts(with_proof=args.proof is not None)
+    if args.proof is not None:
+        label = _misread_label(session, verdicts)
+        if label is not None:
+            return _refuse_proof(label)
     texts: dict = {}  # shared with the proof document
     if args.json:
         print(_dump({
@@ -239,6 +303,9 @@ def cmd_prove(args) -> int:
     if not v.entailed:
         print(f"not entailed: {render(q)}", file=sys.stderr)
         return 1
+    label = _misread_label(v.session, [v])
+    if label is not None:
+        return _refuse_proof(label)
     if args.proof is not None or args.json:
         doc = _proof_doc(v.session, [v], {})
         if args.proof is not None:

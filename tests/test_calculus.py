@@ -478,18 +478,25 @@ def test_json_round_trip():
     d = _sample_derivation()
     blob = derivation_to_json(d)
     assert blob["root"] == 3
-    assert blob["nodes"][0] == {
-        "id": 0,
-        "label": "p & q",
-        "kind": "hypothesis",
-        "rule": None,
-        "parents": [],
-    }
+    assert blob["nodes"][0] == [0, "p & q", "hypothesis", None, []]
+    assert blob["nodes"][3] == [3, "q & p", "rule", "AndI", [1, 2]]
     back = derivation_from_json(json.loads(json.dumps(blob)))
     assert back == d
     assert check_derivation(back, V.ORIGINAL, {conj(p, q)}).ok
     # byte determinism
     assert json.dumps(blob) == json.dumps(derivation_to_json(_sample_derivation()))
+
+
+def test_json_reads_object_nodes():
+    # documents written before the array shape hold one object per node;
+    # they read to the same derivation, alone or mixed with arrays
+    d = _sample_derivation()
+    keys = ("id", "label", "kind", "rule", "parents")
+    arrays = derivation_to_json(d)["nodes"]
+    objects = [dict(zip(keys, n)) for n in arrays]
+    for nodes in (objects, [objects[0], *arrays[1:3], objects[3]]):
+        back = derivation_from_json({"root": 3, "nodes": nodes})
+        assert back == d
 
 
 def test_json_labels_with_declared_vars():
@@ -513,9 +520,7 @@ def _leaves(*labels):
     return {
         "root": 0,
         "nodes": [
-            {"id": i, "label": text, "kind": "hypothesis", "rule": None,
-             "parents": []}
-            for i, text in enumerate(labels)
+            [i, text, "hypothesis", None, []] for i, text in enumerate(labels)
         ],
     }
 
@@ -603,6 +608,13 @@ def test_json_shared_table_keeps_label_errors(labels, error, message):
                                "rule": "AndI", "parents": "no"}]},
         {"root": 0, "nodes": [{"id": 0, "label": "p &", "kind": "hypothesis",
                                "rule": None, "parents": []}]},
+        {"root": 0, "nodes": [[0, "p", "hypothesis", None]]},
+        {"root": 0, "nodes": [[0, "p", "hypothesis", None, [], 1]]},
+        {"root": 0, "nodes": [["0", "p", "hypothesis", None, []]]},
+        {"root": 0, "nodes": [[0, "p", "guess", None, []]]},
+        {"root": 0, "nodes": [[0, "p", "rule", "AndI", "no"]]},
+        {"root": 0, "nodes": [[0, "p &", "hypothesis", None, []]]},
+        {"root": 0, "nodes": [(0, "p", "hypothesis", None, [])]},
     ],
 )
 def test_json_malformed(blob):

@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -147,7 +148,7 @@ def test_proof_file_declares_variables_of_refused_queries(tmp_path, capsys):
         assert len(back.nodes) == len(proof.nodes)
         for read, made in zip(back.nodes, proof.nodes):
             assert read.label is made.label
-            labels.add(entry["derivation"]["nodes"][read.id]["label"])
+            labels.add(entry["derivation"]["nodes"][read.id][1])
     assert {"R(y)", "R(y) -> P"} <= labels
     assert cli.main(["verify-proof", str(out)]) == 0
 
@@ -288,9 +289,9 @@ def test_prove_json_stdout(tmp_path, capsys):
     assert cli.main(["prove", hyps, "p & q", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     d = doc["proofs"][0]["derivation"]
-    kinds = {n["kind"] for n in d["nodes"]}
+    kinds = {kind for _, _, kind, _, _ in d["nodes"]}
     assert kinds == {"hypothesis", "rule"}
-    assert any(n["rule"] == "AndI" for n in d["nodes"])
+    assert any(rule == "AndI" for _, _, _, rule, _ in d["nodes"])
 
 
 def test_prove_not_entailed_exits_1(tmp_path, capsys):
@@ -336,10 +337,9 @@ def test_verify_proof_rejects_mutations(tmp_path, capsys):
     assert cli.main(["prove", hyps, "p & q", "--proof", str(out)]) == 0
     doc = json.loads(out.read_text())
     rule_node = next(
-        n for n in doc["proofs"][0]["derivation"]["nodes"]
-        if n["kind"] == "rule"
+        n for n in doc["proofs"][0]["derivation"]["nodes"] if n[2] == "rule"
     )
-    rule_node["rule"] = "AndE_L"
+    rule_node[3] = "AndE_L"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert cli.main(["verify-proof", str(bad)]) == 1
@@ -511,6 +511,173 @@ def test_verify_proof_prints_a_parent_listed_late(tmp_path, capsys):
         "proof 0: node 1 references parent 0, which is not listed before it\n"
         "1 of 1 proofs failed\n"
     )
+
+
+# check --proof output at commit 3391e51 for the golden corpus's machine at
+# t=2 (the problem of test_cli_documents_keep_their_bytes): one JSON object
+# per node, as every document before the array shape was written
+OBJECT_NODES = (
+    Path(__file__).with_name("data") / "machine_t2_object_nodes.proof.json"
+)
+
+
+def _mutate_object_nodes(doc):
+    nodes = [p["derivation"]["nodes"] for p in doc["proofs"]]
+    nodes[2][5]["rule"] = "ExistsI"
+    nodes[4][3]["label"] = "K0(n0, n0)"
+    nodes[6][4]["parents"] = [9]
+    doc["proofs"][1]["query"] = "K1(n0, n0)"
+    return json.dumps(doc)
+
+
+_HYP_OBJECT = {"id": 0, "kind": "hypothesis", "rule": None, "label": "p",
+               "parents": []}
+
+
+# (name, fixture text -> document text, exit code, stdout, stderr); the
+# outputs are those verify-proof gave on each document at commit 3391e51
+_OBJECT_NODE_CASES = [
+    ("as-written", lambda text: text, 0, "ok: 11 proof(s) verified\n", ""),
+    (
+        "mutated",
+        lambda text: _mutate_object_nodes(json.loads(text)),
+        1,
+        "",
+        "proof 1: conclusion differs from query\n"
+        "proof 2: node 5: shape: ExistsI: conclusion must be existentially"
+        " quantified\n"
+        "proof 4: node 3: shape: ForallE: conclusion is not an instance of"
+        " the premise body\n"
+        "proof 4: node 4: shape: ForallE: premise must be universally"
+        " quantified\n"
+        "proof 6: node 4 references parent 9, which is not listed before it\n"
+        "4 of 11 proofs failed\n",
+    ),
+    *(
+        (name, lambda text, node=node: _derivation_doc(0, [node]), 2, "", err)
+        for name, node, err in [
+            ("id-string", {**_HYP_OBJECT, "id": "0"},
+             "error: node id must be an integer\n"),
+            ("kind-unknown", {**_HYP_OBJECT, "kind": "guess"},
+             "error: node 0: unknown kind 'guess'\n"),
+            ("parents-string", {**_HYP_OBJECT, "parents": "no"},
+             "error: node 0: parents must be an integer array\n"),
+            ("label-int", {**_HYP_OBJECT, "label": 3},
+             "error: node 0: label must be a string\n"),
+            ("rule-int", {**_HYP_OBJECT, "rule": 5},
+             "error: node 0: rule must be a string or null\n"),
+            ("label-missing",
+             {k: v for k, v in _HYP_OBJECT.items() if k != "label"},
+             "error: node 0: label must be a string\n"),
+            ("label-unparsable", {**_HYP_OBJECT, "label": "p &"},
+             "error: expected a formula, got end of input (column 3)\n"),
+        ]
+    ),
+]
+
+
+def test_object_node_fixture_is_the_old_check_output():
+    assert _sha(OBJECT_NODES.read_bytes()) == (
+        "082ec2bb598c14fad7d355c1da8ab8026cc100c1482bfa276a7a6b0a3ecfb27d")
+
+
+@pytest.mark.parametrize(
+    "make,code,out,err",
+    [case[1:] for case in _OBJECT_NODE_CASES],
+    ids=[case[0] for case in _OBJECT_NODE_CASES],
+)
+def test_verify_proof_reads_object_nodes_as_before(
+    tmp_path, capsys, make, code, out, err
+):
+    path = write(tmp_path, "doc.json", make(OBJECT_NODES.read_text()))
+    assert cli.main(["verify-proof", path]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+_ARRAY_MUTANTS = [
+    ("four-elements", [[0, "p", "hypothesis", None]],
+     "node at index 0: expected [id, label, kind, rule, parents], got 4"
+     " element(s)"),
+    ("six-elements", [[0, "p", "hypothesis", None, [], []]],
+     "node at index 0: expected [id, label, kind, rule, parents], got 6"
+     " element(s)"),
+    ("id-string", [[0, "p", "hypothesis", None, []],
+                   ["1", "p", "hypothesis", None, []]],
+     "node at index 1: id must be an integer, got '1'"),
+    ("parents-not-list", [[0, "p", "hypothesis", None, 0]],
+     "node 0: parents must be an integer array"),
+    ("kind-unknown", [[0, "p", "lemma", None, []]],
+     "node 0: unknown kind 'lemma'"),
+]
+
+
+@pytest.mark.parametrize(
+    "nodes,message",
+    [case[1:] for case in _ARRAY_MUTANTS],
+    ids=[case[0] for case in _ARRAY_MUTANTS],
+)
+def test_verify_proof_names_a_malformed_array_node(
+    tmp_path, capsys, nodes, message
+):
+    path = write(tmp_path, "doc.json", _derivation_doc(0, nodes))
+    assert cli.main(["verify-proof", path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# ------------------------------------------------- labels that misread
+
+# the instance forall x. R(<constant x>, x) of the first hypothesis at the
+# constant x renders as forall x. R(x, x), which reads back as another formula
+_CONST_UNDER_BINDER = (
+    "forall y. forall x. R(y, x)\n"
+    "forall y. ((forall x. R(y, x)) -> Q(y))\n"
+    "S(x)\n"
+)
+_MISREAD = (
+    "proof refused: label 'forall x. R(x, x)' would read back as another"
+    " formula, since a constant in it shares its name with a binder over it\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{hyps}", "Q(x)", "--proof", "{proof}"],
+        ["check", "{hyps}", "S(x)", "Q(x)", "--json", "--proof", "{proof}"],
+        ["prove", "{hyps}", "Q(x)", "--proof", "{proof}"],
+        ["prove", "{hyps}", "Q(x)", "--json"],
+        ["prove", "{hyps}", "Q(x)"],
+    ],
+    ids=["check", "check-json", "prove-proof", "prove-json", "prove-text"],
+)
+def test_proof_with_a_constant_under_its_binder_is_refused(
+    tmp_path, capsys, argv
+):
+    paths = {
+        "{hyps}": write(tmp_path, "h.qpl", _CONST_UNDER_BINDER),
+        "{proof}": str(tmp_path / "proof.json"),
+    }
+    assert cli.main([paths.get(a, a) for a in argv]) == 1
+    assert capsys.readouterr() == ("", _MISREAD)
+    assert not (tmp_path / "proof.json").exists()
+
+
+def test_constant_named_like_a_binder_elsewhere_still_proves(tmp_path, capsys):
+    # x is a constant and a binder, but no label holds the constant x under
+    # a binder x, so the proof is written and verifies
+    hyps = write(tmp_path, "h.qpl", _CONST_UNDER_BINDER)
+    out = tmp_path / "proof.json"
+    assert cli.main(["check", hyps, "S(x)", "--proof", str(out)]) == 0
+    assert cli.main(["verify-proof", str(out)]) == 0
+
+
+def test_misread_check_walks_nothing_without_a_shared_name():
+    prob = parse_problem("forall x. R(x) -> S(x)\nR(c)\n")
+    session = Session(prob.formulas, [atom("S", const("c"))], V.QPL)
+    verdicts = session.verdicts(with_proof=False)
+    assert verdicts[0].entailed and verdicts[0].proof is None
+    # a walk would read the nodes of the proof that is not there
+    assert cli._misread_label(session, verdicts) is None
 
 
 # ------------------------------------------------------------ deep input
@@ -838,7 +1005,9 @@ def _sha(data: bytes) -> str:
 def test_cli_documents_keep_their_bytes(tmp_path, capsys):
     # the golden corpus's 4-state machine at t=2: 55 queries, 11 entailed
     # and 44 refused, each with a countermodel. The digests were taken
-    # with the standard library's json.dumps writing every document.
+    # with the standard library's json.dumps writing every document; the
+    # proof file's and prove --json's were retaken when proof nodes became
+    # arrays, once every proof in them verified.
     hyps, halting = bounded_halting_instance(MACHINE, 2)
     configs = [
         atom(f"K{i}", const(f"n{a}"), const(f"n{b}"))
@@ -856,13 +1025,13 @@ def test_cli_documents_keep_their_bytes(tmp_path, capsys):
     assert _sha(out.encode()) == (
         "c8ed8ea22feb178fdfad1facd5dd93a726ad32a82cdcab248735a23ba115a5ff")
     assert _sha(proof.read_bytes()) == (
-        "082ec2bb598c14fad7d355c1da8ab8026cc100c1482bfa276a7a6b0a3ecfb27d")
+        "e13535757e34a22016007994bd79f0f1026b70826036e3c31b3485879dd1fbb9")
     assert _sha(model.read_bytes()) == (
         "e0922fe070fa2e5e270df7f0e789d1415cab6e77690e8b05d766c7820be083c8")
     assert cli.main(["prove", h, render(halting), "--json"]) == 0
     out = capsys.readouterr().out
     assert _sha(out.encode()) == (
-        "105811e8b328202f75ce86d16befc3862c9f7fe2b497817aef355da12fc8ebc8")
+        "957be0da1d04383a2252ffffee2b1bac749198e9e16635c81a067cdaf0852979")
 
 
 _SCALARS = (

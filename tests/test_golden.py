@@ -22,7 +22,11 @@ import sys
 from pathlib import Path
 
 from qpl.calculus import CalculusVariant as V
-from qpl.calculus import derivation_to_json
+from qpl.calculus import (
+    check_derivation,
+    derivation_from_json,
+    derivation_to_json,
+)
 from qpl.engine import Session
 from qpl.generators import (
     Dec,
@@ -34,7 +38,15 @@ from qpl.generators import (
     random_instance,
 )
 from qpl.semantics import countermodel_json, verdict_countermodel
-from qpl.syntax import atom, bot, const, parse_formula, parse_problem, render
+from qpl.syntax import (
+    VAR,
+    atom,
+    bot,
+    const,
+    parse_formula,
+    parse_problem,
+    render,
+)
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -135,6 +147,23 @@ def test_shared_label_texts_change_no_proof_json():
             if v.proof is not None:
                 got = derivation_to_json(v.proof, texts)
                 assert got == derivation_to_json(v.proof), name
+
+
+def test_proofs_round_trip_through_json_text():
+    # each node is written as [id, label, kind, rule, parents]; the text
+    # reads back to an equal derivation, which checks
+    for name, hyps, queries, variant in _sessions():
+        session = Session(hyps, queries, variant)
+        params = session.closure_table.params
+        declared = [t.name for t in params if t.kind == VAR]
+        for v in session.verdicts():
+            if v.proof is None:
+                continue
+            blob = json.loads(json.dumps(derivation_to_json(v.proof)))
+            assert all(type(n) is list and len(n) == 5 for n in blob["nodes"])
+            back = derivation_from_json(blob, declared)
+            assert back == v.proof, name
+            assert check_derivation(back, variant, hyps, v.query).ok, name
 
 
 def test_golden_digests_do_not_depend_on_the_hash_seed():
