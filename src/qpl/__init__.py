@@ -18,6 +18,7 @@ from .calculus import (
     check_derivation,
     derivation_from_json,
     derivation_to_json,
+    load_derivation,
 )
 from .engine import (
     Session,
@@ -91,6 +92,7 @@ __all__ = [
     "extract_proof",
     "forall",
     "imp",
+    "load_derivation",
     "parse_formula",
     "parse_problem",
     "render",

@@ -11,6 +11,7 @@ verdicts.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
@@ -474,6 +475,20 @@ def derivation_from_json(
                 labels[label] = formula
         nodes.append(DerivationNode(nid, formula, kind, rule, tuple(parents)))
     return Derivation(root=obj["root"], nodes=tuple(nodes))
+
+
+@gc_paused
+def load_derivation(
+    text: str,
+    declared_vars=(),
+    symbols: SymbolTable | None = None,
+) -> Derivation:
+    """Read a derivation from the JSON text of derivation_to_json's shape:
+    json.loads and derivation_from_json (same arguments) under one pause of
+    the collector. A caller's own json.loads of a large proof runs with the
+    collector on, which walks the growing heap again and again and finds
+    nothing."""
+    return derivation_from_json(json.loads(text), declared_vars, symbols)
 
 
 def _index(items: list, item) -> int:

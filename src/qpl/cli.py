@@ -149,52 +149,61 @@ def _proof_doc(session: Session, verdicts, texts: dict) -> dict:
 
 
 def _misread_label(session: Session, verdicts):
-    """The first label of the proofs of verdicts that holds a constant under
-    a binder of the same name, or None.
+    """The first formula of the proof document of verdicts, hyps first and
+    then the proofs' labels, that holds a constant verify-proof would read
+    as a variable: (its text, what the constant shares its name with), or
+    None.
 
-    Labels carry no term kinds, so verify-proof would read that constant
-    as the bound variable: forall x. R(<constant x>, x) renders as
-    forall x. R(x, x). Parsed input never holds one, but an instance can.
-    Only binders named like a constant of the session are tracked, and
-    when there are none nothing is walked. A (subformula, tracked binders)
-    pair is walked once per call.
+    Labels carry no term kinds, so a constant named like one of the
+    document's vars reads back as that variable, and a constant under a
+    binder of the same name reads back as the bound variable: forall x.
+    R(<constant x>, x) renders as forall x. R(x, x). Parsed input never
+    holds the second, but an instance can. Only constants named like a
+    variable or a binder of the session are tracked, and when there are
+    none nothing is walked. A (subformula, tracked binders) pair is walked
+    once per call.
     """
     ct = session.closure_table
-    names = {t.name for t in ct.params if t.kind == CONST}
-    names.intersection_update({f.var for f in ct.sub_instances})
-    if not names:
+    consts = {t.name for t in ct.params if t.kind == CONST}
+    as_vars = consts.intersection(t.name for t in ct.params if t.kind == VAR)
+    binders = consts.intersection(f.var for f in ct.sub_instances)
+    if not as_vars and not binders:
         return None
-    walked = set()
+    labels = list(session.hyps)
     for v in verdicts:
-        if not v.entailed:
-            continue
-        for _, f, _, _, _ in v.proof.nodes:
-            stack = [(f, frozenset())]
-            while stack:
-                pair = stack.pop()
-                if pair in walked:
-                    continue
-                walked.add(pair)
-                g, bound = pair
-                cls = g.__class__
-                if cls is Atom:
-                    if any(t.kind == CONST and t.name in bound for t in g.args):
-                        return render(f)
-                elif cls is Forall or cls is Exists:
-                    if g.var in names:
-                        bound = bound | {g.var}
-                    stack.append((g.body, bound))
-                elif cls is And or cls is Or or cls is Imp:
-                    stack.append((g.r, bound))
-                    stack.append((g.l, bound))
+        if v.entailed:
+            labels.extend(f for _, f, _, _, _ in v.proof.nodes)
+    walked = set()
+    for f in labels:
+        stack = [(f, frozenset())]
+        while stack:
+            pair = stack.pop()
+            if pair in walked:
+                continue
+            walked.add(pair)
+            g, bound = pair
+            cls = g.__class__
+            if cls is Atom:
+                for t in g.args:
+                    if t.kind == CONST:
+                        if t.name in as_vars:
+                            return render(f), "a declared variable"
+                        if t.name in bound:
+                            return render(f), "a binder over it"
+            elif cls is Forall or cls is Exists:
+                if g.var in binders:
+                    bound = bound | {g.var}
+                stack.append((g.body, bound))
+            elif cls is And or cls is Or or cls is Imp:
+                stack.append((g.r, bound))
+                stack.append((g.l, bound))
     return None
 
 
-def _refuse_proof(label: str) -> int:
+def _refuse_proof(label: str, clash: str) -> int:
     print(
         f"proof refused: label {label!r} would read back as another "
-        "formula, since a constant in it shares its name with a binder "
-        "over it",
+        f"formula, since a constant in it shares its name with {clash}",
         file=sys.stderr,
     )
     return 1
@@ -219,9 +228,9 @@ def cmd_check(args) -> int:
     session = Session(prob.formulas, queries, variant, closure_cap=args.closure_cap)
     verdicts = session.verdicts(with_proof=args.proof is not None)
     if args.proof is not None:
-        label = _misread_label(session, verdicts)
-        if label is not None:
-            return _refuse_proof(label)
+        misread = _misread_label(session, verdicts)
+        if misread is not None:
+            return _refuse_proof(*misread)
     texts: dict = {}  # shared with the proof document
     if args.json:
         print(_dump({
@@ -303,9 +312,9 @@ def cmd_prove(args) -> int:
     if not v.entailed:
         print(f"not entailed: {render(q)}", file=sys.stderr)
         return 1
-    label = _misread_label(v.session, [v])
-    if label is not None:
-        return _refuse_proof(label)
+    misread = _misread_label(v.session, [v])
+    if misread is not None:
+        return _refuse_proof(*misread)
     if args.proof is not None or args.json:
         doc = _proof_doc(v.session, [v], {})
         if args.proof is not None:

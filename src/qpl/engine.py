@@ -6,9 +6,13 @@ premises and conclusion are universe members, each instance carries a
 counter of its not-yet-derived distinct premises, and a worklist drives
 counters down until nothing fires: one linear-time run to the fixpoint
 (Dowling and Gallier's counter-per-clause propagation), whatever the
-queries. Every derived formula records one provenance entry, a (kind,
-rule, premise ids) triple (first derivation wins), which makes proof
-extraction a pure graph walk.
+queries. Compiled instances are flat columns of integers (a rule code,
+two premise ids, a conclusion id), not one object each. Every derived
+formula records one provenance entry (first derivation wins) in
+per-member columns of the state: a rule code, or HYPOTHESIS, and the ids
+of the premises it was derived from. The compiled rules are dropped once
+the fixpoint is reached, and proof extraction is a pure graph walk over
+those columns.
 
 A Session is the one owner of a problem's closure, compiled rules and
 fixpoint: it builds the closure over the hypotheses and every query at
@@ -25,6 +29,7 @@ from dataclasses import dataclass, field
 from .calculus import CalculusVariant, Derivation, DerivationNode
 from .syntax import (
     And,
+    Atom,
     Bot,
     ClosureTable,
     DEFAULT_CLOSURE_CAP,
@@ -38,87 +43,142 @@ from .syntax import (
     gc_paused,
 )
 
-_HYP = ("hypothesis", None, ())
+# Rule names of compiled instances and provenance entries; a rule code is an
+# index into this tuple.
+RULE_NAMES = (
+    "ImpI", "ImpE", "AndI", "AndE_L", "AndE_R", "OrI_L", "OrI_R", "OrE",
+    "ForallE", "ForallI", "ExistsI", "ExistsE", "ImpAx", "TopI", "BotE",
+)
+(IMP_I, IMP_E, AND_I, AND_E_L, AND_E_R, OR_I_L, OR_I_R, OR_E, FORALL_E,
+ FORALL_I, EXISTS_I, EXISTS_E, IMP_AX, TOP_I, BOT_E) = range(len(RULE_NAMES))
+HYPOTHESIS = 255  # provenance rule code of a hypothesis
+_NO_RULE = bytearray([HYPOTHESIS])
 
 
-@dataclass(frozen=True)
+@dataclass
 class CompiledRules:
-    instances: list[tuple[str, tuple[int, ...], int]]
+    """Instance i is the rule RULE_NAMES[rule[i]] from premise1[i] and, when
+    premise2[i] >= 0, premise2[i] to conclusion[i] (member ids). counters[i]
+    is the number of its distinct premises, and watch[m] lists the instances
+    that have member m as a premise.
+
+    The columns are lists, not arrays: an array's reads and appends cost
+    more, which tiny problems feel. Their ids are the closure index's own
+    int objects, so a column entry costs one pointer."""
+
+    rule: list[int]
+    premise1: list[int]
+    premise2: list[int]
+    conclusion: list[int]
+    counters: bytearray
     watch: list[list[int]]
-    counters: list[int]
-    axiom_seeds: list[tuple[int, str]]
+    axiom_seeds: list[tuple[int, int]]  # (member id, rule code)
     bottom_id: int  # -1 when absent or the variant lacks the bottom rule
+
+    @property
+    def instances(self) -> range:
+        return range(len(self.conclusion))
 
 
 def compile_rules(ct: ClosureTable, variant: CalculusVariant) -> CompiledRules:
     idx = ct.index
-    instances: list[tuple[str, tuple[int, ...], int]] = []
-    axiom_seeds: list[tuple[int, str]] = []
+    rule: list[int] = []
+    prem1: list[int] = []
+    prem2: list[int] = []
+    conc: list[int] = []
+    axiom_seeds: list[tuple[int, int]] = []
     bottom_id = -1
     use_or = variant >= CalculusVariant.L1
     use_bot = variant >= CalculusVariant.L2
     use_ax = variant >= CalculusVariant.PFQPL
     use_quant = variant >= CalculusVariant.QPL
-    add = instances.append
-    for fid, f in enumerate(ct.universe):
+    for f, fid in idx.items():  # universe order
         cls = f.__class__
+        if cls is Atom:  # no rule takes an atom apart
+            continue
         if cls is Imp:
             l, r = idx[f.l], idx[f.r]
-            add(("ImpI", (r,), fid))
-            add(("ImpE", (l, fid), r))
+            rule += IMP_I, IMP_E
+            prem1 += r, l
+            prem2 += -1, fid
+            conc += fid, r
             if use_ax and f.l is f.r:
-                axiom_seeds.append((fid, "ImpAx"))
+                axiom_seeds.append((fid, IMP_AX))
         elif cls is And:
             l, r = idx[f.l], idx[f.r]
-            add(("AndI", (l, r), fid))
-            add(("AndE_L", (fid,), l))
-            add(("AndE_R", (fid,), r))
+            rule += AND_I, AND_E_L, AND_E_R
+            prem1 += l, fid, fid
+            prem2 += r, -1, -1
+            conc += fid, l, r
         elif cls is Or:
             if use_or:
                 l = idx[f.l]
-                add(("OrI_L", (l,), fid))
                 if f.l is f.r:
-                    add(("OrE", (fid,), l))
+                    rule += OR_I_L, OR_E
+                    prem1 += l, fid
+                    conc += fid, l
                 else:
-                    add(("OrI_R", (idx[f.r],), fid))
+                    rule += OR_I_L, OR_I_R
+                    prem1 += l, idx[f.r]
+                    conc += fid, fid
+                prem2 += -1, -1
         elif cls is Forall:
             if use_quant:
                 for g in ct.sub_instances[f]:
-                    add(("ForallE", (fid,), idx[g]))
+                    rule.append(FORALL_E)
+                    prem1.append(fid)
+                    prem2.append(-1)
+                    conc.append(idx[g])
                 if f.var not in f.body.free:
-                    add(("ForallI", (idx[f.body],), fid))
+                    rule.append(FORALL_I)
+                    prem1.append(idx[f.body])
+                    prem2.append(-1)
+                    conc.append(fid)
         elif cls is Exists:
             if use_quant:
                 for g in ct.sub_instances[f]:
-                    add(("ExistsI", (idx[g],), fid))
+                    rule.append(EXISTS_I)
+                    prem1.append(idx[g])
+                    prem2.append(-1)
+                    conc.append(fid)
                 if f.var not in f.body.free:
-                    add(("ExistsE", (fid,), idx[f.body]))
+                    rule.append(EXISTS_E)
+                    prem1.append(fid)
+                    prem2.append(-1)
+                    conc.append(idx[f.body])
         elif cls is Bot:
             if use_bot:
                 bottom_id = fid
         elif cls is Top:
-            axiom_seeds.append((fid, "TopI"))
+            axiom_seeds.append((fid, TOP_I))
     watch: list[list[int]] = [[] for _ in ct.universe]
-    counters: list[int] = []
-    for i, (_, premids, _) in enumerate(instances):
-        if len(premids) == 1:
-            watch[premids[0]].append(i)
-            counters.append(1)
+    counters = bytearray(len(conc))
+    i = 0
+    for a, b in zip(prem1, prem2):
+        watch[a].append(i)
+        if b < 0 or b == a:
+            counters[i] = 1
         else:
-            a, b = premids
-            watch[a].append(i)
-            if b != a:
-                watch[b].append(i)
-                counters.append(2)
-            else:
-                counters.append(1)
-    return CompiledRules(instances, watch, counters, axiom_seeds, bottom_id)
+            watch[b].append(i)
+            counters[i] = 2
+        i += 1
+    return CompiledRules(
+        rule, prem1, prem2, conc, counters, watch, axiom_seeds, bottom_id
+    )
 
 
 @dataclass
 class SaturationState:
+    """The fixpoint, with one provenance entry per derived member m (first
+    derivation wins): rule[m] is HYPOTHESIS or a rule code, and premise1[m]
+    and premise2[m] are its premises' member ids, -1 when absent; an axiom
+    has no premises. Entries of underived members are meaningless. The
+    premise columns are lists for the reason CompiledRules gives."""
+
     derived: bytearray
-    provenance: list
+    rule: bytearray
+    premise1: list[int]
+    premise2: list[int]
     bot_flag: bool
     instances_fired: int
     derived_count: int
@@ -128,17 +188,20 @@ def saturate(hyps, ct: ClosureTable, compiled: CompiledRules) -> SaturationState
     """Derive the fixpoint of hyps in the closure under the compiled rules
     (compile_rules over the same closure table).
 
-    Each provenance record is a (kind, rule, premise ids) triple. Deriving
-    the falsity constant (in variants that have its elimination rule)
-    floods the rest of the universe by BotE from it.
+    Deriving the falsity constant (in variants that have its elimination
+    rule) floods the rest of the universe by BotE from it.
     """
     idx = ct.index
     n = len(ct.universe)
     derived = bytearray(n)
-    prov: list = [None] * n
-    counters = list(compiled.counters)
+    why = _NO_RULE * n  # every entry starts as HYPOTHESIS
+    why1 = [-1] * n
+    why2 = [-1] * n
+    counters = bytearray(compiled.counters)
     watch = compiled.watch
-    instances = compiled.instances
+    rule, prem1, prem2, conc = (
+        compiled.rule, compiled.premise1, compiled.premise2, compiled.conclusion
+    )
     agenda: deque[int] = deque()
     push = agenda.append
     bid = compiled.bottom_id
@@ -148,12 +211,11 @@ def saturate(hyps, ct: ClosureTable, compiled: CompiledRules) -> SaturationState
             raise ValueError("hypothesis outside the closure universe")
         if not derived[hid]:
             derived[hid] = 1
-            prov[hid] = _HYP
             push(hid)
-    for fid, name in compiled.axiom_seeds:
+    for fid, code in compiled.axiom_seeds:
         if not derived[fid]:
             derived[fid] = 1
-            prov[fid] = ("axiom", name, ())
+            why[fid] = code
             push(fid)
     fired = 0
     bot_hit = bid >= 0 and derived[bid] == 1
@@ -165,26 +227,30 @@ def saturate(hyps, ct: ClosureTable, compiled: CompiledRules) -> SaturationState
             counters[i] = cnt
             if cnt == 0:
                 fired += 1
-                name, premids, conc = instances[i]
-                if not derived[conc]:
-                    derived[conc] = 1
-                    prov[conc] = ("rule", name, premids)
-                    if conc == bid:
+                c = conc[i]
+                if not derived[c]:
+                    derived[c] = 1
+                    why[c] = rule[i]
+                    why1[c] = prem1[i]
+                    why2[c] = prem2[i]
+                    if c == bid:
                         bot_hit = True
                         break
-                    push(conc)
+                    push(c)
     if bot_hit:
-        botprem = ("rule", "BotE", (bid,))
         for j in range(n):
             if not derived[j]:
                 derived[j] = 1
-                prov[j] = botprem
+                why[j] = BOT_E
+                why1[j] = bid
     return SaturationState(
         derived=derived,
-        provenance=prov,
+        rule=why,
+        premise1=why1,
+        premise2=why2,
         bot_flag=bot_hit,
         instances_fired=fired,
-        derived_count=sum(derived),
+        derived_count=derived.count(1),
     )
 
 
@@ -275,7 +341,7 @@ def entails(
 def extract_proof(
     state: SaturationState, ct: ClosureTable, target: Formula
 ) -> Derivation:
-    """Read one derivation DAG out of the provenance records.
+    """Read one derivation DAG out of the state's provenance columns.
 
     Nodes come out in post-order (premises before conclusions, root last)
     and shared subderivations appear once. The walk visits a formula with
@@ -285,7 +351,7 @@ def extract_proof(
     tid = ct.index.get(target, -1)
     if tid < 0 or not state.derived[tid]:
         raise ValueError("target is not derived in this state")
-    prov = state.provenance
+    why, why1, why2 = state.rule, state.premise1, state.premise2
     universe = ct.universe
     memo: dict[int, int] = {}
     nodes: list[DerivationNode] = []
@@ -294,21 +360,27 @@ def extract_proof(
         fid = stack.pop()
         if fid < 0:
             fid = ~fid
-            kind, rule, premids = prov[fid]
+            a, b = why1[fid], why2[fid]
+            kind, rule = "rule", RULE_NAMES[why[fid]]
+            parents = (memo[a],) if b < 0 else (memo[a], memo[b])
         else:
             if fid in memo:
                 continue
-            entry = prov[fid]
-            if entry is None:
-                raise RuntimeError("derived formula lacks provenance")
-            kind, rule, premids = entry
-            if premids:
-                stack.append(~fid)
-                for pid in reversed(premids):
-                    if pid not in memo:
-                        stack.append(pid)
-                continue
-        parents = tuple(map(memo.__getitem__, premids))
+            code = why[fid]
+            if code == HYPOTHESIS:
+                kind, rule = "hypothesis", None
+            else:
+                a = why1[fid]
+                if a >= 0:
+                    stack.append(~fid)
+                    b = why2[fid]
+                    if b >= 0 and b not in memo:
+                        stack.append(b)
+                    if a not in memo:
+                        stack.append(a)
+                    continue
+                kind, rule = "axiom", RULE_NAMES[code]
+            parents = ()
         nid = len(nodes)
         memo[fid] = nid
         nodes.append(DerivationNode(nid, universe[fid], kind, rule, parents))

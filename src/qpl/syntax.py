@@ -21,8 +21,9 @@ The entry points that build data in proportion to their input (parse_problem,
 engine.Session, the proof JSON conversions, the proof checker and cli.main)
 run under gc_paused, with the cyclic garbage collector off. That is safe
 because nothing they build can form a reference cycle: an interned formula
-refers only to formulas built before it, and closure tables, compiled
-rules, provenance, proof nodes and JSON trees are trees or DAGs over them.
+refers only to formulas built before it, closure tables, proof nodes and
+JSON trees are trees or DAGs over them, and compiled rules and provenance
+are columns of integers.
 Reference counting frees all of it as soon as it is dropped, and a cycle
 made during a paused call (an exception's traceback, say) is found by the
 first collection after the call. The switch is process-wide: other threads

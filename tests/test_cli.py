@@ -662,6 +662,53 @@ def test_proof_with_a_constant_under_its_binder_is_refused(
     assert not (tmp_path / "proof.json").exists()
 
 
+# y is a constant in the first two lines and a variable after @vars, so the
+# document declares the variable y and verify-proof would read the hyp R(y)
+# as R(<variable y>)
+_CONST_NAMED_LIKE_A_VAR = "R(y)\nR(y) -> P\n@vars y\nQ(y)\n"
+_MISREAD_VAR = (
+    "proof refused: label 'R(y)' would read back as another formula, since"
+    " a constant in it shares its name with a declared variable\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{hyps}", "P", "--proof", "{proof}"],
+        ["check", "{hyps}", "P", "--json", "--proof", "{proof}"],
+        ["check", "{consts}", "--query-file", "{queries}", "--proof", "{proof}"],
+        ["prove", "{hyps}", "P", "--proof", "{proof}"],
+        ["prove", "{hyps}", "P"],
+    ],
+    ids=["check", "check-json", "check-query-file", "prove-proof", "prove-text"],
+)
+def test_proof_with_a_constant_named_like_a_var_is_refused(tmp_path, capsys, argv):
+    paths = {
+        "{hyps}": write(tmp_path, "h.qpl", _CONST_NAMED_LIKE_A_VAR),
+        "{consts}": write(tmp_path, "c.qpl", "R(y)\nR(y) -> P\n"),
+        "{queries}": write(tmp_path, "q.qpl", "@vars y\nP\nQ(y)\n"),
+        "{proof}": str(tmp_path / "proof.json"),
+    }
+    assert cli.main([paths.get(a, a) for a in argv]) == 1
+    assert capsys.readouterr() == ("", _MISREAD_VAR)
+    assert not (tmp_path / "proof.json").exists()
+
+
+def test_constant_named_like_a_var_outside_the_document_still_proves(
+    tmp_path, capsys
+):
+    # the constant y occurs only in the refused query R(y), which the
+    # document does not hold, so the proof of P is written and verifies
+    hyps = write(tmp_path, "h.qpl", "P\n")
+    queries = write(tmp_path, "q.qpl", "R(y)\n@vars y\nQ(y)\n")
+    out = tmp_path / "proof.json"
+    argv = ["check", hyps, "P", "--query-file", queries, "--proof", str(out)]
+    assert cli.main(argv) == 0
+    assert json.loads(out.read_text())["vars"] == ["y"]
+    assert cli.main(["verify-proof", str(out)]) == 0
+
+
 def test_constant_named_like_a_binder_elsewhere_still_proves(tmp_path, capsys):
     # x is a constant and a binder, but no label holds the constant x under
     # a binder x, so the proof is written and verifies

@@ -18,6 +18,7 @@ from qpl.calculus import (
     check_derivation,
     derivation_from_json,
     derivation_to_json,
+    load_derivation,
 )
 from qpl.engine import Session
 from qpl.generators import chain_family, random_instance
@@ -47,6 +48,7 @@ def _entry_points(tmp_path):
         ("Session.verdicts", session.verdicts),
         ("derivation_to_json", lambda: derivation_to_json(verdict.proof)),
         ("derivation_from_json", lambda: derivation_from_json(doc, ("x",))),
+        ("load_derivation", lambda: load_derivation(json.dumps(doc), ("x",))),
         ("check_derivation", lambda: check_derivation(
             verdict.proof, V.QPL, prob.formulas, verdict.query)),
         ("cli.main", lambda: cli.main(["check", str(hyps), "S(c)"])),
@@ -60,6 +62,7 @@ def _failing_calls(tmp_path):
     return [
         ("parse_problem", lambda: parse_problem("p &\n"), ParseError),
         ("derivation_from_json", lambda: derivation_from_json([]), ValueError),
+        ("load_derivation", lambda: load_derivation("[1,"), ValueError),
         ("Session", lambda: Session(parse_problem(PROBLEM).formulas, [],
                                     V.QPL, closure_cap=1), ResourceLimit),
         ("cli.main", lambda: cli.main(["check", str(hyps), "p &"]), 2),
@@ -84,8 +87,8 @@ def collector_on():
 
 def test_paused_entry_points_keep_their_names():
     for fn in (parse_problem, Session.__init__, Session.verdicts,
-               derivation_to_json, derivation_from_json, check_derivation,
-               cli.main):
+               derivation_to_json, derivation_from_json, load_derivation,
+               check_derivation, cli.main):
         assert fn.__qualname__ == fn.__wrapped__.__qualname__
         assert fn.__module__ == fn.__wrapped__.__module__
 
@@ -119,6 +122,25 @@ def test_paused_inside_the_call(collector_on):
     seen = []
     gc_paused(lambda: seen.append(gc.isenabled()))()
     assert seen == [False] and gc.isenabled()
+
+
+def test_load_derivation_reads_a_large_proof_without_a_collection(collector_on):
+    hyps, query = chain_family(50_000)
+    verdict = Session(hyps, [query], V.PFQPL).verdicts()[0]
+    text = json.dumps(derivation_to_json(verdict.proof))
+    collections = []
+
+    def record(phase, info):
+        collections.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        proof = load_derivation(text)
+    finally:
+        gc.callbacks.remove(record)
+    assert collections == []
+    assert proof == derivation_from_json(json.loads(text))
+    assert len(proof.nodes) == len(verdict.proof.nodes)
 
 
 def _chain_pipeline():

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,7 +19,13 @@ from qpl.engine import (
     extract_proof,
     saturate,
 )
-from qpl.generators import random_instance
+from qpl.generators import (
+    Dec,
+    Inc,
+    TwoRegisterMachine,
+    bounded_halting_instance,
+    random_instance,
+)
 from qpl.semantics import (
     satisfies,
     semantic_yields_bruteforce,
@@ -45,7 +53,33 @@ A, B, C = atom("A"), atom("B"), atom("C")
 
 
 def _instances(ct, variant):
-    return compile_rules(ct, variant).instances
+    """The compiled instances as (rule name, premise ids, conclusion id)."""
+    c = compile_rules(ct, variant)
+    return [
+        (
+            en.RULE_NAMES[c.rule[i]],
+            (c.premise1[i],) if c.premise2[i] < 0 else (c.premise1[i], c.premise2[i]),
+            c.conclusion[i],
+        )
+        for i in c.instances
+    ]
+
+
+def _provenance(state):
+    """Each member's provenance as (kind, rule name, premise ids), or None
+    when it is not derived."""
+    out = []
+    for m, derived in enumerate(state.derived):
+        code, a, b = state.rule[m], state.premise1[m], state.premise2[m]
+        if not derived:
+            out.append(None)
+        elif code == en.HYPOTHESIS:
+            out.append(("hypothesis", None, ()))
+        elif a < 0:
+            out.append(("axiom", en.RULE_NAMES[code], ()))
+        else:
+            out.append(("rule", en.RULE_NAMES[code], (a,) if b < 0 else (a, b)))
+    return out
 
 
 # ---------------------------------------------------------------- compiling
@@ -103,11 +137,11 @@ def test_compile_bottom_trigger_and_seeds():
     assert compile_rules(ct, V.L1).bottom_id == -1
 
     ct = closure([imp(imp(q, q), r)])
-    assert compile_rules(ct, V.PFQPL).axiom_seeds == [(1, "ImpAx")]
+    assert compile_rules(ct, V.PFQPL).axiom_seeds == [(1, en.IMP_AX)]
     assert compile_rules(ct, V.L2).axiom_seeds == []
 
     ct = closure([conj(top(), p)])
-    assert compile_rules(ct, V.ORIGINAL).axiom_seeds == [(1, "TopI")]
+    assert compile_rules(ct, V.ORIGINAL).axiom_seeds == [(1, en.TOP_I)]
 
 
 # --------------------------------------------------------------- saturation
@@ -117,7 +151,9 @@ def test_saturate_modus_ponens():
     state = saturate([p, imp(p, q)], ct, compile_rules(ct, V.ORIGINAL))
     assert all(state.derived)
     qid = ct.index[q]
-    assert state.provenance[qid] == ("rule", "ImpE", (ct.index[p], ct.index[imp(p, q)]))
+    assert _provenance(state)[qid] == (
+        "rule", "ImpE", (ct.index[p], ct.index[imp(p, q)])
+    )
 
 
 def test_saturate_axiom_seeding():
@@ -143,7 +179,7 @@ def test_saturate_bottom_floods_at_fixpoint():
     state = saturate([imp(p, bot()), p], ct, compile_rules(ct, V.L2))
     assert state.bot_flag
     assert all(state.derived)
-    assert state.provenance[ct.index[q]] == ("rule", "BotE", (ct.index[bot()],))
+    assert _provenance(state)[ct.index[q]] == ("rule", "BotE", (ct.index[bot()],))
 
 
 def test_saturate_bottom_inactive_below_l2():
@@ -158,6 +194,38 @@ def test_saturate_rejects_foreign_formulas():
     ct = closure([p])
     with pytest.raises(ValueError):
         saturate([q], ct, compile_rules(ct, V.QPL))
+
+
+def test_compiled_rules_and_fixpoint_stay_small():
+    """tracemalloc on the 4-state machine of the queries benchmark at t=12
+    (23,207 members, 57,538 instances). Compiled rules took 214 B per
+    instance as two tuples each, and the state kept after them 1.01 MiB."""
+    machine = TwoRegisterMachine(
+        {0: Inc(1, 2), 2: Inc(2, 3), 3: Dec(1, 4, 2), 4: Dec(2, 1, 4)}
+    )
+    hyps, query = bounded_halting_instance(machine, 12)
+    ct = closure([*hyps, query])
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        compiled = compile_rules(ct, V.QPL)
+        compiled_bytes = tracemalloc.get_traced_memory()[0] - base
+        n_instances = len(compiled.instances)
+        state = saturate(hyps, ct, compiled)
+        del compiled
+        state_bytes = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert n_instances == 57_538
+    assert compiled_bytes <= 140 * n_instances
+    assert state_bytes <= 1.01 * 2**20
+    # flat columns of numbers only, so no watch list stays reachable
+    for v in vars(state).values():
+        assert type(v) in (bytearray, bool, int) or all(type(x) is int for x in v)
+    assert state.derived[ct.index[query]]
 
 
 # --------------------------------------------------------------- entailment
@@ -419,7 +487,7 @@ def test_session_state_does_not_depend_on_the_queries():
     first, second = Session(hyps, [q], V.ORIGINAL), Session(hyps, [q, r], V.ORIGINAL)
     assert first.closure_table.universe == second.closure_table.universe
     assert first.state.derived == second.state.derived
-    assert first.state.provenance == second.state.provenance
+    assert _provenance(first.state) == _provenance(second.state)
     assert first.stats == second.stats
     assert first.state.derived[first.closure_table.index[r]]
 
@@ -430,8 +498,9 @@ def test_saturate_bottom_derives_every_target():
     session = Session(hyps, queries, V.L2)
     state, idx = session.state, session.closure_table.index
     assert state.bot_flag and all(state.derived)
+    prov = _provenance(state)
     for f in queries:
-        assert state.provenance[idx[f]] == ("rule", "BotE", (idx[bot()],))
+        assert prov[idx[f]] == ("rule", "BotE", (idx[bot()],))
     assert [v.entailed for v in session.verdicts()] == [True, True, True]
 
 

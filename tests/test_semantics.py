@@ -10,7 +10,7 @@ import pytest
 
 from qpl import syntax
 from qpl.calculus import CalculusVariant as V
-from qpl.engine import SaturationState, entails
+from qpl.engine import HYPOTHESIS, SaturationState, entails
 from qpl.semantics import (
     CountermodelError,
     OverrideFn,
@@ -570,14 +570,15 @@ def test_countermodel_rejects_foreign_hypothesis():
 def test_countermodel_detects_inconsistent_state():
     ct = closure([conj(p, q)])
     idx = ct.index
-    derived = bytearray(len(ct.universe))
-    prov = [None] * len(ct.universe)
+    n = len(ct.universe)
+    derived = bytearray(n)
     for f in (p, q):
         derived[idx[f]] = 1
-        prov[idx[f]] = ("hypothesis", None, ())
     fake = SaturationState(
         derived=derived,
-        provenance=prov,
+        rule=bytearray([HYPOTHESIS] * n),
+        premise1=[-1] * n,
+        premise2=[-1] * n,
         bot_flag=False,
         instances_fired=0,
         derived_count=2,
