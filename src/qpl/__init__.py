@@ -14,10 +14,12 @@ from .calculus import (
     CalculusVariant,
     Derivation,
     DerivationNode,
+    FormulaTable,
     Report,
     check_derivation,
     derivation_from_json,
     derivation_to_json,
+    formulas_from_json,
     load_derivation,
 )
 from .engine import (
@@ -67,6 +69,7 @@ __all__ = [
     "Derivation",
     "DerivationNode",
     "Formula",
+    "FormulaTable",
     "OverrideFn",
     "ParseError",
     "Report",
@@ -91,6 +94,7 @@ __all__ = [
     "exists",
     "extract_proof",
     "forall",
+    "formulas_from_json",
     "imp",
     "load_derivation",
     "parse_formula",

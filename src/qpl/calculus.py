@@ -7,6 +7,11 @@ node cites only earlier nodes and the listing itself shows the graph
 acyclic: the checker needs no cycle search. It validates structure first
 and only then judges each node, so a malformed graph never produces rule
 verdicts.
+
+A derivation is written as JSON node columns whose labels cite the rows of
+a formula table (FormulaTable), and read back by building those rows with
+the interning constructors; documents that hold rendered labels instead are
+still read by parsing them.
 """
 
 from __future__ import annotations
@@ -15,9 +20,11 @@ import json
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
+from itertools import chain
 from typing import NamedTuple
 
 from .syntax import (
+    _KEYWORDS,
     And,
     Atom,
     Bot,
@@ -26,12 +33,23 @@ from .syntax import (
     Formula,
     Imp,
     Or,
+    RESERVED_PREFIX,
     SymbolTable,
     Top,
     VAR,
+    atom,
+    bot,
+    conj,
+    const,
+    disj,
+    exists,
+    forall,
     gc_paused,
+    imp,
     parse_formula,
     render,
+    top,
+    var,
 )
 
 
@@ -367,36 +385,265 @@ def check_derivation(
 # ------------------------------------------------------------ serialization
 
 _NODE_KINDS = ("hypothesis", "axiom", "rule")
+_COLUMNS = ("id", "label", "kind", "rule", "premises", "parents")
+_INT = frozenset({int})
+_STR = frozenset({str})
+_RULE_TYPES = frozenset({str, type(None)})
+
+# The opcodes of a formula table's rows. A row is its opcode and operands:
+# TRUE and FALSE have none; ATOM is followed by the relation's name index,
+# the argument count k and k terms, a constant as its name index i and a
+# variable as -1 - i; AND, OR and IMP by the row ids of their operands;
+# FORALL and EXISTS by the bound variable's name index and the body's row.
+TRUE, FALSE, ATOM, AND, OR, IMP, FORALL, EXISTS = range(8)
+_OPCODES = {
+    Top: TRUE, Bot: FALSE, Atom: ATOM, And: AND, Or: OR, Imp: IMP,
+    Forall: FORALL, Exists: EXISTS,
+}
+_BINARY_MAKERS = (None, None, None, conj, disj, imp)
 
 
-def render_cached(texts: dict, f: Formula) -> str:
-    """render(f), rendered once per texts dict: texts maps each formula
-    rendered through it so far to its text."""
-    text = texts.get(f)
-    if text is None:
-        text = texts[f] = render(f)
-    return text
+def _only(types: frozenset, items) -> bool:
+    """Every item's exact type is in types (so a bool is no int)."""
+    return set(map(type, items)) <= types
+
+
+class FormulaTable:
+    """The formula table of one proof document, filled as it is written.
+
+    names lists each relation, variable and constant name once; formulas
+    is one flat integer array of rows, each citing only earlier rows (the
+    opcodes above). Formulas are interned, so each distinct formula is one
+    row.
+    """
+
+    __slots__ = ("formulas", "_names", "_rows")
+
+    def __init__(self):
+        self.formulas: list[int] = []
+        self._names: dict[str, int] = {}  # name -> index, in index order
+        self._rows: dict[Formula, int] = {}
+
+    @property
+    def names(self) -> list[str]:
+        return list(self._names)
+
+    def rows(self, formulas) -> list[int]:
+        """The row id of each of formulas. The first time a formula is met,
+        the rows of its subformulas not written yet are written, then its
+        own. An explicit stack holds the formulas waiting for an operand's
+        row, so nesting depth is bounded by memory only."""
+        rows, out, names = self._rows, self.formulas, self._names
+        ids = []
+        for f in formulas:
+            i = rows.get(f)
+            if i is None:
+                stack = [f]
+                while stack:
+                    g = stack.pop()
+                    if g in rows:  # written since it was pushed
+                        continue
+                    cls = g.__class__
+                    if cls is Atom:
+                        args = g.args
+                        out += (ATOM, names.setdefault(g.rel, len(names)), len(args))
+                        for t in args:
+                            code = names.setdefault(t.name, len(names))
+                            out.append(-1 - code if t.kind == VAR else code)
+                    else:
+                        op = _OPCODES[cls]
+                        if AND <= op <= IMP:
+                            left, right = rows.get(g.l), rows.get(g.r)
+                            if left is None or right is None:
+                                stack += (g, g.r, g.l)
+                                continue
+                            out += (op, left, right)
+                        elif op >= FORALL:
+                            body = rows.get(g.body)
+                            if body is None:
+                                stack += (g, g.body)
+                                continue
+                            out += (op, names.setdefault(g.var, len(names)), body)
+                        else:
+                            out.append(op)
+                    rows[g] = len(rows)
+                i = rows[f]
+            ids.append(i)
+        return ids
 
 
 @gc_paused
-def derivation_to_json(d: Derivation, texts: dict | None = None) -> dict:
-    """The JSON shape of d: {"root": id, "nodes": [...]}, each node the
-    five-element array [id, label, kind, rule, parents], where label is the
-    rendered formula, rule is null on hypotheses and parents is an id array.
+def derivation_to_json(d: Derivation, table: FormulaTable | None = None) -> dict:
+    """The JSON shape of d: the root id and one array per node field. Node
+    i is id[i], the formula row label[i], kind[i], rule[i] (null on
+    hypotheses) and the next premises[i] ids of parents, in the order the
+    rule states them.
 
-    A caller that passes its own texts dict (one per proof document, the
-    mirror of derivation_from_json's symbols) shares rendered labels across
-    calls: each distinct formula is rendered once, and the dict maps it to
-    its text. Without a dict every label is rendered, and nothing is cached.
+    A caller that passes its own table (one per proof document) shares it
+    across calls, and writes its names and formulas once beside them.
+    Without a table, d's own is written as its names and formulas.
     """
-    label = render if texts is None else partial(render_cached, texts)
-    return {
+    own = table is None
+    if own:
+        table = FormulaTable()
+    ids, labels, kinds, rules, parents = zip(*d.nodes) if d.nodes else ((),) * 5
+    doc = {
         "root": d.root,
-        "nodes": [
-            [nid, label(f), kind, rule, list(parents)]
-            for nid, f, kind, rule, parents in d.nodes
-        ],
+        "id": list(ids),
+        "label": table.rows(labels),
+        "kind": list(kinds),
+        "rule": list(rules),
+        "premises": list(map(len, parents)),
+        "parents": list(chain.from_iterable(parents)),
     }
+    if own:
+        doc["names"] = table.names
+        doc["formulas"] = table.formulas
+    return doc
+
+
+def _table_rows(obj: dict, arities: dict) -> list[Formula]:
+    """The formulas of obj's names and formulas, one per row, built with
+    the interning constructors; arities are the relation arities seen so
+    far, and each row's are added to them."""
+    names, formulas = obj.get("names"), obj.get("formulas")
+    if type(names) is not list or type(formulas) is not list:
+        raise ValueError("a formula table needs 'names' and 'formulas' arrays")
+    if not _only(_STR, names):
+        raise ValueError("'names' entries must be strings")
+    if not _only(_INT, formulas):
+        raise ValueError("'formulas' must be an integer array")
+    n_names = len(names)
+    terms: dict[int, object] = {}
+    rows: list[Formula] = []
+    append = rows.append
+    i, end = 0, len(formulas)
+    try:
+        while i < end:
+            op = formulas[i]
+            if AND <= op <= IMP:
+                left, right = formulas[i + 1], formulas[i + 2]
+                i += 3
+                n = len(rows)
+                if not (0 <= left < n and 0 <= right < n):
+                    bad = right if 0 <= left < n else left
+                    raise ValueError(
+                        f"formula row {n} cites row {bad}, which is not an "
+                        "earlier row"
+                    )
+                append(_BINARY_MAKERS[op](rows[left], rows[right]))
+            elif op == ATOM:
+                rel, k = formulas[i + 1], formulas[i + 2]
+                i += 3
+                if not 0 <= rel < n_names or k < 0:
+                    raise ValueError(
+                        f"formula row {len(rows)}: bad relation {rel} or "
+                        f"argument count {k}"
+                    )
+                rel = names[rel]
+                if i + k > end:
+                    raise IndexError
+                args = []
+                for t in formulas[i:i + k]:
+                    term = terms.get(t)
+                    if term is None:
+                        term = terms[t] = _table_term(names, t, len(rows))
+                    args.append(term)
+                i += k
+                if arities.setdefault(rel, k) != k:
+                    raise ValueError(
+                        f"formula row {len(rows)}: relation {rel!r} has {k} "
+                        f"argument(s) but {arities[rel]} in an earlier row"
+                    )
+                append(atom(rel, *args))
+            elif op == FORALL or op == EXISTS:
+                v, body = formulas[i + 1], formulas[i + 2]
+                i += 3
+                n = len(rows)
+                if not 0 <= v < n_names or not 0 <= body < n:
+                    raise ValueError(
+                        f"formula row {n}: bad variable {v} or body row {body}"
+                        ", which must be an earlier row"
+                    )
+                append((forall if op == FORALL else exists)(names[v], rows[body]))
+            elif op == TRUE:
+                append(top())
+                i += 1
+            elif op == FALSE:
+                append(bot())
+                i += 1
+            else:
+                raise ValueError(f"formula row {len(rows)}: unknown opcode {op}")
+    except IndexError:
+        raise ValueError(
+            f"formula row {len(rows)} runs past the end of 'formulas'"
+        ) from None
+    return rows
+
+
+def _table_term(names: list, code: int, row: int):
+    """The term an atom row writes as code."""
+    i = code if code >= 0 else -1 - code
+    if i >= len(names) or names[i] in _KEYWORDS:
+        raise ValueError(f"formula row {row}: bad term {code}")
+    return const(names[i]) if code >= 0 else var(names[i])
+
+
+@gc_paused
+def formulas_from_json(obj: dict, symbols: SymbolTable) -> list[Formula]:
+    """Read the formula table (names and formulas) of a proof document and
+    keep its rows as symbols.rows, where derivation_from_json finds them
+    for every derivation of the document that carries no table of its own.
+    Relation arities are checked against and added to symbols'."""
+    symbols.rows = _table_rows(obj, symbols.arities)
+    return symbols.rows
+
+
+def _cited_formulas(rows: list, ids, declared: frozenset, what: str) -> list:
+    """The formulas of rows at ids, where a proof document cites them as
+    its hyps or a query: each id an integer row id, each formula's free
+    variables among declared, and no name in it reserved, as in a problem
+    file (parse_formula). Node labels may hold reserved names."""
+    if not isinstance(ids, list) or not _only(_INT, ids):
+        raise ValueError(f"{what} must cite rows of 'formulas' by integer id")
+    if ids and (min(ids) < 0 or max(ids) >= len(rows)):
+        bad = min(ids) if min(ids) < 0 else max(ids)
+        raise ValueError(
+            f"{what} cites row {bad}, but 'formulas' has {len(rows)} row(s)"
+        )
+    cited = [rows[i] for i in ids]
+    for f in cited:
+        if not f.free <= declared:
+            raise ValueError(_undeclared(what, f.free - declared))
+    seen = set()
+    stack = cited[:]
+    while stack:
+        f = stack.pop()
+        if f in seen:
+            continue
+        seen.add(f)
+        cls = f.__class__
+        if cls is Atom:
+            names = (f.rel, *(t.name for t in f.args))
+        elif cls is Forall or cls is Exists:
+            names = (f.var,)
+            stack.append(f.body)
+        else:
+            names = ()
+            if cls is And or cls is Or or cls is Imp:
+                stack += (f.l, f.r)
+        for name in names:
+            if name.startswith(RESERVED_PREFIX):
+                raise ValueError(
+                    f"identifiers starting with {RESERVED_PREFIX!r} are "
+                    f"reserved: {name!r}"
+                )
+    return cited
+
+
+def _undeclared(what: str, names) -> str:
+    return (f"{what} holds the variable {min(names)!r}, which is neither "
+            "bound above it nor declared in 'vars'")
 
 
 @gc_paused
@@ -407,19 +654,101 @@ def derivation_from_json(
 ) -> Derivation:
     """Read a derivation back from derivation_to_json's shape.
 
-    A node may also be the object {"id", "label", "kind", "rule",
-    "parents"} that documents written before the array shape hold; both
-    are checked alike and may be mixed. Labels are parsed with reserved
-    names allowed, reading declared_vars as variables. A caller that
-    passes its own symbols table (one per proof document) shares arities
-    and parsed labels across calls: each distinct label text is parsed
-    once per declared set (SymbolTable labels), and a repeat gets the same
-    formula. Without a table every label is parsed, and nothing is cached.
+    Labels are rows of the derivation's own formula table, or, when it has
+    none, of the document table that formulas_from_json read into symbols.
+    A variable free in a label must be one of declared_vars.
+
+    A derivation written before formula tables holds a 'nodes' array
+    instead: each node the five-element array [id, label, kind, rule,
+    parents] or the object with those keys, label the rendered formula.
+    Those labels are parsed with reserved names allowed, reading
+    declared_vars as variables. A caller that passes its own symbols table
+    (one per proof document) shares arities and parsed labels across
+    calls: each distinct label text is parsed once per declared set
+    (SymbolTable labels), and a repeat gets the same formula. Without a
+    table every label is parsed, and nothing is cached.
     """
     if not isinstance(obj, dict):
         raise ValueError("derivation must be a JSON object")
     if type(obj.get("root")) is not int:  # bool is an int subclass
         raise ValueError("derivation needs an integer 'root'")
+    if "nodes" in obj or "label" not in obj:
+        return _derivation_from_labels(obj, declared_vars, symbols)
+    if "formulas" in obj or "names" in obj:
+        rows = _table_rows(obj, {} if symbols is None else symbols.arities)
+    elif symbols is None or symbols.rows is None:
+        raise ValueError("derivation cites formula rows, but no table was read")
+    else:
+        rows = symbols.rows
+    columns = ids, label, kind, rule, premises, parents = [
+        obj.get("id"), obj.get("label"), obj.get("kind"), obj.get("rule"),
+        obj.get("premises"), obj.get("parents"),
+    ]
+    n_rows = len(rows)
+    if not (
+        type(ids) is type(label) is type(kind) is type(rule) is list
+        and type(premises) is type(parents) is list
+        and len(ids) == len(label) == len(kind) == len(rule) == len(premises)
+        and _only(_INT, parents)
+    ):
+        raise ValueError(_column_fault(columns, n_rows))
+    declared = frozenset(declared_vars)
+    flat = tuple(parents)
+    nodes = []
+    append = nodes.append
+    j = 0  # where the node's parents start in flat
+    for nid, i, k, r, p in zip(ids, label, kind, rule, premises):
+        if (
+            type(nid) is not int
+            or type(i) is not int or not 0 <= i < n_rows
+            or k not in _NODE_KINDS
+            or (r is not None and r.__class__ is not str)
+            or type(p) is not int or p < 0
+        ):
+            raise ValueError(_column_fault(columns, n_rows))
+        f = rows[i]
+        if f.free and not f.free <= declared:
+            raise ValueError(_undeclared("'label'", f.free - declared))
+        append(_new_node((nid, f, k, r, flat[j:j + p])))
+        j += p
+    if j != len(flat):
+        raise ValueError(_column_fault(columns, n_rows))
+    return Derivation(root=obj["root"], nodes=tuple(nodes))
+
+
+# DerivationNode(*fields) without the Python-level __new__ of a named tuple
+_new_node = partial(tuple.__new__, DerivationNode)
+
+
+def _column_fault(columns: list, n_rows: int) -> str:
+    """What is wrong with a derivation's node columns, whose labels cite
+    n_rows rows."""
+    for key, column in zip(_COLUMNS, columns):
+        if type(column) is not list:
+            return f"derivation needs a {key!r} array"
+    ids, label, kind, rule, premises, parents = columns
+    if not len(ids) == len(label) == len(kind) == len(rule) == len(premises):
+        return ("node columns 'id', 'label', 'kind', 'rule' and 'premises' "
+                "must have one entry per node")
+    for key, column in zip(_COLUMNS, columns):
+        if key not in ("kind", "rule") and not _only(_INT, column):
+            return f"{key!r} must be an integer array"
+    bad = next((i for i in label if not 0 <= i < n_rows), None)
+    if bad is not None:
+        return f"'label' cites row {bad}, but 'formulas' has {n_rows} row(s)"
+    bad = next((k for k in kind if k not in _NODE_KINDS), None)
+    if bad is not None:
+        return f"node at index {_index(kind, bad)}: unknown kind {bad!r}"
+    if not _only(_RULE_TYPES, rule):
+        return "'rule' entries must be strings or null"
+    if any(p < 0 for p in premises):
+        return "'premises' must be counts"
+    return (f"'premises' add up to {sum(premises)} parent(s), but "
+            f"'parents' holds {len(parents)}")
+
+
+def _derivation_from_labels(obj, declared_vars, symbols) -> Derivation:
+    """derivation_from_json of a derivation with a 'nodes' array."""
     items = obj.get("nodes")
     if not isinstance(items, list):
         raise ValueError("derivation needs a 'nodes' array")

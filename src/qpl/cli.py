@@ -11,9 +11,8 @@ runs the scaling family.
 Exit codes: 0 for a successful decision regardless of verdict, 2 for
 input errors, 3 for resource limits, among them running out of memory and
 input nested too deeply for render, truth_mask or the JSON decoder. prove
-returns 1 when no derivation exists; prove and check --proof return 1,
-writing nothing, when a proof label would read back as another formula;
-verify-proof returns 1 for a well-formed but invalid proof.
+returns 1 when no derivation exists; verify-proof returns 1 for a
+well-formed but invalid proof.
 """
 
 import argparse
@@ -26,10 +25,12 @@ import time
 from .algebra import parse_term, render_term, term_geq
 from .calculus import (
     CalculusVariant,
+    FormulaTable,
+    _cited_formulas,
     check_derivation,
     derivation_from_json,
     derivation_to_json,
-    render_cached,
+    formulas_from_json,
 )
 from .engine import Session, entails
 from .generators import (
@@ -49,15 +50,8 @@ from .semantics import (
     verdict_countermodel,
 )
 from .syntax import (
-    CONST,
     DEFAULT_CLOSURE_CAP,
     VAR,
-    And,
-    Atom,
-    Exists,
-    Forall,
-    Imp,
-    Or,
     ResourceLimit,
     SymbolTable,
     bot,
@@ -76,6 +70,7 @@ def _read_text(path: str) -> str:
 
 
 _STR = json.encoder.encode_basestring_ascii
+_INTS = {int}
 
 
 def _dump(doc, pad="\n") -> str:
@@ -95,7 +90,10 @@ def _dump(doc, pad="\n") -> str:
     if cls is list or cls is tuple:
         if not doc:
             return "[]"
-        items = [_dump(v, inner) for v in doc]
+        if set(map(type, doc)) == _INTS:  # a column of a proof document
+            items = map(int.__repr__, doc)
+        else:
+            items = [_dump(v, inner) for v in doc]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if cls is dict:
         if not doc:
@@ -125,88 +123,30 @@ def _resolve_seed(args):
     return random.SystemRandom().randrange(2**32)
 
 
-def _proof_doc(session: Session, verdicts, texts: dict) -> dict:
+def _proof_doc(session: Session, verdicts) -> dict:
     """The proofs of the entailed verdicts. vars declares the variable
     parameters of the session's closure, which are the free variables of
     the hyps and of every query, refused ones too: the closure instantiates
-    over all of them, so any may occur in a label. texts is the document's
-    rendered formulas (render_cached), shared by the hyps, the queries and
-    every label."""
+    over all of them, so any may occur in a label. The hyps, the queries
+    and every derivation's labels cite rows of the document's one formula
+    table (names and formulas)."""
     params = session.closure_table.params
+    table = FormulaTable()
+    hyps = table.rows(session.hyps)
+    proofs = [
+        {"query": table.rows([v.query])[0],
+         "derivation": derivation_to_json(v.proof, table)}
+        for v in verdicts
+        if v.entailed
+    ]
     return {
         "variant": session.variant.cli_name,
         "vars": sorted(t.name for t in params if t.kind == VAR),
-        "hyps": [render_cached(texts, h) for h in session.hyps],
-        "proofs": [
-            {
-                "query": render_cached(texts, v.query),
-                "derivation": derivation_to_json(v.proof, texts),
-            }
-            for v in verdicts
-            if v.entailed
-        ],
+        "names": table.names,
+        "formulas": table.formulas,
+        "hyps": hyps,
+        "proofs": proofs,
     }
-
-
-def _misread_label(session: Session, verdicts):
-    """The first formula of the proof document of verdicts, hyps first and
-    then the proofs' labels, that holds a constant verify-proof would read
-    as a variable: (its text, what the constant shares its name with), or
-    None.
-
-    Labels carry no term kinds, so a constant named like one of the
-    document's vars reads back as that variable, and a constant under a
-    binder of the same name reads back as the bound variable: forall x.
-    R(<constant x>, x) renders as forall x. R(x, x). Parsed input never
-    holds the second, but an instance can. Only constants named like a
-    variable or a binder of the session are tracked, and when there are
-    none nothing is walked. A (subformula, tracked binders) pair is walked
-    once per call.
-    """
-    ct = session.closure_table
-    consts = {t.name for t in ct.params if t.kind == CONST}
-    as_vars = consts.intersection(t.name for t in ct.params if t.kind == VAR)
-    binders = consts.intersection(f.var for f in ct.sub_instances)
-    if not as_vars and not binders:
-        return None
-    labels = list(session.hyps)
-    for v in verdicts:
-        if v.entailed:
-            labels.extend(f for _, f, _, _, _ in v.proof.nodes)
-    walked = set()
-    for f in labels:
-        stack = [(f, frozenset())]
-        while stack:
-            pair = stack.pop()
-            if pair in walked:
-                continue
-            walked.add(pair)
-            g, bound = pair
-            cls = g.__class__
-            if cls is Atom:
-                for t in g.args:
-                    if t.kind == CONST:
-                        if t.name in as_vars:
-                            return render(f), "a declared variable"
-                        if t.name in bound:
-                            return render(f), "a binder over it"
-            elif cls is Forall or cls is Exists:
-                if g.var in binders:
-                    bound = bound | {g.var}
-                stack.append((g.body, bound))
-            elif cls is And or cls is Or or cls is Imp:
-                stack.append((g.r, bound))
-                stack.append((g.l, bound))
-    return None
-
-
-def _refuse_proof(label: str, clash: str) -> int:
-    print(
-        f"proof refused: label {label!r} would read back as another "
-        f"formula, since a constant in it shares its name with {clash}",
-        file=sys.stderr,
-    )
-    return 1
 
 
 # ---------------------------------------------------------------- check
@@ -227,18 +167,13 @@ def cmd_check(args) -> int:
         raise ValueError("no queries given")
     session = Session(prob.formulas, queries, variant, closure_cap=args.closure_cap)
     verdicts = session.verdicts(with_proof=args.proof is not None)
-    if args.proof is not None:
-        misread = _misread_label(session, verdicts)
-        if misread is not None:
-            return _refuse_proof(*misread)
-    texts: dict = {}  # shared with the proof document
     if args.json:
         print(_dump({
             "variant": session.variant.cli_name,
-            "hyps": [render_cached(texts, h) for h in session.hyps],
+            "hyps": [render(h) for h in session.hyps],
             "results": [
                 {
-                    "query": render_cached(texts, v.query),
+                    "query": render(v.query),
                     "entailed": v.entailed,
                     "stats": v.stats,
                 }
@@ -250,7 +185,7 @@ def cmd_check(args) -> int:
             tag = "entailed" if v.entailed else "not entailed"
             print(f"{tag}: {render(v.query)}")
     if args.proof is not None:
-        _write_json(args.proof, _proof_doc(session, verdicts, texts))
+        _write_json(args.proof, _proof_doc(session, verdicts))
     if args.countermodel is not None:
         entries = []
         model = None  # every refused query of a session shares one model
@@ -312,11 +247,8 @@ def cmd_prove(args) -> int:
     if not v.entailed:
         print(f"not entailed: {render(q)}", file=sys.stderr)
         return 1
-    misread = _misread_label(v.session, [v])
-    if misread is not None:
-        return _refuse_proof(*misread)
     if args.proof is not None or args.json:
-        doc = _proof_doc(v.session, [v], {})
+        doc = _proof_doc(v.session, [v])
         if args.proof is not None:
             _write_json(args.proof, doc)
         if args.json:
@@ -342,7 +274,8 @@ def cmd_verify_proof(args) -> int:
     declared = obj.get("vars", [])
     if not isinstance(declared, list):
         raise ValueError("'vars' must be an array")
-    for key, items in (("vars", declared), ("hyps", obj["hyps"])):
+    table = "formulas" in obj  # else hyps and queries are rendered formulas
+    for key, items in (("vars", declared), ("hyps", [] if table else obj["hyps"])):
         if not all(isinstance(s, str) for s in items):
             raise ValueError(f"{key!r} entries must be strings")
     name = obj.get("variant", "qpl")
@@ -350,16 +283,24 @@ def cmd_verify_proof(args) -> int:
         raise ValueError("'variant' must be a string")
     variant = CalculusVariant.from_name(name)
     symbols = SymbolTable()
-    hyps = [parse_formula(s, declared, symbols=symbols) for s in obj["hyps"]]
+    if table:
+        rows = formulas_from_json(obj, symbols)
+        wanted = frozenset(declared)
+        hyps = _cited_formulas(rows, obj["hyps"], wanted, "'hyps'")
+    else:
+        hyps = [parse_formula(s, declared, symbols=symbols) for s in obj["hyps"]]
     failures = 0
     for i, entry in enumerate(obj["proofs"]):
         if not isinstance(entry, dict) or "derivation" not in entry:
             raise ValueError(f"proof {i}: missing 'derivation'")
         q = entry.get("query")
         if q is not None:
-            if not isinstance(q, str):
+            if table:
+                (q,) = _cited_formulas(rows, [q], wanted, f"proof {i}: 'query'")
+            elif not isinstance(q, str):
                 raise ValueError(f"proof {i}: 'query' must be a string or null")
-            q = parse_formula(q, declared, symbols=symbols)
+            else:
+                q = parse_formula(q, declared, symbols=symbols)
         d = derivation_from_json(entry["derivation"], declared, symbols)
         rep = check_derivation(d, variant, hyps, q)
         if rep.ok:

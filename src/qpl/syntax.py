@@ -477,16 +477,21 @@ def closure(s, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureTable:
 class SymbolTable:
     """Relation arities seen so far; one table spans one problem.
 
-    labels caches the proof labels that calculus.derivation_from_json read
-    with this table: declared variable set -> label text -> formula. Only
-    labels that parsed are stored. Parsing is a pure function of the text,
-    the declared names and the arities, and a text that parsed once has
-    recorded all of its arities, so parsing it again would return the
-    same interned formula. parse_formula itself never reads the cache.
+    rows holds the formula table of the proof document read with this
+    table (calculus.formulas_from_json), one formula per row, or None.
+
+    labels caches the labels of proof documents written before formula
+    tables that calculus.derivation_from_json read with this table:
+    declared variable set -> label text -> formula. Only labels that parsed
+    are stored. Parsing is a pure function of the text, the declared names
+    and the arities, and a text that parsed once has recorded all of its
+    arities, so parsing it again would return the same interned formula.
+    parse_formula itself never reads the cache.
     """
 
     def __init__(self):
         self.arities: dict[str, int] = {}
+        self.rows: list[Formula] | None = None
         self.labels: dict[frozenset[str], dict[str, Formula]] = {}
 
 

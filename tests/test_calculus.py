@@ -35,6 +35,7 @@ from qpl.syntax import (
     forall,
     imp,
     parse_formula,
+    render,
     top,
     var,
 )
@@ -477,9 +478,18 @@ def _sample_derivation():
 def test_json_round_trip():
     d = _sample_derivation()
     blob = derivation_to_json(d)
-    assert blob["root"] == 3
-    assert blob["nodes"][0] == [0, "p & q", "hypothesis", None, []]
-    assert blob["nodes"][3] == [3, "q & p", "rule", "AndI", [1, 2]]
+    assert blob == {
+        "root": 3,
+        # rows: p, q, p & q, q & p
+        "names": ["p", "q"],
+        "formulas": [ca.ATOM, 0, 0, ca.ATOM, 1, 0, ca.AND, 0, 1, ca.AND, 1, 0],
+        "id": [0, 1, 2, 3],
+        "label": [2, 1, 0, 3],
+        "kind": ["hypothesis", "rule", "rule", "rule"],
+        "rule": [None, "AndE_R", "AndE_L", "AndI"],
+        "premises": [0, 1, 1, 2],
+        "parents": [0, 0, 1, 2],
+    }
     back = derivation_from_json(json.loads(json.dumps(blob)))
     assert back == d
     assert check_derivation(back, V.ORIGINAL, {conj(p, q)}).ok
@@ -487,21 +497,41 @@ def test_json_round_trip():
     assert json.dumps(blob) == json.dumps(derivation_to_json(_sample_derivation()))
 
 
+def test_json_rows_carry_term_kinds():
+    # a constant named like a variable, and a constant under a binder of
+    # its own name, read back as written: no name is read by context
+    cx = const("x")
+    labels = [
+        atom("R", const("y"), y),
+        forall("x", atom("R", cx, x)),
+        exists("x", forall("y", disj(atom("R", x, y), imp(top(), bot())))),
+    ]
+    d = Derivation(root=0, nodes=tuple(
+        _node(i, f, "hypothesis") for i, f in enumerate(labels)
+    ))
+    blob = json.loads(json.dumps(derivation_to_json(d)))
+    assert blob["names"] == ["R", "y", "x"]
+    back = derivation_from_json(blob, declared_vars=("y",))
+    assert [n.label for n in back.nodes] == labels
+    assert all(a is b for a, b in zip((n.label for n in back.nodes), labels))
+
+
 def test_json_reads_object_nodes():
-    # documents written before the array shape hold one object per node;
-    # they read to the same derivation, alone or mixed with arrays
+    # documents written before formula tables hold a 'nodes' array, one
+    # object or five-element array per node; they read to the same
+    # derivation, alone or mixed
     d = _sample_derivation()
     keys = ("id", "label", "kind", "rule", "parents")
-    arrays = derivation_to_json(d)["nodes"]
+    arrays = [[n.id, render(n.label), n.kind, n.rule, list(n.parents)]
+              for n in d.nodes]
     objects = [dict(zip(keys, n)) for n in arrays]
-    for nodes in (objects, [objects[0], *arrays[1:3], objects[3]]):
+    for nodes in (arrays, objects, [objects[0], *arrays[1:3], objects[3]]):
         back = derivation_from_json({"root": 3, "nodes": nodes})
         assert back == d
 
 
 def test_json_labels_with_declared_vars():
-    d = Derivation(root=0, nodes=(_node(0, atom("R", y), "hypothesis"),))
-    blob = derivation_to_json(d)
+    blob = _leaves("R(y)")
     back = derivation_from_json(blob, declared_vars=("y",))
     assert back.nodes[0].label is atom("R", y)
     other = derivation_from_json(blob)
@@ -513,6 +543,76 @@ def test_json_reserved_labels_accepted():
     d = Derivation(root=0, nodes=(_node(0, atom("R", z), "hypothesis"),))
     back = derivation_from_json(derivation_to_json(d))
     assert back.nodes[0].label is atom("R", z)
+    back = derivation_from_json(_leaves("R(_0)"))
+    assert back.nodes[0].label is atom("R", z)
+
+
+# p & q from the hyps p and q, with its own formula table: rows p, q, p & q
+TABLE_PROOF = {
+    "root": 2,
+    "names": ["p", "q"],
+    "formulas": [ca.ATOM, 0, 0, ca.ATOM, 1, 0, ca.AND, 0, 1],
+    "id": [0, 1, 2],
+    "label": [0, 1, 2],
+    "kind": ["hypothesis", "hypothesis", "rule"],
+    "rule": [None, None, "AndI"],
+    "premises": [0, 0, 2],
+    "parents": [0, 1],
+}
+
+# (id, changed fields of TABLE_PROOF); each must be refused as malformed
+TABLE_MUTANTS = [
+    ("forward-row", {"formulas": [ca.ATOM, 0, 0, ca.AND, 0, 2, ca.ATOM, 1, 0]}),
+    ("operand-past-end", {"formulas": [ca.ATOM, 0, 0, ca.ATOM, 1, 0, ca.AND, 0]}),
+    ("unknown-opcode", {"formulas": [ca.ATOM, 0, 0, ca.ATOM, 1, 0, 9, 0, 1]}),
+    # row 3 is the atom p(q), after row 0 gave p no argument
+    ("arity-clash",
+     {"formulas": [ca.ATOM, 0, 0, ca.ATOM, 1, 0, ca.AND, 0, 1,
+                   ca.ATOM, 0, 1, 1]}),
+    # row 3 is R(<variable x>), and the first node's label; x is not in vars
+    ("free-variable",
+     {"names": ["p", "q", "R", "x"],
+      "formulas": [ca.ATOM, 0, 0, ca.ATOM, 1, 0, ca.AND, 0, 1,
+                   ca.ATOM, 2, 1, -4],
+      "label": [3, 1, 2]}),
+    ("label-out-of-range", {"label": [0, 1, 3]}),
+    ("formulas-not-integer",
+     {"formulas": [ca.ATOM, 0, 0, ca.ATOM, 1, 0, ca.AND, 0, 1.0]}),
+    ("parents-not-integer", {"parents": [0, True]}),
+    ("premises-sum", {"premises": [0, 0, 1]}),
+]
+
+
+def test_json_table_proof_reads_and_checks():
+    d = derivation_from_json(TABLE_PROOF)
+    assert [n.label for n in d.nodes] == [p, q, conj(p, q)]
+    assert d.nodes[2].parents == (0, 1)
+    assert check_derivation(d, V.ORIGINAL, {p, q}, conj(p, q)).ok
+    # a variable bound above it needs no declaration
+    bound = {**TABLE_PROOF, "names": ["p", "q", "R", "x"],
+             "formulas": [ca.ATOM, 2, 1, -4, ca.FORALL, 3, 0],
+             "id": [0], "label": [1], "kind": ["hypothesis"], "rule": [None],
+             "premises": [0], "parents": [], "root": 0}
+    assert derivation_from_json(bound).nodes[0].label is forall("x", atom("R", x))
+
+
+def test_json_table_of_a_deep_formula():
+    # the writer walks with an explicit stack and the reader reads flat
+    # rows, so nesting depth is bounded by memory only
+    f = atom("p0")
+    for i in range(1, 5000):
+        f = imp(atom(f"p{i}"), f)
+    d = Derivation(root=0, nodes=(_node(0, f, "hypothesis"),))
+    back = derivation_from_json(json.loads(json.dumps(derivation_to_json(d))))
+    assert back.nodes[0].label is f
+
+
+@pytest.mark.parametrize(
+    "changes", [m[1] for m in TABLE_MUTANTS], ids=[m[0] for m in TABLE_MUTANTS]
+)
+def test_json_table_mutants_are_malformed(changes):
+    with pytest.raises(ValueError):
+        derivation_from_json(json.loads(json.dumps({**TABLE_PROOF, **changes})))
 
 
 def _leaves(*labels):

@@ -19,10 +19,25 @@ from hypothesis import example, given, settings, strategies as st
 
 import qpl
 from qpl import algebra, cli, semantics
-from qpl.calculus import CalculusVariant as V, derivation_from_json
+from qpl.calculus import (
+    CalculusVariant as V,
+    derivation_from_json,
+    formulas_from_json,
+)
 from qpl.engine import Session, entails
 from qpl.generators import bounded_halting_instance, parse_machine, random_horn
-from qpl.syntax import atom, const, parse_problem, render
+from qpl.syntax import (
+    SymbolTable,
+    atom,
+    const,
+    forall,
+    imp,
+    parse_formula,
+    parse_problem,
+    render,
+    var,
+)
+from test_calculus import TABLE_MUTANTS, TABLE_PROOF
 from test_golden import MACHINE
 
 CHAIN = "A -> B\nB -> C\n"
@@ -32,6 +47,15 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def read_doc(doc):
+    """A proof document's formula rows, hyps and derivations, read back."""
+    symbols = SymbolTable()
+    rows = formulas_from_json(doc, symbols)
+    proofs = [derivation_from_json(entry["derivation"], doc["vars"], symbols)
+              for entry in doc["proofs"]]
+    return rows, [rows[i] for i in doc["hyps"]], proofs
 
 
 # ----------------------------------------------------------------- check
@@ -143,13 +167,12 @@ def test_proof_file_declares_variables_of_refused_queries(tmp_path, capsys):
     extracted = [v.proof for v in verdicts if v.entailed]
     assert len(doc["proofs"]) == len(extracted) == 1
     labels = set()
-    for entry, proof in zip(doc["proofs"], extracted):
-        back = derivation_from_json(entry["derivation"], doc["vars"])
+    for back, proof in zip(read_doc(doc)[2], extracted):
         assert len(back.nodes) == len(proof.nodes)
         for read, made in zip(back.nodes, proof.nodes):
             assert read.label is made.label
-            labels.add(entry["derivation"]["nodes"][read.id][1])
-    assert {"R(y)", "R(y) -> P"} <= labels
+            labels.add(read.label)
+    assert {atom("R", var("y")), imp(atom("R", var("y")), atom("P"))} <= labels
     assert cli.main(["verify-proof", str(out)]) == 0
 
 
@@ -279,9 +302,10 @@ def test_prove_writes_verifiable_proof(tmp_path, capsys):
     assert cli.main(["verify-proof", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["variant"] == "qpl"
-    assert doc["hyps"] == ["A -> B", "B -> C"]
+    rows, hyps, _ = read_doc(doc)
+    assert [render(h) for h in hyps] == ["A -> B", "B -> C"]
     assert len(doc["proofs"]) == 1
-    assert doc["proofs"][0]["query"] == "A -> B"
+    assert render(rows[doc["proofs"][0]["query"]]) == "A -> B"
 
 
 def test_prove_json_stdout(tmp_path, capsys):
@@ -289,9 +313,8 @@ def test_prove_json_stdout(tmp_path, capsys):
     assert cli.main(["prove", hyps, "p & q", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     d = doc["proofs"][0]["derivation"]
-    kinds = {kind for _, _, kind, _, _ in d["nodes"]}
-    assert kinds == {"hypothesis", "rule"}
-    assert any(rule == "AndI" for _, _, _, rule, _ in d["nodes"])
+    assert set(d["kind"]) == {"hypothesis", "rule"}
+    assert "AndI" in d["rule"]
 
 
 def test_prove_not_entailed_exits_1(tmp_path, capsys):
@@ -336,10 +359,8 @@ def test_verify_proof_rejects_mutations(tmp_path, capsys):
     out = tmp_path / "proof.json"
     assert cli.main(["prove", hyps, "p & q", "--proof", str(out)]) == 0
     doc = json.loads(out.read_text())
-    rule_node = next(
-        n for n in doc["proofs"][0]["derivation"]["nodes"] if n[2] == "rule"
-    )
-    rule_node[3] = "AndE_L"
+    d = doc["proofs"][0]["derivation"]
+    d["rule"][d["kind"].index("rule")] = "AndE_L"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert cli.main(["verify-proof", str(bad)]) == 1
@@ -351,7 +372,7 @@ def test_verify_proof_rejects_wrong_conclusion(tmp_path):
     out = tmp_path / "proof.json"
     assert cli.main(["prove", hyps, "p & q", "--proof", str(out)]) == 0
     doc = json.loads(out.read_text())
-    doc["proofs"][0]["query"] = "q & p"
+    doc["proofs"][0]["query"] = doc["hyps"][0]  # the row of p
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert cli.main(["verify-proof", str(bad)]) == 1
@@ -362,7 +383,7 @@ def test_verify_proof_foreign_hypothesis_fails(tmp_path):
     out = tmp_path / "proof.json"
     assert cli.main(["prove", hyps, "p & q", "--proof", str(out)]) == 0
     doc = json.loads(out.read_text())
-    doc["hyps"] = ["p"]
+    doc["hyps"] = doc["hyps"][:1]  # the row of p
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert cli.main(["verify-proof", str(bad)]) == 1
@@ -576,6 +597,65 @@ _OBJECT_NODE_CASES = [
 ]
 
 
+# check --proof output at commit 0f73661 for the same problem: one
+# five-element array per node, as every document was written from the array
+# shape until formula tables
+ARRAY_NODES = (
+    Path(__file__).with_name("data") / "machine_t2_array_nodes.proof.json"
+)
+
+
+def _mutate_array_nodes(doc):
+    nodes = [p["derivation"]["nodes"] for p in doc["proofs"]]
+    nodes[2][5][3] = "ExistsI"
+    nodes[4][3][1] = "K0(n0, n0)"
+    nodes[6][4][4] = [9]
+    doc["proofs"][1]["query"] = "K1(n0, n0)"
+    return json.dumps(doc)
+
+
+def test_array_node_fixture_is_the_old_check_output():
+    # the proof file digest test_cli_documents_keep_their_bytes pinned at
+    # that commit
+    assert _sha(ARRAY_NODES.read_bytes()) == (
+        "e13535757e34a22016007994bd79f0f1026b70826036e3c31b3485879dd1fbb9")
+
+
+# (name, fixture text -> document text, exit code, stdout, stderr); the
+# outputs are those verify-proof gave on each document at commit 0f73661
+_ARRAY_NODE_CASES = [
+    ("as-written", lambda text: text, 0, "ok: 11 proof(s) verified\n", ""),
+    (
+        "mutated",
+        lambda text: _mutate_array_nodes(json.loads(text)),
+        1,
+        "",
+        "proof 1: conclusion differs from query\n"
+        "proof 2: node 5: shape: ExistsI: conclusion must be existentially"
+        " quantified\n"
+        "proof 4: node 3: shape: ForallE: conclusion is not an instance of"
+        " the premise body\n"
+        "proof 4: node 4: shape: ForallE: premise must be universally"
+        " quantified\n"
+        "proof 6: node 4 references parent 9, which is not listed before it\n"
+        "4 of 11 proofs failed\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make,code,out,err",
+    [case[1:] for case in _ARRAY_NODE_CASES],
+    ids=[case[0] for case in _ARRAY_NODE_CASES],
+)
+def test_verify_proof_reads_array_nodes_as_before(
+    tmp_path, capsys, make, code, out, err
+):
+    path = write(tmp_path, "doc.json", make(ARRAY_NODES.read_text()))
+    assert cli.main(["verify-proof", path]) == code
+    assert capsys.readouterr() == (out, err)
+
+
 def test_object_node_fixture_is_the_old_check_output():
     assert _sha(OBJECT_NODES.read_bytes()) == (
         "082ec2bb598c14fad7d355c1da8ab8026cc100c1482bfa276a7a6b0a3ecfb27d")
@@ -624,19 +704,44 @@ def test_verify_proof_names_a_malformed_array_node(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-# ------------------------------------------------- labels that misread
+# ------------------------------------------------ names read by context
+
+# Labels read a name as a variable or a constant by context, which these
+# two problems defeat; formula rows carry term kinds, so their documents
+# read back to the session's own formulas.
 
 # the instance forall x. R(<constant x>, x) of the first hypothesis at the
-# constant x renders as forall x. R(x, x), which reads back as another formula
+# constant x would render as forall x. R(x, x)
 _CONST_UNDER_BINDER = (
     "forall y. forall x. R(y, x)\n"
     "forall y. ((forall x. R(y, x)) -> Q(y))\n"
     "S(x)\n"
 )
-_MISREAD = (
-    "proof refused: label 'forall x. R(x, x)' would read back as another"
-    " formula, since a constant in it shares its name with a binder over it\n"
-)
+
+
+def _round_trip(tmp_path, capsys, argv, paths, hyps, queries):
+    """Run argv; when it writes a proof document, check that verify-proof
+    accepts it and that it reads back to hyps and queries, the very
+    formulas, and to a proof of each query."""
+    argv = [paths.get(a, a) for a in argv]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    if "--proof" in argv:
+        doc = json.loads(Path(argv[argv.index("--proof") + 1]).read_text())
+    elif "--json" in argv and argv[0] == "prove":
+        doc = json.loads(out)
+    else:
+        assert out.startswith("entailed: ")
+        return
+    rows, got, proofs = read_doc(doc)
+    assert len(got) == len(hyps) and all(a is b for a, b in zip(got, hyps))
+    read = [rows[entry["query"]] for entry in doc["proofs"]]
+    assert len(read) == len(queries) and all(a is b for a, b in zip(read, queries))
+    for d, query in zip(proofs, queries):
+        assert d.nodes[-1].label is query
+    path = write(tmp_path, "doc.json", json.dumps(doc))
+    assert cli.main(["verify-proof", path]) == 0
+    assert capsys.readouterr() == (f"ok: {len(queries)} proof(s) verified\n", "")
 
 
 @pytest.mark.parametrize(
@@ -650,26 +755,28 @@ _MISREAD = (
     ],
     ids=["check", "check-json", "prove-proof", "prove-json", "prove-text"],
 )
-def test_proof_with_a_constant_under_its_binder_is_refused(
+def test_proof_with_a_constant_under_its_binder_round_trips(
     tmp_path, capsys, argv
 ):
     paths = {
         "{hyps}": write(tmp_path, "h.qpl", _CONST_UNDER_BINDER),
         "{proof}": str(tmp_path / "proof.json"),
     }
-    assert cli.main([paths.get(a, a) for a in argv]) == 1
-    assert capsys.readouterr() == ("", _MISREAD)
-    assert not (tmp_path / "proof.json").exists()
+    prob = parse_problem(_CONST_UNDER_BINDER)
+    queries = [parse_formula(q, symbols=prob.symbols)
+               for q in argv[2:] if not q.startswith(("-", "{"))]
+    _round_trip(tmp_path, capsys, argv, paths, prob.formulas, queries)
+    if argv[-1] == "{proof}":
+        # the instance that labels would misread is in the proof
+        cx = const("x")
+        misread = forall("x", atom("R", cx, var("x")))
+        doc = json.loads((tmp_path / "proof.json").read_text())
+        assert any(n.label is misread for d in read_doc(doc)[2] for n in d.nodes)
 
 
 # y is a constant in the first two lines and a variable after @vars, so the
-# document declares the variable y and verify-proof would read the hyp R(y)
-# as R(<variable y>)
+# document declares the variable y and holds the constant y
 _CONST_NAMED_LIKE_A_VAR = "R(y)\nR(y) -> P\n@vars y\nQ(y)\n"
-_MISREAD_VAR = (
-    "proof refused: label 'R(y)' would read back as another formula, since"
-    " a constant in it shares its name with a declared variable\n"
-)
 
 
 @pytest.mark.parametrize(
@@ -683,16 +790,21 @@ _MISREAD_VAR = (
     ],
     ids=["check", "check-json", "check-query-file", "prove-proof", "prove-text"],
 )
-def test_proof_with_a_constant_named_like_a_var_is_refused(tmp_path, capsys, argv):
+def test_proof_with_a_constant_named_like_a_var_round_trips(tmp_path, capsys, argv):
     paths = {
         "{hyps}": write(tmp_path, "h.qpl", _CONST_NAMED_LIKE_A_VAR),
         "{consts}": write(tmp_path, "c.qpl", "R(y)\nR(y) -> P\n"),
         "{queries}": write(tmp_path, "q.qpl", "@vars y\nP\nQ(y)\n"),
         "{proof}": str(tmp_path / "proof.json"),
     }
-    assert cli.main([paths.get(a, a) for a in argv]) == 1
-    assert capsys.readouterr() == ("", _MISREAD_VAR)
-    assert not (tmp_path / "proof.json").exists()
+    hyps = parse_problem(_CONST_NAMED_LIKE_A_VAR).formulas
+    if "{consts}" in argv:
+        hyps = hyps[:2]
+    _round_trip(tmp_path, capsys, argv, paths, hyps, [atom("P")])
+    if argv[-1] == "{proof}":
+        doc = json.loads((tmp_path / "proof.json").read_text())
+        assert doc["vars"] == ["y"]
+        assert read_doc(doc)[1][0] is atom("R", const("y"))
 
 
 def test_constant_named_like_a_var_outside_the_document_still_proves(
@@ -718,13 +830,55 @@ def test_constant_named_like_a_binder_elsewhere_still_proves(tmp_path, capsys):
     assert cli.main(["verify-proof", str(out)]) == 0
 
 
-def test_misread_check_walks_nothing_without_a_shared_name():
-    prob = parse_problem("forall x. R(x) -> S(x)\nR(c)\n")
-    session = Session(prob.formulas, [atom("S", const("c"))], V.QPL)
-    verdicts = session.verdicts(with_proof=False)
-    assert verdicts[0].entailed and verdicts[0].proof is None
-    # a walk would read the nodes of the proof that is not there
-    assert cli._misread_label(session, verdicts) is None
+# ------------------------------------------------------ formula tables
+
+def _table_doc(changes=None):
+    """A proof document of p & q from p and q, with TABLE_PROOF's rows as
+    the document's table and its columns as the derivation; changes
+    replaces fields of either."""
+    fields = {**TABLE_PROOF, **(changes or {})}
+    table = {k: fields.pop(k) for k in ("names", "formulas")}
+    return json.dumps({
+        "variant": "qpl",
+        "vars": [],
+        **table,
+        "hyps": [0, 1],
+        "proofs": [{"query": 2, "derivation": fields}],
+    })
+
+
+def test_verify_proof_reads_a_table_document(tmp_path, capsys):
+    assert cli.main(["verify-proof", write(tmp_path, "doc.json", _table_doc())]) == 0
+    assert capsys.readouterr() == ("ok: 1 proof(s) verified\n", "")
+
+
+@pytest.mark.parametrize(
+    "changes", [m[1] for m in TABLE_MUTANTS], ids=[m[0] for m in TABLE_MUTANTS]
+)
+def test_verify_proof_refuses_malformed_tables(tmp_path, capsys, changes):
+    path = write(tmp_path, "doc.json", _table_doc(changes))
+    assert cli.main(["verify-proof", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"hyps": ["p", "q"]}, "'hyps' must cite rows of 'formulas' by integer id"),
+        ({"hyps": [0, 5]}, "'hyps' cites row 5, but 'formulas' has 3 row(s)"),
+        ({"names": ["_p", "q"]}, "identifiers starting with '_' are reserved: '_p'"),
+        ({"formulas": [2, 0, 1, 5]}, "formula row 0: bad term 5"),
+    ],
+    ids=["hyps-strings", "hyps-out-of-range", "hyp-reserved", "term-no-name"],
+)
+def test_verify_proof_names_what_is_wrong_with_a_table(
+    tmp_path, capsys, doc, message
+):
+    base = json.loads(_table_doc())
+    path = write(tmp_path, "doc.json", json.dumps({**base, **doc}))
+    assert cli.main(["verify-proof", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # ------------------------------------------------------------ deep input
@@ -1054,7 +1208,8 @@ def test_cli_documents_keep_their_bytes(tmp_path, capsys):
     # and 44 refused, each with a countermodel. The digests were taken
     # with the standard library's json.dumps writing every document; the
     # proof file's and prove --json's were retaken when proof nodes became
-    # arrays, once every proof in them verified.
+    # arrays, and again when proof documents gained a formula table, once
+    # every proof in them verified.
     hyps, halting = bounded_halting_instance(MACHINE, 2)
     configs = [
         atom(f"K{i}", const(f"n{a}"), const(f"n{b}"))
@@ -1072,13 +1227,16 @@ def test_cli_documents_keep_their_bytes(tmp_path, capsys):
     assert _sha(out.encode()) == (
         "c8ed8ea22feb178fdfad1facd5dd93a726ad32a82cdcab248735a23ba115a5ff")
     assert _sha(proof.read_bytes()) == (
-        "e13535757e34a22016007994bd79f0f1026b70826036e3c31b3485879dd1fbb9")
+        "ec32e9e1c4fb9c61cf629736353e9cba16bf5f0a16825f4759ec6d3c37a76718")
     assert _sha(model.read_bytes()) == (
         "e0922fe070fa2e5e270df7f0e789d1415cab6e77690e8b05d766c7820be083c8")
+    assert cli.main(["verify-proof", str(proof)]) == 0
+    assert capsys.readouterr().out == "ok: 11 proof(s) verified\n"
     assert cli.main(["prove", h, render(halting), "--json"]) == 0
     out = capsys.readouterr().out
     assert _sha(out.encode()) == (
-        "957be0da1d04383a2252ffffee2b1bac749198e9e16635c81a067cdaf0852979")
+        "815176eb9c46ef851a60539b02aeb5b2c78902ffb493ffcdb24e3d05c12c86aa")
+    assert cli.main(["verify-proof", write(tmp_path, "prove.json", out)]) == 0
 
 
 _SCALARS = (

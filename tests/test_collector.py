@@ -18,6 +18,7 @@ from qpl.calculus import (
     check_derivation,
     derivation_from_json,
     derivation_to_json,
+    formulas_from_json,
     load_derivation,
 )
 from qpl.engine import Session
@@ -26,6 +27,7 @@ from qpl.semantics import countermodel_json, verdict_countermodel
 from qpl.syntax import (
     ParseError,
     ResourceLimit,
+    SymbolTable,
     gc_paused,
     parse_problem,
     render,
@@ -49,6 +51,7 @@ def _entry_points(tmp_path):
         ("derivation_to_json", lambda: derivation_to_json(verdict.proof)),
         ("derivation_from_json", lambda: derivation_from_json(doc, ("x",))),
         ("load_derivation", lambda: load_derivation(json.dumps(doc), ("x",))),
+        ("formulas_from_json", lambda: formulas_from_json(doc, SymbolTable())),
         ("check_derivation", lambda: check_derivation(
             verdict.proof, V.QPL, prob.formulas, verdict.query)),
         ("cli.main", lambda: cli.main(["check", str(hyps), "S(c)"])),
@@ -63,6 +66,8 @@ def _failing_calls(tmp_path):
         ("parse_problem", lambda: parse_problem("p &\n"), ParseError),
         ("derivation_from_json", lambda: derivation_from_json([]), ValueError),
         ("load_derivation", lambda: load_derivation("[1,"), ValueError),
+        ("formulas_from_json", lambda: formulas_from_json({}, SymbolTable()),
+         ValueError),
         ("Session", lambda: Session(parse_problem(PROBLEM).formulas, [],
                                     V.QPL, closure_cap=1), ResourceLimit),
         ("cli.main", lambda: cli.main(["check", str(hyps), "p &"]), 2),
@@ -88,7 +93,7 @@ def collector_on():
 def test_paused_entry_points_keep_their_names():
     for fn in (parse_problem, Session.__init__, Session.verdicts,
                derivation_to_json, derivation_from_json, load_derivation,
-               check_derivation, cli.main):
+               formulas_from_json, check_derivation, cli.main):
         assert fn.__qualname__ == fn.__wrapped__.__qualname__
         assert fn.__module__ == fn.__wrapped__.__module__
 

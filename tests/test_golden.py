@@ -23,9 +23,11 @@ from pathlib import Path
 
 from qpl.calculus import CalculusVariant as V
 from qpl.calculus import (
+    FormulaTable,
     check_derivation,
     derivation_from_json,
     derivation_to_json,
+    formulas_from_json,
 )
 from qpl.engine import Session
 from qpl.generators import (
@@ -45,6 +47,7 @@ from qpl.syntax import (
     const,
     parse_formula,
     parse_problem,
+    SymbolTable,
     render,
 )
 
@@ -139,29 +142,48 @@ def test_golden_corpus():
     assert names == list(want), "case list changed; regenerate golden.json"
 
 
-def test_shared_label_texts_change_no_proof_json():
-    # one texts dict per session, as a proof document shares it
+def _declared(session):
+    return [t.name for t in session.closure_table.params if t.kind == VAR]
+
+
+def test_proofs_in_one_table_read_back_as_written():
+    # one formula table per session, as a proof document shares it: each
+    # derivation cites its rows, and reads back through them
     for name, hyps, queries, variant in _sessions():
-        texts: dict = {}
-        for v in Session(hyps, queries, variant).verdicts():
-            if v.proof is not None:
-                got = derivation_to_json(v.proof, texts)
-                assert got == derivation_to_json(v.proof), name
+        session = Session(hyps, queries, variant)
+        proofs = [v.proof for v in session.verdicts() if v.proof is not None]
+        table = FormulaTable()
+        blobs = [derivation_to_json(d, table) for d in proofs]
+        assert all("formulas" not in blob for blob in blobs)
+        doc = json.loads(json.dumps(
+            {"names": table.names, "formulas": table.formulas, "proofs": blobs}
+        ))
+        symbols = SymbolTable()
+        formulas_from_json(doc, symbols)
+        for d, blob in zip(proofs, doc["proofs"]):
+            assert derivation_from_json(blob, _declared(session), symbols) == d
+
+
+_FLAT = {int, str, type(None)}
 
 
 def test_proofs_round_trip_through_json_text():
-    # each node is written as [id, label, kind, rule, parents]; the text
+    # each proof is written as its own formula table and one flat array per
+    # node field, with no JSON container per node or per row; the text
     # reads back to an equal derivation, which checks
     for name, hyps, queries, variant in _sessions():
         session = Session(hyps, queries, variant)
-        params = session.closure_table.params
-        declared = [t.name for t in params if t.kind == VAR]
         for v in session.verdicts():
             if v.proof is None:
                 continue
             blob = json.loads(json.dumps(derivation_to_json(v.proof)))
-            assert all(type(n) is list and len(n) == 5 for n in blob["nodes"])
-            back = derivation_from_json(blob, declared)
+            assert sorted(blob) == sorted([
+                "root", "names", "formulas", "id", "label", "kind", "rule",
+                "premises", "parents",
+            ])
+            for key, column in blob.items():
+                assert key == "root" or {*map(type, column)} <= _FLAT, key
+            back = derivation_from_json(blob, _declared(session))
             assert back == v.proof, name
             assert check_derivation(back, variant, hyps, v.query).ok, name
 
