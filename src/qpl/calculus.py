@@ -10,8 +10,8 @@ verdicts.
 
 A derivation is written as JSON node columns whose labels cite the rows of
 a formula table (FormulaTable), and read back by building those rows with
-the interning constructors; documents that hold rendered labels instead are
-still read by parsing them.
+the interning constructors. That is the one shape read: a derivation
+written before formula tables, with rendered labels, is refused.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .syntax import (
     forall,
     gc_paused,
     imp,
-    parse_formula,
     render,
     top,
     var,
@@ -280,8 +279,7 @@ class DerivationNode(NamedTuple):
     parents: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     root: int
     nodes: tuple[DerivationNode, ...]
 
@@ -384,6 +382,10 @@ def check_derivation(
 
 # ------------------------------------------------------------ serialization
 
+WRITTEN_BEFORE_TABLES = (
+    "proof written before formula tables; re-run qpl prove or "
+    "qpl check --proof to write it again"
+)
 _NODE_KINDS = ("hypothesis", "axiom", "rule")
 _COLUMNS = ("id", "label", "kind", "rule", "premises", "parents")
 _INT = frozenset({int})
@@ -658,22 +660,15 @@ def derivation_from_json(
     none, of the document table that formulas_from_json read into symbols.
     A variable free in a label must be one of declared_vars.
 
-    A derivation written before formula tables holds a 'nodes' array
-    instead: each node the five-element array [id, label, kind, rule,
-    parents] or the object with those keys, label the rendered formula.
-    Those labels are parsed with reserved names allowed, reading
-    declared_vars as variables. A caller that passes its own symbols table
-    (one per proof document) shares arities and parsed labels across
-    calls: each distinct label text is parsed once per declared set
-    (SymbolTable labels), and a repeat gets the same formula. Without a
-    table every label is parsed, and nothing is cached.
+    A derivation written before formula tables holds a 'nodes' array of
+    rendered labels instead; it is refused with WRITTEN_BEFORE_TABLES.
     """
     if not isinstance(obj, dict):
         raise ValueError("derivation must be a JSON object")
+    if "nodes" in obj:
+        raise ValueError(WRITTEN_BEFORE_TABLES)
     if type(obj.get("root")) is not int:  # bool is an int subclass
         raise ValueError("derivation needs an integer 'root'")
-    if "nodes" in obj or "label" not in obj:
-        return _derivation_from_labels(obj, declared_vars, symbols)
     if "formulas" in obj or "names" in obj:
         rows = _table_rows(obj, {} if symbols is None else symbols.arities)
     elif symbols is None or symbols.rows is None:
@@ -745,65 +740,6 @@ def _column_fault(columns: list, n_rows: int) -> str:
         return "'premises' must be counts"
     return (f"'premises' add up to {sum(premises)} parent(s), but "
             f"'parents' holds {len(parents)}")
-
-
-def _derivation_from_labels(obj, declared_vars, symbols) -> Derivation:
-    """derivation_from_json of a derivation with a 'nodes' array."""
-    items = obj.get("nodes")
-    if not isinstance(items, list):
-        raise ValueError("derivation needs a 'nodes' array")
-    declared = frozenset(declared_vars)
-    if symbols is None:
-        symbols = SymbolTable()
-        labels = None
-    else:
-        labels = symbols.labels.setdefault(declared, {})
-    nodes = []
-    for item in items:
-        if isinstance(item, list):
-            if len(item) != 5:
-                raise ValueError(
-                    f"node at index {_index(items, item)}: expected [id, "
-                    f"label, kind, rule, parents], got {len(item)} element(s)"
-                )
-            nid, label, kind, rule, parents = item
-            if type(nid) is not int:
-                raise ValueError(
-                    f"node at index {_index(items, item)}: id must be an "
-                    f"integer, got {nid!r}"
-                )
-        elif isinstance(item, dict):
-            nid = item.get("id")
-            label = item.get("label")
-            kind = item.get("kind")
-            rule = item.get("rule")
-            parents = item.get("parents")
-            if type(nid) is not int:
-                raise ValueError("node id must be an integer")
-        else:
-            raise ValueError("every node must be a JSON array or object")
-        if not isinstance(label, str):
-            raise ValueError(f"node {nid}: label must be a string")
-        if kind not in _NODE_KINDS:
-            raise ValueError(f"node {nid}: unknown kind {kind!r}")
-        if rule is not None and not isinstance(rule, str):
-            raise ValueError(f"node {nid}: rule must be a string or null")
-        if not isinstance(parents, list):
-            raise ValueError(f"node {nid}: parents must be an integer array")
-        for x in parents:
-            if type(x) is not int:
-                raise ValueError(
-                    f"node {nid}: parents must be an integer array"
-                )
-        formula = None if labels is None else labels.get(label)
-        if formula is None:
-            formula = parse_formula(
-                label, declared, symbols=symbols, allow_reserved=True
-            )
-            if labels is not None:
-                labels[label] = formula
-        nodes.append(DerivationNode(nid, formula, kind, rule, tuple(parents)))
-    return Derivation(root=obj["root"], nodes=tuple(nodes))
 
 
 @gc_paused

@@ -5,8 +5,7 @@ decide entailment and emit derivations or countermodels (check decides
 all its queries in one engine Session), closure and oracle expose the
 universe construction and the semantic brute-force check,
 verify-proof replays serialized derivations, algebra compares
-information terms, gen produces reproducible instance suites, and bench
-runs the scaling family.
+information terms, and gen produces reproducible instance suites.
 
 Exit codes: 0 for a successful decision regardless of verdict, 2 for
 input errors, 3 for resource limits, among them running out of memory and
@@ -20,10 +19,10 @@ import functools
 import json
 import random
 import sys
-import time
 
 from .algebra import parse_term, render_term, term_geq
 from .calculus import (
+    WRITTEN_BEFORE_TABLES,
     CalculusVariant,
     FormulaTable,
     _cited_formulas,
@@ -35,7 +34,6 @@ from .calculus import (
 from .engine import Session, entails
 from .generators import (
     bounded_halting_instance,
-    chain_family,
     classical_horn_bottom,
     machine_to_text,
     parse_machine,
@@ -271,36 +269,28 @@ def cmd_verify_proof(args) -> int:
     for key, want in (("hyps", list), ("proofs", list)):
         if not isinstance(obj.get(key), want):
             raise ValueError(f"proof document needs a {key!r} array")
+    if "formulas" not in obj:
+        raise ValueError(WRITTEN_BEFORE_TABLES)
     declared = obj.get("vars", [])
     if not isinstance(declared, list):
         raise ValueError("'vars' must be an array")
-    table = "formulas" in obj  # else hyps and queries are rendered formulas
-    for key, items in (("vars", declared), ("hyps", [] if table else obj["hyps"])):
-        if not all(isinstance(s, str) for s in items):
-            raise ValueError(f"{key!r} entries must be strings")
+    if not all(isinstance(s, str) for s in declared):
+        raise ValueError("'vars' entries must be strings")
     name = obj.get("variant", "qpl")
     if not isinstance(name, str):
         raise ValueError("'variant' must be a string")
     variant = CalculusVariant.from_name(name)
     symbols = SymbolTable()
-    if table:
-        rows = formulas_from_json(obj, symbols)
-        wanted = frozenset(declared)
-        hyps = _cited_formulas(rows, obj["hyps"], wanted, "'hyps'")
-    else:
-        hyps = [parse_formula(s, declared, symbols=symbols) for s in obj["hyps"]]
+    rows = formulas_from_json(obj, symbols)
+    wanted = frozenset(declared)
+    hyps = _cited_formulas(rows, obj["hyps"], wanted, "'hyps'")
     failures = 0
     for i, entry in enumerate(obj["proofs"]):
         if not isinstance(entry, dict) or "derivation" not in entry:
             raise ValueError(f"proof {i}: missing 'derivation'")
         q = entry.get("query")
         if q is not None:
-            if table:
-                (q,) = _cited_formulas(rows, [q], wanted, f"proof {i}: 'query'")
-            elif not isinstance(q, str):
-                raise ValueError(f"proof {i}: 'query' must be a string or null")
-            else:
-                q = parse_formula(q, declared, symbols=symbols)
+            (q,) = _cited_formulas(rows, [q], wanted, f"proof {i}: 'query'")
         d = derivation_from_json(entry["derivation"], declared, symbols)
         rep = check_derivation(d, variant, hyps, q)
         if rep.ok:
@@ -459,31 +449,6 @@ def cmd_gen_random(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------- bench
-
-def cmd_bench_chain(args) -> int:
-    variant = CalculusVariant.from_name(args.variant)
-    hyps, query = chain_family(args.n)
-    symbols = sum(f.length for f in hyps) + query.length
-    t0 = time.perf_counter()
-    v = entails(hyps, query, variant, with_proof=False)
-    dt = time.perf_counter() - t0
-    doc = {
-        "variant": variant.cli_name,
-        "n": args.n,
-        "symbols": symbols,
-        "links": len(hyps) - 1,
-        "entailed": v.entailed,
-        "seconds": round(dt, 6),
-    }
-    if args.json:
-        print(_dump(doc))
-    else:
-        for k, val in doc.items():
-            print(f"{k}: {val}")
-    return 0
-
-
 # --------------------------------------------------------------- parser
 
 def _add_common(p):
@@ -570,14 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--variant", default="qpl")
     g.add_argument("--json", action="store_true")
     g.set_defaults(fn=cmd_gen_random)
-
-    bench = sub.add_parser("bench", help="scaling measurements")
-    bsub = bench.add_subparsers(dest="kind", required=True)
-    b = bsub.add_parser("chain", help="implication chain family")
-    b.add_argument("--n", type=int, required=True)
-    b.add_argument("--variant", default="pfqpl")
-    b.add_argument("--json", action="store_true")
-    b.set_defaults(fn=cmd_bench_chain)
 
     return top
 

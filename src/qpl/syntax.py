@@ -479,20 +479,11 @@ class SymbolTable:
 
     rows holds the formula table of the proof document read with this
     table (calculus.formulas_from_json), one formula per row, or None.
-
-    labels caches the labels of proof documents written before formula
-    tables that calculus.derivation_from_json read with this table:
-    declared variable set -> label text -> formula. Only labels that parsed
-    are stored. Parsing is a pure function of the text, the declared names
-    and the arities, and a text that parsed once has recorded all of its
-    arities, so parsing it again would return the same interned formula.
-    parse_formula itself never reads the cache.
     """
 
     def __init__(self):
         self.arities: dict[str, int] = {}
         self.rows: list[Formula] | None = None
-        self.labels: dict[frozenset[str], dict[str, Formula]] = {}
 
 
 # A token is "->", one of "&|~().,", or an identifier; whitespace separates
@@ -560,7 +551,6 @@ def parse_formula(
     declared_vars=(),
     *,
     symbols: SymbolTable | None = None,
-    allow_reserved: bool = False,
 ) -> Formula:
     """Parse one formula; raise ParseError (or its subclasses ArityError
     and ReservedNameError) with the column of the first error.
@@ -580,7 +570,6 @@ def parse_formula(
     if symbols is None:
         symbols = SymbolTable()
     arities = symbols.arities
-    check_reserved = not allow_reserved
     bound: list[str] = []
     stack: list[tuple] = [_START]
     i = 0
@@ -589,7 +578,7 @@ def parse_formula(
         t = toks[i]
         i += 1
         if t not in _NON_IDENT:
-            if check_reserved and t.startswith(RESERVED_PREFIX):
+            if t.startswith(RESERVED_PREFIX):
                 raise _reserved(t, text, i - 1)
             if toks[i] == "(":
                 rel_at = i - 1
@@ -599,7 +588,7 @@ def parse_formula(
                     u = toks[i]
                     if u in _NON_IDENT:
                         raise _error(f"expected a term, got {_got(u)}", text, i)
-                    if check_reserved and u.startswith(RESERVED_PREFIX):
+                    if u.startswith(RESERVED_PREFIX):
                         raise _reserved(u, text, i)
                     args.append(
                         var(u) if u in bound or u in declared else const(u)
@@ -634,7 +623,7 @@ def parse_formula(
                 )
             names = []
             while toks[i] not in _NON_IDENT:
-                if check_reserved and toks[i].startswith(RESERVED_PREFIX):
+                if toks[i].startswith(RESERVED_PREFIX):
                     raise _reserved(toks[i], text, i)
                 names.append(toks[i])
                 i += 1

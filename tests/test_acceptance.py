@@ -28,6 +28,7 @@ from qpl.algebra import (
 from qpl.calculus import (
     CalculusVariant as V,
     Derivation,
+    FormulaTable,
     check_derivation,
     derivation_to_json,
 )
@@ -59,7 +60,6 @@ from qpl.syntax import (
     forall,
     imp,
     parameters_star,
-    render,
     top,
     var,
 )
@@ -328,18 +328,25 @@ def test_criterion_7_machine_encoding():
 
 
 def _proof_doc(v):
+    # one formula table for the hyps, the query and the derivation, as
+    # cli._proof_doc writes it
     names = set()
     for f in v.hyps:
         names |= f.free
     names |= v.query.free
-    return {
+    table = FormulaTable()
+    doc = {
         "variant": v.session.variant.cli_name,
         "vars": sorted(names),
-        "hyps": [render(h) for h in v.hyps],
+        "hyps": table.rows(v.hyps),
         "proofs": [
-            {"query": render(v.query), "derivation": derivation_to_json(v.proof)}
+            {"query": table.rows([v.query])[0],
+             "derivation": derivation_to_json(v.proof, table)}
         ],
     }
+    doc["names"] = table.names
+    doc["formulas"] = table.formulas
+    return doc
 
 
 def _cli_verifies(v, path) -> bool:

@@ -23,8 +23,6 @@ from qpl.calculus import (
 from qpl.engine import entails
 from qpl.generators import chain_family, random_instance
 from qpl.syntax import (
-    ArityError,
-    ParseError,
     SymbolTable,
     atom,
     bot,
@@ -350,6 +348,12 @@ def test_node_types_are_named_tuples():
     assert hash(NodeResult(3, False, "why")) == hash(res)
     with pytest.raises(AttributeError):
         res.ok = True
+    assert Derivation._fields == ("root", "nodes")
+    d = Derivation(root=0, nodes=(n,))
+    root, nodes = d
+    assert (root, nodes) == d == (0, (n,))
+    with pytest.raises(AttributeError):
+        d.root = 1
 
 
 def _extracted_proofs():
@@ -516,34 +520,39 @@ def test_json_rows_carry_term_kinds():
     assert all(a is b for a, b in zip((n.label for n in back.nodes), labels))
 
 
-def test_json_reads_object_nodes():
-    # documents written before formula tables hold a 'nodes' array, one
-    # object or five-element array per node; they read to the same
-    # derivation, alone or mixed
+def test_json_refuses_derivations_written_before_formula_tables():
+    # those hold a 'nodes' array of rendered labels, one object or
+    # five-element array per node
     d = _sample_derivation()
     keys = ("id", "label", "kind", "rule", "parents")
     arrays = [[n.id, render(n.label), n.kind, n.rule, list(n.parents)]
               for n in d.nodes]
     objects = [dict(zip(keys, n)) for n in arrays]
-    for nodes in (arrays, objects, [objects[0], *arrays[1:3], objects[3]]):
-        back = derivation_from_json({"root": 3, "nodes": nodes})
-        assert back == d
+    for blob in ({"root": 0, "nodes": []}, {"root": 3, "nodes": arrays},
+                 {"root": 3, "nodes": objects}):
+        with pytest.raises(ValueError) as info:
+            derivation_from_json(blob)
+        assert str(info.value) == ca.WRITTEN_BEFORE_TABLES
 
 
 def test_json_labels_with_declared_vars():
-    blob = _leaves("R(y)")
+    # a variable free in a label must be declared; rows carry term kinds,
+    # so declaring y does not turn the constant y into it
+    d = Derivation(root=0, nodes=(
+        _node(0, atom("R", y), "hypothesis"),
+        _node(1, atom("R", const("y")), "hypothesis"),
+    ))
+    blob = json.loads(json.dumps(derivation_to_json(d)))
     back = derivation_from_json(blob, declared_vars=("y",))
-    assert back.nodes[0].label is atom("R", y)
-    other = derivation_from_json(blob)
-    assert other.nodes[0].label is atom("R", const("y"))
+    assert [n.label for n in back.nodes] == [atom("R", y), atom("R", const("y"))]
+    with pytest.raises(ValueError, match="nor declared in 'vars'"):
+        derivation_from_json(blob)
 
 
 def test_json_reserved_labels_accepted():
     z = const("_0")
     d = Derivation(root=0, nodes=(_node(0, atom("R", z), "hypothesis"),))
     back = derivation_from_json(derivation_to_json(d))
-    assert back.nodes[0].label is atom("R", z)
-    back = derivation_from_json(_leaves("R(_0)"))
     assert back.nodes[0].label is atom("R", z)
 
 
@@ -615,83 +624,37 @@ def test_json_table_mutants_are_malformed(changes):
         derivation_from_json(json.loads(json.dumps({**TABLE_PROOF, **changes})))
 
 
-def _leaves(*labels):
-    """A derivation blob with one hypothesis node per label."""
-    return {
-        "root": 0,
-        "nodes": [
-            [i, text, "hypothesis", None, []] for i, text in enumerate(labels)
-        ],
-    }
-
-
-def _counting_parser(monkeypatch):
-    calls = []
-    real = ca.parse_formula
-
-    def counting(text, *args, **kwargs):
-        calls.append(text)
-        return real(text, *args, **kwargs)
-
-    monkeypatch.setattr(ca, "parse_formula", counting)
-    return calls
-
-
-def test_json_shared_table_parses_each_label_once(monkeypatch):
-    calls = _counting_parser(monkeypatch)
-    table = SymbolTable()
-    first = derivation_from_json(_leaves("p & q", "R(c)", "p & q"), (), table)
-    second = derivation_from_json(_leaves("R(c)", "q", "p & q"), (), table)
-    assert sorted(calls) == ["R(c)", "p & q", "q"]
-    assert second.nodes[0].label is first.nodes[1].label is atom("R", c)
-    assert second.nodes[2].label is first.nodes[0].label is conj(p, q)
-    assert first.nodes[2].label is first.nodes[0].label
-
-
-def test_json_shared_table_keys_on_declared_vars():
-    table = SymbolTable()
-    blob = _leaves("R(y)")
-    as_var = derivation_from_json(blob, ("y",), table)
-    as_const = derivation_from_json(blob, (), table)
-    again = derivation_from_json(blob, ["y"], table)
-    assert as_var.nodes[0].label is atom("R", y)
-    assert as_const.nodes[0].label is atom("R", const("y"))
-    assert again.nodes[0].label is atom("R", y)
-
-
-def test_json_without_a_table_parses_every_label(monkeypatch):
-    calls = _counting_parser(monkeypatch)
-    blob = _leaves("p & q", "R(c)", "p & q")
-    derivation_from_json(blob)
-    derivation_from_json(blob)
-    assert calls == ["p & q", "R(c)", "p & q"] * 2
+def _leaves(*formulas):
+    """A derivation blob with its own formula table and one hypothesis
+    node per formula."""
+    nodes = (_node(i, f, "hypothesis") for i, f in enumerate(formulas))
+    return json.loads(json.dumps(derivation_to_json(Derivation(0, tuple(nodes)))))
 
 
 @pytest.mark.parametrize(
-    "labels,error,message",
+    "blob,message",
     [
         (
-            ("p & R(a)", "R(a, b)"),
-            ArityError,
-            "relation 'R' used with 2 argument(s) but earlier with 1 (column 0)",
+            _leaves(atom("R", c, d)),
+            "formula row 0: relation 'R' has 2 argument(s) but 1 in an "
+            "earlier row",
         ),
         (
-            ("R(a)", "p & (R(a)"),
-            ParseError,
-            "expected ')', got end of input (column 9)",
+            {**_leaves(p, q, conj(p, q)),
+             "formulas": [ca.ATOM, 0, 0, ca.AND, 0, 2, ca.ATOM, 1, 0]},
+            "formula row 1 cites row 2, which is not an earlier row",
         ),
     ],
     ids=["arity", "parse"],
 )
-def test_json_shared_table_keeps_label_errors(labels, error, message):
+def test_json_shared_table_keeps_label_errors(blob, message):
+    # a SymbolTable shared across derivations keeps their arities; a table
+    # that fails leaves nothing that changes the next read of it
     table = SymbolTable()
-    derivation_from_json(_leaves("R(a)", "p & R(a)"), (), table)
-    # a failed label is never cached, so every proof that repeats it fails
-    # with the same message
+    derivation_from_json(_leaves(atom("R", c), conj(p, atom("R", c))), (), table)
     for _ in range(2):
-        with pytest.raises(error) as info:
-            derivation_from_json(_leaves(*labels), (), table)
-        assert type(info.value) is error
+        with pytest.raises(ValueError) as info:
+            derivation_from_json(blob, (), table)
         assert str(info.value) == message
 
 

@@ -21,7 +21,11 @@ import qpl
 from qpl import algebra, cli, semantics
 from qpl.calculus import (
     CalculusVariant as V,
+    Derivation,
+    DerivationNode,
+    FormulaTable,
     derivation_from_json,
+    derivation_to_json,
     formulas_from_json,
 )
 from qpl.engine import Session, entails
@@ -29,6 +33,7 @@ from qpl.generators import bounded_halting_instance, parse_machine, random_horn
 from qpl.syntax import (
     SymbolTable,
     atom,
+    conj,
     const,
     forall,
     imp,
@@ -395,26 +400,33 @@ def test_verify_proof_malformed_exits_2(tmp_path, capsys):
     assert cli.main(["verify-proof", write(tmp_path, "o.json", "{}")]) == 2
 
 
-_GOOD_DOC = {
-    "variant": "qpl",
-    "vars": [],
-    "hyps": ["p"],
-    "proofs": [
-        {
-            "query": "p",
-            "derivation": {
-                "root": 0,
-                "nodes": [
-                    {"id": 0, "kind": "hypothesis", "label": "p", "parents": []}
-                ],
-            },
-        }
-    ],
-}
+P, Q = atom("p"), atom("q")
+
+
+_HYP_P = DerivationNode(0, P, "hypothesis", None, ())
+
+
+def _derivation_doc(root, nodes, hyps=(P,), query=P, **columns):
+    """A document of one proof of query from hyps, built the way
+    cli._proof_doc builds one: the hyps, the query and the labels cite
+    rows of one FormulaTable. root and nodes (DerivationNode fields) are
+    written as they are, and columns replace the derivation's."""
+    table = FormulaTable()
+    doc = {"variant": "qpl", "vars": [], "hyps": table.rows(hyps)}
+    query = table.rows([query])[0]
+    derivation = derivation_to_json(Derivation(root, tuple(nodes)), table)
+    derivation.update(columns)
+    doc["proofs"] = [{"query": query, "derivation": derivation}]
+    doc["names"] = table.names
+    doc["formulas"] = table.formulas
+    return json.dumps(doc)
+
+
+_GOOD_DOC = _derivation_doc(0, [_HYP_P])
 
 
 def _doc_with(**changes):
-    doc = json.loads(json.dumps(_GOOD_DOC))
+    doc = json.loads(_GOOD_DOC)
     for key, value in changes.items():
         if key == "query":
             doc["proofs"][0]["query"] = value
@@ -423,38 +435,21 @@ def _doc_with(**changes):
     return json.dumps(doc)
 
 
-_HYP_P = {"id": 0, "kind": "hypothesis", "label": "p", "parents": []}
-
-
-def _derivation_doc(root, nodes, hyps=("p",), query="p"):
-    derivation = {"root": root, "nodes": nodes}
-    return json.dumps(
-        {
-            "variant": "qpl",
-            "vars": [],
-            "hyps": list(hyps),
-            "proofs": [{"query": query, "derivation": derivation}],
-        }
-    )
-
-
 # a valid proof of p from p & q, listed root first
 _ROOT_FIRST = _derivation_doc(
     1,
     [
-        {"id": 1, "kind": "rule", "rule": "AndE_L", "label": "p",
-         "parents": [0]},
-        {"id": 0, "kind": "hypothesis", "rule": None, "label": "p & q",
-         "parents": []},
+        DerivationNode(1, P, "rule", "AndE_L", (0,)),
+        DerivationNode(0, conj(P, Q), "hypothesis", None, ()),
     ],
-    hyps=["p & q"],
+    hyps=[conj(P, Q)],
 )
 
 _VERIFY_CASES = [
     ("good", _doc_with(), 0),
     ("good-null-query", _doc_with(query=None), 0),
     ("foreign-hypothesis", _doc_with(hyps=[]), 1),  # well-formed, rejected
-    ("wrong-conclusion", _doc_with(query="q"), 1),  # well-formed, rejected
+    ("wrong-conclusion", _derivation_doc(0, [_HYP_P], query=Q), 1),  # rejected
     ("not-json", "{not json", 2),
     ("not-object", "[]", 2),
     ("empty-object", "{}", 2),
@@ -469,25 +464,25 @@ _VERIFY_CASES = [
     ("query-int", _doc_with(query=7), 2),
     ("query-array", _doc_with(query=["p"]), 2),
     ("proof-int", _doc_with(proofs=[1]), 2),
-    ("proof-no-derivation", _doc_with(proofs=[{"query": "p"}]), 2),
-    ("derivation-array", _doc_with(proofs=[{"query": "p", "derivation": []}]), 2),
-    ("node-not-object", _derivation_doc(0, [1]), 2),
-    ("rule-int", _derivation_doc(0, [{**_HYP_P, "rule": 5}]), 2),
+    ("proof-no-derivation", _doc_with(proofs=[{"query": 0}]), 2),
+    ("derivation-array", _doc_with(proofs=[{"query": 0, "derivation": []}]), 2),
+    # a label must be a row id, not a rendered formula
+    ("node-not-object", _derivation_doc(0, [_HYP_P], label=["p"]), 2),
+    ("rule-int", _derivation_doc(0, [_HYP_P._replace(rule=5)]), 2),
     # JSON true/false are not node numbers, although Python's bool is an int
     ("root-bool", _derivation_doc(False, [_HYP_P]), 2),
-    ("id-bool", _derivation_doc(0, [{**_HYP_P, "id": False}]), 2),
+    ("id-bool", _derivation_doc(0, [_HYP_P._replace(id=False)]), 2),
     (
         "parents-bool",
         _derivation_doc(
             2,
             [
                 _HYP_P,
-                {**_HYP_P, "id": 1, "label": "q"},
-                {"id": 2, "kind": "rule", "rule": "AndI", "label": "p & q",
-                 "parents": [False, True]},
+                DerivationNode(1, Q, "hypothesis", None, ()),
+                DerivationNode(2, conj(P, Q), "rule", "AndI", (False, True)),
             ],
-            hyps=["p", "q"],
-            query="p & q",
+            hyps=[P, Q],
+            query=conj(P, Q),
         ),
         2,
     ),
@@ -495,10 +490,7 @@ _VERIFY_CASES = [
     ("root-first", _ROOT_FIRST, 1),
     (
         "self-loop",
-        _derivation_doc(
-            0, [{"id": 0, "kind": "rule", "rule": "OrE", "label": "p",
-                 "parents": [0]}]
-        ),
+        _derivation_doc(0, [DerivationNode(0, P, "rule", "OrE", (0,))]),
         1,
     ),
 ]
@@ -534,174 +526,32 @@ def test_verify_proof_prints_a_parent_listed_late(tmp_path, capsys):
     )
 
 
-# check --proof output at commit 3391e51 for the golden corpus's machine at
-# t=2 (the problem of test_cli_documents_keep_their_bytes): one JSON object
-# per node, as every document before the array shape was written
-OBJECT_NODES = (
-    Path(__file__).with_name("data") / "machine_t2_object_nodes.proof.json"
+# Documents written before formula tables: hyps, queries and labels are
+# rendered formulas, and each node an object or, later, a five-element
+# array. The last shape held string hyps beside a derivation with its own
+# table.
+_LEGACY_DERIVATIONS = {
+    "object-nodes": {"root": 0, "nodes": [{"id": 0, "kind": "hypothesis",
+                                           "rule": None, "label": "p",
+                                           "parents": []}]},
+    "array-nodes": {"root": 0, "nodes": [[0, "p", "hypothesis", None, []]]},
+    "string-hyps": derivation_to_json(Derivation(0, (_HYP_P,))),
+}
+WRITTEN_BEFORE_TABLES = (
+    "proof written before formula tables; re-run qpl prove or "
+    "qpl check --proof to write it again"
 )
 
 
-def _mutate_object_nodes(doc):
-    nodes = [p["derivation"]["nodes"] for p in doc["proofs"]]
-    nodes[2][5]["rule"] = "ExistsI"
-    nodes[4][3]["label"] = "K0(n0, n0)"
-    nodes[6][4]["parents"] = [9]
-    doc["proofs"][1]["query"] = "K1(n0, n0)"
-    return json.dumps(doc)
-
-
-_HYP_OBJECT = {"id": 0, "kind": "hypothesis", "rule": None, "label": "p",
-               "parents": []}
-
-
-# (name, fixture text -> document text, exit code, stdout, stderr); the
-# outputs are those verify-proof gave on each document at commit 3391e51
-_OBJECT_NODE_CASES = [
-    ("as-written", lambda text: text, 0, "ok: 11 proof(s) verified\n", ""),
-    (
-        "mutated",
-        lambda text: _mutate_object_nodes(json.loads(text)),
-        1,
-        "",
-        "proof 1: conclusion differs from query\n"
-        "proof 2: node 5: shape: ExistsI: conclusion must be existentially"
-        " quantified\n"
-        "proof 4: node 3: shape: ForallE: conclusion is not an instance of"
-        " the premise body\n"
-        "proof 4: node 4: shape: ForallE: premise must be universally"
-        " quantified\n"
-        "proof 6: node 4 references parent 9, which is not listed before it\n"
-        "4 of 11 proofs failed\n",
-    ),
-    *(
-        (name, lambda text, node=node: _derivation_doc(0, [node]), 2, "", err)
-        for name, node, err in [
-            ("id-string", {**_HYP_OBJECT, "id": "0"},
-             "error: node id must be an integer\n"),
-            ("kind-unknown", {**_HYP_OBJECT, "kind": "guess"},
-             "error: node 0: unknown kind 'guess'\n"),
-            ("parents-string", {**_HYP_OBJECT, "parents": "no"},
-             "error: node 0: parents must be an integer array\n"),
-            ("label-int", {**_HYP_OBJECT, "label": 3},
-             "error: node 0: label must be a string\n"),
-            ("rule-int", {**_HYP_OBJECT, "rule": 5},
-             "error: node 0: rule must be a string or null\n"),
-            ("label-missing",
-             {k: v for k, v in _HYP_OBJECT.items() if k != "label"},
-             "error: node 0: label must be a string\n"),
-            ("label-unparsable", {**_HYP_OBJECT, "label": "p &"},
-             "error: expected a formula, got end of input (column 3)\n"),
-        ]
-    ),
-]
-
-
-# check --proof output at commit 0f73661 for the same problem: one
-# five-element array per node, as every document was written from the array
-# shape until formula tables
-ARRAY_NODES = (
-    Path(__file__).with_name("data") / "machine_t2_array_nodes.proof.json"
-)
-
-
-def _mutate_array_nodes(doc):
-    nodes = [p["derivation"]["nodes"] for p in doc["proofs"]]
-    nodes[2][5][3] = "ExistsI"
-    nodes[4][3][1] = "K0(n0, n0)"
-    nodes[6][4][4] = [9]
-    doc["proofs"][1]["query"] = "K1(n0, n0)"
-    return json.dumps(doc)
-
-
-def test_array_node_fixture_is_the_old_check_output():
-    # the proof file digest test_cli_documents_keep_their_bytes pinned at
-    # that commit
-    assert _sha(ARRAY_NODES.read_bytes()) == (
-        "e13535757e34a22016007994bd79f0f1026b70826036e3c31b3485879dd1fbb9")
-
-
-# (name, fixture text -> document text, exit code, stdout, stderr); the
-# outputs are those verify-proof gave on each document at commit 0f73661
-_ARRAY_NODE_CASES = [
-    ("as-written", lambda text: text, 0, "ok: 11 proof(s) verified\n", ""),
-    (
-        "mutated",
-        lambda text: _mutate_array_nodes(json.loads(text)),
-        1,
-        "",
-        "proof 1: conclusion differs from query\n"
-        "proof 2: node 5: shape: ExistsI: conclusion must be existentially"
-        " quantified\n"
-        "proof 4: node 3: shape: ForallE: conclusion is not an instance of"
-        " the premise body\n"
-        "proof 4: node 4: shape: ForallE: premise must be universally"
-        " quantified\n"
-        "proof 6: node 4 references parent 9, which is not listed before it\n"
-        "4 of 11 proofs failed\n",
-    ),
-]
-
-
-@pytest.mark.parametrize(
-    "make,code,out,err",
-    [case[1:] for case in _ARRAY_NODE_CASES],
-    ids=[case[0] for case in _ARRAY_NODE_CASES],
-)
-def test_verify_proof_reads_array_nodes_as_before(
-    tmp_path, capsys, make, code, out, err
+@pytest.mark.parametrize("shape", list(_LEGACY_DERIVATIONS))
+def test_verify_proof_refuses_documents_written_before_formula_tables(
+    tmp_path, capsys, shape
 ):
-    path = write(tmp_path, "doc.json", make(ARRAY_NODES.read_text()))
-    assert cli.main(["verify-proof", path]) == code
-    assert capsys.readouterr() == (out, err)
-
-
-def test_object_node_fixture_is_the_old_check_output():
-    assert _sha(OBJECT_NODES.read_bytes()) == (
-        "082ec2bb598c14fad7d355c1da8ab8026cc100c1482bfa276a7a6b0a3ecfb27d")
-
-
-@pytest.mark.parametrize(
-    "make,code,out,err",
-    [case[1:] for case in _OBJECT_NODE_CASES],
-    ids=[case[0] for case in _OBJECT_NODE_CASES],
-)
-def test_verify_proof_reads_object_nodes_as_before(
-    tmp_path, capsys, make, code, out, err
-):
-    path = write(tmp_path, "doc.json", make(OBJECT_NODES.read_text()))
-    assert cli.main(["verify-proof", path]) == code
-    assert capsys.readouterr() == (out, err)
-
-
-_ARRAY_MUTANTS = [
-    ("four-elements", [[0, "p", "hypothesis", None]],
-     "node at index 0: expected [id, label, kind, rule, parents], got 4"
-     " element(s)"),
-    ("six-elements", [[0, "p", "hypothesis", None, [], []]],
-     "node at index 0: expected [id, label, kind, rule, parents], got 6"
-     " element(s)"),
-    ("id-string", [[0, "p", "hypothesis", None, []],
-                   ["1", "p", "hypothesis", None, []]],
-     "node at index 1: id must be an integer, got '1'"),
-    ("parents-not-list", [[0, "p", "hypothesis", None, 0]],
-     "node 0: parents must be an integer array"),
-    ("kind-unknown", [[0, "p", "lemma", None, []]],
-     "node 0: unknown kind 'lemma'"),
-]
-
-
-@pytest.mark.parametrize(
-    "nodes,message",
-    [case[1:] for case in _ARRAY_MUTANTS],
-    ids=[case[0] for case in _ARRAY_MUTANTS],
-)
-def test_verify_proof_names_a_malformed_array_node(
-    tmp_path, capsys, nodes, message
-):
-    path = write(tmp_path, "doc.json", _derivation_doc(0, nodes))
+    doc = {"variant": "qpl", "vars": [], "hyps": ["p"],
+           "proofs": [{"query": "p", "derivation": _LEGACY_DERIVATIONS[shape]}]}
+    path = write(tmp_path, "doc.json", json.dumps(doc))
     assert cli.main(["verify-proof", path]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr() == ("", f"error: {WRITTEN_BEFORE_TABLES}\n")
 
 
 # ------------------------------------------------ names read by context
@@ -887,26 +737,16 @@ DEPTH = 5000
 _DEEP_CHAIN = " -> ".join(f"p{i}" for i in range(DEPTH)) + "\n"
 _DEEP_SUM = " + ".join(["a"] * DEPTH)
 _DEEP_BODY = "R(x) -> " * DEPTH + "R(x)"
-_DEEP_FORALL_E = json.dumps(
-    {
-        "variant": "qpl",
-        "vars": [],
-        "hyps": [f"forall x. {_DEEP_BODY}"],
-        "proofs": [
-            {
-                "query": _DEEP_BODY.replace("x", "c"),
-                "derivation": {
-                    "root": 1,
-                    "nodes": [
-                        {"id": 0, "kind": "hypothesis", "rule": None,
-                         "label": f"forall x. {_DEEP_BODY}", "parents": []},
-                        {"id": 1, "kind": "rule", "rule": "ForallE",
-                         "label": _DEEP_BODY.replace("x", "c"), "parents": [0]},
-                    ],
-                },
-            }
-        ],
-    }
+_DEEP_HYP = parse_formula(f"forall x. {_DEEP_BODY}")
+_DEEP_INSTANCE = parse_formula(_DEEP_BODY.replace("x", "c"))
+_DEEP_FORALL_E = _derivation_doc(
+    1,
+    [
+        DerivationNode(0, _DEEP_HYP, "hypothesis", None, ()),
+        DerivationNode(1, _DEEP_INSTANCE, "rule", "ForallE", (0,)),
+    ],
+    hyps=[_DEEP_HYP],
+    query=_DEEP_INSTANCE,
 )
 
 
@@ -1100,16 +940,6 @@ def test_gen_random_deterministic(capsys):
     assert doc["variant"] == "l2"
     assert doc["hyps"] and doc["queries"]
     assert "forall" not in " ".join(doc["hyps"] + doc["queries"])
-
-
-# ----------------------------------------------------------------- bench
-
-def test_bench_chain(capsys):
-    assert cli.main(["bench", "chain", "--n", "5000", "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["entailed"] is True
-    assert doc["symbols"] <= 5000
-    assert doc["seconds"] >= 0
 
 
 # ------------------------------------------------------------------ misc

@@ -1,6 +1,9 @@
 """The package's public surface: qpl.__all__."""
 
+import inspect
+
 import qpl
+import qpl.cli
 
 
 def _star_import():
@@ -31,3 +34,11 @@ def test_retired_names_are_gone():
     # the parser raises its arity errors itself; a Report lists failures only
     assert not hasattr(qpl.syntax.SymbolTable, "observe")
     assert "node_results" not in qpl.calculus.Report.__dataclass_fields__
+    # proof documents have one shape, formula tables, so the label reader,
+    # its cache and the parser's reserved-name switch are gone; the chain
+    # timing lives in criterion 3 and perfbench
+    assert not hasattr(qpl.calculus, "_derivation_from_labels")
+    assert not hasattr(qpl.syntax.SymbolTable(), "labels")
+    assert not hasattr(qpl.cli, "cmd_bench_chain")
+    params = inspect.signature(qpl.syntax.parse_formula).parameters
+    assert "allow_reserved" not in params

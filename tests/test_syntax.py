@@ -119,8 +119,6 @@ def test_reserved_identifiers():
         parse_formula("_p")
     with pytest.raises(ReservedNameError):
         parse_formula("R(_0)")
-    f = parse_formula("R(_0)", allow_reserved=True)
-    assert f is atom("R", const("_0"))
 
 
 def test_arity_mismatch_within_one_parse():
@@ -275,10 +273,10 @@ _NOISE = st.sampled_from(
 )
 
 
-@given(st.lists(_NOISE, max_size=30).map("".join), st.booleans())
-def test_parse_raises_only_parse_errors(text, allow_reserved):
+@given(st.lists(_NOISE, max_size=30).map("".join))
+def test_parse_raises_only_parse_errors(text):
     try:
-        parse_formula(text, ("x",), allow_reserved=allow_reserved)
+        parse_formula(text, ("x",))
     except ParseError:
         pass
 
