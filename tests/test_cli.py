@@ -530,28 +530,88 @@ def test_verify_proof_prints_a_parent_listed_late(tmp_path, capsys):
 # rendered formulas, and each node an object or, later, a five-element
 # array. The last shape held string hyps beside a derivation with its own
 # table.
-_LEGACY_DERIVATIONS = {
-    "object-nodes": {"root": 0, "nodes": [{"id": 0, "kind": "hypothesis",
-                                           "rule": None, "label": "p",
-                                           "parents": []}]},
-    "array-nodes": {"root": 0, "nodes": [[0, "p", "hypothesis", None, []]]},
-    "string-hyps": derivation_to_json(Derivation(0, (_HYP_P,))),
-}
 WRITTEN_BEFORE_TABLES = (
     "proof written before formula tables; re-run qpl prove or "
     "qpl check --proof to write it again"
 )
 
 
-@pytest.mark.parametrize("shape", list(_LEGACY_DERIVATIONS))
-def test_verify_proof_refuses_documents_written_before_formula_tables(
-    tmp_path, capsys, shape
-):
-    doc = {"variant": "qpl", "vars": [], "hyps": ["p"],
-           "proofs": [{"query": "p", "derivation": _LEGACY_DERIVATIONS[shape]}]}
+def _assert_refused(tmp_path, capsys, derivation):
+    doc = {"variant": "qpl", "vars": [], "hyps": ["p", "(p -> q)"],
+           "proofs": [{"query": "q", "derivation": derivation}]}
     path = write(tmp_path, "doc.json", json.dumps(doc))
     assert cli.main(["verify-proof", path]) == 2
     assert capsys.readouterr() == ("", f"error: {WRITTEN_BEFORE_TABLES}\n")
+
+
+def test_verify_proof_refuses_documents_written_before_formula_tables(
+    tmp_path, capsys
+):
+    _assert_refused(tmp_path, capsys, derivation_to_json(Derivation(0, (_HYP_P,))))
+
+
+# p, p -> q |- q by ImpE, as object nodes; "mutated" concludes r from a
+# parent listed late. Both once verified (exit 0 and 1), and the others
+# were refused node by node.
+_HYP_OBJECT = {"id": 0, "kind": "hypothesis", "rule": None, "label": "p",
+               "parents": []}
+_OBJECT_NODES = [
+    _HYP_OBJECT,
+    {"id": 1, "kind": "hypothesis", "rule": None, "label": "(p -> q)",
+     "parents": []},
+    {"id": 2, "kind": "rule", "rule": "ImpE", "label": "q", "parents": [1, 0]},
+]
+_OBJECT_NODE_CASES = {
+    "as-written": _OBJECT_NODES,
+    "mutated": [*_OBJECT_NODES[:2], {**_OBJECT_NODES[2], "label": "r",
+                                     "parents": [1, 9]}],
+    "id-string": [{**_HYP_OBJECT, "id": "0"}],
+    "kind-unknown": [{**_HYP_OBJECT, "kind": "guess"}],
+    "parents-string": [{**_HYP_OBJECT, "parents": "no"}],
+    "label-int": [{**_HYP_OBJECT, "label": 3}],
+    "rule-int": [{**_HYP_OBJECT, "rule": 5}],
+    "label-missing": [{k: v for k, v in _HYP_OBJECT.items() if k != "label"}],
+    "label-unparsable": [{**_HYP_OBJECT, "label": "p &"}],
+}
+
+
+# The names below are those of the tests from when these shapes were read.
+# Now every such document, well formed or not, is refused whole with one
+# message before any node is looked at.
+@pytest.mark.parametrize("nodes", list(_OBJECT_NODE_CASES.values()),
+                         ids=list(_OBJECT_NODE_CASES))
+def test_verify_proof_reads_object_nodes_as_before(tmp_path, capsys, nodes):
+    _assert_refused(tmp_path, capsys, {"root": 2, "nodes": nodes})
+
+
+_ARRAY_NODES = [[n["id"], n["label"], n["kind"], n["rule"], n["parents"]]
+                for n in _OBJECT_NODES]
+_ARRAY_NODE_CASES = {
+    "as-written": _ARRAY_NODES,
+    "mutated": [*_ARRAY_NODES[:2], [2, "r", "rule", "ImpE", [1, 9]]],
+}
+
+
+@pytest.mark.parametrize("nodes", list(_ARRAY_NODE_CASES.values()),
+                         ids=list(_ARRAY_NODE_CASES))
+def test_verify_proof_reads_array_nodes_as_before(tmp_path, capsys, nodes):
+    _assert_refused(tmp_path, capsys, {"root": 2, "nodes": nodes})
+
+
+_ARRAY_MUTANTS = {
+    "four-elements": [[0, "p", "hypothesis", None]],
+    "six-elements": [[0, "p", "hypothesis", None, [], []]],
+    "id-string": [[0, "p", "hypothesis", None, []],
+                  ["1", "p", "hypothesis", None, []]],
+    "parents-not-list": [[0, "p", "hypothesis", None, 0]],
+    "kind-unknown": [[0, "p", "lemma", None, []]],
+}
+
+
+@pytest.mark.parametrize("nodes", list(_ARRAY_MUTANTS.values()),
+                         ids=list(_ARRAY_MUTANTS))
+def test_verify_proof_names_a_malformed_array_node(tmp_path, capsys, nodes):
+    _assert_refused(tmp_path, capsys, {"root": 0, "nodes": nodes})
 
 
 # ------------------------------------------------ names read by context
