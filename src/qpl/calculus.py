@@ -4,9 +4,10 @@ A derivation is a finite DAG of labeled nodes. Hypothesis and axiom nodes
 are leaves; rule nodes list their premises as parent node ids, in the order
 the rule schema states them. Every parent is listed before its child, so a
 node cites only earlier nodes and the listing itself shows the graph
-acyclic: the checker needs no cycle search. It validates structure first
-and only then judges each node, so a malformed graph never produces rule
-verdicts.
+acyclic: the checker needs no cycle search. It judges each node in the
+same pass that validates the structure, and stops judging at the first
+structural error, whose report lists structural errors only: a malformed
+graph never produces rule verdicts.
 
 A derivation is written as JSON node columns whose labels cite the rows of
 a formula table (FormulaTable), and read back by building those rows with
@@ -24,6 +25,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .syntax import (
+    _FORMULAS,
     _KEYWORDS,
     And,
     Atom,
@@ -300,8 +302,9 @@ class Report:
     conclusion_ok: bool = True
 
 
-def _check_node(node, node_map, variant, hypset):
-    """Why node does not check, or None when it does."""
+def _check_node(node, label_of, variant, hypset):
+    """Why node does not check, or None when it does; label_of maps each
+    node id to its label."""
     if node.kind == "hypothesis":
         if node.parents:
             return "hypothesis node has parents"
@@ -327,7 +330,7 @@ def _check_node(node, node_map, variant, hypset):
     elif node.kind == "rule":
         if node.rule is None:
             return "rule node is missing its rule name"
-        prems = [node_map[pid].label for pid in node.parents]
+        prems = [label_of[pid] for pid in node.parents]
         fault = match_rule(variant, node.rule, prems, node.label)
         if fault is not None:
             return f"{fault[0]}: {fault[1]}"
@@ -344,20 +347,43 @@ def check_derivation(
     expected_conclusion: Formula | None = None,
 ) -> Report:
     structural: list[str] = []
-    node_map: dict[int, DerivationNode] = {}
+    label_of: dict[int, Formula] = {}
     late = []  # (child, parent) ids where the parent was not listed yet
+    hypset = set(hyps)
+    labels_at = label_of.__getitem__
+    failures = []
     for n in d.nodes:
-        for pid in n.parents:
-            if pid not in node_map:
-                late.append((n.id, pid))
-        if n.id in node_map:
-            structural.append(f"duplicate node id {n.id}")
+        nid, label, kind, rule, parents = n
+        for pid in parents:
+            if pid not in label_of:
+                late.append((nid, pid))
+        if nid in label_of:
+            structural.append(f"duplicate node id {nid}")
         else:
-            node_map[n.id] = n
-    if d.root not in node_map:
+            label_of[nid] = label
+        if late or structural:
+            continue  # the report lists structural errors only
+        # A hypothesis or rule node that checks is passed here; _check_node
+        # judges axioms and finds the reason a node fails.
+        if kind == "rule":
+            entry = RULES.get(rule)
+            if (
+                entry is not None
+                and variant >= entry[0]
+                and len(parents) == entry[1]
+                and entry[2](list(map(labels_at, parents)), label) is None
+            ):
+                continue
+        elif kind == "hypothesis":
+            if label in hypset and not parents and rule is None:
+                continue
+        reason = _check_node(n, label_of, variant, hypset)
+        if reason is not None:
+            failures.append(NodeResult(nid, False, reason))
+    if d.root not in label_of:
         structural.append(f"root {d.root} is not a node")
     for nid, pid in late:
-        if pid in node_map:
+        if pid in label_of:
             structural.append(
                 f"node {nid} references parent {pid}, which is not listed "
                 "before it"
@@ -366,16 +392,9 @@ def check_derivation(
             structural.append(f"node {nid} references missing parent {pid}")
     if structural:
         return Report(False, structural, [])
-
-    hypset = set(hyps)
-    failures = []
-    for n in d.nodes:
-        reason = _check_node(n, node_map, variant, hypset)
-        if reason is not None:
-            failures.append(NodeResult(n.id, False, reason))
     conclusion_ok = (
         expected_conclusion is None
-        or node_map[d.root].label is expected_conclusion
+        or label_of[d.root] is expected_conclusion
     )
     return Report(not failures and conclusion_ok, [], failures, conclusion_ok)
 
@@ -402,12 +421,15 @@ _OPCODES = {
     Top: TRUE, Bot: FALSE, Atom: ATOM, And: AND, Or: OR, Imp: IMP,
     Forall: FORALL, Exists: EXISTS,
 }
-_BINARY_MAKERS = (None, None, None, conj, disj, imp)
+# the constructors of the compound opcodes, and the tag their key in the
+# intern table starts with
+_MAKERS = (None, None, None, conj, disj, imp, forall, exists)
+_TAGS = (None, None, "A", "&", "|", ">", "!", "?")
 
 
 def _only(types: frozenset, items) -> bool:
     """Every item's exact type is in types (so a bool is no int)."""
-    return set(map(type, items)) <= types
+    return types.issuperset(map(type, items))
 
 
 class FormulaTable:
@@ -433,43 +455,62 @@ class FormulaTable:
     def rows(self, formulas) -> list[int]:
         """The row id of each of formulas. The first time a formula is met,
         the rows of its subformulas not written yet are written, then its
-        own. An explicit stack holds the formulas waiting for an operand's
-        row, so nesting depth is bounded by memory only."""
+        own: left operand, right operand (or bound variable and body), then
+        the formula. An atom operand is written at once; any other operand
+        without a row waits on an explicit stack, so nesting depth is
+        bounded by memory only."""
         rows, out, names = self._rows, self.formulas, self._names
+
+        def atom_row(a) -> int:
+            args = a.args
+            out.extend((ATOM, names.setdefault(a.rel, len(names)), len(args)))
+            for t in args:
+                code = names.setdefault(t.name, len(names))
+                out.append(-1 - code if t.kind == VAR else code)
+            i = rows[a] = len(rows)
+            return i
+
         ids = []
+        stack = []  # formulas waiting for an operand's row
         for f in formulas:
             i = rows.get(f)
             if i is None:
-                stack = [f]
-                while stack:
-                    g = stack.pop()
-                    if g in rows:  # written since it was pushed
-                        continue
+                g = f
+                while True:
                     cls = g.__class__
                     if cls is Atom:
-                        args = g.args
-                        out += (ATOM, names.setdefault(g.rel, len(names)), len(args))
-                        for t in args:
-                            code = names.setdefault(t.name, len(names))
-                            out.append(-1 - code if t.kind == VAR else code)
+                        i = atom_row(g)
                     else:
                         op = _OPCODES[cls]
-                        if AND <= op <= IMP:
-                            left, right = rows.get(g.l), rows.get(g.r)
-                            if left is None or right is None:
-                                stack += (g, g.r, g.l)
-                                continue
-                            out += (op, left, right)
-                        elif op >= FORALL:
-                            body = rows.get(g.body)
-                            if body is None:
-                                stack += (g, g.body)
-                                continue
-                            out += (op, names.setdefault(g.var, len(names)), body)
+                        if op >= AND:
+                            if op <= IMP:
+                                sub = g.l
+                                a = rows.get(sub)
+                                if a is None:
+                                    if sub.__class__ is not Atom:
+                                        stack.append(g)
+                                        g = sub
+                                        continue
+                                    a = atom_row(sub)
+                                sub = g.r
+                            else:
+                                sub = g.body
+                            b = rows.get(sub)
+                            if b is None:
+                                if sub.__class__ is not Atom:
+                                    stack.append(g)
+                                    g = sub
+                                    continue
+                                b = atom_row(sub)
+                            if op > IMP:
+                                a = names.setdefault(g.var, len(names))
+                            out += (op, a, b)
                         else:
                             out.append(op)
-                    rows[g] = len(rows)
-                i = rows[f]
+                        i = rows[g] = len(rows)
+                    if not stack:
+                        break
+                    g = stack.pop()
             ids.append(i)
         return ids
 
@@ -519,6 +560,9 @@ def _table_rows(obj: dict, arities: dict) -> list[Formula]:
     terms: dict[int, object] = {}
     rows: list[Formula] = []
     append = rows.append
+    # a formula met before is found in the intern table under its
+    # constructor's key, without the constructor's frames; a miss builds it
+    interned = _FORMULAS.get
     i, end = 0, len(formulas)
     try:
         while i < end:
@@ -533,7 +577,11 @@ def _table_rows(obj: dict, arities: dict) -> list[Formula]:
                         f"formula row {n} cites row {bad}, which is not an "
                         "earlier row"
                     )
-                append(_BINARY_MAKERS[op](rows[left], rows[right]))
+                left, right = rows[left], rows[right]
+                append(
+                    interned((_TAGS[op], left, right))
+                    or _MAKERS[op](left, right)
+                )
             elif op == ATOM:
                 rel, k = formulas[i + 1], formulas[i + 2]
                 i += 3
@@ -543,6 +591,11 @@ def _table_rows(obj: dict, arities: dict) -> list[Formula]:
                         f"argument count {k}"
                     )
                 rel = names[rel]
+                if k == 0:
+                    if arities.setdefault(rel, 0):
+                        raise ValueError(_arity_fault(len(rows), rel, 0, arities))
+                    append(interned(("A", rel)) or atom(rel))
+                    continue
                 if i + k > end:
                     raise IndexError
                 args = []
@@ -553,11 +606,8 @@ def _table_rows(obj: dict, arities: dict) -> list[Formula]:
                     args.append(term)
                 i += k
                 if arities.setdefault(rel, k) != k:
-                    raise ValueError(
-                        f"formula row {len(rows)}: relation {rel!r} has {k} "
-                        f"argument(s) but {arities[rel]} in an earlier row"
-                    )
-                append(atom(rel, *args))
+                    raise ValueError(_arity_fault(len(rows), rel, k, arities))
+                append(interned(("A", rel, *args)) or atom(rel, *args))
             elif op == FORALL or op == EXISTS:
                 v, body = formulas[i + 1], formulas[i + 2]
                 i += 3
@@ -567,7 +617,8 @@ def _table_rows(obj: dict, arities: dict) -> list[Formula]:
                         f"formula row {n}: bad variable {v} or body row {body}"
                         ", which must be an earlier row"
                     )
-                append((forall if op == FORALL else exists)(names[v], rows[body]))
+                v, body = names[v], rows[body]
+                append(interned((_TAGS[op], v, body)) or _MAKERS[op](v, body))
             elif op == TRUE:
                 append(top())
                 i += 1
@@ -581,6 +632,11 @@ def _table_rows(obj: dict, arities: dict) -> list[Formula]:
             f"formula row {len(rows)} runs past the end of 'formulas'"
         ) from None
     return rows
+
+
+def _arity_fault(row: int, rel: str, k: int, arities: dict) -> str:
+    return (f"formula row {row}: relation {rel!r} has {k} argument(s) but "
+            f"{arities[rel]} in an earlier row")
 
 
 def _table_term(names: list, code: int, row: int):
@@ -658,7 +714,10 @@ def derivation_from_json(
 
     Labels are rows of the derivation's own formula table, or, when it has
     none, of the document table that formulas_from_json read into symbols.
-    A variable free in a label must be one of declared_vars.
+    A variable free in a label must be one of declared_vars. The node
+    columns are checked a whole column at a time before any label's free
+    variables, so a derivation with faults of both kinds reports a
+    column's.
 
     A derivation written before formula tables holds a 'nodes' array of
     rendered labels instead; it is refused with WRITTEN_BEFORE_TABLES.
@@ -680,11 +739,19 @@ def derivation_from_json(
         obj.get("premises"), obj.get("parents"),
     ]
     n_rows = len(rows)
+    # whole columns at a time; _column_fault finds which check failed
     if not (
         type(ids) is type(label) is type(kind) is type(rule) is list
         and type(premises) is type(parents) is list
         and len(ids) == len(label) == len(kind) == len(rule) == len(premises)
-        and _only(_INT, parents)
+        and _only(_INT, chain(ids, label, premises, parents))
+        and _only(_RULE_TYPES, rule)
+        and kind.count("rule") + kind.count("hypothesis") + kind.count("axiom")
+        == len(kind)
+        and sum(premises) == len(parents)
+        and (not ids or (
+            min(label) >= 0 and max(label) < n_rows and min(premises) >= 0
+        ))
     ):
         raise ValueError(_column_fault(columns, n_rows))
     declared = frozenset(declared_vars)
@@ -692,27 +759,19 @@ def derivation_from_json(
     nodes = []
     append = nodes.append
     j = 0  # where the node's parents start in flat
-    for nid, i, k, r, p in zip(ids, label, kind, rule, premises):
-        if (
-            type(nid) is not int
-            or type(i) is not int or not 0 <= i < n_rows
-            or k not in _NODE_KINDS
-            or (r is not None and r.__class__ is not str)
-            or type(p) is not int or p < 0
-        ):
-            raise ValueError(_column_fault(columns, n_rows))
-        f = rows[i]
+    for nid, f, k, r, p in zip(ids, map(rows.__getitem__, label), kind, rule,
+                               premises):
         if f.free and not f.free <= declared:
             raise ValueError(_undeclared("'label'", f.free - declared))
         append(_new_node((nid, f, k, r, flat[j:j + p])))
         j += p
-    if j != len(flat):
-        raise ValueError(_column_fault(columns, n_rows))
-    return Derivation(root=obj["root"], nodes=tuple(nodes))
+    return _new_derivation((obj["root"], tuple(nodes)))
 
 
-# DerivationNode(*fields) without the Python-level __new__ of a named tuple
+# DerivationNode(*fields) and Derivation(*fields) without the Python-level
+# __new__ of a named tuple
 _new_node = partial(tuple.__new__, DerivationNode)
+_new_derivation = partial(tuple.__new__, Derivation)
 
 
 def _column_fault(columns: list, n_rows: int) -> str:

@@ -26,7 +26,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .calculus import CalculusVariant, Derivation, DerivationNode
+from .calculus import (
+    CalculusVariant,
+    Derivation,
+    DerivationNode,
+    _new_derivation,
+    _new_node,
+)
 from .syntax import (
     And,
     Atom,
@@ -254,10 +260,12 @@ def saturate(hyps, ct: ClosureTable, compiled: CompiledRules) -> SaturationState
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Verdict:
     """One query's answer. stats is the session's own dict, not a copy;
-    the fixpoint and the variant are read from session."""
+    the fixpoint and the variant are read from session. Not frozen: a
+    frozen dataclass sets each field through object.__setattr__, which
+    tiny problems feel."""
 
     entailed: bool
     proof: Derivation | None
@@ -383,5 +391,5 @@ def extract_proof(
             parents = ()
         nid = len(nodes)
         memo[fid] = nid
-        nodes.append(DerivationNode(nid, universe[fid], kind, rule, parents))
-    return Derivation(root=memo[tid], nodes=tuple(nodes))
+        nodes.append(_new_node((nid, universe[fid], kind, rule, parents)))
+    return _new_derivation((memo[tid], tuple(nodes)))

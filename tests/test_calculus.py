@@ -8,6 +8,7 @@ import pathlib
 import random
 
 import pytest
+from test_golden import _sessions as golden_sessions
 
 from qpl import calculus as ca
 from qpl.calculus import (
@@ -20,9 +21,11 @@ from qpl.calculus import (
     derivation_to_json,
     match_rule,
 )
-from qpl.engine import entails
+from qpl.engine import Session, entails
 from qpl.generators import chain_family, random_instance
 from qpl.syntax import (
+    VAR,
+    Atom,
     SymbolTable,
     atom,
     bot,
@@ -33,6 +36,7 @@ from qpl.syntax import (
     forall,
     imp,
     parse_formula,
+    parse_problem,
     render,
     top,
     var,
@@ -622,6 +626,320 @@ def test_json_table_of_a_deep_formula():
 def test_json_table_mutants_are_malformed(changes):
     with pytest.raises(ValueError):
         derivation_from_json(json.loads(json.dumps({**TABLE_PROOF, **changes})))
+
+
+# ------------------------------------------ differential tests of the proof path
+
+class _ReferenceTable:
+    """FormulaTable's writer before its single loop, kept as the reference
+    the writer's bytes must equal: every label without a row gets its own
+    stack, and every operand is pushed and popped."""
+
+    def __init__(self):
+        self.formulas = []
+        self.names = {}
+        self.table = {}
+
+    def rows(self, formulas):
+        rows, out, names = self.table, self.formulas, self.names
+        ids = []
+        for f in formulas:
+            i = rows.get(f)
+            if i is None:
+                stack = [f]
+                while stack:
+                    g = stack.pop()
+                    if g in rows:
+                        continue
+                    cls = g.__class__
+                    if cls is Atom:
+                        args = g.args
+                        out += (ca.ATOM, names.setdefault(g.rel, len(names)),
+                                len(args))
+                        for t in args:
+                            code = names.setdefault(t.name, len(names))
+                            out.append(-1 - code if t.kind == VAR else code)
+                    else:
+                        op = ca._OPCODES[cls]
+                        if ca.AND <= op <= ca.IMP:
+                            left, right = rows.get(g.l), rows.get(g.r)
+                            if left is None or right is None:
+                                stack += (g, g.r, g.l)
+                                continue
+                            out += (op, left, right)
+                        elif op >= ca.FORALL:
+                            body = rows.get(g.body)
+                            if body is None:
+                                stack += (g, g.body)
+                                continue
+                            out += (op, names.setdefault(g.var, len(names)), body)
+                        else:
+                            out.append(op)
+                    rows[g] = len(rows)
+                i = rows[f]
+            ids.append(i)
+        return ids
+
+
+def _assert_writes_as_reference(label_lists):
+    """One FormulaTable and one reference table, each fed label_lists in
+    turn, as a proof document shares its table: equal row ids per call,
+    and equal names and formulas at the end."""
+    table, ref = ca.FormulaTable(), _ReferenceTable()
+    for labels in label_lists:
+        assert table.rows(labels) == ref.rows(labels)
+    assert table.names == list(ref.names)
+    assert table.formulas == ref.formulas
+
+
+def test_writer_matches_reference_on_golden_proofs():
+    for name, hyps, queries, variant in golden_sessions():
+        verdicts = Session(hyps, queries, variant).verdicts()
+        _assert_writes_as_reference([
+            hyps, queries,
+            *([n.label for n in v.proof.nodes] for v in verdicts if v.proof),
+        ])
+
+
+def test_writer_matches_reference_on_random_formulas():
+    # a closure universe lists subformulas around the formulas that hold
+    # them; reversed, compounds come before their operands
+    for variant in V:
+        rng = random.Random(2200 + int(variant))
+        for _ in range(60):
+            hyps, queries = random_instance(rng, None, 2, variant)
+            universe = Session(hyps, queries, variant).closure_table.universe
+            _assert_writes_as_reference([hyps, queries])
+            _assert_writes_as_reference([universe[::-1], hyps])
+            _assert_writes_as_reference([universe])
+
+
+def test_writer_matches_reference_on_operand_orders():
+    pq = conj(p, q)
+    cases = [
+        # a compound before its operands, and after them
+        [imp(pq, disj(q, r)), p, q, pq],
+        [p, q, pq, imp(pq, r)],
+        # an unwritten compound on the left that holds the right operand
+        [conj(conj(q, p), p)],
+        [imp(disj(r, forall("x", atom("R", x))), atom("R", x))],
+        # shared operands, and l is r
+        [conj(pq, imp(q, pq))],
+        [conj(p, p), imp(conj(q, q), conj(q, q)), disj(pq, pq)],
+        [conj(atom("R", x, c), atom("R", x, c))],
+        # a bound variable named after its body's names, constants as operands
+        [forall("y", atom("R", x)), exists("x", imp(top(), bot()))],
+        [conj(bot(), p), imp(top(), imp(top(), q))],
+        [exists("y", forall("x", conj(atom("S", x, y), exists("y", p))))],
+    ]
+    for labels in cases:
+        _assert_writes_as_reference([labels])
+        _assert_writes_as_reference([[f] for f in labels])
+
+
+def test_writer_matches_reference_on_deep_formulas():
+    right = left = atom("p0")
+    for i in range(1, 5000):
+        right = imp(atom(f"p{i}"), right)
+        left = conj(left, atom(f"q{i}"))
+    _assert_writes_as_reference([[right]])
+    _assert_writes_as_reference([[left, right]])
+
+
+def _only(types, items):
+    return set(map(type, items)) <= types
+
+
+def _reference_table_rows(obj, arities):
+    """_table_rows before ATOM rows with no arguments had a path of their
+    own and rows were looked up in the intern table."""
+    names, formulas = obj.get("names"), obj.get("formulas")
+    if type(names) is not list or type(formulas) is not list:
+        raise ValueError("a formula table needs 'names' and 'formulas' arrays")
+    if not _only({str}, names):
+        raise ValueError("'names' entries must be strings")
+    if not _only({int}, formulas):
+        raise ValueError("'formulas' must be an integer array")
+    makers = (None, None, None, conj, disj, imp)
+    n_names = len(names)
+    terms = {}
+    rows = []
+    append = rows.append
+    i, end = 0, len(formulas)
+    try:
+        while i < end:
+            op = formulas[i]
+            if ca.AND <= op <= ca.IMP:
+                left, right = formulas[i + 1], formulas[i + 2]
+                i += 3
+                n = len(rows)
+                if not (0 <= left < n and 0 <= right < n):
+                    bad = right if 0 <= left < n else left
+                    raise ValueError(
+                        f"formula row {n} cites row {bad}, which is not an "
+                        "earlier row"
+                    )
+                append(makers[op](rows[left], rows[right]))
+            elif op == ca.ATOM:
+                rel, k = formulas[i + 1], formulas[i + 2]
+                i += 3
+                if not 0 <= rel < n_names or k < 0:
+                    raise ValueError(
+                        f"formula row {len(rows)}: bad relation {rel} or "
+                        f"argument count {k}"
+                    )
+                rel = names[rel]
+                if i + k > end:
+                    raise IndexError
+                args = []
+                for t in formulas[i:i + k]:
+                    term = terms.get(t)
+                    if term is None:
+                        term = terms[t] = ca._table_term(names, t, len(rows))
+                    args.append(term)
+                i += k
+                if arities.setdefault(rel, k) != k:
+                    raise ValueError(
+                        f"formula row {len(rows)}: relation {rel!r} has {k} "
+                        f"argument(s) but {arities[rel]} in an earlier row"
+                    )
+                append(atom(rel, *args))
+            elif op == ca.FORALL or op == ca.EXISTS:
+                v, body = formulas[i + 1], formulas[i + 2]
+                i += 3
+                n = len(rows)
+                if not 0 <= v < n_names or not 0 <= body < n:
+                    raise ValueError(
+                        f"formula row {n}: bad variable {v} or body row {body}"
+                        ", which must be an earlier row"
+                    )
+                append((forall if op == ca.FORALL else exists)(names[v], rows[body]))
+            elif op == ca.TRUE:
+                append(top())
+                i += 1
+            elif op == ca.FALSE:
+                append(bot())
+                i += 1
+            else:
+                raise ValueError(f"formula row {len(rows)}: unknown opcode {op}")
+    except IndexError:
+        raise ValueError(
+            f"formula row {len(rows)} runs past the end of 'formulas'"
+        ) from None
+    return rows
+
+
+def _reference_reader(obj, declared_vars=()):
+    """derivation_from_json, for a derivation with its own table, before
+    its node columns were checked a whole column at a time: one loop
+    checks and builds each node in turn."""
+    if not isinstance(obj, dict):
+        raise ValueError("derivation must be a JSON object")
+    if type(obj.get("root")) is not int:
+        raise ValueError("derivation needs an integer 'root'")
+    rows = _reference_table_rows(obj, {})
+    columns = ids, label, kind, rule, premises, parents = [
+        obj.get(key) for key in ca._COLUMNS
+    ]
+    n_rows = len(rows)
+    if not (
+        type(ids) is type(label) is type(kind) is type(rule) is list
+        and type(premises) is type(parents) is list
+        and len(ids) == len(label) == len(kind) == len(rule) == len(premises)
+        and _only({int}, parents)
+    ):
+        raise ValueError(ca._column_fault(columns, n_rows))
+    declared = frozenset(declared_vars)
+    flat = tuple(parents)
+    nodes = []
+    j = 0
+    for nid, i, k, r, n in zip(ids, label, kind, rule, premises):
+        if (
+            type(nid) is not int
+            or type(i) is not int or not 0 <= i < n_rows
+            or k not in ca._NODE_KINDS
+            or (r is not None and r.__class__ is not str)
+            or type(n) is not int or n < 0
+        ):
+            raise ValueError(ca._column_fault(columns, n_rows))
+        f = rows[i]
+        if f.free and not f.free <= declared:
+            raise ValueError(ca._undeclared("'label'", f.free - declared))
+        nodes.append(DerivationNode(nid, f, k, r, flat[j:j + n]))
+        j += n
+    if j != len(flat):
+        raise ValueError(ca._column_fault(columns, n_rows))
+    return Derivation(obj["root"], tuple(nodes))
+
+
+def _read(reader, obj, declared_vars):
+    try:
+        return reader(obj, declared_vars)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+# wrong types, bools, negatives, rows and counts out of range, unknown and
+# known kinds and rule names, and in-range values that move a premises sum
+_BAD_ENTRIES = [
+    "x", "guess", "rule", "hypothesis", "axiom", "AndI", "", 1.5, None, [0],
+    {}, True, False, -1, -4, 0, 1, 2, 3, 7, 10**6,
+]
+
+
+def _column_mutants(blob):
+    """Each copy of blob that has one entry of one array replaced by a bad
+    value, or one entry appended or dropped; and each that moves one parent
+    between neighbouring premises counts, which keeps their sum."""
+    for key in ("names", "formulas", *ca._COLUMNS):
+        column = blob[key]
+        for i in range(len(column)):
+            for bad in _BAD_ENTRIES:
+                yield {**blob, key: [*column[:i], bad, *column[i + 1:]]}
+        yield {**blob, key: [*column, 0]}
+        yield {**blob, key: column[:-1]}
+    counts = blob["premises"]
+    for i in range(len(counts) - 1):
+        for step in (1, -1):
+            moved = counts[:]
+            moved[i] += step
+            moved[i + 1] -= step
+            yield {**blob, "premises": moved}
+
+
+def _quantified_blob():
+    """The proof of S(c, y) from R(y) and R(y) -> (forall x. S(x, y)): a
+    free variable in labels, a quantifier row and ForallE."""
+    problem = parse_problem("@vars y\nR(y)\nR(y) -> (forall x. S(x, y))\n")
+    query = parse_formula("S(c, y)", problem.declared_vars,
+                          symbols=problem.symbols)
+    v = entails(problem.formulas, query, V.QPL)
+    return json.loads(json.dumps(derivation_to_json(v.proof)))
+
+
+def test_reader_matches_reference_on_column_mutants():
+    # one fault per mutant: the same message as the reference, or an
+    # equal derivation
+    for blob, declared in ((TABLE_PROOF, ()), (_quantified_blob(), ("y",))):
+        for mutant in _column_mutants(blob):
+            got = _read(derivation_from_json, mutant, declared)
+            assert got == _read(_reference_reader, mutant, declared), mutant
+
+
+def test_reader_reports_a_column_fault_before_an_undeclared_label():
+    # with y undeclared a mutant has two faults; the reference reported
+    # whichever its node loop met first, and the reader reports a column
+    # fault before any undeclared variable
+    undeclared = "ValueError: " + ca._undeclared("'label'", {"y"})
+    moved = 0
+    for mutant in _column_mutants(_quantified_blob()):
+        got = _read(derivation_from_json, mutant, ())
+        want = _read(_reference_reader, mutant, ())
+        if got != want:
+            assert want == undeclared
+            assert got == _read(_reference_reader, mutant, ("y",))
+            moved += 1
+    assert moved > 0
 
 
 def _leaves(*formulas):
