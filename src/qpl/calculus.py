@@ -790,9 +790,10 @@ def _column_fault(columns: list, n_rows: int) -> str:
     bad = next((i for i in label if not 0 <= i < n_rows), None)
     if bad is not None:
         return f"'label' cites row {bad}, but 'formulas' has {n_rows} row(s)"
-    bad = next((k for k in kind if k not in _NODE_KINDS), None)
-    if bad is not None:
-        return f"node at index {_index(kind, bad)}: unknown kind {bad!r}"
+    # search by index: a null kind is a fault, not "no match"
+    at = next((i for i, k in enumerate(kind) if k not in _NODE_KINDS), None)
+    if at is not None:
+        return f"node at index {at}: unknown kind {kind[at]!r}"
     if not _only(_RULE_TYPES, rule):
         return "'rule' entries must be strings or null"
     if any(p < 0 for p in premises):
@@ -813,8 +814,3 @@ def load_derivation(
     collector on, which walks the growing heap again and again and finds
     nothing."""
     return derivation_from_json(json.loads(text), declared_vars, symbols)
-
-
-def _index(items: list, item) -> int:
-    """The position of item in items; only an error message needs it."""
-    return next(i for i, x in enumerate(items) if x is item)

@@ -6,6 +6,8 @@ all its queries in one engine Session), closure and oracle expose the
 universe construction and the semantic brute-force check,
 verify-proof replays serialized derivations, algebra compares
 information terms, and gen produces reproducible instance suites.
+Every JSON document printed (--json) or written (--proof, --countermodel)
+is compact, one line with sorted keys, so it is byte-deterministic.
 
 Exit codes: 0 for a successful decision regardless of verdict, 2 for
 input errors, 3 for resource limits, among them running out of memory and
@@ -67,49 +69,15 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-_STR = json.encoder.encode_basestring_ascii
-_INTS = {int}
-
-
-def _dump(doc, pad="\n") -> str:
-    """json.dumps(doc, indent=2, sort_keys=True), byte for byte, without the
-    standard library's pure-Python encoder, which an indent selects. pad is
-    the newline and indentation of doc's own level."""
-    cls = doc.__class__
-    if cls is str:
-        return _STR(doc)
-    if cls is int:
-        return int.__repr__(doc)
-    if doc is None:
-        return "null"
-    if cls is bool:
-        return "true" if doc else "false"
-    inner = pad + "  "
-    if cls is list or cls is tuple:
-        if not doc:
-            return "[]"
-        if set(map(type, doc)) == _INTS:  # a column of a proof document
-            items = map(int.__repr__, doc)
-        else:
-            items = [_dump(v, inner) for v in doc]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if cls is dict:
-        if not doc:
-            return "{}"
-        try:
-            items = [_STR(k) + ": " + _dump(doc[k], inner) for k in sorted(doc)]
-        except TypeError:  # a key that is not a str: the stdlib writes doc
-            pass
-        else:
-            return "{" + inner + ("," + inner).join(items) + pad + "}"
-    # floats and other types; JSON text has a raw newline only between
-    # items, so the padding carries the stdlib's indent to any depth
-    return json.dumps(doc, indent=2, sort_keys=True).replace("\n", pad)
+def _json(doc) -> str:
+    """doc as one line of compact JSON with sorted keys, newline-terminated:
+    the form of every JSON document the CLI prints or writes."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _write_json(path: str, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump(doc) + "\n")
+        fh.write(_json(doc))
 
 
 def _resolve_seed(args):
@@ -166,7 +134,7 @@ def cmd_check(args) -> int:
     session = Session(prob.formulas, queries, variant, closure_cap=args.closure_cap)
     verdicts = session.verdicts(with_proof=args.proof is not None)
     if args.json:
-        print(_dump({
+        sys.stdout.write(_json({
             "variant": session.variant.cli_name,
             "hyps": [render(h) for h in session.hyps],
             "results": [
@@ -250,7 +218,7 @@ def cmd_prove(args) -> int:
         if args.proof is not None:
             _write_json(args.proof, doc)
         if args.json:
-            print(_dump(doc))
+            sys.stdout.write(_json(doc))
             return 0
     print(f"entailed: {render(q)}")
     if args.expand_tree:
@@ -329,7 +297,8 @@ def cmd_closure(args) -> int:
         "within_bound": len(ct.universe) <= bound,
     }
     if args.json:
-        print(_dump({"universe": [render(f) for f in ct.universe], "stats": stats}))
+        universe = [render(f) for f in ct.universe]
+        sys.stdout.write(_json({"universe": universe, "stats": stats}))
     else:
         for f in ct.universe:
             print(render(f))
@@ -348,7 +317,7 @@ def cmd_oracle(args) -> int:
         prob.formulas, q, exponent_cap=args.oracle_cap
     )
     if args.json:
-        print(_dump({
+        sys.stdout.write(_json({
             "query": render(q),
             "yields": yields,
             "exponent_cap": args.oracle_cap,
@@ -372,7 +341,7 @@ def cmd_algebra(args) -> int:
         "equal": s_geq_t and t_geq_s,
     }
     if args.json:
-        print(_dump(doc))
+        sys.stdout.write(_json(doc))
     else:
         print(f"s: {doc['s']}")
         print(f"t: {doc['t']}")
@@ -390,7 +359,7 @@ def cmd_gen_horn(args) -> int:
     forms = [c.to_formula() for c in clauses]
     verdict = classical_horn_bottom(clauses, parameters_star([*forms, bot()]))
     if args.json:
-        print(_dump({
+        sys.stdout.write(_json({
             "seed": seed,
             "vars": ["y"],
             "clauses": [render(f) for f in forms],
@@ -411,7 +380,7 @@ def cmd_gen_machine(args) -> int:
     hyps, query = bounded_halting_instance(m, args.bound)
     res = simulate(m, args.bound)
     if args.json:
-        print(_dump({
+        sys.stdout.write(_json({
             "machine": machine_to_text(m),
             "bound": args.bound,
             "hyps": [render(h) for h in hyps],
@@ -434,7 +403,7 @@ def cmd_gen_random(args) -> int:
         random.Random(seed), args.hyps, args.queries, variant
     )
     if args.json:
-        print(_dump({
+        sys.stdout.write(_json({
             "seed": seed,
             "variant": variant.cli_name,
             "hyps": [render(h) for h in hyps],

@@ -942,6 +942,18 @@ def test_reader_reports_a_column_fault_before_an_undeclared_label():
     assert moved > 0
 
 
+@pytest.mark.parametrize(
+    "kind,at",
+    [([None, "hypothesis", "rule"], 0), (["hypothesis", "hypothesis", None], 2)],
+)
+def test_reader_names_the_node_of_an_unknown_kind(kind, at):
+    # a null kind is an unknown kind too, not the end of the search; the
+    # reference reader above shares _column_fault, so it cannot catch this
+    with pytest.raises(ValueError) as info:
+        derivation_from_json({**TABLE_PROOF, "kind": kind})
+    assert str(info.value) == f"node at index {at}: unknown kind {kind[at]!r}"
+
+
 def _leaves(*formulas):
     """A derivation blob with its own formula table and one hypothesis
     node per formula."""

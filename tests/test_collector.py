@@ -170,7 +170,7 @@ def _random_pipeline():
 
 
 def _cli_pipeline(tmp_path):
-    """Writes two indented JSON documents: the verdicts and the proof."""
+    """Writes two compact JSON documents: the verdicts and the proof."""
     hyps, query = chain_family(2000)
     problem = tmp_path / "h.qpl"
     problem.write_text("".join(render(h) + "\n" for h in hyps))
