@@ -14,13 +14,13 @@ from .calculus import (
     CalculusVariant,
     Derivation,
     DerivationNode,
-    FormulaTable,
     Report,
     check_derivation,
     derivation_from_json,
     derivation_to_json,
-    formulas_from_json,
     load_derivation,
+    proof_document_from_json,
+    proof_document_to_json,
 )
 from .engine import (
     Session,
@@ -69,7 +69,6 @@ __all__ = [
     "Derivation",
     "DerivationNode",
     "Formula",
-    "FormulaTable",
     "OverrideFn",
     "ParseError",
     "Report",
@@ -94,11 +93,12 @@ __all__ = [
     "exists",
     "extract_proof",
     "forall",
-    "formulas_from_json",
     "imp",
     "load_derivation",
     "parse_formula",
     "parse_problem",
+    "proof_document_from_json",
+    "proof_document_to_json",
     "render",
     "satisfies",
     "saturate",

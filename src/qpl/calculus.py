@@ -13,6 +13,10 @@ A derivation is written as JSON node columns whose labels cite the rows of
 a formula table (FormulaTable), and read back by building those rows with
 the interning constructors. That is the one shape read: a derivation
 written before formula tables, with rendered labels, is refused.
+
+The proof document format lives here too, as one writer and one reader
+(proof_document_to_json, proof_document_from_json): the hyps, the queries
+and every derivation of a document cite the rows of its one table.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .syntax import (
     Imp,
     Or,
     RESERVED_PREFIX,
-    SymbolTable,
     Top,
     VAR,
     atom,
@@ -515,22 +518,10 @@ class FormulaTable:
         return ids
 
 
-@gc_paused
-def derivation_to_json(d: Derivation, table: FormulaTable | None = None) -> dict:
-    """The JSON shape of d: the root id and one array per node field. Node
-    i is id[i], the formula row label[i], kind[i], rule[i] (null on
-    hypotheses) and the next premises[i] ids of parents, in the order the
-    rule states them.
-
-    A caller that passes its own table (one per proof document) shares it
-    across calls, and writes its names and formulas once beside them.
-    Without a table, d's own is written as its names and formulas.
-    """
-    own = table is None
-    if own:
-        table = FormulaTable()
+def _node_columns(d: Derivation, table: FormulaTable) -> dict:
+    """d's root and node columns, its labels written as rows of table."""
     ids, labels, kinds, rules, parents = zip(*d.nodes) if d.nodes else ((),) * 5
-    doc = {
+    return {
         "root": d.root,
         "id": list(ids),
         "label": table.rows(labels),
@@ -539,16 +530,49 @@ def derivation_to_json(d: Derivation, table: FormulaTable | None = None) -> dict
         "premises": list(map(len, parents)),
         "parents": list(chain.from_iterable(parents)),
     }
-    if own:
-        doc["names"] = table.names
-        doc["formulas"] = table.formulas
+
+
+@gc_paused
+def derivation_to_json(d: Derivation) -> dict:
+    """The JSON shape of d: the root id, one array per node field, and d's
+    own formula table as names and formulas. Node i is id[i], the formula
+    row label[i], kind[i], rule[i] (null on hypotheses) and the next
+    premises[i] ids of parents, in the order the rule states them.
+    """
+    table = FormulaTable()
+    doc = _node_columns(d, table)
+    doc["names"] = table.names
+    doc["formulas"] = table.formulas
     return doc
 
 
-def _table_rows(obj: dict, arities: dict) -> list[Formula]:
+@gc_paused
+def proof_document_to_json(variant: CalculusVariant, hyps, vars, proofs) -> dict:
+    """The proof document of proofs, a list of (query, derivation) pairs
+    from hyps in variant; vars names the variables that may occur free in
+    the hyps, the queries and the labels. The hyps, each query and every
+    label cite rows of the document's one formula table (names and
+    formulas), so each derivation is its node columns only.
+    """
+    table = FormulaTable()
+    hyp_rows = table.rows(hyps)
+    entries = [
+        {"query": table.rows([query])[0], "derivation": _node_columns(d, table)}
+        for query, d in proofs
+    ]
+    return {
+        "variant": variant.cli_name,
+        "vars": sorted(vars),
+        "names": table.names,
+        "formulas": table.formulas,
+        "hyps": hyp_rows,
+        "proofs": entries,
+    }
+
+
+def _table_rows(obj: dict) -> list[Formula]:
     """The formulas of obj's names and formulas, one per row, built with
-    the interning constructors; arities are the relation arities seen so
-    far, and each row's are added to them."""
+    the interning constructors."""
     names, formulas = obj.get("names"), obj.get("formulas")
     if type(names) is not list or type(formulas) is not list:
         raise ValueError("a formula table needs 'names' and 'formulas' arrays")
@@ -557,6 +581,7 @@ def _table_rows(obj: dict, arities: dict) -> list[Formula]:
     if not _only(_INT, formulas):
         raise ValueError("'formulas' must be an integer array")
     n_names = len(names)
+    arities: dict[str, int] = {}
     terms: dict[int, object] = {}
     rows: list[Formula] = []
     append = rows.append
@@ -647,16 +672,6 @@ def _table_term(names: list, code: int, row: int):
     return const(names[i]) if code >= 0 else var(names[i])
 
 
-@gc_paused
-def formulas_from_json(obj: dict, symbols: SymbolTable) -> list[Formula]:
-    """Read the formula table (names and formulas) of a proof document and
-    keep its rows as symbols.rows, where derivation_from_json finds them
-    for every derivation of the document that carries no table of its own.
-    Relation arities are checked against and added to symbols'."""
-    symbols.rows = _table_rows(obj, symbols.arities)
-    return symbols.rows
-
-
 def _cited_formulas(rows: list, ids, declared: frozenset, what: str) -> list:
     """The formulas of rows at ids, where a proof document cites them as
     its hyps or a query: each id an integer row id, each formula's free
@@ -705,56 +720,67 @@ def _undeclared(what: str, names) -> str:
 
 
 @gc_paused
-def derivation_from_json(
-    obj,
-    declared_vars=(),
-    symbols: SymbolTable | None = None,
-) -> Derivation:
-    """Read a derivation back from derivation_to_json's shape.
-
-    Labels are rows of the derivation's own formula table, or, when it has
-    none, of the document table that formulas_from_json read into symbols.
-    A variable free in a label must be one of declared_vars. The node
-    columns are checked a whole column at a time before any label's free
-    variables, so a derivation with faults of both kinds reports a
-    column's.
+def derivation_from_json(obj, declared_vars=()) -> Derivation:
+    """Read a derivation back from derivation_to_json's shape: its labels
+    are rows of its own formula table, and a variable free in a label must
+    be one of declared_vars. The node columns are checked a whole column at
+    a time before any label's free variables, so a derivation with faults
+    of both kinds reports a column's.
 
     A derivation written before formula tables holds a 'nodes' array of
     rendered labels instead; it is refused with WRITTEN_BEFORE_TABLES.
     """
+    return _derivation_from_rows(obj, None, frozenset(declared_vars))
+
+
+def _derivation_from_rows(
+    obj, rows: list | None, declared: frozenset
+) -> Derivation:
+    """The derivation obj, whose labels cite rows, or its own formula table
+    when rows is None; derivation_from_json says what is checked."""
     if not isinstance(obj, dict):
         raise ValueError("derivation must be a JSON object")
     if "nodes" in obj:
         raise ValueError(WRITTEN_BEFORE_TABLES)
     if type(obj.get("root")) is not int:  # bool is an int subclass
         raise ValueError("derivation needs an integer 'root'")
-    if "formulas" in obj or "names" in obj:
-        rows = _table_rows(obj, {} if symbols is None else symbols.arities)
-    elif symbols is None or symbols.rows is None:
-        raise ValueError("derivation cites formula rows, but no table was read")
-    else:
-        rows = symbols.rows
+    if rows is None:
+        rows = _table_rows(obj)
+    elif "formulas" in obj or "names" in obj:
+        raise ValueError(
+            "derivation carries its own 'names' or 'formulas', but one in a "
+            "proof document cites the document's table"
+        )
     columns = ids, label, kind, rule, premises, parents = [
-        obj.get("id"), obj.get("label"), obj.get("kind"), obj.get("rule"),
-        obj.get("premises"), obj.get("parents"),
+        obj.get(key) for key in _COLUMNS
     ]
+    for key, column in zip(_COLUMNS, columns):
+        if type(column) is not list:
+            raise ValueError(f"derivation needs a {key!r} array")
+    if not len(ids) == len(label) == len(kind) == len(rule) == len(premises):
+        raise ValueError("node columns 'id', 'label', 'kind', 'rule' and "
+                         "'premises' must have one entry per node")
+    for key, column in zip(_COLUMNS, columns):
+        if key not in ("kind", "rule") and not _only(_INT, column):
+            raise ValueError(f"{key!r} must be an integer array")
     n_rows = len(rows)
-    # whole columns at a time; _column_fault finds which check failed
-    if not (
-        type(ids) is type(label) is type(kind) is type(rule) is list
-        and type(premises) is type(parents) is list
-        and len(ids) == len(label) == len(kind) == len(rule) == len(premises)
-        and _only(_INT, chain(ids, label, premises, parents))
-        and _only(_RULE_TYPES, rule)
-        and kind.count("rule") + kind.count("hypothesis") + kind.count("axiom")
-        == len(kind)
-        and sum(premises) == len(parents)
-        and (not ids or (
-            min(label) >= 0 and max(label) < n_rows and min(premises) >= 0
-        ))
-    ):
-        raise ValueError(_column_fault(columns, n_rows))
-    declared = frozenset(declared_vars)
+    if label and (min(label) < 0 or max(label) >= n_rows):
+        bad = next(i for i in label if not 0 <= i < n_rows)
+        raise ValueError(
+            f"'label' cites row {bad}, but 'formulas' has {n_rows} row(s)"
+        )
+    known = kind.count("rule") + kind.count("hypothesis") + kind.count("axiom")
+    if known != len(kind):
+        # search by index: a null kind is a fault, not "no match"
+        at = next(i for i, k in enumerate(kind) if k not in _NODE_KINDS)
+        raise ValueError(f"node at index {at}: unknown kind {kind[at]!r}")
+    if not _only(_RULE_TYPES, rule):
+        raise ValueError("'rule' entries must be strings or null")
+    if premises and min(premises) < 0:
+        raise ValueError("'premises' must be counts")
+    if sum(premises) != len(parents):
+        raise ValueError(f"'premises' add up to {sum(premises)} parent(s), but "
+                         f"'parents' holds {len(parents)}")
     flat = tuple(parents)
     nodes = []
     append = nodes.append
@@ -774,43 +800,57 @@ _new_node = partial(tuple.__new__, DerivationNode)
 _new_derivation = partial(tuple.__new__, Derivation)
 
 
-def _column_fault(columns: list, n_rows: int) -> str:
-    """What is wrong with a derivation's node columns, whose labels cite
-    n_rows rows."""
-    for key, column in zip(_COLUMNS, columns):
-        if type(column) is not list:
-            return f"derivation needs a {key!r} array"
-    ids, label, kind, rule, premises, parents = columns
-    if not len(ids) == len(label) == len(kind) == len(rule) == len(premises):
-        return ("node columns 'id', 'label', 'kind', 'rule' and 'premises' "
-                "must have one entry per node")
-    for key, column in zip(_COLUMNS, columns):
-        if key not in ("kind", "rule") and not _only(_INT, column):
-            return f"{key!r} must be an integer array"
-    bad = next((i for i in label if not 0 <= i < n_rows), None)
-    if bad is not None:
-        return f"'label' cites row {bad}, but 'formulas' has {n_rows} row(s)"
-    # search by index: a null kind is a fault, not "no match"
-    at = next((i for i, k in enumerate(kind) if k not in _NODE_KINDS), None)
-    if at is not None:
-        return f"node at index {at}: unknown kind {kind[at]!r}"
-    if not _only(_RULE_TYPES, rule):
-        return "'rule' entries must be strings or null"
-    if any(p < 0 for p in premises):
-        return "'premises' must be counts"
-    return (f"'premises' add up to {sum(premises)} parent(s), but "
-            f"'parents' holds {len(parents)}")
+@gc_paused
+def proof_document_from_json(doc) -> tuple[CalculusVariant, list, list]:
+    """Read a proof document back from proof_document_to_json's shape, as
+    (variant, hyps, proofs), where proofs lists (query or None, Derivation)
+    pairs in document order.
+
+    The whole document is read before any proof is judged, so a malformed
+    one raises a ValueError and no verdict is due. A fault in proof i's
+    query or derivation is prefixed "proof i: ". A derivation cites the
+    document's table; one that carries its own is refused.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("proof document must be a JSON object")
+    for key in ("hyps", "proofs"):
+        if not isinstance(doc.get(key), list):
+            raise ValueError(f"proof document needs a {key!r} array")
+    if "formulas" not in doc:
+        raise ValueError(WRITTEN_BEFORE_TABLES)
+    declared = doc.get("vars", [])
+    if not isinstance(declared, list):
+        raise ValueError("'vars' must be an array")
+    if not all(isinstance(s, str) for s in declared):
+        raise ValueError("'vars' entries must be strings")
+    name = doc.get("variant", "qpl")
+    if not isinstance(name, str):
+        raise ValueError("'variant' must be a string")
+    variant = CalculusVariant.from_name(name)
+    rows = _table_rows(doc)
+    declared = frozenset(declared)
+    hyps = _cited_formulas(rows, doc["hyps"], declared, "'hyps'")
+    proofs = []
+    for i, entry in enumerate(doc["proofs"]):
+        if not isinstance(entry, dict) or "derivation" not in entry:
+            raise ValueError(f"proof {i}: missing 'derivation'")
+        query = entry.get("query")
+        if query is not None:
+            (query,) = _cited_formulas(rows, [query], declared,
+                                       f"proof {i}: 'query'")
+        try:
+            d = _derivation_from_rows(entry["derivation"], rows, declared)
+        except ValueError as e:
+            raise ValueError(f"proof {i}: {e}") from None
+        proofs.append((query, d))
+    return variant, hyps, proofs
 
 
 @gc_paused
-def load_derivation(
-    text: str,
-    declared_vars=(),
-    symbols: SymbolTable | None = None,
-) -> Derivation:
+def load_derivation(text: str, declared_vars=()) -> Derivation:
     """Read a derivation from the JSON text of derivation_to_json's shape:
     json.loads and derivation_from_json (same arguments) under one pause of
     the collector. A caller's own json.loads of a large proof runs with the
     collector on, which walks the growing heap again and again and finds
     nothing."""
-    return derivation_from_json(json.loads(text), declared_vars, symbols)
+    return derivation_from_json(json.loads(text), declared_vars)

@@ -7,7 +7,8 @@ universe construction and the semantic brute-force check,
 verify-proof replays serialized derivations, algebra compares
 information terms, and gen produces reproducible instance suites.
 Every JSON document printed (--json) or written (--proof, --countermodel)
-is compact, one line with sorted keys, so it is byte-deterministic.
+is compact, one line with sorted keys, so it is byte-deterministic. The
+proof document's format lives in calculus, which writes and reads it.
 
 Exit codes: 0 for a successful decision regardless of verdict, 2 for
 input errors, 3 for resource limits, among them running out of memory and
@@ -24,14 +25,14 @@ import sys
 
 from .algebra import parse_term, render_term, term_geq
 from .calculus import (
-    WRITTEN_BEFORE_TABLES,
     CalculusVariant,
-    FormulaTable,
-    _cited_formulas,
     check_derivation,
-    derivation_from_json,
-    derivation_to_json,
-    formulas_from_json,
+    # not called here; the benchmark's tracer (perfbench/tracing.py) wraps
+    # both names in this module
+    derivation_from_json,  # noqa: F401
+    derivation_to_json,  # noqa: F401
+    proof_document_from_json,
+    proof_document_to_json,
 )
 from .engine import Session, entails
 from .generators import (
@@ -53,7 +54,6 @@ from .syntax import (
     DEFAULT_CLOSURE_CAP,
     VAR,
     ResourceLimit,
-    SymbolTable,
     bot,
     closure,
     gc_paused,
@@ -87,32 +87,6 @@ def _resolve_seed(args):
     if args.json:
         raise ValueError("--seed is required with --json")
     return random.SystemRandom().randrange(2**32)
-
-
-def _proof_doc(session: Session, verdicts) -> dict:
-    """The proofs of the entailed verdicts. vars declares the variable
-    parameters of the session's closure, which are the free variables of
-    the hyps and of every query, refused ones too: the closure instantiates
-    over all of them, so any may occur in a label. The hyps, the queries
-    and every derivation's labels cite rows of the document's one formula
-    table (names and formulas)."""
-    params = session.closure_table.params
-    table = FormulaTable()
-    hyps = table.rows(session.hyps)
-    proofs = [
-        {"query": table.rows([v.query])[0],
-         "derivation": derivation_to_json(v.proof, table)}
-        for v in verdicts
-        if v.entailed
-    ]
-    return {
-        "variant": session.variant.cli_name,
-        "vars": sorted(t.name for t in params if t.kind == VAR),
-        "names": table.names,
-        "formulas": table.formulas,
-        "hyps": hyps,
-        "proofs": proofs,
-    }
 
 
 # ---------------------------------------------------------------- check
@@ -151,7 +125,15 @@ def cmd_check(args) -> int:
             tag = "entailed" if v.entailed else "not entailed"
             print(f"{tag}: {render(v.query)}")
     if args.proof is not None:
-        _write_json(args.proof, _proof_doc(session, verdicts))
+        # the document declares every variable parameter of the closure: the
+        # free variables of the hyps and of every query, refused ones too,
+        # since the closure instantiates over all of them
+        _write_json(args.proof, proof_document_to_json(
+            session.variant,
+            session.hyps,
+            [t.name for t in session.closure_table.params if t.kind == VAR],
+            [(v.query, v.proof) for v in verdicts if v.entailed],
+        ))
     if args.countermodel is not None:
         entries = []
         model = None  # every refused query of a session shares one model
@@ -214,7 +196,12 @@ def cmd_prove(args) -> int:
         print(f"not entailed: {render(q)}", file=sys.stderr)
         return 1
     if args.proof is not None or args.json:
-        doc = _proof_doc(v.session, [v])
+        doc = proof_document_to_json(
+            variant,
+            v.session.hyps,
+            [t.name for t in v.session.closure_table.params if t.kind == VAR],
+            [(v.query, v.proof)],
+        )
         if args.proof is not None:
             _write_json(args.proof, doc)
         if args.json:
@@ -231,35 +218,10 @@ def cmd_prove(args) -> int:
 # --------------------------------------------------------- verify-proof
 
 def cmd_verify_proof(args) -> int:
-    obj = json.loads(_read_text(args.proof_file))
-    if not isinstance(obj, dict):
-        raise ValueError("proof document must be a JSON object")
-    for key, want in (("hyps", list), ("proofs", list)):
-        if not isinstance(obj.get(key), want):
-            raise ValueError(f"proof document needs a {key!r} array")
-    if "formulas" not in obj:
-        raise ValueError(WRITTEN_BEFORE_TABLES)
-    declared = obj.get("vars", [])
-    if not isinstance(declared, list):
-        raise ValueError("'vars' must be an array")
-    if not all(isinstance(s, str) for s in declared):
-        raise ValueError("'vars' entries must be strings")
-    name = obj.get("variant", "qpl")
-    if not isinstance(name, str):
-        raise ValueError("'variant' must be a string")
-    variant = CalculusVariant.from_name(name)
-    symbols = SymbolTable()
-    rows = formulas_from_json(obj, symbols)
-    wanted = frozenset(declared)
-    hyps = _cited_formulas(rows, obj["hyps"], wanted, "'hyps'")
+    doc = json.loads(_read_text(args.proof_file))
+    variant, hyps, proofs = proof_document_from_json(doc)
     failures = 0
-    for i, entry in enumerate(obj["proofs"]):
-        if not isinstance(entry, dict) or "derivation" not in entry:
-            raise ValueError(f"proof {i}: missing 'derivation'")
-        q = entry.get("query")
-        if q is not None:
-            (q,) = _cited_formulas(rows, [q], wanted, f"proof {i}: 'query'")
-        d = derivation_from_json(entry["derivation"], declared, symbols)
+    for i, (q, d) in enumerate(proofs):
         rep = check_derivation(d, variant, hyps, q)
         if rep.ok:
             continue
@@ -271,9 +233,9 @@ def cmd_verify_proof(args) -> int:
         if not rep.conclusion_ok:
             print(f"proof {i}: conclusion differs from query", file=sys.stderr)
     if failures:
-        print(f"{failures} of {len(obj['proofs'])} proofs failed", file=sys.stderr)
+        print(f"{failures} of {len(proofs)} proofs failed", file=sys.stderr)
         return 1
-    print(f"ok: {len(obj['proofs'])} proof(s) verified")
+    print(f"ok: {len(proofs)} proof(s) verified")
     return 0
 
 

@@ -475,15 +475,10 @@ def closure(s, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureTable:
 # --------------------------------------------------------------- parsing
 
 class SymbolTable:
-    """Relation arities seen so far; one table spans one problem.
-
-    rows holds the formula table of the proof document read with this
-    table (calculus.formulas_from_json), one formula per row, or None.
-    """
+    """Relation arities seen so far; one table spans one problem."""
 
     def __init__(self):
         self.arities: dict[str, int] = {}
-        self.rows: list[Formula] | None = None
 
 
 # A token is "->", one of "&|~().,", or an identifier; whitespace separates

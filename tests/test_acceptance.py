@@ -28,9 +28,8 @@ from qpl.algebra import (
 from qpl.calculus import (
     CalculusVariant as V,
     Derivation,
-    FormulaTable,
     check_derivation,
-    derivation_to_json,
+    proof_document_to_json,
 )
 from qpl.engine import entails
 from qpl.generators import (
@@ -327,30 +326,14 @@ def test_criterion_7_machine_encoding():
     )
 
 
-def _proof_doc(v):
-    # one formula table for the hyps, the query and the derivation, as
-    # cli._proof_doc writes it
-    names = set()
+def _cli_verifies(v, path) -> bool:
+    names = set(v.query.free)
     for f in v.hyps:
         names |= f.free
-    names |= v.query.free
-    table = FormulaTable()
-    doc = {
-        "variant": v.session.variant.cli_name,
-        "vars": sorted(names),
-        "hyps": table.rows(v.hyps),
-        "proofs": [
-            {"query": table.rows([v.query])[0],
-             "derivation": derivation_to_json(v.proof, table)}
-        ],
-    }
-    doc["names"] = table.names
-    doc["formulas"] = table.formulas
-    return doc
-
-
-def _cli_verifies(v, path) -> bool:
-    path.write_text(json.dumps(_proof_doc(v)))
+    doc = proof_document_to_json(
+        v.session.variant, v.hyps, names, [(v.query, v.proof)]
+    )
+    path.write_text(json.dumps(doc))
     with contextlib.redirect_stdout(io.StringIO()):
         return cli.main(["verify-proof", str(path)]) == 0
 

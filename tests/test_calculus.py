@@ -26,7 +26,6 @@ from qpl.generators import chain_family, random_instance
 from qpl.syntax import (
     VAR,
     Atom,
-    SymbolTable,
     atom,
     bot,
     conj,
@@ -829,6 +828,36 @@ def _reference_table_rows(obj, arities):
     return rows
 
 
+def _reference_column_fault(columns: list, n_rows: int) -> str:
+    """What is wrong with a derivation's node columns, whose labels cite
+    n_rows rows: the reader's own message search before it checked its
+    columns in one sequence, kept apart from the reader it is checked
+    against."""
+    for key, column in zip(ca._COLUMNS, columns):
+        if type(column) is not list:
+            return f"derivation needs a {key!r} array"
+    ids, label, kind, rule, premises, parents = columns
+    if not len(ids) == len(label) == len(kind) == len(rule) == len(premises):
+        return ("node columns 'id', 'label', 'kind', 'rule' and 'premises' "
+                "must have one entry per node")
+    for key, column in zip(ca._COLUMNS, columns):
+        if key not in ("kind", "rule") and not _only({int}, column):
+            return f"{key!r} must be an integer array"
+    bad = next((i for i in label if not 0 <= i < n_rows), None)
+    if bad is not None:
+        return f"'label' cites row {bad}, but 'formulas' has {n_rows} row(s)"
+    # search by index: a null kind is a fault, not "no match"
+    at = next((i for i, k in enumerate(kind) if k not in ca._NODE_KINDS), None)
+    if at is not None:
+        return f"node at index {at}: unknown kind {kind[at]!r}"
+    if not _only({str, type(None)}, rule):
+        return "'rule' entries must be strings or null"
+    if any(p < 0 for p in premises):
+        return "'premises' must be counts"
+    return (f"'premises' add up to {sum(premises)} parent(s), but "
+            f"'parents' holds {len(parents)}")
+
+
 def _reference_reader(obj, declared_vars=()):
     """derivation_from_json, for a derivation with its own table, before
     its node columns were checked a whole column at a time: one loop
@@ -848,7 +877,7 @@ def _reference_reader(obj, declared_vars=()):
         and len(ids) == len(label) == len(kind) == len(rule) == len(premises)
         and _only({int}, parents)
     ):
-        raise ValueError(ca._column_fault(columns, n_rows))
+        raise ValueError(_reference_column_fault(columns, n_rows))
     declared = frozenset(declared_vars)
     flat = tuple(parents)
     nodes = []
@@ -861,14 +890,14 @@ def _reference_reader(obj, declared_vars=()):
             or (r is not None and r.__class__ is not str)
             or type(n) is not int or n < 0
         ):
-            raise ValueError(ca._column_fault(columns, n_rows))
+            raise ValueError(_reference_column_fault(columns, n_rows))
         f = rows[i]
         if f.free and not f.free <= declared:
             raise ValueError(ca._undeclared("'label'", f.free - declared))
         nodes.append(DerivationNode(nid, f, k, r, flat[j:j + n]))
         j += n
     if j != len(flat):
-        raise ValueError(ca._column_fault(columns, n_rows))
+        raise ValueError(_reference_column_fault(columns, n_rows))
     return Derivation(obj["root"], tuple(nodes))
 
 
@@ -947,45 +976,10 @@ def test_reader_reports_a_column_fault_before_an_undeclared_label():
     [([None, "hypothesis", "rule"], 0), (["hypothesis", "hypothesis", None], 2)],
 )
 def test_reader_names_the_node_of_an_unknown_kind(kind, at):
-    # a null kind is an unknown kind too, not the end of the search; the
-    # reference reader above shares _column_fault, so it cannot catch this
+    # a null kind is an unknown kind too, not the end of the search
     with pytest.raises(ValueError) as info:
         derivation_from_json({**TABLE_PROOF, "kind": kind})
     assert str(info.value) == f"node at index {at}: unknown kind {kind[at]!r}"
-
-
-def _leaves(*formulas):
-    """A derivation blob with its own formula table and one hypothesis
-    node per formula."""
-    nodes = (_node(i, f, "hypothesis") for i, f in enumerate(formulas))
-    return json.loads(json.dumps(derivation_to_json(Derivation(0, tuple(nodes)))))
-
-
-@pytest.mark.parametrize(
-    "blob,message",
-    [
-        (
-            _leaves(atom("R", c, d)),
-            "formula row 0: relation 'R' has 2 argument(s) but 1 in an "
-            "earlier row",
-        ),
-        (
-            {**_leaves(p, q, conj(p, q)),
-             "formulas": [ca.ATOM, 0, 0, ca.AND, 0, 2, ca.ATOM, 1, 0]},
-            "formula row 1 cites row 2, which is not an earlier row",
-        ),
-    ],
-    ids=["arity", "parse"],
-)
-def test_json_shared_table_keeps_label_errors(blob, message):
-    # a SymbolTable shared across derivations keeps their arities; a table
-    # that fails leaves nothing that changes the next read of it
-    table = SymbolTable()
-    derivation_from_json(_leaves(atom("R", c), conj(p, atom("R", c))), (), table)
-    for _ in range(2):
-        with pytest.raises(ValueError) as info:
-            derivation_from_json(blob, (), table)
-        assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

@@ -22,15 +22,13 @@ from qpl.calculus import (
     CalculusVariant as V,
     Derivation,
     DerivationNode,
-    FormulaTable,
-    derivation_from_json,
     derivation_to_json,
-    formulas_from_json,
+    proof_document_from_json,
+    proof_document_to_json,
 )
 from qpl.engine import Session, entails
 from qpl.generators import bounded_halting_instance, parse_machine, random_horn
 from qpl.syntax import (
-    SymbolTable,
     atom,
     conj,
     const,
@@ -56,15 +54,6 @@ def write(tmp_path, name, text):
 def compact(doc) -> str:
     """The text the CLI prints or writes for doc."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def read_doc(doc):
-    """A proof document's formula rows, hyps and derivations, read back."""
-    symbols = SymbolTable()
-    rows = formulas_from_json(doc, symbols)
-    proofs = [derivation_from_json(entry["derivation"], doc["vars"], symbols)
-              for entry in doc["proofs"]]
-    return rows, [rows[i] for i in doc["hyps"]], proofs
 
 
 # ----------------------------------------------------------------- check
@@ -176,7 +165,7 @@ def test_proof_file_declares_variables_of_refused_queries(tmp_path, capsys):
     extracted = [v.proof for v in verdicts if v.entailed]
     assert len(doc["proofs"]) == len(extracted) == 1
     labels = set()
-    for back, proof in zip(read_doc(doc)[2], extracted):
+    for (_, back), proof in zip(proof_document_from_json(doc)[2], extracted):
         assert len(back.nodes) == len(proof.nodes)
         for read, made in zip(back.nodes, proof.nodes):
             assert read.label is made.label
@@ -311,10 +300,10 @@ def test_prove_writes_verifiable_proof(tmp_path, capsys):
     assert cli.main(["verify-proof", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["variant"] == "qpl"
-    rows, hyps, _ = read_doc(doc)
+    _, hyps, proofs = proof_document_from_json(doc)
     assert [render(h) for h in hyps] == ["A -> B", "B -> C"]
-    assert len(doc["proofs"]) == 1
-    assert render(rows[doc["proofs"][0]["query"]]) == "A -> B"
+    assert len(proofs) == 1
+    assert render(proofs[0][0]) == "A -> B"
 
 
 def test_prove_json_stdout(tmp_path, capsys):
@@ -355,7 +344,7 @@ def test_prove_text_builds_no_proof_document(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("text output needs no proof document")
 
-    monkeypatch.setattr(cli, "derivation_to_json", refuse)
+    monkeypatch.setattr(cli, "proof_document_to_json", refuse)
     hyps = write(tmp_path, "h.qpl", "p\nq\n")
     assert cli.main(["prove", hyps, "p & q"]) == 0
     assert capsys.readouterr().out.startswith("entailed: p & q\n")
@@ -411,18 +400,13 @@ _HYP_P = DerivationNode(0, P, "hypothesis", None, ())
 
 
 def _derivation_doc(root, nodes, hyps=(P,), query=P, **columns):
-    """A document of one proof of query from hyps, built the way
-    cli._proof_doc builds one: the hyps, the query and the labels cite
-    rows of one FormulaTable. root and nodes (DerivationNode fields) are
-    written as they are, and columns replace the derivation's."""
-    table = FormulaTable()
-    doc = {"variant": "qpl", "vars": [], "hyps": table.rows(hyps)}
-    query = table.rows([query])[0]
-    derivation = derivation_to_json(Derivation(root, tuple(nodes)), table)
-    derivation.update(columns)
-    doc["proofs"] = [{"query": query, "derivation": derivation}]
-    doc["names"] = table.names
-    doc["formulas"] = table.formulas
+    """A document of one proof of query from hyps, as proof_document_to_json
+    writes it. root and nodes (DerivationNode fields) are written as they
+    are, and columns replace the derivation's."""
+    doc = proof_document_to_json(
+        V.QPL, hyps, [], [(query, Derivation(root, tuple(nodes)))]
+    )
+    doc["proofs"][0]["derivation"].update(columns)
     return json.dumps(doc)
 
 
@@ -527,6 +511,25 @@ def test_verify_proof_prints_a_parent_listed_late(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "proof 0: node 1 references parent 0, which is not listed before it\n"
         "1 of 1 proofs failed\n"
+    )
+
+
+def test_verify_proof_reads_the_whole_document_before_judging(tmp_path, capsys):
+    # proof 0 concludes another query and proof 2 is malformed: the input
+    # error names proof 2, and no verdict on proof 0 is printed before it
+    hyps = write(tmp_path, "h.qpl", "p\nq\n")
+    out = tmp_path / "proof.json"
+    assert cli.main(["check", hyps, "p", "q", "p & q", "--proof", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    proofs = doc["proofs"]
+    assert len(proofs) == 3
+    proofs[0]["query"] = proofs[1]["query"]
+    proofs[2]["derivation"]["root"] = "x"
+    path = write(tmp_path, "bad.json", json.dumps(doc))
+    assert cli.main(["verify-proof", path]) == 2
+    assert capsys.readouterr() == (
+        "", "error: proof 2: derivation needs an integer 'root'\n"
     )
 
 
@@ -647,11 +650,11 @@ def _round_trip(tmp_path, capsys, argv, paths, hyps, queries):
     else:
         assert out.startswith("entailed: ")
         return
-    rows, got, proofs = read_doc(doc)
+    _, got, proofs = proof_document_from_json(doc)
     assert len(got) == len(hyps) and all(a is b for a, b in zip(got, hyps))
-    read = [rows[entry["query"]] for entry in doc["proofs"]]
+    read = [query for query, _ in proofs]
     assert len(read) == len(queries) and all(a is b for a, b in zip(read, queries))
-    for d, query in zip(proofs, queries):
+    for (_, d), query in zip(proofs, queries):
         assert d.nodes[-1].label is query
     path = write(tmp_path, "doc.json", json.dumps(doc))
     assert cli.main(["verify-proof", path]) == 0
@@ -685,7 +688,8 @@ def test_proof_with_a_constant_under_its_binder_round_trips(
         cx = const("x")
         misread = forall("x", atom("R", cx, var("x")))
         doc = json.loads((tmp_path / "proof.json").read_text())
-        assert any(n.label is misread for d in read_doc(doc)[2] for n in d.nodes)
+        proofs = proof_document_from_json(doc)[2]
+        assert any(n.label is misread for _, d in proofs for n in d.nodes)
 
 
 # y is a constant in the first two lines and a variable after @vars, so the
@@ -718,7 +722,7 @@ def test_proof_with_a_constant_named_like_a_var_round_trips(tmp_path, capsys, ar
     if argv[-1] == "{proof}":
         doc = json.loads((tmp_path / "proof.json").read_text())
         assert doc["vars"] == ["y"]
-        assert read_doc(doc)[1][0] is atom("R", const("y"))
+        assert proof_document_from_json(doc)[1][0] is atom("R", const("y"))
 
 
 def test_constant_named_like_a_var_outside_the_document_still_proves(
@@ -783,8 +787,14 @@ def test_verify_proof_refuses_malformed_tables(tmp_path, capsys, changes):
         ({"hyps": [0, 5]}, "'hyps' cites row 5, but 'formulas' has 3 row(s)"),
         ({"names": ["_p", "q"]}, "identifiers starting with '_' are reserved: '_p'"),
         ({"formulas": [2, 0, 1, 5]}, "formula row 0: bad term 5"),
+        (
+            {"proofs": [{"query": 2, "derivation": TABLE_PROOF}]},
+            "proof 0: derivation carries its own 'names' or 'formulas', but "
+            "one in a proof document cites the document's table",
+        ),
     ],
-    ids=["hyps-strings", "hyps-out-of-range", "hyp-reserved", "term-no-name"],
+    ids=["hyps-strings", "hyps-out-of-range", "hyp-reserved", "term-no-name",
+         "derivation-own-table"],
 )
 def test_verify_proof_names_what_is_wrong_with_a_table(
     tmp_path, capsys, doc, message

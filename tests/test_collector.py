@@ -18,8 +18,9 @@ from qpl.calculus import (
     check_derivation,
     derivation_from_json,
     derivation_to_json,
-    formulas_from_json,
     load_derivation,
+    proof_document_from_json,
+    proof_document_to_json,
 )
 from qpl.engine import Session
 from qpl.generators import chain_family, random_instance
@@ -27,7 +28,6 @@ from qpl.semantics import countermodel_json, verdict_countermodel
 from qpl.syntax import (
     ParseError,
     ResourceLimit,
-    SymbolTable,
     gc_paused,
     parse_problem,
     render,
@@ -42,6 +42,8 @@ def _entry_points(tmp_path):
     session = Session(prob.formulas, parse_problem("S(c)\nq\n").formulas, V.QPL)
     verdict = session.verdicts()[0]
     doc = derivation_to_json(verdict.proof)
+    pairs = [(verdict.query, verdict.proof)]
+    proof_doc = proof_document_to_json(V.QPL, prob.formulas, ["x"], pairs)
     hyps = tmp_path / "h.qpl"
     hyps.write_text(PROBLEM)
     return [
@@ -51,7 +53,10 @@ def _entry_points(tmp_path):
         ("derivation_to_json", lambda: derivation_to_json(verdict.proof)),
         ("derivation_from_json", lambda: derivation_from_json(doc, ("x",))),
         ("load_derivation", lambda: load_derivation(json.dumps(doc), ("x",))),
-        ("formulas_from_json", lambda: formulas_from_json(doc, SymbolTable())),
+        ("proof_document_to_json",
+         lambda: proof_document_to_json(V.QPL, prob.formulas, ["x"], pairs)),
+        ("proof_document_from_json",
+         lambda: proof_document_from_json(proof_doc)),
         ("check_derivation", lambda: check_derivation(
             verdict.proof, V.QPL, prob.formulas, verdict.query)),
         ("cli.main", lambda: cli.main(["check", str(hyps), "S(c)"])),
@@ -66,7 +71,7 @@ def _failing_calls(tmp_path):
         ("parse_problem", lambda: parse_problem("p &\n"), ParseError),
         ("derivation_from_json", lambda: derivation_from_json([]), ValueError),
         ("load_derivation", lambda: load_derivation("[1,"), ValueError),
-        ("formulas_from_json", lambda: formulas_from_json({}, SymbolTable()),
+        ("proof_document_from_json", lambda: proof_document_from_json({}),
          ValueError),
         ("Session", lambda: Session(parse_problem(PROBLEM).formulas, [],
                                     V.QPL, closure_cap=1), ResourceLimit),
@@ -93,7 +98,8 @@ def collector_on():
 def test_paused_entry_points_keep_their_names():
     for fn in (parse_problem, Session.__init__, Session.verdicts,
                derivation_to_json, derivation_from_json, load_derivation,
-               formulas_from_json, check_derivation, cli.main):
+               proof_document_to_json, proof_document_from_json,
+               check_derivation, cli.main):
         assert fn.__qualname__ == fn.__wrapped__.__qualname__
         assert fn.__module__ == fn.__wrapped__.__module__
 

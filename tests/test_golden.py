@@ -23,11 +23,11 @@ from pathlib import Path
 
 from qpl.calculus import CalculusVariant as V
 from qpl.calculus import (
-    FormulaTable,
     check_derivation,
     derivation_from_json,
     derivation_to_json,
-    formulas_from_json,
+    proof_document_from_json,
+    proof_document_to_json,
 )
 from qpl.engine import Session
 from qpl.generators import (
@@ -47,7 +47,6 @@ from qpl.syntax import (
     const,
     parse_formula,
     parse_problem,
-    SymbolTable,
     render,
 )
 
@@ -146,22 +145,41 @@ def _declared(session):
     return [t.name for t in session.closure_table.params if t.kind == VAR]
 
 
+def _document(session):
+    """The session's proof document as JSON text read back, and the
+    (query, proof) pairs of its entailed verdicts."""
+    pairs = [(v.query, v.proof) for v in session.verdicts() if v.entailed]
+    doc = proof_document_to_json(
+        session.variant, session.hyps, _declared(session), pairs
+    )
+    return json.loads(json.dumps(doc)), pairs
+
+
 def test_proofs_in_one_table_read_back_as_written():
-    # one formula table per session, as a proof document shares it: each
+    # one formula table per session, which a proof document shares: each
     # derivation cites its rows, and reads back through them
     for name, hyps, queries, variant in _sessions():
+        doc, pairs = _document(Session(hyps, queries, variant))
+        blobs = [entry["derivation"] for entry in doc["proofs"]]
+        assert not any("names" in b or "formulas" in b for b in blobs), name
+        back = proof_document_from_json(doc)[2]
+        assert [d for _, d in back] == [d for _, d in pairs], name
+
+
+def test_proof_documents_round_trip():
+    # the reader gives back the writer's variant, hyps and (query, proof)
+    # pairs, the very formulas, and every proof checks
+    for name, hyps, queries, variant in _sessions():
         session = Session(hyps, queries, variant)
-        proofs = [v.proof for v in session.verdicts() if v.proof is not None]
-        table = FormulaTable()
-        blobs = [derivation_to_json(d, table) for d in proofs]
-        assert all("formulas" not in blob for blob in blobs)
-        doc = json.loads(json.dumps(
-            {"names": table.names, "formulas": table.formulas, "proofs": blobs}
-        ))
-        symbols = SymbolTable()
-        formulas_from_json(doc, symbols)
-        for d, blob in zip(proofs, doc["proofs"]):
-            assert derivation_from_json(blob, _declared(session), symbols) == d
+        doc, pairs = _document(session)
+        got_variant, got_hyps, proofs = proof_document_from_json(doc)
+        assert got_variant is variant, name
+        assert len(got_hyps) == len(session.hyps), name
+        assert all(a is b for a, b in zip(got_hyps, session.hyps)), name
+        assert len(proofs) == len(pairs), name
+        for (query, d), (want_query, want_d) in zip(proofs, pairs):
+            assert query is want_query and d == want_d, name
+            assert check_derivation(d, variant, got_hyps, query).ok, name
 
 
 _FLAT = {int, str, type(None)}

@@ -42,3 +42,16 @@ def test_retired_names_are_gone():
     assert not hasattr(qpl.cli, "cmd_bench_chain")
     params = inspect.signature(qpl.syntax.parse_formula).parameters
     assert "allow_reserved" not in params
+    # the proof document's format lives behind calculus's writer and
+    # reader, so the table no longer rides on a SymbolTable, no derivation
+    # is read against another's table, and the node columns are checked
+    # in one sequence
+    assert not hasattr(qpl.calculus, "formulas_from_json")
+    assert not hasattr(qpl.syntax.SymbolTable(), "rows")
+    assert not hasattr(qpl.calculus, "_column_fault")
+    assert not hasattr(qpl.cli, "_proof_doc")
+    assert "FormulaTable" not in qpl.__all__
+    for fn, name in ((qpl.calculus.derivation_from_json, "symbols"),
+                     (qpl.calculus.load_derivation, "symbols"),
+                     (qpl.calculus.derivation_to_json, "table")):
+        assert name not in inspect.signature(fn).parameters, fn.__name__
