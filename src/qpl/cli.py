@@ -27,8 +27,8 @@ from .algebra import parse_term, render_term, term_geq
 from .calculus import (
     CalculusVariant,
     check_derivation,
-    # not called here; the benchmark's tracer (perfbench/tracing.py) wraps
-    # both names in this module
+    # imported for the benchmark's tracer only: perfbench/tracing.py wraps
+    # both names in this module, though the CLI calls neither
     derivation_from_json,  # noqa: F401
     derivation_to_json,  # noqa: F401
     proof_document_from_json,

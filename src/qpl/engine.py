@@ -1,18 +1,19 @@
 """Entailment by saturation.
 
-The decision procedure works on the closure universe of the problem: every
-rule of the selected calculus is compiled to finitely many instances whose
-premises and conclusion are universe members, each instance carries a
-counter of its not-yet-derived distinct premises, and a worklist drives
-counters down until nothing fires: one linear-time run to the fixpoint
-(Dowling and Gallier's counter-per-clause propagation), whatever the
-queries. Compiled instances are flat columns of integers (a rule code,
-two premise ids, a conclusion id), not one object each. Every derived
-formula records one provenance entry (first derivation wins) in
-per-member columns of the state: a rule code, or HYPOTHESIS, and the ids
-of the premises it was derived from. The compiled rules are dropped once
-the fixpoint is reached, and proof extraction is a pure graph walk over
-those columns.
+The decision procedure works on the closure universe of the problem. Every
+rule relates a formula to its immediate parts, so saturation runs on the
+closure DAG itself, with no rule instances built (as in Gurevich and
+Neeman's linear-time primal infon logic). compile_rules indexes each
+member by the steps it is a premise of: its users, the members that have
+it as an immediate part, each with its role there, and one entry of its
+own for the eliminations that take it apart. A worklist pops each derived
+member once and walks that index; a step fires when its later premise is
+popped, so the run to the fixpoint is linear in the index, whatever the
+queries. Every derived formula records one provenance entry (first
+derivation wins) in per-member columns of the state: a rule code, or
+HYPOTHESIS, and the ids of the premises it was derived from. The index is
+dropped once the fixpoint is reached, and proof extraction is a pure graph
+walk over those columns.
 
 A Session is the one owner of a problem's closure, compiled rules and
 fixpoint: it builds the closure over the hypotheses and every query at
@@ -49,7 +50,7 @@ from .syntax import (
     gc_paused,
 )
 
-# Rule names of compiled instances and provenance entries; a rule code is an
+# Rule names of saturation steps and provenance entries; a rule code is an
 # index into this tuple.
 RULE_NAMES = (
     "ImpI", "ImpE", "AndI", "AndE_L", "AndE_R", "OrI_L", "OrI_R", "OrE",
@@ -59,39 +60,56 @@ RULE_NAMES = (
  FORALL_I, EXISTS_I, EXISTS_E, IMP_AX, TOP_I, BOT_E) = range(len(RULE_NAMES))
 HYPOTHESIS = 255  # provenance rule code of a hypothesis
 _NO_RULE = bytearray([HYPOTHESIS])
+# Roles in uses lists besides the one-premise introductions, whose role is
+# their rule code: the antecedent of an implication, the left or right
+# conjunct, and a member's own entry, one per class that has eliminations.
+(_ANTECEDENT, _LEFT_CONJUNCT, _RIGHT_CONJUNCT, _SELF_IMP, _SELF_AND,
+ _SELF_OR, _SELF_EXISTS, _SELF_FORALL) = range(
+    len(RULE_NAMES), len(RULE_NAMES) + 8
+)
 
 
 @dataclass
 class CompiledRules:
-    """Instance i is the rule RULE_NAMES[rule[i]] from premise1[i] and, when
-    premise2[i] >= 0, premise2[i] to conclusion[i] (member ids). counters[i]
-    is the number of its distinct premises, and watch[m] lists the instances
-    that have member m as a premise.
+    """A variant's rules over one closure, indexed by premise: no rule
+    instance is built.
 
-    The columns are lists, not arrays: an array's reads and appends cost
-    more, which tiny problems feel. Their ids are the closure index's own
-    int objects, so a column entry costs one pointer."""
+    uses[m] is a flat list of (user, role) pairs for the members that have
+    m as an immediate part, in universe order, with m's own entry at m's
+    place in that order:
+    - _ANTECEDENT: m is the antecedent of the implication user (ImpE);
+    - _LEFT_CONJUNCT, _RIGHT_CONJUNCT: m is that conjunct of user (AndI),
+      listed once, as the left one, when both are m;
+    - a rule code: that introduction concludes user from m alone (ImpI,
+      OrI_L, OrI_R, ForallI, ExistsI);
+    - _SELF_IMP, _SELF_AND, ...: user is m, and the entry stands for the
+      eliminations of m's class: ImpE, AndE_L and AndE_R, OrE from l | l,
+      ExistsE from a vacuous body, ForallE to each of ct.sub_instances[m].
+    left[m] and right[m] are the ids of m's immediate parts where a step
+    reads them (an existential's body is left), else -1. Every id is the
+    closure index's own int object, so an entry costs one pointer and
+    provenance copied from it allocates nothing. instance_count is the
+    number of rule instances the index stands for."""
 
-    rule: list[int]
-    premise1: list[int]
-    premise2: list[int]
-    conclusion: list[int]
-    counters: bytearray
-    watch: list[list[int]]
+    uses: list[list[int]]
+    left: list[int]
+    right: list[int]
+    instance_count: int
     axiom_seeds: list[tuple[int, int]]  # (member id, rule code)
     bottom_id: int  # -1 when absent or the variant lacks the bottom rule
 
     @property
     def instances(self) -> range:
-        return range(len(self.conclusion))
+        return range(self.instance_count)
 
 
 def compile_rules(ct: ClosureTable, variant: CalculusVariant) -> CompiledRules:
     idx = ct.index
-    rule: list[int] = []
-    prem1: list[int] = []
-    prem2: list[int] = []
-    conc: list[int] = []
+    n = len(ct.universe)
+    uses: list[list[int]] = [[] for _ in range(n)]
+    left = [-1] * n
+    right = [-1] * n
+    count = 0
     axiom_seeds: list[tuple[int, int]] = []
     bottom_id = -1
     use_or = variant >= CalculusVariant.L1
@@ -103,74 +121,57 @@ def compile_rules(ct: ClosureTable, variant: CalculusVariant) -> CompiledRules:
         if cls is Atom:  # no rule takes an atom apart
             continue
         if cls is Imp:
-            l, r = idx[f.l], idx[f.r]
-            rule += IMP_I, IMP_E
-            prem1 += r, l
-            prem2 += -1, fid
-            conc += fid, r
+            l = left[fid] = idx[f.l]
+            r = right[fid] = idx[f.r]
+            uses[r] += fid, IMP_I
+            uses[l] += fid, _ANTECEDENT
+            uses[fid] += fid, _SELF_IMP
+            count += 2
             if use_ax and f.l is f.r:
                 axiom_seeds.append((fid, IMP_AX))
         elif cls is And:
-            l, r = idx[f.l], idx[f.r]
-            rule += AND_I, AND_E_L, AND_E_R
-            prem1 += l, fid, fid
-            prem2 += r, -1, -1
-            conc += fid, l, r
+            l = left[fid] = idx[f.l]
+            r = right[fid] = idx[f.r]
+            uses[l] += fid, _LEFT_CONJUNCT
+            if f.l is not f.r:
+                uses[r] += fid, _RIGHT_CONJUNCT
+            uses[fid] += fid, _SELF_AND
+            count += 3
         elif cls is Or:
             if use_or:
                 l = idx[f.l]
+                uses[l] += fid, OR_I_L
                 if f.l is f.r:
-                    rule += OR_I_L, OR_E
-                    prem1 += l, fid
-                    conc += fid, l
+                    left[fid] = l
+                    uses[fid] += fid, _SELF_OR
                 else:
-                    rule += OR_I_L, OR_I_R
-                    prem1 += l, idx[f.r]
-                    conc += fid, fid
-                prem2 += -1, -1
+                    uses[idx[f.r]] += fid, OR_I_R
+                count += 2
         elif cls is Forall:
             if use_quant:
-                for g in ct.sub_instances[f]:
-                    rule.append(FORALL_E)
-                    prem1.append(fid)
-                    prem2.append(-1)
-                    conc.append(idx[g])
+                insts = ct.sub_instances[f]
+                if insts:
+                    uses[fid] += fid, _SELF_FORALL
+                    count += len(insts)
                 if f.var not in f.body.free:
-                    rule.append(FORALL_I)
-                    prem1.append(idx[f.body])
-                    prem2.append(-1)
-                    conc.append(fid)
+                    uses[idx[f.body]] += fid, FORALL_I
+                    count += 1
         elif cls is Exists:
             if use_quant:
-                for g in ct.sub_instances[f]:
-                    rule.append(EXISTS_I)
-                    prem1.append(idx[g])
-                    prem2.append(-1)
-                    conc.append(fid)
+                insts = ct.sub_instances[f]
+                for g in insts:
+                    uses[idx[g]] += fid, EXISTS_I
+                count += len(insts)
                 if f.var not in f.body.free:
-                    rule.append(EXISTS_E)
-                    prem1.append(fid)
-                    prem2.append(-1)
-                    conc.append(idx[f.body])
+                    left[fid] = idx[f.body]
+                    uses[fid] += fid, _SELF_EXISTS
+                    count += 1
         elif cls is Bot:
             if use_bot:
                 bottom_id = fid
         elif cls is Top:
             axiom_seeds.append((fid, TOP_I))
-    watch: list[list[int]] = [[] for _ in ct.universe]
-    counters = bytearray(len(conc))
-    i = 0
-    for a, b in zip(prem1, prem2):
-        watch[a].append(i)
-        if b < 0 or b == a:
-            counters[i] = 1
-        else:
-            watch[b].append(i)
-            counters[i] = 2
-        i += 1
-    return CompiledRules(
-        rule, prem1, prem2, conc, counters, watch, axiom_seeds, bottom_id
-    )
+    return CompiledRules(uses, left, right, count, axiom_seeds, bottom_id)
 
 
 @dataclass
@@ -179,7 +180,8 @@ class SaturationState:
     derivation wins): rule[m] is HYPOTHESIS or a rule code, and premise1[m]
     and premise2[m] are its premises' member ids, -1 when absent; an axiom
     has no premises. Entries of underived members are meaningless. The
-    premise columns are lists for the reason CompiledRules gives."""
+    premise columns are lists of the closure index's own ints: an array's
+    reads and writes cost more, which tiny problems feel."""
 
     derived: bytearray
     rule: bytearray
@@ -194,20 +196,23 @@ def saturate(hyps, ct: ClosureTable, compiled: CompiledRules) -> SaturationState
     """Derive the fixpoint of hyps in the closure under the compiled rules
     (compile_rules over the same closure table).
 
+    Popping a member m from the agenda walks uses[m] in order: each step
+    m is a premise of fires then, unless its other premise has not been
+    popped yet, and that pop fires it instead. So every step fires once,
+    when its later premise is popped; done marks the popped members.
+
     Deriving the falsity constant (in variants that have its elimination
     rule) floods the rest of the universe by BotE from it.
     """
     idx = ct.index
-    n = len(ct.universe)
+    universe, subs = ct.universe, ct.sub_instances
+    n = len(universe)
     derived = bytearray(n)
+    done = bytearray(n)  # popped
     why = _NO_RULE * n  # every entry starts as HYPOTHESIS
     why1 = [-1] * n
     why2 = [-1] * n
-    counters = bytearray(compiled.counters)
-    watch = compiled.watch
-    rule, prem1, prem2, conc = (
-        compiled.rule, compiled.premise1, compiled.premise2, compiled.conclusion
-    )
+    uses, left, right = compiled.uses, compiled.left, compiled.right
     agenda: deque[int] = deque()
     push = agenda.append
     bid = compiled.bottom_id
@@ -226,23 +231,93 @@ def saturate(hyps, ct: ClosureTable, compiled: CompiledRules) -> SaturationState
     fired = 0
     bot_hit = bid >= 0 and derived[bid] == 1
     pop = agenda.popleft
+    step = next
     while agenda and not bot_hit:
-        fid = pop()
-        for i in watch[fid]:
-            cnt = counters[i] - 1
-            counters[i] = cnt
-            if cnt == 0:
+        m = pop()
+        done[m] = 1
+        it = iter(uses[m])
+        # a (p, role) pair stands for the steps of p that take m as a
+        # premise; a step that fires derives c by rule code from a (and b)
+        for p in it:
+            role = step(it)
+            if role < _ANTECEDENT:
+                code = role
+                a = m
+                b = -1
+                c = p
+            elif role == _ANTECEDENT:
+                if not done[p]:
+                    continue
+                code = IMP_E
+                a = m
+                b = p
+                c = right[p]
+            elif role == _SELF_IMP:
+                a = left[m]
+                if not done[a]:
+                    continue
+                code = IMP_E
+                b = m
+                c = right[m]
+            elif role == _LEFT_CONJUNCT:
+                b = right[p]
+                if not done[b]:
+                    continue
+                code = AND_I
+                a = m
+                c = p
+            elif role == _RIGHT_CONJUNCT:
+                a = left[p]
+                if not done[a]:
+                    continue
+                code = AND_I
+                b = m
+                c = p
+            elif role == _SELF_AND:
                 fired += 1
-                c = conc[i]
+                c = left[m]
                 if not derived[c]:
                     derived[c] = 1
-                    why[c] = rule[i]
-                    why1[c] = prem1[i]
-                    why2[c] = prem2[i]
+                    why[c] = AND_E_L
+                    why1[c] = m
                     if c == bid:
                         bot_hit = True
                         break
                     push(c)
+                code = AND_E_R
+                a = m
+                b = -1
+                c = right[m]
+            elif role == _SELF_FORALL:
+                for g in subs[universe[m]]:
+                    fired += 1
+                    c = idx[g]
+                    if not derived[c]:
+                        derived[c] = 1
+                        why[c] = FORALL_E
+                        why1[c] = m
+                        if c == bid:
+                            bot_hit = True
+                            break
+                        push(c)
+                if bot_hit:
+                    break
+                continue
+            else:  # OrE from l | l, ExistsE from a vacuous exists
+                code = OR_E if role == _SELF_OR else EXISTS_E
+                a = m
+                b = -1
+                c = left[m]
+            fired += 1
+            if not derived[c]:
+                derived[c] = 1
+                why[c] = code
+                why1[c] = a
+                why2[c] = b
+                if c == bid:
+                    bot_hit = True
+                    break
+                push(c)
     if bot_hit:
         for j in range(n):
             if not derived[j]:

@@ -37,6 +37,7 @@ import gc
 import re
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 VAR = "var"
 CONST = "const"
@@ -402,23 +403,23 @@ def parameters_star(formulas) -> tuple[Term, ...]:
 
 # -------------------------------------------------------------- closure
 
-@dataclass(frozen=True)
-class ClosureStats:
+class ClosureStats(NamedTuple):
     size: int
     depth: int
     input_length: int
     closure_length: int
 
 
-@dataclass(frozen=True)
-class ClosureTable:
+class ClosureTable(NamedTuple):
     """The instantiation closure of an input set.
 
     universe lists every formula reachable from the inputs by taking
     immediate subformulas, where a quantified formula contributes the
     substitutable instances of its body over params, the inputs'
     parameters_star; order is breadth-first from the inputs. sub_instances
-    records those instance tuples per quantified member.
+    records those instance tuples per quantified member. Like ClosureStats,
+    it is a named tuple, which closure builds without its Python-level
+    __new__.
     """
 
     universe: list[Formula]
@@ -463,13 +464,19 @@ def closure(s, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureTable:
                 insts = tuple(found)
             subs[f] = insts
             queue.extend(insts)
-    stats = ClosureStats(
-        size=len(universe),
-        depth=max((f.qdepth for f in inputs), default=0),
-        input_length=sum(f.length for f in inputs),
-        closure_length=sum(f.length for f in universe),
-    )
-    return ClosureTable(universe, index, subs, params, stats)
+    stats = _new_stats((
+        len(universe),
+        max((f.qdepth for f in inputs), default=0),
+        sum(f.length for f in inputs),
+        sum(f.length for f in universe),
+    ))
+    return _new_table((universe, index, subs, params, stats))
+
+
+# ClosureStats(*fields) and ClosureTable(*fields) without the Python-level
+# __new__ of a named tuple
+_new_stats = functools.partial(tuple.__new__, ClosureStats)
+_new_table = functools.partial(tuple.__new__, ClosureTable)
 
 
 # --------------------------------------------------------------- parsing

@@ -53,16 +53,35 @@ A, B, C = atom("A"), atom("B"), atom("C")
 
 
 def _instances(ct, variant):
-    """The compiled instances as (rule name, premise ids, conclusion id)."""
+    """The rule instances the compiled uses index stands for, as (rule name,
+    premise ids, conclusion id), ordered by the member each belongs to (the
+    compound it introduces or takes apart) and then by rule code."""
     c = compile_rules(ct, variant)
-    return [
-        (
-            en.RULE_NAMES[c.rule[i]],
-            (c.premise1[i],) if c.premise2[i] < 0 else (c.premise1[i], c.premise2[i]),
-            c.conclusion[i],
-        )
-        for i in c.instances
-    ]
+    steps = []  # (owner, rule code, premise ids, conclusion id)
+    for m, uses in enumerate(c.uses):
+        for p, role in zip(uses[::2], uses[1::2]):
+            if role == en._LEFT_CONJUNCT:
+                steps.append((p, en.AND_I, (m, c.right[p]), p))
+            elif role in (en._RIGHT_CONJUNCT, en._ANTECEDENT):
+                pass  # the AndI or ImpE of p, read off another entry
+            elif role < en._ANTECEDENT:
+                steps.append((p, role, (m,), p))
+            elif role == en._SELF_IMP:
+                steps.append((m, en.IMP_E, (c.left[m], m), c.right[m]))
+            elif role == en._SELF_AND:
+                steps.append((m, en.AND_E_L, (m,), c.left[m]))
+                steps.append((m, en.AND_E_R, (m,), c.right[m]))
+            elif role == en._SELF_OR:
+                steps.append((m, en.OR_E, (m,), c.left[m]))
+            elif role == en._SELF_EXISTS:
+                steps.append((m, en.EXISTS_E, (m,), c.left[m]))
+            else:
+                assert role == en._SELF_FORALL
+                for g in ct.sub_instances[ct.universe[m]]:
+                    steps.append((m, en.FORALL_E, (m,), ct.index[g]))
+    assert len(steps) == len(c.instances)
+    steps.sort(key=lambda step: step[:2])
+    return [(en.RULE_NAMES[code], ps, concl) for _, code, ps, concl in steps]
 
 
 def _provenance(state):
@@ -199,7 +218,9 @@ def test_saturate_rejects_foreign_formulas():
 def test_compiled_rules_and_fixpoint_stay_small():
     """tracemalloc on the 4-state machine of the queries benchmark at t=12
     (23,207 members, 57,538 instances). Compiled rules took 214 B per
-    instance as two tuples each, and the state kept after them 1.01 MiB."""
+    instance as two tuples each and 110 B as instance columns with a watch
+    list per member; the uses index takes 63 B. The state kept after them
+    took 1.01 MiB."""
     machine = TwoRegisterMachine(
         {0: Inc(1, 2), 2: Inc(2, 3), 3: Dec(1, 4, 2), 4: Dec(2, 1, 4)}
     )
@@ -220,9 +241,9 @@ def test_compiled_rules_and_fixpoint_stay_small():
         tracemalloc.stop()
         gc.enable()
     assert n_instances == 57_538
-    assert compiled_bytes <= 140 * n_instances
+    assert compiled_bytes <= 100 * n_instances
     assert state_bytes <= 1.01 * 2**20
-    # flat columns of numbers only, so no watch list stays reachable
+    # flat columns of numbers only, so no uses list stays reachable
     for v in vars(state).values():
         assert type(v) in (bytearray, bool, int) or all(type(x) is int for x in v)
     assert state.derived[ct.index[query]]

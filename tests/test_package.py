@@ -1,9 +1,15 @@
-"""The package's public surface: qpl.__all__."""
+"""The package's public surface: qpl.__all__, and the module attributes
+the benchmark's tracer wraps."""
 
+import importlib
+import importlib.util
 import inspect
+from pathlib import Path
 
 import qpl
 import qpl.cli
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def _star_import():
@@ -55,3 +61,15 @@ def test_retired_names_are_gone():
                      (qpl.calculus.load_derivation, "symbols"),
                      (qpl.calculus.derivation_to_json, "table")):
         assert name not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_every_tracing_site_resolves():
+    """perfbench/tracing.py wraps a function at each (module, attribute) of
+    its SITES; one that a rename left behind would fail only traced runs."""
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.SITES
+    for mod_name, attr, span, _ in tracing.SITES:
+        fn = getattr(importlib.import_module(mod_name), attr, None)
+        assert callable(fn), f"tracing site {mod_name}.{attr} ({span}) does not resolve"
