@@ -4,9 +4,9 @@ The decision procedure works on the closure universe of the problem. Every
 rule relates a formula to its immediate parts, so saturation runs on the
 closure DAG itself, with no rule instances built (as in Gurevich and
 Neeman's linear-time primal infon logic). compile_rules indexes each
-member by the steps it is a premise of: its users, the members that have
-it as an immediate part, each with its role there, and one entry of its
-own for the eliminations that take it apart. A worklist pops each derived
+member by the steps it is a premise of: the introductions into the
+compounds it is an immediate part of, the eliminations that take it
+apart, and the two-premise steps it pairs into. A worklist pops each derived
 member once and walks that index; a step fires when its later premise is
 popped, so the run to the fixpoint is linear in the index, whatever the
 queries. Every derived formula records one provenance entry (first
@@ -24,7 +24,6 @@ one-query wrapper over it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .calculus import (
@@ -60,12 +59,11 @@ RULE_NAMES = (
  FORALL_I, EXISTS_I, EXISTS_E, IMP_AX, TOP_I, BOT_E) = range(len(RULE_NAMES))
 HYPOTHESIS = 255  # provenance rule code of a hypothesis
 _NO_RULE = bytearray([HYPOTHESIS])
-# Roles in uses lists besides the one-premise introductions, whose role is
-# their rule code: the antecedent of an implication, the left or right
-# conjunct, and a member's own entry, one per class that has eliminations.
-(_ANTECEDENT, _LEFT_CONJUNCT, _RIGHT_CONJUNCT, _SELF_IMP, _SELF_AND,
- _SELF_OR, _SELF_EXISTS, _SELF_FORALL) = range(
-    len(RULE_NAMES), len(RULE_NAMES) + 8
+# Roles in uses lists besides the one-premise steps, whose role is their
+# rule code: the antecedent of an implication, the implication itself, and
+# the left or right conjunct of a conjunction.
+_ANTECEDENT, _MAJOR, _LEFT_CONJUNCT, _RIGHT_CONJUNCT = range(
+    len(RULE_NAMES), len(RULE_NAMES) + 4
 )
 
 
@@ -74,22 +72,26 @@ class CompiledRules:
     """A variant's rules over one closure, indexed by premise: no rule
     instance is built.
 
-    uses[m] is a flat list of (user, role) pairs for the members that have
-    m as an immediate part, in universe order, with m's own entry at m's
-    place in that order:
-    - _ANTECEDENT: m is the antecedent of the implication user (ImpE);
-    - _LEFT_CONJUNCT, _RIGHT_CONJUNCT: m is that conjunct of user (AndI),
-      listed once, as the left one, when both are m;
-    - a rule code: that introduction concludes user from m alone (ImpI,
-      OrI_L, OrI_R, ForallI, ExistsI);
-    - _SELF_IMP, _SELF_AND, ...: user is m, and the entry stands for the
-      eliminations of m's class: ImpE, AndE_L and AndE_R, OrE from l | l,
-      ExistsE from a vacuous body, ForallE to each of ct.sub_instances[m].
-    left[m] and right[m] are the ids of m's immediate parts where a step
-    reads them (an existential's body is left), else -1. Every id is the
-    closure index's own int object, so an entry costs one pointer and
-    provenance copied from it allocates nothing. instance_count is the
-    number of rule instances the index stands for."""
+    uses[m] is a flat list of (x, role) pairs, one for each step that takes
+    member m as a premise, ordered by the member the step belongs to (the
+    compound it introduces or takes apart) in universe order:
+    - a rule code: that one-premise step derives x from m. An introduction
+      (ImpI, OrI_L, OrI_R, ForallI, ExistsI) concludes the compound x that
+      m is a part of; an elimination (AndE_L, AndE_R, OrE from l | l,
+      ExistsE from a vacuous body, ForallE to each of ct.sub_instances[m])
+      concludes the part x of m;
+    - _ANTECEDENT: m is the antecedent of the implication x, and ImpE
+      derives right[x] from m and x;
+    - _MAJOR: m is an implication, and ImpE derives its consequent x from
+      left[m] and m;
+    - _LEFT_CONJUNCT, _RIGHT_CONJUNCT: m is that conjunct of x, and AndI
+      derives x from m and right[x], or from left[x] and m. A conjunction
+      of a formula with itself is listed once, as the left one.
+    left[m] and right[m] are the ids of the parts of an implication or a
+    conjunction m, else -1. Every id is the closure index's own int object,
+    so an entry costs one pointer and provenance copied from it allocates
+    nothing. instance_count is the number of rule instances the index
+    stands for."""
 
     uses: list[list[int]]
     left: list[int]
@@ -125,7 +127,7 @@ def compile_rules(ct: ClosureTable, variant: CalculusVariant) -> CompiledRules:
             r = right[fid] = idx[f.r]
             uses[r] += fid, IMP_I
             uses[l] += fid, _ANTECEDENT
-            uses[fid] += fid, _SELF_IMP
+            uses[fid] += r, _MAJOR
             count += 2
             if use_ax and f.l is f.r:
                 axiom_seeds.append((fid, IMP_AX))
@@ -135,24 +137,24 @@ def compile_rules(ct: ClosureTable, variant: CalculusVariant) -> CompiledRules:
             uses[l] += fid, _LEFT_CONJUNCT
             if f.l is not f.r:
                 uses[r] += fid, _RIGHT_CONJUNCT
-            uses[fid] += fid, _SELF_AND
+            uses[fid] += l, AND_E_L, r, AND_E_R
             count += 3
         elif cls is Or:
             if use_or:
                 l = idx[f.l]
                 uses[l] += fid, OR_I_L
                 if f.l is f.r:
-                    left[fid] = l
-                    uses[fid] += fid, _SELF_OR
+                    uses[fid] += l, OR_E
                 else:
                     uses[idx[f.r]] += fid, OR_I_R
                 count += 2
         elif cls is Forall:
             if use_quant:
                 insts = ct.sub_instances[f]
-                if insts:
-                    uses[fid] += fid, _SELF_FORALL
-                    count += len(insts)
+                own = uses[fid]
+                for g in insts:
+                    own += idx[g], FORALL_E
+                count += len(insts)
                 if f.var not in f.body.free:
                     uses[idx[f.body]] += fid, FORALL_I
                     count += 1
@@ -163,8 +165,7 @@ def compile_rules(ct: ClosureTable, variant: CalculusVariant) -> CompiledRules:
                     uses[idx[g]] += fid, EXISTS_I
                 count += len(insts)
                 if f.var not in f.body.free:
-                    left[fid] = idx[f.body]
-                    uses[fid] += fid, _SELF_EXISTS
+                    uses[fid] += idx[f.body], EXISTS_E
                     count += 1
         elif cls is Bot:
             if use_bot:
@@ -205,15 +206,16 @@ def saturate(hyps, ct: ClosureTable, compiled: CompiledRules) -> SaturationState
     rule) floods the rest of the universe by BotE from it.
     """
     idx = ct.index
-    universe, subs = ct.universe, ct.sub_instances
-    n = len(universe)
+    n = len(ct.universe)
     derived = bytearray(n)
     done = bytearray(n)  # popped
     why = _NO_RULE * n  # every entry starts as HYPOTHESIS
     why1 = [-1] * n
     why2 = [-1] * n
     uses, left, right = compiled.uses, compiled.left, compiled.right
-    agenda: deque[int] = deque()
+    # the members to pop, in FIFO order: the loop below reads it by index
+    # while steps append to it, so each derived member is read once
+    agenda: list[int] = []
     push = agenda.append
     bid = compiled.bottom_id
     for h in hyps:
@@ -230,84 +232,48 @@ def saturate(hyps, ct: ClosureTable, compiled: CompiledRules) -> SaturationState
             push(fid)
     fired = 0
     bot_hit = bid >= 0 and derived[bid] == 1
-    pop = agenda.popleft
     step = next
-    while agenda and not bot_hit:
-        m = pop()
+    for m in agenda:
+        if bot_hit:
+            break
         done[m] = 1
         it = iter(uses[m])
-        # a (p, role) pair stands for the steps of p that take m as a
-        # premise; a step that fires derives c by rule code from a (and b)
-        for p in it:
+        # a step that fires derives c by rule code from a (and b)
+        for x in it:
             role = step(it)
             if role < _ANTECEDENT:
                 code = role
                 a = m
                 b = -1
-                c = p
+                c = x
             elif role == _ANTECEDENT:
-                if not done[p]:
+                if not done[x]:
                     continue
                 code = IMP_E
                 a = m
-                b = p
-                c = right[p]
-            elif role == _SELF_IMP:
+                b = x
+                c = right[x]
+            elif role == _MAJOR:
                 a = left[m]
                 if not done[a]:
                     continue
                 code = IMP_E
                 b = m
-                c = right[m]
+                c = x
             elif role == _LEFT_CONJUNCT:
-                b = right[p]
+                b = right[x]
                 if not done[b]:
                     continue
                 code = AND_I
                 a = m
-                c = p
-            elif role == _RIGHT_CONJUNCT:
-                a = left[p]
+                c = x
+            else:  # _RIGHT_CONJUNCT
+                a = left[x]
                 if not done[a]:
                     continue
                 code = AND_I
                 b = m
-                c = p
-            elif role == _SELF_AND:
-                fired += 1
-                c = left[m]
-                if not derived[c]:
-                    derived[c] = 1
-                    why[c] = AND_E_L
-                    why1[c] = m
-                    if c == bid:
-                        bot_hit = True
-                        break
-                    push(c)
-                code = AND_E_R
-                a = m
-                b = -1
-                c = right[m]
-            elif role == _SELF_FORALL:
-                for g in subs[universe[m]]:
-                    fired += 1
-                    c = idx[g]
-                    if not derived[c]:
-                        derived[c] = 1
-                        why[c] = FORALL_E
-                        why1[c] = m
-                        if c == bid:
-                            bot_hit = True
-                            break
-                        push(c)
-                if bot_hit:
-                    break
-                continue
-            else:  # OrE from l | l, ExistsE from a vacuous exists
-                code = OR_E if role == _SELF_OR else EXISTS_E
-                a = m
-                b = -1
-                c = left[m]
+                c = x
             fired += 1
             if not derived[c]:
                 derived[c] = 1

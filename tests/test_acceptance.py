@@ -11,7 +11,6 @@ import io
 import json
 import os
 import random
-import statistics
 import subprocess
 import sys
 import time
@@ -98,27 +97,18 @@ dt = time.perf_counter() - t0
 assert v.entailed
 print(dt)
 """
-# rounds of the three chain sizes whose ratios criterion 3 takes the median of
-_C3_ROUNDS = 9
 
 
-def _suite_c3_rounds():
+def _suite_c3_times():
     if "c3" not in _SUITES:
-        # one round times each size once, in a fresh interpreter: in one
-        # process a size timed after a larger one inherits the heap that
-        # one grew, and 200k ran up to 25% faster after 800k, which biased
-        # the 400k/200k ratio. A shared host slows a process by 1.5x and
-        # more for tens of seconds at a time, so one size can miss its
-        # undisturbed speed in every one of three rounds: on 2 vCPUs the
-        # ratio of per-size best-of-3 times passed 2.5 in 17 of 58
-        # windows, where the best of all 60 rounds gave 2.26 and 1.95. The
-        # sizes of one round run within seconds of each other, so the test
-        # takes each round's own ratios and their median over the rounds
-        # (in 52 windows of 9 rounds the highest median read 2.41).
+        # round-robin over the sizes, best of 3 rounds, so that a burst of
+        # host load falls on every size alike rather than on one ratio. Each
+        # timing runs in a fresh interpreter: in one process a size timed
+        # after a larger one inherits the heap that one grew, and 200k ran
+        # up to 25% faster after 800k, which biased the 400k/200k ratio
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        rounds = []
-        for _ in range(_C3_ROUNDS):
-            times = {}
+        times = {}
+        for _ in range(3):
             for n in (200_000, 400_000, 800_000):
                 done = subprocess.run(
                     [sys.executable, "-c", _C3_RUN, str(n)],
@@ -128,9 +118,9 @@ def _suite_c3_rounds():
                     timeout=120,
                 )
                 assert done.returncode == 0, done.stderr
-                times[n] = float(done.stdout)
-            rounds.append(times)
-        _SUITES["c3"] = rounds
+                dt = float(done.stdout)
+                times[n] = min(times.get(n, dt), dt)
+        _SUITES["c3"] = times
     return _SUITES["c3"]
 
 
@@ -244,17 +234,16 @@ def test_criterion_2_pinned_non_entailments():
 
 
 def test_criterion_3_chain_scaling():
-    rounds = _suite_c3_rounds()
-    r1 = statistics.median(t[400_000] / t[200_000] for t in rounds)
-    r2 = statistics.median(t[800_000] / t[400_000] for t in rounds)
-    t800 = statistics.median(t[800_000] for t in rounds)
-    assert r1 <= 2.5, rounds
-    assert r2 <= 2.5, rounds
-    assert t800 < 5.0, rounds
+    times = _suite_c3_times()
+    r1 = times[400_000] / times[200_000]
+    r2 = times[800_000] / times[400_000]
+    assert r1 <= 2.5, times
+    assert r2 <= 2.5, times
+    assert times[800_000] < 5.0, times
     print(
-        f"criterion 3: PASS chain 800k in {t800:.3f}s (median of"
-        f" {len(rounds)} rounds), median doubling ratios {r1:.2f} and"
-        f" {r2:.2f}"
+        f"criterion 3: PASS chain timings "
+        f"{times[200_000]:.3f}s/{times[400_000]:.3f}s/{times[800_000]:.3f}s,"
+        f" doubling ratios {r1:.2f} and {r2:.2f}"
     )
 
 

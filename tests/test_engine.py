@@ -57,28 +57,20 @@ def _instances(ct, variant):
     premise ids, conclusion id), ordered by the member each belongs to (the
     compound it introduces or takes apart) and then by rule code."""
     c = compile_rules(ct, variant)
+    intros = {en.IMP_I, en.OR_I_L, en.OR_I_R, en.FORALL_I, en.EXISTS_I}
     steps = []  # (owner, rule code, premise ids, conclusion id)
     for m, uses in enumerate(c.uses):
-        for p, role in zip(uses[::2], uses[1::2]):
-            if role == en._LEFT_CONJUNCT:
-                steps.append((p, en.AND_I, (m, c.right[p]), p))
-            elif role in (en._RIGHT_CONJUNCT, en._ANTECEDENT):
-                pass  # the AndI or ImpE of p, read off another entry
-            elif role < en._ANTECEDENT:
-                steps.append((p, role, (m,), p))
-            elif role == en._SELF_IMP:
-                steps.append((m, en.IMP_E, (c.left[m], m), c.right[m]))
-            elif role == en._SELF_AND:
-                steps.append((m, en.AND_E_L, (m,), c.left[m]))
-                steps.append((m, en.AND_E_R, (m,), c.right[m]))
-            elif role == en._SELF_OR:
-                steps.append((m, en.OR_E, (m,), c.left[m]))
-            elif role == en._SELF_EXISTS:
-                steps.append((m, en.EXISTS_E, (m,), c.left[m]))
-            else:
-                assert role == en._SELF_FORALL
-                for g in ct.sub_instances[ct.universe[m]]:
-                    steps.append((m, en.FORALL_E, (m,), ct.index[g]))
+        for x, role in zip(uses[::2], uses[1::2]):
+            if role in intros:
+                steps.append((x, role, (m,), x))
+            elif role < en._ANTECEDENT:  # an elimination
+                steps.append((m, role, (m,), x))
+            elif role == en._MAJOR:
+                steps.append((m, en.IMP_E, (c.left[m], m), x))
+            elif role == en._LEFT_CONJUNCT:
+                steps.append((x, en.AND_I, (m, c.right[x]), x))
+            else:  # the AndI or ImpE of x, read off another entry
+                assert role in (en._RIGHT_CONJUNCT, en._ANTECEDENT)
     assert len(steps) == len(c.instances)
     steps.sort(key=lambda step: step[:2])
     return [(en.RULE_NAMES[code], ps, concl) for _, code, ps, concl in steps]
@@ -219,7 +211,7 @@ def test_compiled_rules_and_fixpoint_stay_small():
     """tracemalloc on the 4-state machine of the queries benchmark at t=12
     (23,207 members, 57,538 instances). Compiled rules took 214 B per
     instance as two tuples each and 110 B as instance columns with a watch
-    list per member; the uses index takes 63 B. The state kept after them
+    list per member; the uses index takes 70 B. The state kept after them
     took 1.01 MiB."""
     machine = TwoRegisterMachine(
         {0: Inc(1, 2), 2: Inc(2, 3), 3: Dec(1, 4, 2), 4: Dec(2, 1, 4)}
