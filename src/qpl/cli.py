@@ -89,6 +89,14 @@ def _resolve_seed(args):
     return random.SystemRandom().randrange(2**32)
 
 
+def _proof_document(session, pairs) -> dict:
+    """The proof document of session's (query, proof) pairs. It declares
+    every variable parameter of the closure, which instantiates over the
+    free variables of the hyps and of every query, refused ones too."""
+    names = [t.name for t in session.closure_table.params if t.kind == VAR]
+    return proof_document_to_json(session.variant, session.hyps, names, pairs)
+
+
 # ---------------------------------------------------------------- check
 
 def cmd_check(args) -> int:
@@ -125,14 +133,8 @@ def cmd_check(args) -> int:
             tag = "entailed" if v.entailed else "not entailed"
             print(f"{tag}: {render(v.query)}")
     if args.proof is not None:
-        # the document declares every variable parameter of the closure: the
-        # free variables of the hyps and of every query, refused ones too,
-        # since the closure instantiates over all of them
-        _write_json(args.proof, proof_document_to_json(
-            session.variant,
-            session.hyps,
-            [t.name for t in session.closure_table.params if t.kind == VAR],
-            [(v.query, v.proof) for v in verdicts if v.entailed],
+        _write_json(args.proof, _proof_document(
+            session, [(v.query, v.proof) for v in verdicts if v.entailed]
         ))
     if args.countermodel is not None:
         entries = []
@@ -196,12 +198,7 @@ def cmd_prove(args) -> int:
         print(f"not entailed: {render(q)}", file=sys.stderr)
         return 1
     if args.proof is not None or args.json:
-        doc = proof_document_to_json(
-            variant,
-            v.session.hyps,
-            [t.name for t in v.session.closure_table.params if t.kind == VAR],
-            [(v.query, v.proof)],
-        )
+        doc = _proof_document(v.session, [(v.query, v.proof)])
         if args.proof is not None:
             _write_json(args.proof, doc)
         if args.json:

@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import gc
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -416,10 +415,10 @@ class ClosureTable(NamedTuple):
     universe lists every formula reachable from the inputs by taking
     immediate subformulas, where a quantified formula contributes the
     substitutable instances of its body over params, the inputs'
-    parameters_star; order is breadth-first from the inputs. sub_instances
-    records those instance tuples per quantified member. Like ClosureStats,
-    it is a named tuple, which closure builds without its Python-level
-    __new__.
+    parameters_star; each is numbered when first met, breadth-first from
+    the inputs. sub_instances records those instance tuples per quantified
+    member. Like ClosureStats, it is a named tuple, which closure builds
+    without its Python-level __new__.
     """
 
     universe: list[Formula]
@@ -434,18 +433,14 @@ def closure(s, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureTable:
         raise ValueError("closure cap must be positive")
     inputs = list(dict.fromkeys(s))
     params = parameters_star(inputs)
-    universe: list[Formula] = []
-    index: dict[Formula, int] = {}
+    # universe is the breadth-first queue: each formula is numbered when
+    # first reached, and the walk takes members in that order
+    universe = inputs.copy()
+    index = {f: i for i, f in enumerate(universe)}
     subs: dict[Formula, tuple[Formula, ...]] = {}
     # one instantiation table per bound variable name, for this call only
     tables: dict[str, dict[Formula, list]] = {}
-    queue: deque[Formula] = deque(inputs)
-    while queue:
-        f = queue.popleft()
-        if f in index:
-            continue
-        index[f] = len(universe)
-        universe.append(f)
+    for f in universe:
         if len(universe) > cap:
             raise ResourceLimit(
                 f"closure exceeds cap of {cap} formulas; raise the cap to "
@@ -453,17 +448,20 @@ def closure(s, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureTable:
             )
         cls = f.__class__
         if cls in (And, Or, Imp):
-            queue.append(f.l)
-            queue.append(f.r)
+            parts = (f.l, f.r)
         elif cls in (Forall, Exists):
-            insts = (f.body,)
+            parts = (f.body,)
             if f.var in f.body.free:
+                # drop captures (None); distinct parameters give distinct instances
                 done = tables.setdefault(f.var, {})
-                found = dict.fromkeys(_instances(f.body, f.var, params, done))
-                found.pop(None, None)
-                insts = tuple(found)
-            subs[f] = insts
-            queue.extend(insts)
+                parts = tuple(filter(None, _instances(f.body, f.var, params, done)))
+            subs[f] = parts
+        else:
+            continue
+        for g in parts:
+            if g not in index:
+                index[g] = len(universe)
+                universe.append(g)
     stats = _new_stats((
         len(universe),
         max((f.qdepth for f in inputs), default=0),
