@@ -305,43 +305,6 @@ class Report:
     conclusion_ok: bool = True
 
 
-def _check_node(node, label_of, variant, hypset):
-    """Why node does not check, or None when it does; label_of maps each
-    node id to its label."""
-    if node.kind == "hypothesis":
-        if node.parents:
-            return "hypothesis node has parents"
-        if node.rule is not None:
-            return "hypothesis node carries a rule name"
-        if node.label not in hypset:
-            return f"{render(node.label)} is not among the hypotheses"
-    elif node.kind == "axiom":
-        if node.parents:
-            return "axiom node has parents"
-        label = node.label
-        expected = "TopI" if isinstance(label, Top) else "ImpAx"
-        first, _, check = RULES[expected]
-        if check((), label) is not None:
-            return f"{render(label)} is not an axiom"
-        if variant < first:
-            return (
-                f"axiom {render(label)} is not part of the "
-                f"{variant.cli_name} calculus"
-            )
-        if node.rule is not None and node.rule != expected:
-            return f"axiom node labeled with rule {node.rule!r}"
-    elif node.kind == "rule":
-        if node.rule is None:
-            return "rule node is missing its rule name"
-        prems = [label_of[pid] for pid in node.parents]
-        fault = match_rule(variant, node.rule, prems, node.label)
-        if fault is not None:
-            return f"{fault[0]}: {fault[1]}"
-    else:
-        return f"unknown node kind {node.kind!r}"
-    return None
-
-
 @gc_paused
 def check_derivation(
     d: Derivation,
@@ -349,6 +312,15 @@ def check_derivation(
     hyps,
     expected_conclusion: Formula | None = None,
 ) -> Report:
+    """Check every node of d under variant's rules from the hypotheses
+    hyps, and that the root concludes expected_conclusion when one is
+    given.
+
+    Structural errors (a duplicate node id, a parent not listed before its
+    child, a missing root) come first and alone: when there is any, the
+    report lists them and no node failures. Otherwise each node is judged
+    once, and every failing node gets one reason, in document order.
+    """
     structural: list[str] = []
     label_of: dict[int, Formula] = {}
     late = []  # (child, parent) ids where the parent was not listed yet
@@ -366,23 +338,48 @@ def check_derivation(
             label_of[nid] = label
         if late or structural:
             continue  # the report lists structural errors only
-        # A hypothesis or rule node that checks is passed here; _check_node
-        # judges axioms and finds the reason a node fails.
         if kind == "rule":
+            prems = list(map(labels_at, parents))
             entry = RULES.get(rule)
             if (
                 entry is not None
                 and variant >= entry[0]
                 and len(parents) == entry[1]
-                and entry[2](list(map(labels_at, parents)), label) is None
+                and entry[2](prems, label) is None
             ):
                 continue
+            if rule is None:
+                reason = "rule node is missing its rule name"
+            else:
+                reason = "%s: %s" % match_rule(variant, rule, prems, label)
         elif kind == "hypothesis":
-            if label in hypset and not parents and rule is None:
+            if parents:
+                reason = "hypothesis node has parents"
+            elif rule is not None:
+                reason = "hypothesis node carries a rule name"
+            elif label not in hypset:
+                reason = f"{render(label)} is not among the hypotheses"
+            else:
                 continue
-        reason = _check_node(n, label_of, variant, hypset)
-        if reason is not None:
-            failures.append(NodeResult(nid, False, reason))
+        elif kind == "axiom":
+            expected = "TopI" if isinstance(label, Top) else "ImpAx"
+            first, _, check = RULES[expected]
+            if parents:
+                reason = "axiom node has parents"
+            elif check((), label) is not None:
+                reason = f"{render(label)} is not an axiom"
+            elif variant < first:
+                reason = (
+                    f"axiom {render(label)} is not part of the "
+                    f"{variant.cli_name} calculus"
+                )
+            elif rule is not None and rule != expected:
+                reason = f"axiom node labeled with rule {rule!r}"
+            else:
+                continue
+        else:
+            reason = f"unknown node kind {kind!r}"
+        failures.append(NodeResult(nid, False, reason))
     if d.root not in label_of:
         structural.append(f"root {d.root} is not a node")
     for nid, pid in late:

@@ -4,16 +4,17 @@ The decision procedure works on the closure universe of the problem. Every
 rule relates a formula to its immediate parts, so saturation runs on the
 closure DAG itself, with no rule instances built (as in Gurevich and
 Neeman's linear-time primal infon logic). compile_rules indexes each
-member by the steps it is a premise of: the introductions into the
-compounds it is an immediate part of, the eliminations that take it
-apart, and the two-premise steps it pairs into. A worklist pops each derived
-member once and walks that index; a step fires when its later premise is
-popped, so the run to the fixpoint is linear in the index, whatever the
-queries. Every derived formula records one provenance entry (first
-derivation wins) in per-member columns of the state: a rule code, or
-HYPOTHESIS, and the ids of the premises it was derived from. The index is
-dropped once the fixpoint is reached, and proof extraction is a pure graph
-walk over those columns.
+member by the steps it is a premise of, each as the compound the step
+belongs to and its rule code: the introductions into the compounds it is
+an immediate part of, the eliminations that take it apart, and the
+two-premise steps (ImpE, AndI) it is a premise of. A worklist pops each
+derived member once and walks that index; a step fires when its later
+premise is popped, so the run to the fixpoint is linear in the index,
+whatever the queries. Every derived formula records one provenance entry
+(first derivation wins) in per-member columns of the state: a rule code,
+or HYPOTHESIS, and the ids of the premises it was derived from. The index
+is dropped once the fixpoint is reached, and proof extraction is a pure
+graph walk over those columns.
 
 A Session is the one owner of a problem's closure, compiled rules and
 fixpoint: it builds the closure over the hypotheses and every query at
@@ -59,12 +60,6 @@ RULE_NAMES = (
  FORALL_I, EXISTS_I, EXISTS_E, IMP_AX, TOP_I, BOT_E) = range(len(RULE_NAMES))
 HYPOTHESIS = 255  # provenance rule code of a hypothesis
 _NO_RULE = bytearray([HYPOTHESIS])
-# Roles in uses lists besides the one-premise steps, whose role is their
-# rule code: the antecedent of an implication, the implication itself, and
-# the left or right conjunct of a conjunction.
-_ANTECEDENT, _MAJOR, _LEFT_CONJUNCT, _RIGHT_CONJUNCT = range(
-    len(RULE_NAMES), len(RULE_NAMES) + 4
-)
 
 
 @dataclass
@@ -72,21 +67,20 @@ class CompiledRules:
     """A variant's rules over one closure, indexed by premise: no rule
     instance is built.
 
-    uses[m] is a flat list of (x, role) pairs, one for each step that takes
+    uses[m] is a flat list of (x, code) pairs, one for each step that takes
     member m as a premise, ordered by the member the step belongs to (the
-    compound it introduces or takes apart) in universe order:
-    - a rule code: that one-premise step derives x from m. An introduction
-      (ImpI, OrI_L, OrI_R, ForallI, ExistsI) concludes the compound x that
-      m is a part of; an elimination (AndE_L, AndE_R, OrE from l | l,
-      ExistsE from a vacuous body, ForallE to each of ct.sub_instances[m])
-      concludes the part x of m;
-    - _ANTECEDENT: m is the antecedent of the implication x, and ImpE
-      derives right[x] from m and x;
-    - _MAJOR: m is an implication, and ImpE derives its consequent x from
-      left[m] and m;
-    - _LEFT_CONJUNCT, _RIGHT_CONJUNCT: m is that conjunct of x, and AndI
-      derives x from m and right[x], or from left[x] and m. A conjunction
-      of a formula with itself is listed once, as the left one.
+    compound it introduces or takes apart) in universe order; code is the
+    step's rule code:
+    - ImpE: x is the implication, m is its antecedent or x itself, and the
+      step derives right[x] from left[x] and x;
+    - AndI: x is the conjunction, m is one of its conjuncts, and the step
+      derives x from left[x] and right[x]. A conjunction of a formula with
+      itself is listed once;
+    - any other code is a one-premise step deriving x from m. An
+      introduction (ImpI, OrI_L, OrI_R, ForallI, ExistsI) concludes the
+      compound x that m is a part of; an elimination (AndE_L, AndE_R, OrE
+      from l | l, ExistsE from a vacuous body, ForallE to each of
+      ct.sub_instances[m]) concludes the part x of m.
     left[m] and right[m] are the ids of the parts of an implication or a
     conjunction m, else -1. Every id is the closure index's own int object,
     so an entry costs one pointer and provenance copied from it allocates
@@ -126,17 +120,17 @@ def compile_rules(ct: ClosureTable, variant: CalculusVariant) -> CompiledRules:
             l = left[fid] = idx[f.l]
             r = right[fid] = idx[f.r]
             uses[r] += fid, IMP_I
-            uses[l] += fid, _ANTECEDENT
-            uses[fid] += r, _MAJOR
+            uses[l] += fid, IMP_E
+            uses[fid] += fid, IMP_E
             count += 2
             if use_ax and f.l is f.r:
                 axiom_seeds.append((fid, IMP_AX))
         elif cls is And:
             l = left[fid] = idx[f.l]
             r = right[fid] = idx[f.r]
-            uses[l] += fid, _LEFT_CONJUNCT
+            uses[l] += fid, AND_I
             if f.l is not f.r:
-                uses[r] += fid, _RIGHT_CONJUNCT
+                uses[r] += fid, AND_I
             uses[fid] += l, AND_E_L, r, AND_E_R
             count += 3
         elif cls is Or:
@@ -240,39 +234,22 @@ def saturate(hyps, ct: ClosureTable, compiled: CompiledRules) -> SaturationState
         it = iter(uses[m])
         # a step that fires derives c by rule code from a (and b)
         for x in it:
-            role = step(it)
-            if role < _ANTECEDENT:
-                code = role
+            code = step(it)
+            if code == IMP_E:
+                a = left[x]
+                b = x
+                if not (done[a] and done[b]):
+                    continue
+                c = right[x]
+            elif code == AND_I:
+                a = left[x]
+                b = right[x]
+                if not (done[a] and done[b]):
+                    continue
+                c = x
+            else:
                 a = m
                 b = -1
-                c = x
-            elif role == _ANTECEDENT:
-                if not done[x]:
-                    continue
-                code = IMP_E
-                a = m
-                b = x
-                c = right[x]
-            elif role == _MAJOR:
-                a = left[m]
-                if not done[a]:
-                    continue
-                code = IMP_E
-                b = m
-                c = x
-            elif role == _LEFT_CONJUNCT:
-                b = right[x]
-                if not done[b]:
-                    continue
-                code = AND_I
-                a = m
-                c = x
-            else:  # _RIGHT_CONJUNCT
-                a = left[x]
-                if not done[a]:
-                    continue
-                code = AND_I
-                b = m
                 c = x
             fired += 1
             if not derived[c]:

@@ -91,9 +91,15 @@ class TwoRegisterMachine:
             states.update(targets)
         if min(states) < 0:
             raise ValueError("negative state")
-        missing = set(range(max(states) + 1)) - {HALT_STATE} - set(ins)
-        if missing:
-            raise ValueError(f"states without instructions: {sorted(missing)}")
+        top = max(states)
+        if len(ins) != top:  # ins holds 0..top but 1 exactly when it is full
+            missing = (
+                s for s in range(top + 1) if s != HALT_STATE and s not in ins
+            )
+            shown = list(itertools.islice(missing, 10))
+            more = top - len(ins) - len(shown)
+            tail = f" and {more} more" if more else ""
+            raise ValueError(f"states without instructions: {shown}{tail}")
 
 
 @dataclass(frozen=True)

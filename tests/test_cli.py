@@ -1004,6 +1004,12 @@ def test_gen_machine_bad_file_exits_2(tmp_path, capsys):
     assert cli.main(["gen", "machine", mfile, "--bound", "1"]) == 2
 
 
+def test_gen_machine_far_target_exits_2(tmp_path, capsys):
+    mfile = write(tmp_path, "m.txt", "state 0: inc 1 -> 10000000000\n")
+    assert cli.main(["gen", "machine", mfile, "--bound", "1"]) == 2
+    assert "and 9999999989 more" in capsys.readouterr().err
+
+
 def test_gen_random_deterministic(capsys):
     args = ["gen", "random", "--seed", "5", "--variant", "l2", "--json"]
     assert cli.main(args) == 0

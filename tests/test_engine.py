@@ -60,17 +60,17 @@ def _instances(ct, variant):
     intros = {en.IMP_I, en.OR_I_L, en.OR_I_R, en.FORALL_I, en.EXISTS_I}
     steps = []  # (owner, rule code, premise ids, conclusion id)
     for m, uses in enumerate(c.uses):
-        for x, role in zip(uses[::2], uses[1::2]):
-            if role in intros:
-                steps.append((x, role, (m,), x))
-            elif role < en._ANTECEDENT:  # an elimination
-                steps.append((m, role, (m,), x))
-            elif role == en._MAJOR:
-                steps.append((m, en.IMP_E, (c.left[m], m), x))
-            elif role == en._LEFT_CONJUNCT:
-                steps.append((x, en.AND_I, (m, c.right[x]), x))
-            else:  # the AndI or ImpE of x, read off another entry
-                assert role in (en._RIGHT_CONJUNCT, en._ANTECEDENT)
+        for x, code in zip(uses[::2], uses[1::2]):
+            if code in intros:
+                steps.append((x, code, (m,), x))
+            elif code == en.IMP_E:  # listed under the antecedent and x
+                if m == x:
+                    steps.append((x, code, (c.left[x], x), c.right[x]))
+            elif code == en.AND_I:  # listed under each distinct conjunct
+                if m == c.left[x]:
+                    steps.append((x, code, (m, c.right[x]), x))
+            else:  # an elimination
+                steps.append((m, code, (m,), x))
     assert len(steps) == len(c.instances)
     steps.sort(key=lambda step: step[:2])
     return [(en.RULE_NAMES[code], ps, concl) for _, code, ps, concl in steps]
@@ -153,6 +153,18 @@ def test_compile_bottom_trigger_and_seeds():
 
     ct = closure([conj(top(), p)])
     assert compile_rules(ct, V.ORIGINAL).axiom_seeds == [(1, en.TOP_I)]
+
+
+def test_every_use_is_a_rule_code():
+    """Each uses entry names its step by its rule code, the two-premise
+    steps ImpE and AndI too."""
+    rng = random.Random(27)
+    for variant in V:
+        for _ in range(40):
+            hyps, queries = random_instance(rng, None, 2, variant)
+            ct = closure([*hyps, *queries])
+            for uses in compile_rules(ct, variant).uses:
+                assert all(code < len(en.RULE_NAMES) for code in uses[1::2])
 
 
 # --------------------------------------------------------------- saturation

@@ -4,6 +4,7 @@ harness."""
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -68,6 +69,28 @@ def test_machine_rejects_instruction_on_halting_state():
 def test_machine_rejects_gap_in_states():
     with pytest.raises(ValueError):
         TwoRegisterMachine({0: Inc(1, 3), 3: Inc(1, 1)})
+    with pytest.raises(ValueError) as exc:
+        TwoRegisterMachine({0: Inc(1, 8)})
+    assert str(exc.value) == (
+        "states without instructions: [2, 3, 4, 5, 6, 7, 8]"
+    )
+
+
+def test_far_target_fails_in_memory_the_input_bounds():
+    """The missing states are counted, not collected: a one-line file
+    naming state 10**10 is rejected at once, with a short message."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            parse_machine("state 0: inc 1 -> 10000000000\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert str(exc.value) == (
+        "states without instructions: [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] "
+        "and 9999999989 more"
+    )
 
 
 def test_machine_rejects_bad_register():

@@ -57,6 +57,11 @@ def test_retired_names_are_gone():
     assert not hasattr(qpl.calculus, "_column_fault")
     assert not hasattr(qpl.cli, "_proof_doc")
     assert "FormulaTable" not in qpl.__all__
+    # ImpE and AndI are listed in uses by their rule codes, and
+    # check_derivation judges each node in one branch per kind
+    for name in ("_ANTECEDENT", "_MAJOR", "_LEFT_CONJUNCT", "_RIGHT_CONJUNCT"):
+        assert not hasattr(qpl.engine, name), name
+    assert not hasattr(qpl.calculus, "_check_node")
     for fn, name in ((qpl.calculus.derivation_from_json, "symbols"),
                      (qpl.calculus.load_derivation, "symbols"),
                      (qpl.calculus.derivation_to_json, "table")):
