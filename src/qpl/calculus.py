@@ -236,23 +236,24 @@ def _exists_i(ps, c):
 
 
 # name -> (earliest variant carrying the rule, premise count, check); the
-# rule sets are cumulative
+# rule sets are cumulative. The order is the engine's: a rule's code is its
+# position here.
 RULES = {
-    "TopI": (CalculusVariant.ORIGINAL, 0, _top_i),
+    "ImpI": (CalculusVariant.ORIGINAL, 1, _imp_i),
+    "ImpE": (CalculusVariant.ORIGINAL, 2, _imp_e),
     "AndI": (CalculusVariant.ORIGINAL, 2, _and_i),
     "AndE_L": (CalculusVariant.ORIGINAL, 1, _and_e_l),
     "AndE_R": (CalculusVariant.ORIGINAL, 1, _and_e_r),
-    "ImpI": (CalculusVariant.ORIGINAL, 1, _imp_i),
-    "ImpE": (CalculusVariant.ORIGINAL, 2, _imp_e),
     "OrI_L": (CalculusVariant.L1, 1, _or_i_l),
     "OrI_R": (CalculusVariant.L1, 1, _or_i_r),
     "OrE": (CalculusVariant.L1, 1, _or_e),
-    "BotE": (CalculusVariant.L2, 1, _bot_e),
-    "ImpAx": (CalculusVariant.PFQPL, 0, _imp_ax),
-    "ForallI": (CalculusVariant.QPL, 1, _forall_i),
     "ForallE": (CalculusVariant.QPL, 1, _forall_e),
+    "ForallI": (CalculusVariant.QPL, 1, _forall_i),
     "ExistsI": (CalculusVariant.QPL, 1, _exists_i),
     "ExistsE": (CalculusVariant.QPL, 1, _exists_e),
+    "ImpAx": (CalculusVariant.PFQPL, 0, _imp_ax),
+    "TopI": (CalculusVariant.ORIGINAL, 0, _top_i),
+    "BotE": (CalculusVariant.L2, 1, _bot_e),
 }
 
 
@@ -339,19 +340,14 @@ def check_derivation(
         if late or structural:
             continue  # the report lists structural errors only
         if kind == "rule":
-            prems = list(map(labels_at, parents))
-            entry = RULES.get(rule)
-            if (
-                entry is not None
-                and variant >= entry[0]
-                and len(parents) == entry[1]
-                and entry[2](prems, label) is None
-            ):
-                continue
             if rule is None:
                 reason = "rule node is missing its rule name"
             else:
-                reason = "%s: %s" % match_rule(variant, rule, prems, label)
+                prems = list(map(labels_at, parents))
+                fault = match_rule(variant, rule, prems, label)
+                if fault is None:
+                    continue
+                reason = "%s: %s" % fault
         elif kind == "hypothesis":
             if parents:
                 reason = "hypothesis node has parents"
@@ -820,9 +816,9 @@ def proof_document_from_json(doc) -> tuple[CalculusVariant, list, list]:
         raise ValueError("'vars' must be an array")
     if not all(isinstance(s, str) for s in declared):
         raise ValueError("'vars' entries must be strings")
-    name = doc.get("variant", "qpl")
+    name = doc.get("variant")
     if not isinstance(name, str):
-        raise ValueError("'variant' must be a string")
+        raise ValueError("proof document needs a 'variant' string")
     variant = CalculusVariant.from_name(name)
     rows = _table_rows(doc)
     declared = frozenset(declared)

@@ -379,8 +379,11 @@ def cmd_gen_random(args) -> int:
 
 # --------------------------------------------------------------- parser
 
+_VARIANT_HELP = "|".join(v.cli_name for v in CalculusVariant)
+
+
 def _add_common(p):
-    p.add_argument("--variant", default="qpl", help="orig|l1|l2|pfqpl|qpl")
+    p.add_argument("--variant", default="qpl", help=_VARIANT_HELP)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP)
 
@@ -460,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int)
     g.add_argument("--hyps", type=int, default=None)
     g.add_argument("--queries", type=int, default=1)
-    g.add_argument("--variant", default="qpl")
+    g.add_argument("--variant", default="qpl", help=_VARIANT_HELP)
     g.add_argument("--json", action="store_true")
     g.set_defaults(fn=cmd_gen_random)
 

@@ -10,7 +10,9 @@ an immediate part of, the eliminations that take it apart, and the
 two-premise steps (ImpE, AndI) it is a premise of. A worklist pops each
 derived member once and walks that index; a step fires when its later
 premise is popped, so the run to the fixpoint is linear in the index,
-whatever the queries. Every derived formula records one provenance entry
+whatever the queries. A rule code is the rule's position in
+calculus.RULES, and compile_rules emits a rule's steps only in the
+variants RULES gives it. Every derived formula records one provenance entry
 (first derivation wins) in per-member columns of the state: a rule code,
 or HYPOTHESIS, and the ids of the premises it was derived from. The index
 is dropped once the fixpoint is reached, and proof extraction is a pure
@@ -28,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .calculus import (
+    RULES,
     CalculusVariant,
     Derivation,
     DerivationNode,
@@ -51,11 +54,8 @@ from .syntax import (
 )
 
 # Rule names of saturation steps and provenance entries; a rule code is an
-# index into this tuple.
-RULE_NAMES = (
-    "ImpI", "ImpE", "AndI", "AndE_L", "AndE_R", "OrI_L", "OrI_R", "OrE",
-    "ForallE", "ForallI", "ExistsI", "ExistsE", "ImpAx", "TopI", "BotE",
-)
+# index into this tuple, the rule's position in calculus.RULES.
+RULE_NAMES = tuple(RULES)
 (IMP_I, IMP_E, AND_I, AND_E_L, AND_E_R, OR_I_L, OR_I_R, OR_E, FORALL_E,
  FORALL_I, EXISTS_I, EXISTS_E, IMP_AX, TOP_I, BOT_E) = range(len(RULE_NAMES))
 HYPOTHESIS = 255  # provenance rule code of a hypothesis
@@ -108,10 +108,9 @@ def compile_rules(ct: ClosureTable, variant: CalculusVariant) -> CompiledRules:
     count = 0
     axiom_seeds: list[tuple[int, int]] = []
     bottom_id = -1
-    use_or = variant >= CalculusVariant.L1
-    use_bot = variant >= CalculusVariant.L2
-    use_ax = variant >= CalculusVariant.PFQPL
-    use_quant = variant >= CalculusVariant.QPL
+    # has[code]: variant carries the rule. The rules a branch emits all
+    # start at one variant, so it is gated on one of them.
+    has = [variant >= first for first, _, _ in RULES.values()]
     for f, fid in idx.items():  # universe order
         cls = f.__class__
         if cls is Atom:  # no rule takes an atom apart
@@ -123,7 +122,7 @@ def compile_rules(ct: ClosureTable, variant: CalculusVariant) -> CompiledRules:
             uses[l] += fid, IMP_E
             uses[fid] += fid, IMP_E
             count += 2
-            if use_ax and f.l is f.r:
+            if f.l is f.r and has[IMP_AX]:
                 axiom_seeds.append((fid, IMP_AX))
         elif cls is And:
             l = left[fid] = idx[f.l]
@@ -134,7 +133,7 @@ def compile_rules(ct: ClosureTable, variant: CalculusVariant) -> CompiledRules:
             uses[fid] += l, AND_E_L, r, AND_E_R
             count += 3
         elif cls is Or:
-            if use_or:
+            if has[OR_I_L]:
                 l = idx[f.l]
                 uses[l] += fid, OR_I_L
                 if f.l is f.r:
@@ -143,7 +142,7 @@ def compile_rules(ct: ClosureTable, variant: CalculusVariant) -> CompiledRules:
                     uses[idx[f.r]] += fid, OR_I_R
                 count += 2
         elif cls is Forall:
-            if use_quant:
+            if has[FORALL_E]:
                 insts = ct.sub_instances[f]
                 own = uses[fid]
                 for g in insts:
@@ -153,7 +152,7 @@ def compile_rules(ct: ClosureTable, variant: CalculusVariant) -> CompiledRules:
                     uses[idx[f.body]] += fid, FORALL_I
                     count += 1
         elif cls is Exists:
-            if use_quant:
+            if has[EXISTS_I]:
                 insts = ct.sub_instances[f]
                 for g in insts:
                     uses[idx[g]] += fid, EXISTS_I
@@ -162,7 +161,7 @@ def compile_rules(ct: ClosureTable, variant: CalculusVariant) -> CompiledRules:
                     uses[fid] += idx[f.body], EXISTS_E
                     count += 1
         elif cls is Bot:
-            if use_bot:
+            if has[BOT_E]:
                 bottom_id = fid
         elif cls is Top:
             axiom_seeds.append((fid, TOP_I))

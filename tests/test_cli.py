@@ -423,6 +423,12 @@ def _doc_with(**changes):
     return json.dumps(doc)
 
 
+def _doc_without(key):
+    doc = json.loads(_GOOD_DOC)
+    del doc[key]
+    return json.dumps(doc)
+
+
 # a valid proof of p from p & q, listed root first
 _ROOT_FIRST = _derivation_doc(
     1,
@@ -449,6 +455,7 @@ _VERIFY_CASES = [
     ("variant-int", _doc_with(variant=5), 2),
     ("variant-null", _doc_with(variant=None), 2),
     ("variant-unknown", _doc_with(variant="classical"), 2),
+    ("variant-missing", _doc_without("variant"), 2),
     ("query-int", _doc_with(query=7), 2),
     ("query-array", _doc_with(query=["p"]), 2),
     ("proof-int", _doc_with(proofs=[1]), 2),

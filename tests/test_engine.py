@@ -11,7 +11,7 @@ import pytest
 
 from qpl import engine as en
 from qpl.calculus import CalculusVariant as V
-from qpl.calculus import check_derivation, derivation_to_json
+from qpl.calculus import RULES, check_derivation, derivation_to_json
 from qpl.engine import (
     Session,
     compile_rules,
@@ -155,16 +155,41 @@ def test_compile_bottom_trigger_and_seeds():
     assert compile_rules(ct, V.ORIGINAL).axiom_seeds == [(1, en.TOP_I)]
 
 
+def _emitted(compiled):
+    """The rule codes of a compiled index: its uses entries, its axiom
+    seeds, and BotE when it floods from the falsity constant."""
+    codes = {code for uses in compiled.uses for code in uses[1::2]}
+    codes.update(code for _, code in compiled.axiom_seeds)
+    if compiled.bottom_id >= 0:
+        codes.add(en.BOT_E)
+    return codes
+
+
 def test_every_use_is_a_rule_code():
     """Each uses entry names its step by its rule code, the two-premise
-    steps ImpE and AndI too."""
+    steps ImpE and AndI too. A code is the rule's position in
+    calculus.RULES, and a variant's index emits exactly the rules RULES
+    gives that variant."""
+    assert en.RULE_NAMES == tuple(RULES)
     rng = random.Random(27)
     for variant in V:
         for _ in range(40):
             hyps, queries = random_instance(rng, None, 2, variant)
             ct = closure([*hyps, *queries])
-            for uses in compile_rules(ct, variant).uses:
-                assert all(code < len(en.RULE_NAMES) for code in uses[1::2])
+            for code in _emitted(compile_rules(ct, variant)):
+                assert variant >= RULES[en.RULE_NAMES[code]][0]
+    # every rule has a step over this closure
+    ct = closure([
+        disj(p, p), disj(p, q), imp(p, p), top(), bot(), conj(p, q),
+        forall("x", p), forall("x", atom("R", x)),
+        exists("x", p), exists("x", atom("R", x)),
+    ])
+    for variant in V:
+        carried = {
+            code for code, (first, _, _) in enumerate(RULES.values())
+            if variant >= first
+        }
+        assert _emitted(compile_rules(ct, variant)) == carried
 
 
 # --------------------------------------------------------------- saturation
