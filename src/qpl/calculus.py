@@ -9,9 +9,13 @@ same pass that validates the structure, and stops judging at the first
 structural error, whose report lists structural errors only: a malformed
 graph never produces rule verdicts.
 
-A derivation is written as JSON node columns whose labels cite the rows of
-a formula table (FormulaTable), and read back by building those rows with
-the interning constructors. That is the one shape read: a derivation
+A Derivation is held as node columns, one per node field, and written as
+the same JSON columns, with labels citing the rows of a formula table
+(FormulaTable); it is read back by building those rows with the interning
+constructors. The engine, the writer, the reader and the checker work on
+the columns and build no DerivationNode: Derivation.nodes builds those
+for a reader of the proof, and Derivation.of_nodes builds the columns of
+hand-made nodes. JSON columns are the one shape read: a derivation
 written before formula tables, with rendered labels, is refused.
 
 The proof document format lives here too, as one writer and one reader
@@ -25,7 +29,8 @@ import json
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
-from itertools import chain
+from itertools import accumulate, chain
+from operator import attrgetter
 from typing import NamedTuple
 
 from .syntax import (
@@ -278,6 +283,8 @@ def match_rule(variant: CalculusVariant, name: str, ps, conclusion: Formula):
 # -------------------------------------------------------------- derivations
 
 class DerivationNode(NamedTuple):
+    """One node of a derivation, as Derivation.nodes shows it."""
+
     id: int
     label: Formula
     kind: str  # "hypothesis" | "axiom" | "rule"
@@ -286,8 +293,45 @@ class DerivationNode(NamedTuple):
 
 
 class Derivation(NamedTuple):
+    """A derivation as node columns, the proof document's own shape: node
+    i is ids[i], labeled labels[i], of kinds[i], with the rule name
+    rules[i] (None on hypotheses), and its premises[i] parents are the
+    next ids of the flat parents column, in the order the rule states
+    them. root is a node id."""
+
     root: int
-    nodes: tuple[DerivationNode, ...]
+    ids: tuple[int, ...]
+    labels: tuple[Formula, ...]
+    kinds: tuple[str, ...]  # "hypothesis" | "axiom" | "rule"
+    rules: tuple[str | None, ...]
+    premises: tuple[int, ...]
+    parents: tuple[int, ...]
+
+    @property
+    def nodes(self) -> tuple[DerivationNode, ...]:
+        """The nodes in order, built on each access: node i's parents are
+        the slice of parents from the sum of the counts before it."""
+        counts = self.premises
+        spans = map(self.parents.__getitem__, map(
+            slice, accumulate(counts, initial=0), accumulate(counts)
+        ))
+        return tuple(map(_new_node, zip(
+            self.ids, self.labels, self.kinds, self.rules, spans
+        )))
+
+    @classmethod
+    def of_nodes(cls, root: int, nodes) -> "Derivation":
+        """The derivation of root and nodes, DerivationNode tuples (or any
+        (id, label, kind, rule, parents) tuples) in order."""
+        ids, labels, kinds, rules, parents = tuple(zip(*nodes)) or ((),) * 5
+        return cls(root, ids, labels, kinds, rules, tuple(map(len, parents)),
+                   tuple(chain.from_iterable(parents)))
+
+
+# DerivationNode(*fields) and Derivation(*fields) without the Python-level
+# __new__ of a named tuple
+_new_node = partial(tuple.__new__, DerivationNode)
+_new_derivation = partial(tuple.__new__, Derivation)
 
 
 class NodeResult(NamedTuple):
@@ -317,22 +361,29 @@ def check_derivation(
     hyps, and that the root concludes expected_conclusion when one is
     given.
 
-    Structural errors (a duplicate node id, a parent not listed before its
-    child, a missing root) come first and alone: when there is any, the
-    report lists them and no node failures. Otherwise each node is judged
-    once, and every failing node gets one reason, in document order.
+    The nodes judged are those d.nodes shows. Structural errors (a
+    duplicate node id, a parent not listed before its child, a missing
+    root) come first and alone: when there is any, the report lists them
+    and no node failures. Otherwise each node is judged once, and every
+    failing node gets one reason, in document order.
     """
+    _, ids, labels, kinds, rules, counts, flat = d
     structural: list[str] = []
     label_of: dict[int, Formula] = {}
     late = []  # (child, parent) ids where the parent was not listed yet
     hypset = set(hyps)
-    labels_at = label_of.__getitem__
+    label_at = label_of.get
     failures = []
-    for n in d.nodes:
-        nid, label, kind, rule, parents = n
-        for pid in parents:
-            if pid not in label_of:
-                late.append((nid, pid))
+    j = 0  # where the node's parents start in flat
+    for nid, label, kind, rule, k in zip(ids, labels, kinds, rules, counts):
+        if k:
+            parents = flat[j:j + k]
+            j += k
+            prems = list(map(label_at, parents))
+            if None in prems:
+                late += [(nid, pid) for pid in parents if pid not in label_of]
+        else:
+            parents = prems = ()
         if nid in label_of:
             structural.append(f"duplicate node id {nid}")
         else:
@@ -343,7 +394,6 @@ def check_derivation(
             if rule is None:
                 reason = "rule node is missing its rule name"
             else:
-                prems = list(map(labels_at, parents))
                 fault = match_rule(variant, rule, prems, label)
                 if fault is None:
                     continue
@@ -513,15 +563,14 @@ class FormulaTable:
 
 def _node_columns(d: Derivation, table: FormulaTable) -> dict:
     """d's root and node columns, its labels written as rows of table."""
-    ids, labels, kinds, rules, parents = zip(*d.nodes) if d.nodes else ((),) * 5
     return {
         "root": d.root,
-        "id": list(ids),
-        "label": table.rows(labels),
-        "kind": list(kinds),
-        "rule": list(rules),
-        "premises": list(map(len, parents)),
-        "parents": list(chain.from_iterable(parents)),
+        "id": list(d.ids),
+        "label": table.rows(d.labels),
+        "kind": list(d.kinds),
+        "rule": list(d.rules),
+        "premises": list(d.premises),
+        "parents": list(d.parents),
     }
 
 
@@ -774,23 +823,14 @@ def _derivation_from_rows(
     if sum(premises) != len(parents):
         raise ValueError(f"'premises' add up to {sum(premises)} parent(s), but "
                          f"'parents' holds {len(parents)}")
-    flat = tuple(parents)
-    nodes = []
-    append = nodes.append
-    j = 0  # where the node's parents start in flat
-    for nid, f, k, r, p in zip(ids, map(rows.__getitem__, label), kind, rule,
-                               premises):
-        if f.free and not f.free <= declared:
-            raise ValueError(_undeclared("'label'", f.free - declared))
-        append(_new_node((nid, f, k, r, flat[j:j + p])))
-        j += p
-    return _new_derivation((obj["root"], tuple(nodes)))
-
-
-# DerivationNode(*fields) and Derivation(*fields) without the Python-level
-# __new__ of a named tuple
-_new_node = partial(tuple.__new__, DerivationNode)
-_new_derivation = partial(tuple.__new__, Derivation)
+    labels = tuple(map(rows.__getitem__, label))
+    if not frozenset().union(*map(attrgetter("free"), labels)) <= declared:
+        # the first label in node order with an undeclared variable
+        for f in labels:
+            if not f.free <= declared:
+                raise ValueError(_undeclared("'label'", f.free - declared))
+    return _new_derivation((obj["root"], tuple(ids), labels, tuple(kind),
+                            tuple(rule), tuple(premises), tuple(parents)))
 
 
 @gc_paused

@@ -16,7 +16,8 @@ variants RULES gives it. Every derived formula records one provenance entry
 (first derivation wins) in per-member columns of the state: a rule code,
 or HYPOTHESIS, and the ids of the premises it was derived from. The index
 is dropped once the fixpoint is reached, and proof extraction is a pure
-graph walk over those columns.
+graph walk over those columns that appends to the node columns of a
+calculus.Derivation, building no per-node object.
 
 A Session is the one owner of a problem's closure, compiled rules and
 fixpoint: it builds the closure over the hypotheses and every query at
@@ -33,9 +34,7 @@ from .calculus import (
     RULES,
     CalculusVariant,
     Derivation,
-    DerivationNode,
     _new_derivation,
-    _new_node,
 )
 from .syntax import (
     And,
@@ -366,7 +365,8 @@ def entails(
 def extract_proof(
     state: SaturationState, ct: ClosureTable, target: Formula
 ) -> Derivation:
-    """Read one derivation DAG out of the state's provenance columns.
+    """Read one derivation DAG out of the state's provenance columns into
+    the derivation's node columns, with node i's id i.
 
     Nodes come out in post-order (premises before conclusions, root last)
     and shared subderivations appear once. The walk visits a formula with
@@ -378,8 +378,14 @@ def extract_proof(
         raise ValueError("target is not derived in this state")
     why, why1, why2 = state.rule, state.premise1, state.premise2
     universe = ct.universe
+    # member id -> node id, its position; in node order, so its values are
+    # the ids column, sharing their int objects with the parents column
     memo: dict[int, int] = {}
-    nodes: list[DerivationNode] = []
+    labels: list[Formula] = []
+    kinds: list[str] = []
+    rules: list[str | None] = []
+    counts: list[int] = []
+    parents: list[int] = []
     stack = [tid]
     while stack:
         fid = stack.pop()
@@ -387,7 +393,12 @@ def extract_proof(
             fid = ~fid
             a, b = why1[fid], why2[fid]
             kind, rule = "rule", RULE_NAMES[why[fid]]
-            parents = (memo[a],) if b < 0 else (memo[a], memo[b])
+            if b < 0:
+                parents.append(memo[a])
+                k = 1
+            else:
+                parents += memo[a], memo[b]
+                k = 2
         else:
             if fid in memo:
                 continue
@@ -405,8 +416,13 @@ def extract_proof(
                         stack.append(a)
                     continue
                 kind, rule = "axiom", RULE_NAMES[code]
-            parents = ()
-        nid = len(nodes)
-        memo[fid] = nid
-        nodes.append(_new_node((nid, universe[fid], kind, rule, parents)))
-    return _new_derivation((memo[tid], tuple(nodes)))
+            k = 0
+        memo[fid] = len(labels)
+        labels.append(universe[fid])
+        kinds.append(kind)
+        rules.append(rule)
+        counts.append(k)
+    return _new_derivation((
+        memo[tid], tuple(memo.values()), tuple(labels), tuple(kinds),
+        tuple(rules), tuple(counts), tuple(parents),
+    ))

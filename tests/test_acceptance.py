@@ -27,7 +27,6 @@ from qpl.algebra import (
 )
 from qpl.calculus import (
     CalculusVariant as V,
-    Derivation,
     check_derivation,
     proof_document_to_json,
 )
@@ -338,36 +337,54 @@ def _cli_verifies(v, path) -> bool:
         return cli.main(["verify-proof", str(path)]) == 0
 
 
+def _put(column, i, *values):
+    """column with its entry i replaced by values."""
+    return (*column[:i], *values, *column[i + 1:])
+
+
 def _mutants(d, hypset, rng, count):
-    nodes = d.nodes
-    max_id = max(n.id for n in nodes)
+    """count copies of d, each with one node changed; the node's columns are
+    changed in place of building the nodes, which a 133k-node chain proof
+    would pay for on every mutant."""
+    max_id = max(d.ids)
     out = []
     while len(out) < count:
-        n = nodes[rng.randrange(len(nodes))]
+        i = rng.randrange(len(d.ids))
+        kind, rule, label = d.kinds[i], d.rules[i], d.labels[i]
+        start, k = sum(d.premises[:i]), d.premises[i]
+        parents = d.parents[start:start + k]
         op = rng.randrange(4)
         if op == 0:
             # every rule forces its conclusion shape except BotE
-            if n.kind == "rule" and n.rule == "BotE":
+            if kind == "rule" and rule == "BotE":
                 continue
-            new_label = disj(n.label, n.label)
+            new_label = disj(label, label)
             if new_label in hypset:
                 continue
-            m = n._replace(label=new_label)
-        elif n.kind != "rule":
+            m = d._replace(labels=_put(d.labels, i, new_label))
+        elif kind != "rule":
             continue
-        elif op == 1:
-            m = n._replace(parents=(*n.parents, n.parents[0]))
         elif op == 2:
-            m = n._replace(rule="AndI" if len(n.parents) != 2 else "AndE_L")
+            m = d._replace(
+                rules=_put(d.rules, i, "AndI" if k != 2 else "AndE_L")
+            )
         else:
-            m = n._replace(parents=(max_id + 1, *n.parents[1:]))
-        out.append(Derivation(d.root, tuple(m if x.id == n.id else x for x in nodes)))
+            if op == 1:
+                parents = (*parents, parents[0])
+            else:
+                parents = (max_id + 1, *parents[1:])
+            flat = d.parents
+            m = d._replace(
+                premises=_put(d.premises, i, len(parents)),
+                parents=(*flat[:start], *parents, *flat[start + k:]),
+            )
+        out.append(m)
     return out
 
 
 def _labels_local(v) -> bool:
     index = v.closure_table.index
-    return all(n.label in index for n in v.proof.nodes)
+    return all(f in index for f in v.proof.labels)
 
 
 def test_criterion_8_proof_round_trip(tmp_path):

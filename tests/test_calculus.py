@@ -233,13 +233,13 @@ def _node(nid, label, kind, rule=None, parents=()):
 
 
 def test_check_single_axiom():
-    d = Derivation(root=0, nodes=(_node(0, top(), "axiom", "TopI"),))
+    d = Derivation.of_nodes(root=0, nodes=(_node(0, top(), "axiom", "TopI"),))
     rep = check_derivation(d, V.ORIGINAL, set())
     assert rep.ok and not rep.structural_errors
 
 
 def test_check_three_node_imp_e():
-    d = Derivation(
+    d = Derivation.of_nodes(
         root=2,
         nodes=(
             _node(0, p, "hypothesis"),
@@ -250,7 +250,7 @@ def test_check_three_node_imp_e():
     rep = check_derivation(d, V.ORIGINAL, {p, imp(p, q)}, expected_conclusion=q)
     assert rep.ok
 
-    swapped = Derivation(
+    swapped = Derivation.of_nodes(
         root=2,
         nodes=(
             _node(0, p, "hypothesis"),
@@ -264,55 +264,55 @@ def test_check_three_node_imp_e():
 
 
 def test_check_hypothesis_membership():
-    d = Derivation(root=0, nodes=(_node(0, p, "hypothesis"),))
+    d = Derivation.of_nodes(root=0, nodes=(_node(0, p, "hypothesis"),))
     assert check_derivation(d, V.QPL, {p}).ok
     rep = check_derivation(d, V.QPL, {q})
     assert not rep.ok and "hypothes" in rep.failures[0].reason
 
 
 def test_check_axiom_shapes_and_variants():
-    ax = Derivation(root=0, nodes=(_node(0, imp(p, p), "axiom"),))
+    ax = Derivation.of_nodes(root=0, nodes=(_node(0, imp(p, p), "axiom"),))
     assert check_derivation(ax, V.PFQPL, set()).ok
     assert check_derivation(ax, V.QPL, set()).ok
     assert not check_derivation(ax, V.L2, set()).ok
-    bad = Derivation(root=0, nodes=(_node(0, imp(p, q), "axiom"),))
+    bad = Derivation.of_nodes(root=0, nodes=(_node(0, imp(p, q), "axiom"),))
     assert not check_derivation(bad, V.QPL, set()).ok
 
 
 def test_check_axiom_rule_name_consistency():
-    d = Derivation(root=0, nodes=(_node(0, top(), "axiom", "ImpAx"),))
+    d = Derivation.of_nodes(root=0, nodes=(_node(0, top(), "axiom", "ImpAx"),))
     assert not check_derivation(d, V.QPL, set()).ok
 
 
 def test_check_unknown_kind():
-    d = Derivation(root=0, nodes=(_node(0, p, "assumption"),))
+    d = Derivation.of_nodes(root=0, nodes=(_node(0, p, "assumption"),))
     rep = check_derivation(d, V.QPL, {p})
     assert not rep.ok and "kind" in rep.failures[0].reason
 
 
 def test_check_expected_conclusion():
-    d = Derivation(root=0, nodes=(_node(0, p, "hypothesis"),))
+    d = Derivation.of_nodes(root=0, nodes=(_node(0, p, "hypothesis"),))
     rep = check_derivation(d, V.QPL, {p}, expected_conclusion=q)
     assert not rep.ok and not rep.conclusion_ok
     assert not rep.failures  # every node fine, only the root is wrong
 
 
 def test_check_structural_errors():
-    dup = Derivation(
+    dup = Derivation.of_nodes(
         root=0, nodes=(_node(0, p, "hypothesis"), _node(0, q, "hypothesis"))
     )
     rep = check_derivation(dup, V.QPL, {p, q})
     assert not rep.ok and any("duplicate" in s for s in rep.structural_errors)
 
-    dangling = Derivation(root=0, nodes=(_node(0, p, "rule", "AndE_L", (7,)),))
+    dangling = Derivation.of_nodes(root=0, nodes=(_node(0, p, "rule", "AndE_L", (7,)),))
     rep = check_derivation(dangling, V.QPL, set())
     assert not rep.ok and any("missing" in s for s in rep.structural_errors)
 
-    missing_root = Derivation(root=3, nodes=(_node(0, p, "hypothesis"),))
+    missing_root = Derivation.of_nodes(root=3, nodes=(_node(0, p, "hypothesis"),))
     rep = check_derivation(missing_root, V.QPL, {p})
     assert not rep.ok and any("root" in s for s in rep.structural_errors)
 
-    cyc = Derivation(
+    cyc = Derivation.of_nodes(
         root=0,
         nodes=(
             _node(0, p, "rule", "AndE_L", (1,)),
@@ -326,7 +326,7 @@ def test_check_structural_errors():
 
 
 def test_check_rule_node_without_name():
-    d = Derivation(root=0, nodes=(_node(0, p, "rule", None, ()),))
+    d = Derivation.of_nodes(root=0, nodes=(_node(0, p, "rule", None, ()),))
     assert not check_derivation(d, V.QPL, set()).ok
 
 
@@ -351,10 +351,13 @@ def test_node_types_are_named_tuples():
     assert hash(NodeResult(3, False, "why")) == hash(res)
     with pytest.raises(AttributeError):
         res.ok = True
-    assert Derivation._fields == ("root", "nodes")
-    d = Derivation(root=0, nodes=(n,))
-    root, nodes = d
-    assert (root, nodes) == d == (0, (n,))
+    # a derivation is its node columns; nodes is a view built from them
+    assert Derivation._fields == (
+        "root", "ids", "labels", "kinds", "rules", "premises", "parents"
+    )
+    d = Derivation.of_nodes(root=0, nodes=(n,))
+    assert d == (0, (0,), (atom("p0"),), ("hypothesis",), (None,), (0,), ())
+    assert d.nodes == (n,)
     with pytest.raises(AttributeError):
         d.root = 1
 
@@ -374,7 +377,7 @@ def _extracted_proofs():
 
 
 def _relisted(d, nodes):
-    return Derivation(root=d.root, nodes=tuple(nodes))
+    return Derivation.of_nodes(root=d.root, nodes=tuple(nodes))
 
 
 def _late_references(nodes):
@@ -418,7 +421,7 @@ def test_check_lists_failures_in_document_order():
 def test_check_reports_a_back_edge_in_parent_first_order():
     # one back edge, 1 -> 3, in an otherwise parent-first listing
     pq = conj(p, q)
-    d = Derivation(
+    d = Derivation.of_nodes(
         root=3,
         nodes=(
             _node(0, pq, "hypothesis"),
@@ -432,7 +435,7 @@ def test_check_reports_a_back_edge_in_parent_first_order():
         False, ["node 1 references parent 3, which is not listed before it"], []
     )
     # a self-loop is the shortest back edge
-    loop = Derivation(root=0, nodes=(_node(0, p, "rule", "OrE", (0,)),))
+    loop = Derivation.of_nodes(root=0, nodes=(_node(0, p, "rule", "OrE", (0,)),))
     assert check_derivation(loop, V.QPL, set()) == ca.Report(
         False, ["node 0 references parent 0, which is not listed before it"], []
     )
@@ -452,7 +455,7 @@ def test_check_reports_a_back_edge_in_parent_first_order():
 
 def test_check_reports_missing_parents_of_a_duplicate_node():
     # parent-first apart from the duplicate, whose parent is missing
-    d = Derivation(
+    d = Derivation.of_nodes(
         root=1,
         nodes=(
             _node(0, p, "hypothesis"),
@@ -467,11 +470,104 @@ def test_check_reports_missing_parents_of_a_duplicate_node():
     ]
 
 
+def _read_back(d):
+    return derivation_from_json(json.loads(json.dumps(derivation_to_json(d))))
+
+
+def test_check_takes_node_ids_as_given():
+    # ids 7, 3 and 11 are no positions: the checker keys labels by id, and
+    # a copy read back from JSON gets the same report
+    pq = conj(p, q)
+    hyp_p, hyp_q = _node(7, p, "hypothesis"), _node(3, q, "hypothesis")
+    both = _node(11, pq, "rule", "AndI", (7, 3))
+    cases = [
+        ((hyp_p, hyp_q, both), ca.Report(True, [], [])),
+        ((hyp_p, hyp_q, _node(3, p, "hypothesis"), both),
+         ca.Report(False, ["duplicate node id 3"], [])),
+        ((hyp_p, both, hyp_q), ca.Report(
+            False,
+            ["node 11 references parent 3, which is not listed before it"],
+            [],
+        )),
+        ((hyp_p, _node(3, p, "hypothesis"), both, hyp_q), ca.Report(
+            False, ["duplicate node id 3"], []
+        )),
+        ((both, hyp_q, hyp_q), ca.Report(False, [
+            "duplicate node id 3",
+            "node 11 references missing parent 7",
+            "node 11 references parent 3, which is not listed before it",
+        ], [])),
+    ]
+    for nodes, want in cases:
+        d = Derivation.of_nodes(11, nodes)
+        assert d.ids == tuple(n.id for n in nodes)
+        for copy in (d, _read_back(d)):
+            assert copy == d
+            assert check_derivation(copy, V.ORIGINAL, {p, q}, pq) == want
+    d = Derivation.of_nodes(11, (hyp_p, hyp_q, both))
+    assert check_derivation(d, V.ORIGINAL, {p}, pq) == ca.Report(
+        False, [], [NodeResult(3, False, "q is not among the hypotheses")]
+    )
+
+
+def test_check_judges_the_nodes_the_view_shows():
+    # columns of unequal lengths, and premise counts that do not match the
+    # parents column, are judged as Derivation.nodes shows them
+    ok = Derivation.of_nodes(1, (_node(0, p, "hypothesis"),
+                                 _node(1, disj(p, q), "rule", "OrI_L", (0,))))
+    assert check_derivation(ok, V.QPL, {p}).ok
+    changed = [
+        ok._replace(ids=(0,)),
+        ok._replace(labels=(p, p, p)),
+        ok._replace(kinds=("hypothesis",)),
+        ok._replace(rules=()),
+        ok._replace(premises=(0, 2)),
+        ok._replace(premises=(1, 0)),
+        ok._replace(premises=(2, -1), parents=(0,)),
+        ok._replace(parents=(0, 0)),
+    ]
+    for d in changed:
+        shown = Derivation.of_nodes(d.root, d.nodes)
+        assert check_derivation(d, V.QPL, {p}) == check_derivation(
+            shown, V.QPL, {p}
+        )
+        assert _read_back(shown) == shown
+
+
+def _proofs_in_every_variant(per_variant=40):
+    """(proof, variant, hyps) of random_instance draws in all five
+    variants."""
+    out = []
+    for variant in V:
+        rng = random.Random(2900 + int(variant))
+        found = 0
+        while found < per_variant:
+            hyps, queries = random_instance(rng, variant=variant)
+            for v in Session(hyps, queries, variant).verdicts():
+                if v.entailed:
+                    out.append((v.proof, variant, hyps))
+                    found += 1
+    return out
+
+
+def test_columns_round_trip_and_view_on_random_proofs():
+    for d, variant, hyps in _proofs_in_every_variant():
+        declared = frozenset().union(*(f.free for f in d.labels))
+        back = derivation_from_json(derivation_to_json(d), declared)
+        assert back == d
+        assert Derivation.of_nodes(d.root, d.nodes) == d
+        assert [n.id for n in d.nodes] == list(d.ids)
+        for hypset in (hyps, ()):
+            assert check_derivation(back, variant, hypset) == check_derivation(
+                d, variant, hypset
+            )
+
+
 # ------------------------------------------------------------ serialization
 
 def _sample_derivation():
     pq = conj(p, q)
-    return Derivation(
+    return Derivation.of_nodes(
         root=3,
         nodes=(
             _node(0, pq, "hypothesis"),
@@ -513,7 +609,7 @@ def test_json_rows_carry_term_kinds():
         forall("x", atom("R", cx, x)),
         exists("x", forall("y", disj(atom("R", x, y), imp(top(), bot())))),
     ]
-    d = Derivation(root=0, nodes=tuple(
+    d = Derivation.of_nodes(root=0, nodes=tuple(
         _node(i, f, "hypothesis") for i, f in enumerate(labels)
     ))
     blob = json.loads(json.dumps(derivation_to_json(d)))
@@ -541,7 +637,7 @@ def test_json_refuses_derivations_written_before_formula_tables():
 def test_json_labels_with_declared_vars():
     # a variable free in a label must be declared; rows carry term kinds,
     # so declaring y does not turn the constant y into it
-    d = Derivation(root=0, nodes=(
+    d = Derivation.of_nodes(root=0, nodes=(
         _node(0, atom("R", y), "hypothesis"),
         _node(1, atom("R", const("y")), "hypothesis"),
     ))
@@ -554,7 +650,7 @@ def test_json_labels_with_declared_vars():
 
 def test_json_reserved_labels_accepted():
     z = const("_0")
-    d = Derivation(root=0, nodes=(_node(0, atom("R", z), "hypothesis"),))
+    d = Derivation.of_nodes(root=0, nodes=(_node(0, atom("R", z), "hypothesis"),))
     back = derivation_from_json(derivation_to_json(d))
     assert back.nodes[0].label is atom("R", z)
 
@@ -614,7 +710,7 @@ def test_json_table_of_a_deep_formula():
     f = atom("p0")
     for i in range(1, 5000):
         f = imp(atom(f"p{i}"), f)
-    d = Derivation(root=0, nodes=(_node(0, f, "hypothesis"),))
+    d = Derivation.of_nodes(root=0, nodes=(_node(0, f, "hypothesis"),))
     back = derivation_from_json(json.loads(json.dumps(derivation_to_json(d))))
     assert back.nodes[0].label is f
 
@@ -898,7 +994,7 @@ def _reference_reader(obj, declared_vars=()):
         j += n
     if j != len(flat):
         raise ValueError(_reference_column_fault(columns, n_rows))
-    return Derivation(obj["root"], tuple(nodes))
+    return Derivation.of_nodes(obj["root"], tuple(nodes))
 
 
 def _read(reader, obj, declared_vars):
@@ -1120,7 +1216,7 @@ def test_check_node_rejection_table(variant, kind, rule, parents, label, reason)
     k = len(parents)
     nodes.append(_node(k, _f(label), kind, rule, range(k)))
     hyps = {n.label for n in nodes[:k]}
-    rep = check_derivation(Derivation(k, tuple(nodes)), V.from_name(variant), hyps)
+    rep = check_derivation(Derivation.of_nodes(k, tuple(nodes)), V.from_name(variant), hyps)
     assert not rep.ok and not rep.structural_errors
     assert [(r.node_id, r.reason) for r in rep.failures] == [(k, reason)]
 

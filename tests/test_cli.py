@@ -404,7 +404,7 @@ def _derivation_doc(root, nodes, hyps=(P,), query=P, **columns):
     writes it. root and nodes (DerivationNode fields) are written as they
     are, and columns replace the derivation's."""
     doc = proof_document_to_json(
-        V.QPL, hyps, [], [(query, Derivation(root, tuple(nodes)))]
+        V.QPL, hyps, [], [(query, Derivation.of_nodes(root, tuple(nodes)))]
     )
     doc["proofs"][0]["derivation"].update(columns)
     return json.dumps(doc)
@@ -561,7 +561,7 @@ def _assert_refused(tmp_path, capsys, derivation):
 def test_verify_proof_refuses_documents_written_before_formula_tables(
     tmp_path, capsys
 ):
-    _assert_refused(tmp_path, capsys, derivation_to_json(Derivation(0, (_HYP_P,))))
+    _assert_refused(tmp_path, capsys, derivation_to_json(Derivation.of_nodes(0, (_HYP_P,))))
 
 
 # p, p -> q |- q by ImpE, as object nodes; "mutated" concludes r from a

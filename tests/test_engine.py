@@ -11,7 +11,12 @@ import pytest
 
 from qpl import engine as en
 from qpl.calculus import CalculusVariant as V
-from qpl.calculus import RULES, check_derivation, derivation_to_json
+from qpl.calculus import (
+    RULES,
+    check_derivation,
+    derivation_from_json,
+    derivation_to_json,
+)
 from qpl.engine import (
     Session,
     compile_rules,
@@ -24,6 +29,7 @@ from qpl.generators import (
     Inc,
     TwoRegisterMachine,
     bounded_halting_instance,
+    chain_family,
     random_instance,
 )
 from qpl.semantics import (
@@ -276,6 +282,34 @@ def test_compiled_rules_and_fixpoint_stay_small():
     for v in vars(state).values():
         assert type(v) in (bytearray, bool, int) or all(type(x) is int for x in v)
     assert state.derived[ct.index[query]]
+
+
+def test_derivation_columns_stay_small():
+    """tracemalloc on the chain_family(50_000) proof (33,333 nodes). As one
+    tuple per node with a parents tuple each, extract_proof's result took
+    152 B per node and derivation_from_json's 124 B; as node columns they
+    take 76 B and 48 B."""
+    hyps, goal = chain_family(50_000)
+    session = Session(hyps, [goal], V.PFQPL)
+    state, ct = session.state, session.closure_table
+    blob = json.loads(json.dumps(derivation_to_json(extract_proof(state, ct, goal))))
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        extracted = extract_proof(state, ct, goal)
+        extract_bytes = tracemalloc.get_traced_memory()[0] - base
+        base = tracemalloc.get_traced_memory()[0]
+        read = derivation_from_json(blob)
+        read_bytes = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    n = len(extracted.ids)
+    assert n == 33_333 and read == extracted
+    assert extract_bytes <= 95 * n
+    assert read_bytes <= 60 * n
 
 
 # --------------------------------------------------------------- entailment
