@@ -334,6 +334,10 @@ _new_node = partial(tuple.__new__, DerivationNode)
 _new_derivation = partial(tuple.__new__, Derivation)
 
 
+# what a judged dict's get returns for a key it does not hold yet
+_UNJUDGED = object()
+
+
 class NodeResult(NamedTuple):
     node_id: int
     ok: bool
@@ -356,6 +360,8 @@ def check_derivation(
     variant: CalculusVariant,
     hyps,
     expected_conclusion: Formula | None = None,
+    *,
+    judged: dict | None = None,
 ) -> Report:
     """Check every node of d under variant's rules from the hypotheses
     hyps, and that the root concludes expected_conclusion when one is
@@ -366,6 +372,17 @@ def check_derivation(
     root) come first and alone: when there is any, the report lists them
     and no node failures. Otherwise each node is judged once, and every
     failing node gets one reason, in document order.
+
+    judged, when given, memoizes rule nodes across calls: it maps the key
+    (variant, rule name, conclusion, premises in order) to the node's
+    reason, or None when the node is an instance of its rule. A rule node
+    whose key is there takes that outcome without matching its rule again,
+    so the report is the one a call without judged gives. Formulas are
+    interned, and a rule judgment depends on those four parts only; the
+    variant is in the key so that one dict shared by several variants
+    never lets a rule into a calculus that lacks it. verify-proof passes
+    one dict for a whole proof document, whose proofs repeat the
+    inferences their queries share.
     """
     _, ids, labels, kinds, rules, counts, flat = d
     structural: list[str] = []
@@ -393,11 +410,21 @@ def check_derivation(
         if kind == "rule":
             if rule is None:
                 reason = "rule node is missing its rule name"
-            else:
+            elif judged is None:
                 fault = match_rule(variant, rule, prems, label)
                 if fault is None:
                     continue
                 reason = "%s: %s" % fault
+            else:
+                key = (variant, rule, label, *prems)
+                reason = judged.get(key, _UNJUDGED)
+                if reason is _UNJUDGED:
+                    fault = match_rule(variant, rule, prems, label)
+                    reason = judged[key] = (
+                        None if fault is None else "%s: %s" % fault
+                    )
+                if reason is None:
+                    continue
         elif kind == "hypothesis":
             if parents:
                 reason = "hypothesis node has parents"

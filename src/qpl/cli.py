@@ -227,8 +227,9 @@ def cmd_verify_proof(args) -> int:
     doc = json.loads(_read_text(args.proof_file))
     variant, hyps, proofs = proof_document_from_json(doc)
     failures = 0
+    judged = {}  # the proofs repeat the inferences their queries share
     for i, (q, d) in enumerate(proofs):
-        rep = check_derivation(d, variant, hyps, q)
+        rep = check_derivation(d, variant, hyps, q, judged=judged)
         if rep.ok:
             continue
         failures += 1

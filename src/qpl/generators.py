@@ -2,8 +2,9 @@
 
 Two-register counter machines and their encoding as bounded-halting
 entailment instances, Horn clause sets with a classical saturation
-oracle, random instances sized to fit the semantic oracle, and the long
-implication chains used for scaling runs.
+oracle, random instances sized to fit the semantic oracle, the long
+implication chains used for scaling runs, and the binary counter whose
+derivation is exponential in its number of quantifiers.
 """
 
 import itertools
@@ -437,3 +438,29 @@ def chain_family(n_symbols: int) -> tuple[list[Formula], Formula]:
     hyps: list[Formula] = [ps[0]]
     hyps.extend(imp(ps[i], ps[i + 1]) for i in range(m))
     return hyps, ps[m]
+
+
+# ------------------------------------------------------- counter family
+
+def counter_family(d: int) -> tuple[list[Formula], Formula]:
+    """The d-bit binary counter over the constants c0 and c1, most
+    significant bit first: the hypothesis C(c0, .., c0), for each bit k the
+    step forall x0 .. x(k-1). C(x0 .. x(k-1), c0, c1 .. c1) -> C(x0 ..
+    x(k-1), c1, c0 .. c0), and the query C(c1, .., c1).
+
+    Deriving the query runs the counter through all 2^d values, so every
+    member of the closure, 3 * 2^d - (d + 2) of them, is derived and in
+    its proof; the input length grows as d^2."""
+    if d < 1:
+        raise ValueError("a counter needs at least one bit")
+    c0, c1 = const("c0"), const("c1")
+    hyps: list[Formula] = [atom("C", *[c0] * d)]
+    for k in range(d):
+        xs = [var(f"x{i}") for i in range(k)]
+        rest = d - k - 1
+        step = imp(atom("C", *xs, c0, *[c1] * rest),
+                   atom("C", *xs, c1, *[c0] * rest))
+        for i in reversed(range(k)):
+            step = forall(f"x{i}", step)
+        hyps.append(step)
+    return hyps, atom("C", *[c1] * d)

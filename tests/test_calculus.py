@@ -8,9 +8,11 @@ import pathlib
 import random
 
 import pytest
+from test_golden import _document as golden_document
 from test_golden import _sessions as golden_sessions
 
 from qpl import calculus as ca
+from qpl import cli
 from qpl.calculus import (
     CalculusVariant as V,
     Derivation,
@@ -22,7 +24,12 @@ from qpl.calculus import (
     match_rule,
 )
 from qpl.engine import Session, entails
-from qpl.generators import chain_family, random_instance
+from qpl.generators import (
+    bounded_halting_instance,
+    chain_family,
+    parse_machine,
+    random_instance,
+)
 from qpl.syntax import (
     VAR,
     Atom,
@@ -561,6 +568,176 @@ def test_columns_round_trip_and_view_on_random_proofs():
             assert check_derivation(back, variant, hypset) == check_derivation(
                 d, variant, hypset
             )
+
+
+# ---------------------------------------- one judgment per repeated inference
+
+def _counter_document(t=12):
+    """The proof document of the counter machine state 0: inc 1 -> 0 at
+    bound t, with one query per configuration its run visits, K0(n0, n0)
+    .. K0(nt, n0): each proof repeats every inference of the one before."""
+    hyps, _ = bounded_halting_instance(parse_machine("state 0: inc 1 -> 0"), t)
+    queries = [atom("K0", const(f"n{k}"), const("n0")) for k in range(t + 1)]
+    return golden_document(Session(hyps, queries, V.QPL))[0]
+
+
+def _shared_documents():
+    """(name, proof document) of every golden session with two or more
+    entailed queries, and of the counter machine."""
+    for name, hyps, queries, variant in golden_sessions():
+        doc = golden_document(Session(hyps, queries, variant))[0]
+        if len(doc["proofs"]) >= 2:
+            yield name, doc
+    yield "counter/t12", _counter_document()
+
+
+def _reports(doc, judged):
+    variant, hyps, proofs = ca.proof_document_from_json(doc)
+    return [check_derivation(d, variant, hyps, q, judged=judged)
+            for q, d in proofs]
+
+
+def _rule_nodes(doc) -> dict:
+    """(rule, label row, parent label rows) -> the (proof index, node
+    index) of every rule node of doc with that inference, in document
+    order."""
+    held = {}
+    for i, entry in enumerate(doc["proofs"]):
+        blob = entry["derivation"]
+        label_of = dict(zip(blob["id"], blob["label"]))
+        j = 0
+        for at, (kind, rule, k) in enumerate(
+            zip(blob["kind"], blob["rule"], blob["premises"])
+        ):
+            parents = blob["parents"][j:j + k]
+            j += k
+            if kind == "rule":
+                key = (rule, blob["label"][at], *map(label_of.get, parents))
+                held.setdefault(key, []).append((i, at))
+    return held
+
+
+def _mutants(doc):
+    """(what, copy of doc, holders): one inference that several proofs
+    hold, changed so that the node fails, first in every node that holds
+    it and then in the last holder only, where the clean copies in earlier
+    proofs are judged first; a rule name replaced, an ImpE's two parents
+    swapped, the label pointed at another row, the last parent dropped."""
+    held = _rule_nodes(doc)
+    # the inferences several proofs hold, those held most often first
+    shared = sorted((key for key in held if len(held[key]) > 1),
+                    key=lambda key: -len(held[key]))
+    if not shared:
+        return
+    rows = ca._table_rows(doc)
+    variant = V.from_name(doc["variant"])
+    label_rows = sorted({r for e in doc["proofs"] for r in e["derivation"]["label"]})
+
+    def faults(rule, label, parents):
+        return match_rule(variant, rule, [rows[r] for r in parents],
+                          rows[label]) is not None
+
+    def changed(what, key, change):
+        for holders in (held[key], held[key][-1:]):
+            copy = json.loads(json.dumps(doc))
+            for i, at in holders:
+                blob = copy["proofs"][i]["derivation"]
+                j = sum(blob["premises"][:at])
+                change(blob, at, j)
+            yield what, copy, holders
+
+    rule, label, *parents = key = shared[0]
+    name = next(
+        n for n in sorted(ca.RULES, key=lambda n: ca.RULES[n][1] != len(parents))
+        if n != rule and faults(n, label, parents)
+    )
+    other = next(r for r in label_rows if r != label and faults(rule, r, parents))
+
+    def rename(blob, at, j):
+        blob["rule"][at] = name
+
+    def relabel(blob, at, j):
+        blob["label"][at] = other
+
+    yield from changed("rule name", key, rename)
+    yield from changed("label", key, relabel)
+    dropped = next((k for k in shared if len(k) > 2), None)
+    if dropped is not None:
+        def drop(blob, at, j):
+            blob["premises"][at] -= 1
+            del blob["parents"][j + blob["premises"][at]]
+
+        yield from changed("dropped parent", dropped, drop)
+    imp_e = next((k for k in shared if k[0] == "ImpE"), None)
+    if imp_e is not None:
+        def swap(blob, at, j):
+            ps = blob["parents"]
+            ps[j], ps[j + 1] = ps[j + 1], ps[j]
+
+        yield from changed("swapped parents", imp_e, swap)
+
+
+def test_shared_judgments_give_the_reports_of_separate_ones():
+    # one judged dict for a whole document gives every proof the report it
+    # gets alone, on clean documents and on mutants of an inference that
+    # several proofs hold: each holder reports it, under its own node id
+    kinds = set()
+    for name, doc in _shared_documents():
+        clean = _reports(doc, None)
+        assert all(rep.ok for rep in clean), name
+        assert _reports(doc, {}) == clean, name
+        for what, mutant, holders in _mutants(doc):
+            kinds.add(what)
+            alone = _reports(mutant, None)
+            assert _reports(mutant, {}) == alone, (name, what)
+            reasons = set()
+            for i, at in holders:
+                nid = mutant["proofs"][i]["derivation"]["id"][at]
+                failed = {f.node_id: f.reason for f in alone[i].failures}
+                assert nid in failed, (name, what, i)
+                reasons.add(failed[nid])
+            assert len(reasons) == 1, (name, what)
+    assert kinds == {"rule name", "label", "dropped parent", "swapped parents"}
+
+
+def test_judged_outcomes_stay_within_their_variant():
+    # a ForallE judged under qpl is not carried into pfqpl, which lacks it
+    hyps, query = [forall("x", atom("P", x))], atom("P", c)
+    proof = entails(hyps, query, V.QPL).proof
+    judged = {}
+    assert check_derivation(proof, V.QPL, hyps, query, judged=judged).ok
+    alone = check_derivation(proof, V.PFQPL, hyps, query)
+    assert [f.reason for f in alone.failures] == [
+        "unknown_rule: rule ForallE is not part of the pfqpl calculus"
+    ]
+    assert check_derivation(proof, V.PFQPL, hyps, query, judged=judged) == alone
+
+
+def test_verify_proof_matches_each_distinct_inference_once(
+    tmp_path, monkeypatch, capsys
+):
+    # the document of the queries benchmark: the 4-state machine at t=6,
+    # whose 10 proofs hold 280 nodes but far fewer distinct inferences
+    doc = next(
+        golden_document(Session(hyps, queries, variant))[0]
+        for name, hyps, queries, variant in golden_sessions()
+        if name == "machine/t6"
+    )
+    held = _rule_nodes(doc)
+    assert sum(len(e["derivation"]["id"]) for e in doc["proofs"]) == 280
+    assert sum(map(len, held.values())) > 5 * len(held)
+    path = tmp_path / "proof.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+
+    def counted(variant, rule, ps, conclusion):
+        calls.append((rule, conclusion, *ps))
+        return match_rule(variant, rule, ps, conclusion)
+
+    monkeypatch.setattr(ca, "match_rule", counted)
+    assert cli.main(["verify-proof", str(path)]) == 0
+    assert capsys.readouterr().out == "ok: 10 proof(s) verified\n"
+    assert len(calls) == len(set(calls)) == len(held)
 
 
 # ------------------------------------------------------------ serialization

@@ -19,6 +19,7 @@ from qpl.generators import (
     bounded_halting_instance,
     chain_family,
     classical_horn_bottom,
+    counter_family,
     encode_phi,
     machine_to_text,
     parse_machine,
@@ -504,3 +505,31 @@ def test_chain_family_entailed():
 def test_chain_family_breaks_without_head():
     hyps, query = chain_family(200)
     assert not entails(hyps[1:], query, V.PFQPL).entailed
+
+
+# ---------------------------------------------------------- counter family
+
+def test_counter_family_layout():
+    hyps, query = counter_family(3)
+    assert [render(h) for h in hyps] == [
+        "C(c0, c0, c0)",
+        "C(c0, c1, c1) -> C(c1, c0, c0)",
+        "forall x0. C(x0, c0, c1) -> C(x0, c1, c0)",
+        "forall x0. forall x1. C(x0, x1, c0) -> C(x0, x1, c1)",
+    ]
+    assert render(query) == "C(c1, c1, c1)"
+    with pytest.raises(ValueError):
+        counter_family(0)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_counter_family_derives_its_whole_closure(d):
+    # the counter visits all 2^d values, so every closure member is derived
+    # and cited by the proof, which has one node per member
+    hyps, query = counter_family(d)
+    v = entails(hyps, query, V.QPL)
+    n = len(v.closure_table.universe)
+    assert n == 3 * 2 ** d - (d + 2)
+    assert v.entailed and v.stats["derived_count"] == n
+    assert len(v.proof.ids) == n
+    assert check_derivation(v.proof, V.QPL, hyps, query).ok
