@@ -381,8 +381,9 @@ def check_derivation(
     interned, and a rule judgment depends on those four parts only; the
     variant is in the key so that one dict shared by several variants
     never lets a rule into a calculus that lacks it. verify-proof passes
-    one dict for a whole proof document, whose proofs repeat the
-    inferences their queries share.
+    one dict for a document of two or more proofs, which repeat the
+    inferences their queries share; a single proof as the engine writes
+    it has one node per member and repeats none, so it gets no dict.
     """
     _, ids, labels, kinds, rules, counts, flat = d
     structural: list[str] = []

@@ -227,7 +227,10 @@ def cmd_verify_proof(args) -> int:
     doc = json.loads(_read_text(args.proof_file))
     variant, hyps, proofs = proof_document_from_json(doc)
     failures = 0
-    judged = {}  # the proofs repeat the inferences their queries share
+    # the proofs of one document repeat the inferences their queries
+    # share; a single proof, as the engine writes it, has one node per
+    # member and repeats none, so it is judged without the memo
+    judged = {} if len(proofs) > 1 else None
     for i, (q, d) in enumerate(proofs):
         rep = check_derivation(d, variant, hyps, q, judged=judged)
         if rep.ok:

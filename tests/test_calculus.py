@@ -740,6 +740,31 @@ def test_verify_proof_matches_each_distinct_inference_once(
     assert len(calls) == len(set(calls)) == len(held)
 
 
+def test_verify_proof_shares_a_memo_only_across_proofs(tmp_path, monkeypatch):
+    # a document of two or more proofs gets one judged dict for all of
+    # them; a single proof repeats no inference and is judged without one
+    memos = []
+
+    def recorded(*args, judged):
+        memos.append(judged)
+        return check_derivation(*args, judged=judged)
+
+    monkeypatch.setattr(cli, "check_derivation", recorded)
+    path = tmp_path / "proof.json"
+    single = Session([conj(p, q)], [conj(q, p)], V.ORIGINAL)
+    for doc, proofs in ((_counter_document(), 13),
+                        (golden_document(single)[0], 1)):
+        memos.clear()
+        path.write_text(json.dumps(doc))
+        assert cli.main(["verify-proof", str(path)]) == 0
+        assert len(memos) == proofs
+        if proofs == 1:
+            assert memos == [None]
+        else:
+            assert isinstance(memos[0], dict) and memos[0]
+            assert all(m is memos[0] for m in memos)
+
+
 # ------------------------------------------------------------ serialization
 
 def _sample_derivation():
