@@ -19,8 +19,9 @@ hand-made nodes. JSON columns are the one shape read: a derivation
 written before formula tables, with rendered labels, is refused.
 
 The proof document format lives here too, as one writer and one reader
-(proof_document_to_json, proof_document_from_json): the hyps, the queries
-and every derivation of a document cite the rows of its one table.
+(proof_document_to_json, proof_document_from_json): one node table, a
+session's derivation DAG, with a (query, root) pair per proof, and one
+formula table whose rows the hyps, the queries and the labels cite.
 """
 
 from __future__ import annotations
@@ -334,10 +335,6 @@ _new_node = partial(tuple.__new__, DerivationNode)
 _new_derivation = partial(tuple.__new__, Derivation)
 
 
-# what a judged dict's get returns for a key it does not hold yet
-_UNJUDGED = object()
-
-
 class NodeResult(NamedTuple):
     node_id: int
     ok: bool
@@ -360,8 +357,6 @@ def check_derivation(
     variant: CalculusVariant,
     hyps,
     expected_conclusion: Formula | None = None,
-    *,
-    judged: dict | None = None,
 ) -> Report:
     """Check every node of d under variant's rules from the hypotheses
     hyps, and that the root concludes expected_conclusion when one is
@@ -372,18 +367,6 @@ def check_derivation(
     root) come first and alone: when there is any, the report lists them
     and no node failures. Otherwise each node is judged once, and every
     failing node gets one reason, in document order.
-
-    judged, when given, memoizes rule nodes across calls: it maps the key
-    (variant, rule name, conclusion, premises in order) to the node's
-    reason, or None when the node is an instance of its rule. A rule node
-    whose key is there takes that outcome without matching its rule again,
-    so the report is the one a call without judged gives. Formulas are
-    interned, and a rule judgment depends on those four parts only; the
-    variant is in the key so that one dict shared by several variants
-    never lets a rule into a calculus that lacks it. verify-proof passes
-    one dict for a document of two or more proofs, which repeat the
-    inferences their queries share; a single proof as the engine writes
-    it has one node per member and repeats none, so it gets no dict.
     """
     _, ids, labels, kinds, rules, counts, flat = d
     structural: list[str] = []
@@ -411,21 +394,11 @@ def check_derivation(
         if kind == "rule":
             if rule is None:
                 reason = "rule node is missing its rule name"
-            elif judged is None:
+            else:
                 fault = match_rule(variant, rule, prems, label)
                 if fault is None:
                     continue
                 reason = "%s: %s" % fault
-            else:
-                key = (variant, rule, label, *prems)
-                reason = judged.get(key, _UNJUDGED)
-                if reason is _UNJUDGED:
-                    fault = match_rule(variant, rule, prems, label)
-                    reason = judged[key] = (
-                        None if fault is None else "%s: %s" % fault
-                    )
-                if reason is None:
-                    continue
         elif kind == "hypothesis":
             if parents:
                 reason = "hypothesis node has parents"
@@ -476,7 +449,7 @@ def check_derivation(
 # ------------------------------------------------------------ serialization
 
 WRITTEN_BEFORE_TABLES = (
-    "proof written before formula tables; re-run qpl prove or "
+    "proof written in an older format; re-run qpl prove or "
     "qpl check --proof to write it again"
 )
 _NODE_KINDS = ("hypothesis", "axiom", "rule")
@@ -590,9 +563,8 @@ class FormulaTable:
 
 
 def _node_columns(d: Derivation, table: FormulaTable) -> dict:
-    """d's root and node columns, its labels written as rows of table."""
+    """d's node columns, its labels written as rows of table."""
     return {
-        "root": d.root,
         "id": list(d.ids),
         "label": table.rows(d.labels),
         "kind": list(d.kinds),
@@ -611,6 +583,7 @@ def derivation_to_json(d: Derivation) -> dict:
     """
     table = FormulaTable()
     doc = _node_columns(d, table)
+    doc["root"] = d.root
     doc["names"] = table.names
     doc["formulas"] = table.formulas
     return doc
@@ -618,21 +591,24 @@ def derivation_to_json(d: Derivation) -> dict:
 
 @gc_paused
 def proof_document_to_json(variant: CalculusVariant, hyps, vars, proofs) -> dict:
-    """The proof document of proofs, a list of (query, derivation) pairs
-    from hyps in variant; vars names the variables that may occur free in
-    the hyps, the queries and the labels. The hyps, each query and every
-    label cite rows of the document's one formula table (names and
-    formulas), so each derivation is its node columns only.
-    """
+    """The proof document of proofs, (query, derivation) pairs from hyps
+    in variant whose derivations share their node columns, as a Session's
+    do: it holds the columns once, each proof as its query and root, and
+    one formula table whose rows the hyps, queries and labels cite. vars
+    names the variables that may occur free in them."""
+    d = proofs[0][1] if proofs else Derivation.of_nodes(-1, ())
+    if any(p[1:] != d[1:] for _, p in proofs):
+        raise ValueError("the proofs of one document must share one node table")
     table = FormulaTable()
     hyp_rows = table.rows(hyps)
     entries = [
-        {"query": table.rows([query])[0], "derivation": _node_columns(d, table)}
-        for query, d in proofs
+        {"query": row, "root": p.root}
+        for row, (_, p) in zip(table.rows([q for q, _ in proofs]), proofs)
     ]
     return {
         "variant": variant.cli_name,
         "vars": sorted(vars),
+        **_node_columns(d, table),
         "names": table.names,
         "formulas": table.formulas,
         "hyps": hyp_rows,
@@ -800,27 +776,19 @@ def derivation_from_json(obj, declared_vars=()) -> Derivation:
     A derivation written before formula tables holds a 'nodes' array of
     rendered labels instead; it is refused with WRITTEN_BEFORE_TABLES.
     """
-    return _derivation_from_rows(obj, None, frozenset(declared_vars))
-
-
-def _derivation_from_rows(
-    obj, rows: list | None, declared: frozenset
-) -> Derivation:
-    """The derivation obj, whose labels cite rows, or its own formula table
-    when rows is None; derivation_from_json says what is checked."""
     if not isinstance(obj, dict):
         raise ValueError("derivation must be a JSON object")
     if "nodes" in obj:
         raise ValueError(WRITTEN_BEFORE_TABLES)
     if type(obj.get("root")) is not int:  # bool is an int subclass
         raise ValueError("derivation needs an integer 'root'")
-    if rows is None:
-        rows = _table_rows(obj)
-    elif "formulas" in obj or "names" in obj:
-        raise ValueError(
-            "derivation carries its own 'names' or 'formulas', but one in a "
-            "proof document cites the document's table"
-        )
+    rows = _table_rows(obj)
+    return _derivation_from_rows(obj, rows, frozenset(declared_vars), obj["root"])
+
+
+def _derivation_from_rows(obj, rows: list, declared: frozenset, root: int):
+    """The derivation of root and obj's node columns, whose labels cite
+    rows; derivation_from_json says what is checked."""
     columns = ids, label, kind, rule, premises, parents = [
         obj.get(key) for key in _COLUMNS
     ]
@@ -857,27 +825,29 @@ def _derivation_from_rows(
         for f in labels:
             if not f.free <= declared:
                 raise ValueError(_undeclared("'label'", f.free - declared))
-    return _new_derivation((obj["root"], tuple(ids), labels, tuple(kind),
+    return _new_derivation((root, tuple(ids), labels, tuple(kind),
                             tuple(rule), tuple(premises), tuple(parents)))
 
 
 @gc_paused
-def proof_document_from_json(doc) -> tuple[CalculusVariant, list, list]:
+def proof_document_from_json(doc) -> tuple[CalculusVariant, list, Derivation, list]:
     """Read a proof document back from proof_document_to_json's shape, as
-    (variant, hyps, proofs), where proofs lists (query or None, Derivation)
-    pairs in document order.
+    (variant, hyps, d, proofs): d is the node table, rooted at the last
+    proof's root (-1 without proofs), and proofs lists (query, root) pairs.
 
     The whole document is read before any proof is judged, so a malformed
     one raises a ValueError and no verdict is due. A fault in proof i's
-    query or derivation is prefixed "proof i: ". A derivation cites the
-    document's table; one that carries its own is refused.
+    query or root is prefixed "proof i: ". An older shape, without a
+    formula table or with a derivation per proof, is refused.
     """
     if not isinstance(doc, dict):
         raise ValueError("proof document must be a JSON object")
     for key in ("hyps", "proofs"):
         if not isinstance(doc.get(key), list):
             raise ValueError(f"proof document needs a {key!r} array")
-    if "formulas" not in doc:
+    if "formulas" not in doc or any(
+        isinstance(e, dict) and "derivation" in e for e in doc["proofs"]
+    ):
         raise ValueError(WRITTEN_BEFORE_TABLES)
     declared = doc.get("vars", [])
     if not isinstance(declared, list):
@@ -893,18 +863,13 @@ def proof_document_from_json(doc) -> tuple[CalculusVariant, list, list]:
     hyps = _cited_formulas(rows, doc["hyps"], declared, "'hyps'")
     proofs = []
     for i, entry in enumerate(doc["proofs"]):
-        if not isinstance(entry, dict) or "derivation" not in entry:
-            raise ValueError(f"proof {i}: missing 'derivation'")
-        query = entry.get("query")
-        if query is not None:
-            (query,) = _cited_formulas(rows, [query], declared,
-                                       f"proof {i}: 'query'")
-        try:
-            d = _derivation_from_rows(entry["derivation"], rows, declared)
-        except ValueError as e:
-            raise ValueError(f"proof {i}: {e}") from None
-        proofs.append((query, d))
-    return variant, hyps, proofs
+        if not isinstance(entry, dict) or type(entry.get("root")) is not int:
+            raise ValueError(f"proof {i}: needs an integer 'root'")
+        (query,) = _cited_formulas(rows, [entry.get("query")], declared,
+                                   f"proof {i}: 'query'")
+        proofs.append((query, entry["root"]))
+    root = proofs[-1][1] if proofs else -1
+    return variant, hyps, _derivation_from_rows(doc, rows, declared, root), proofs
 
 
 @gc_paused

@@ -4,7 +4,7 @@ Subcommands bind the library modules to problem files: check and prove
 decide entailment and emit derivations or countermodels (check decides
 all its queries in one engine Session), closure and oracle expose the
 universe construction and the semantic brute-force check,
-verify-proof replays serialized derivations, algebra compares
+verify-proof replays a proof document's one node table, algebra compares
 information terms, and gen produces reproducible instance suites.
 Every JSON document printed (--json) or written (--proof, --countermodel)
 is compact, one line with sorted keys, so it is byte-deterministic. The
@@ -22,7 +22,7 @@ import functools
 import json
 import random
 import sys
-from itertools import accumulate, islice
+from itertools import accumulate, compress, islice
 
 from .algebra import parse_term, render_term, term_geq
 from .calculus import (
@@ -225,28 +225,54 @@ def cmd_prove(args) -> int:
 
 def cmd_verify_proof(args) -> int:
     doc = json.loads(_read_text(args.proof_file))
-    variant, hyps, proofs = proof_document_from_json(doc)
+    variant, hyps, d, proofs = proof_document_from_json(doc)
+    # one pass judges every node of the shared table; d's root is the last
+    # proof's (-1 when there is none, whose structural error fails none)
+    rep = check_derivation(d, variant, hyps)
+    roots = {root for _, root in proofs}
+    label_at = dict(compress(zip(d.ids, d.labels), map(roots.__contains__, d.ids)))
+    # a structural error, a root that is no node among them, fails every proof
+    structural = rep.structural_errors or [
+        f"root {root} is not a node" for root in sorted(roots - label_at.keys())
+    ]
+    if structural:
+        faults = [structural] * len(proofs)
+    else:
+        faults = _node_faults(d, rep.failures, proofs)
+        for (query, root), own in zip(proofs, faults):
+            if label_at[root] is not query:
+                own.append("conclusion differs from query")
     failures = 0
-    # the proofs of one document repeat the inferences their queries
-    # share; a single proof, as the engine writes it, has one node per
-    # member and repeats none, so it is judged without the memo
-    judged = {} if len(proofs) > 1 else None
-    for i, (q, d) in enumerate(proofs):
-        rep = check_derivation(d, variant, hyps, q, judged=judged)
-        if rep.ok:
-            continue
-        failures += 1
-        for msg in rep.structural_errors:
+    for i, own in enumerate(faults):
+        failures += bool(own)
+        for msg in own:
             print(f"proof {i}: {msg}", file=sys.stderr)
-        for nr in rep.failures:
-            print(f"proof {i}: node {nr.node_id}: {nr.reason}", file=sys.stderr)
-        if not rep.conclusion_ok:
-            print(f"proof {i}: conclusion differs from query", file=sys.stderr)
     if failures:
         print(f"{failures} of {len(proofs)} proofs failed", file=sys.stderr)
         return 1
     print(f"ok: {len(proofs)} proof(s) verified")
     return 0
+
+
+def _node_faults(d, failures, proofs) -> list[list[str]]:
+    """The failing nodes' messages per proof, in document order: under
+    every proof whose root reaches the node, or every proof if none does.
+    Walked only when a node failed, so a passing document pays nothing."""
+    reached = [set() for _ in proofs]
+    if failures:
+        at = {nid: i for i, nid in enumerate(d.ids)}
+        starts = list(accumulate(d.premises, initial=0))
+        for (_, root), seen in zip(proofs, reached):
+            stack = [root] if root in at else []
+            while stack:
+                nid = stack.pop()
+                if nid not in seen:
+                    seen.add(nid)
+                    stack += d.parents[starts[at[nid]]:starts[at[nid] + 1]]
+    anywhere = set().union(*reached)
+    return [[f"node {nr.node_id}: {nr.reason}" for nr in failures
+             if nr.node_id in seen or nr.node_id not in anywhere]
+            for seen in reached]
 
 
 # -------------------------------------------------------------- closure

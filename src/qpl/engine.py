@@ -22,8 +22,9 @@ calculus.Derivation, building no per-node object.
 A Session is the one owner of a problem's closure, compiled rules and
 fixpoint: it builds the closure over the hypotheses and every query at
 once, compiles the rules over it once, saturates once, and hands out each
-query's verdict and proof from that shared state. entails is the
-one-query wrapper over it.
+query's verdict and proof from that shared state: one derivation DAG,
+with a node per member, holds every proof, each rooted at its query's
+node. entails is the one-query wrapper over it.
 """
 
 from __future__ import annotations
@@ -340,13 +341,20 @@ class Session:
 
     @gc_paused
     def verdicts(self, *, with_proof: bool = True) -> list[Verdict]:
-        """One verdict per query, in query order."""
+        """One verdict per query, in query order; the proofs share one DAG."""
         ct, state = self.closure_table, self.state
+        entailed = [q for q in self.queries if state.derived[ct.index[q]]]
+        proofs = {}
+        if with_proof and entailed:
+            *others, last = entailed
+            dag = proofs[last] = extract_proof(state, ct, *entailed)
+            if others:  # a member labels one node, so a label finds its node
+                node_of = dict(zip(dag.labels, dag.ids))
+                proofs.update((q, dag._replace(root=node_of[q])) for q in others)
         out = []
         for q in self.queries:
             ok = state.derived[ct.index[q]] == 1
-            proof = extract_proof(state, ct, q) if ok and with_proof else None
-            out.append(Verdict(ok, proof, self.stats, ct, self.hyps, q, self))
+            out.append(Verdict(ok, proofs.get(q), self.stats, ct, self.hyps, q, self))
         return out
 
 
@@ -363,19 +371,20 @@ def entails(
 
 
 def extract_proof(
-    state: SaturationState, ct: ClosureTable, target: Formula
+    state: SaturationState, ct: ClosureTable, *targets: Formula
 ) -> Derivation:
     """Read one derivation DAG out of the state's provenance columns into
-    the derivation's node columns, with node i's id i.
+    the derivation's node columns, with node i's id i: the proofs of
+    targets in turn, rooted at the last target's node.
 
-    Nodes come out in post-order (premises before conclusions, root last)
-    and shared subderivations appear once. The walk visits a formula with
-    premises twice: its id first, then ~id (negative) once its premises
-    are done.
+    Nodes come out in post-order (premises before conclusions) and shared
+    subderivations appear once. The walk visits a formula with premises
+    twice: its id first, then ~id (negative) once its premises are done.
     """
-    tid = ct.index.get(target, -1)
-    if tid < 0 or not state.derived[tid]:
-        raise ValueError("target is not derived in this state")
+    stack = [ct.index.get(t, -1) for t in reversed(targets)]
+    if not (stack and min(stack) >= 0 and all(map(state.derived.__getitem__, stack))):
+        raise ValueError("targets must be derived in this state")
+    tid = stack[0]  # the last target
     why, why1, why2 = state.rule, state.premise1, state.premise2
     universe = ct.universe
     # member id -> node id, its position; in node order, so its values are
@@ -386,7 +395,6 @@ def extract_proof(
     rules: list[str | None] = []
     counts: list[int] = []
     parents: list[int] = []
-    stack = [tid]
     while stack:
         fid = stack.pop()
         if fid < 0:

@@ -23,7 +23,7 @@ from qpl.calculus import (
     derivation_to_json,
     match_rule,
 )
-from qpl.engine import Session, entails
+from qpl.engine import Session, entails, extract_proof
 from qpl.generators import (
     bounded_halting_instance,
     chain_family,
@@ -570,162 +570,179 @@ def test_columns_round_trip_and_view_on_random_proofs():
             )
 
 
-# ---------------------------------------- one judgment per repeated inference
+# ------------------------------------------------ one proof DAG per session
 
-def _counter_document(t=12):
-    """The proof document of the counter machine state 0: inc 1 -> 0 at
-    bound t, with one query per configuration its run visits, K0(n0, n0)
-    .. K0(nt, n0): each proof repeats every inference of the one before."""
+def _counter_session(t=12):
+    """The counter machine state 0: inc 1 -> 0 at bound t, with one query
+    per configuration its run visits, K0(n0, n0) .. K0(nt, n0): the proof
+    of each query holds every inference of the one before."""
     hyps, _ = bounded_halting_instance(parse_machine("state 0: inc 1 -> 0"), t)
     queries = [atom("K0", const(f"n{k}"), const("n0")) for k in range(t + 1)]
-    return golden_document(Session(hyps, queries, V.QPL))[0]
+    return Session(hyps, queries, V.QPL)
 
 
-def _shared_documents():
-    """(name, proof document) of every golden session with two or more
-    entailed queries, and of the counter machine."""
+def _shared_sessions():
+    """(name, session) of every golden session with two or more entailed
+    queries, and of the counter machine."""
     for name, hyps, queries, variant in golden_sessions():
-        doc = golden_document(Session(hyps, queries, variant))[0]
-        if len(doc["proofs"]) >= 2:
-            yield name, doc
-    yield "counter/t12", _counter_document()
+        session = Session(hyps, queries, variant)
+        if sum(v.entailed for v in session.verdicts(with_proof=False)) >= 2:
+            yield name, session
+    yield "counter/t12", _counter_session()
 
 
-def _reports(doc, judged):
-    variant, hyps, proofs = ca.proof_document_from_json(doc)
-    return [check_derivation(d, variant, hyps, q, judged=judged)
-            for q, d in proofs]
+def _alone(session):
+    """(query, proof) of each entailed query, each proof extracted on its
+    own."""
+    state, ct = session.state, session.closure_table
+    return [(v.query, extract_proof(state, ct, v.query))
+            for v in session.verdicts(with_proof=False) if v.entailed]
 
 
-def _rule_nodes(doc) -> dict:
-    """(rule, label row, parent label rows) -> the (proof index, node
-    index) of every rule node of doc with that inference, in document
-    order."""
+def _put(column, i, *values):
+    """column with its entry i replaced by values."""
+    return (*column[:i], *values, *column[i + 1:])
+
+
+def _node_changes(session, alone):
+    """(label, what, change): change(d, i) is d with its node i, labeled
+    label, changed so that the node fails. The node is the rule node of
+    the member that most of alone's proofs hold, if two or more do (the
+    most held ImpE's for the swap): its rule name replaced, its label
+    replaced, its last parent dropped, its two parents swapped."""
     held = {}
-    for i, entry in enumerate(doc["proofs"]):
-        blob = entry["derivation"]
-        label_of = dict(zip(blob["id"], blob["label"]))
-        j = 0
-        for at, (kind, rule, k) in enumerate(
-            zip(blob["kind"], blob["rule"], blob["premises"])
-        ):
-            parents = blob["parents"][j:j + k]
-            j += k
+    for _, d in alone:
+        for label, kind in zip(d.labels, d.kinds):
             if kind == "rule":
-                key = (rule, blob["label"][at], *map(label_of.get, parents))
-                held.setdefault(key, []).append((i, at))
-    return held
-
-
-def _mutants(doc):
-    """(what, copy of doc, holders): one inference that several proofs
-    hold, changed so that the node fails, first in every node that holds
-    it and then in the last holder only, where the clean copies in earlier
-    proofs are judged first; a rule name replaced, an ImpE's two parents
-    swapped, the label pointed at another row, the last parent dropped."""
-    held = _rule_nodes(doc)
-    # the inferences several proofs hold, those held most often first
-    shared = sorted((key for key in held if len(held[key]) > 1),
-                    key=lambda key: -len(held[key]))
+                held[label] = held.get(label, 0) + 1
+    # the members several proofs hold, those held most often first
+    shared = sorted((f for f in held if held[f] > 1), key=lambda f: -held[f])
     if not shared:
         return
-    rows = ca._table_rows(doc)
-    variant = V.from_name(doc["variant"])
-    label_rows = sorted({r for e in doc["proofs"] for r in e["derivation"]["label"]})
+    dag = next(v.proof for v in session.verdicts() if v.entailed)
+    rule_of = dict(zip(dag.labels, dag.rules))
+    label = shared[0]
+    rule = rule_of[label]
 
-    def faults(rule, label, parents):
-        return match_rule(variant, rule, [rows[r] for r in parents],
-                          rows[label]) is not None
+    def faults(d, i, name, conclusion):
+        start = sum(d.premises[:i])
+        ps = [d.labels[d.ids.index(pid)]
+              for pid in d.parents[start:start + d.premises[i]]]
+        return match_rule(session.variant, name, ps, conclusion) is not None
 
-    def changed(what, key, change):
-        for holders in (held[key], held[key][-1:]):
-            copy = json.loads(json.dumps(doc))
-            for i, at in holders:
-                blob = copy["proofs"][i]["derivation"]
-                j = sum(blob["premises"][:at])
-                change(blob, at, j)
-            yield what, copy, holders
+    def rename(d, i):
+        name = next(n for n in ca.RULES
+                    if n != rule and faults(d, i, n, d.labels[i]))
+        return d._replace(rules=_put(d.rules, i, name))
 
-    rule, label, *parents = key = shared[0]
-    name = next(
-        n for n in sorted(ca.RULES, key=lambda n: ca.RULES[n][1] != len(parents))
-        if n != rule and faults(n, label, parents)
-    )
-    other = next(r for r in label_rows if r != label and faults(rule, r, parents))
+    def relabel(d, i):
+        other = next(f for f in dag.labels if faults(d, i, rule, f))
+        return d._replace(labels=_put(d.labels, i, other))
 
-    def rename(blob, at, j):
-        blob["rule"][at] = name
+    def drop(d, i):
+        end = sum(d.premises[:i + 1])
+        return d._replace(premises=_put(d.premises, i, d.premises[i] - 1),
+                          parents=_put(d.parents, end - 1))
 
-    def relabel(blob, at, j):
-        blob["label"][at] = other
+    def swap(d, i):
+        start = sum(d.premises[:i])
+        a, b = d.parents[start:start + 2]
+        return d._replace(parents=(*d.parents[:start], b, a,
+                                   *d.parents[start + 2:]))
 
-    yield from changed("rule name", key, rename)
-    yield from changed("label", key, relabel)
-    dropped = next((k for k in shared if len(k) > 2), None)
-    if dropped is not None:
-        def drop(blob, at, j):
-            blob["premises"][at] -= 1
-            del blob["parents"][j + blob["premises"][at]]
-
-        yield from changed("dropped parent", dropped, drop)
-    imp_e = next((k for k in shared if k[0] == "ImpE"), None)
+    yield label, "rule name", rename
+    yield label, "label", relabel
+    yield label, "dropped parent", drop
+    imp_e = next((f for f in shared if rule_of[f] == "ImpE"), None)
     if imp_e is not None:
-        def swap(blob, at, j):
-            ps = blob["parents"]
-            ps[j], ps[j + 1] = ps[j + 1], ps[j]
-
-        yield from changed("swapped parents", imp_e, swap)
+        yield imp_e, "swapped parents", swap
 
 
-def test_shared_judgments_give_the_reports_of_separate_ones():
-    # one judged dict for a whole document gives every proof the report it
-    # gets alone, on clean documents and on mutants of an inference that
-    # several proofs hold: each holder reports it, under its own node id
+def _changed(d, label, change):
+    """d with change applied to the node labeled label, if d has one."""
+    return change(d, d.labels.index(label)) if label in d.labels else d
+
+
+def _failed_in_document(session, change, label, tmp_path, capsys):
+    """Which proofs of session's proof document verify-proof fails, after
+    change (or none) is applied to the node labeled label in its table."""
+    pairs = [(v.query, v.proof) for v in session.verdicts() if v.entailed]
+    dag = pairs[0][1]
+    if change is not None:
+        dag = _changed(dag, label, change)
+    pairs = [(q, dag._replace(root=d.root)) for q, d in pairs]
+    names = [t.name for t in session.closure_table.params if t.kind == VAR]
+    doc = ca.proof_document_to_json(session.variant, session.hyps, names, pairs)
+    path = tmp_path / "proof.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["verify-proof", str(path)])
+    out, err = capsys.readouterr()
+    prefixes = {line.partition(": ")[0] for line in err.splitlines()}
+    failed = [f"proof {i}" in prefixes for i in range(len(pairs))]
+    assert code == (1 if any(failed) else 0)
+    assert out == ("" if any(failed) else f"ok: {len(pairs)} proof(s) verified\n")
+    return failed
+
+
+def test_shared_judgments_give_the_reports_of_separate_ones(tmp_path, capsys):
+    # each proof of a session's document, which holds every member once,
+    # passes or fails as that query's proof extracted on its own does under
+    # check_derivation: on clean documents, and on mutants of a node that
+    # several proofs hold, which fail every such proof and no other
     kinds = set()
-    for name, doc in _shared_documents():
-        clean = _reports(doc, None)
-        assert all(rep.ok for rep in clean), name
-        assert _reports(doc, {}) == clean, name
-        for what, mutant, holders in _mutants(doc):
+    for name, session in _shared_sessions():
+        alone = _alone(session)
+        hyps, variant = session.hyps, session.variant
+        assert _failed_in_document(session, None, None, tmp_path, capsys) == [
+            False
+        ] * len(alone), name
+        for label, what, change in _node_changes(session, alone):
             kinds.add(what)
-            alone = _reports(mutant, None)
-            assert _reports(mutant, {}) == alone, (name, what)
-            reasons = set()
-            for i, at in holders:
-                nid = mutant["proofs"][i]["derivation"]["id"][at]
-                failed = {f.node_id: f.reason for f in alone[i].failures}
-                assert nid in failed, (name, what, i)
-                reasons.add(failed[nid])
-            assert len(reasons) == 1, (name, what)
+            want = [
+                not check_derivation(_changed(d, label, change), variant, hyps,
+                                     q).ok
+                for q, d in alone
+            ]
+            assert want == [label in d.labels for _, d in alone], (name, what)
+            got = _failed_in_document(session, change, label, tmp_path, capsys)
+            assert got == want, (name, what)
     assert kinds == {"rule name", "label", "dropped parent", "swapped parents"}
 
 
-def test_judged_outcomes_stay_within_their_variant():
-    # a ForallE judged under qpl is not carried into pfqpl, which lacks it
-    hyps, query = [forall("x", atom("P", x))], atom("P", c)
-    proof = entails(hyps, query, V.QPL).proof
-    judged = {}
-    assert check_derivation(proof, V.QPL, hyps, query, judged=judged).ok
-    alone = check_derivation(proof, V.PFQPL, hyps, query)
-    assert [f.reason for f in alone.failures] == [
-        "unknown_rule: rule ForallE is not part of the pfqpl calculus"
-    ]
-    assert check_derivation(proof, V.PFQPL, hyps, query, judged=judged) == alone
+def _document_of(name):
+    if name.startswith("counter/t"):
+        session = _counter_session(int(name[len("counter/t"):]))
+    else:
+        session = next(Session(hyps, queries, variant)
+                       for case, hyps, queries, variant in golden_sessions()
+                       if case == name)
+    return session, golden_document(session)[0]
+
+
+@pytest.mark.parametrize("name,nodes", [("machine/t6", 45), ("counter/t40", 242)])
+def test_shared_document_holds_each_member_once(name, nodes):
+    # the document's node table holds exactly the distinct members of the
+    # queries' proofs, each extracted on its own
+    session, doc = _document_of(name)
+    alone = _alone(session)
+    members = {f for _, d in alone for f in d.labels}
+    _, _, d, proofs = ca.proof_document_from_json(doc)
+    assert len(d.ids) == len(set(d.labels)) == len(members) == nodes
+    assert set(d.labels) == members
+    assert [q for q, _ in proofs] == [q for q, _ in alone]
 
 
 def test_verify_proof_matches_each_distinct_inference_once(
     tmp_path, monkeypatch, capsys
 ):
     # the document of the queries benchmark: the 4-state machine at t=6,
-    # whose 10 proofs hold 280 nodes but far fewer distinct inferences
-    doc = next(
-        golden_document(Session(hyps, queries, variant))[0]
-        for name, hyps, queries, variant in golden_sessions()
-        if name == "machine/t6"
-    )
-    held = _rule_nodes(doc)
-    assert sum(len(e["derivation"]["id"]) for e in doc["proofs"]) == 280
-    assert sum(map(len, held.values())) > 5 * len(held)
+    # whose 10 proofs, extracted each on its own, hold 280 nodes for 45
+    # distinct members; its table holds each once, and each rule node is
+    # matched once
+    session, doc = _document_of("machine/t6")
+    assert sum(len(d.ids) for _, d in _alone(session)) == 280
+    assert len(doc["id"]) == 45
+    rule_nodes = doc["kind"].count("rule")
     path = tmp_path / "proof.json"
     path.write_text(json.dumps(doc))
     calls = []
@@ -737,32 +754,7 @@ def test_verify_proof_matches_each_distinct_inference_once(
     monkeypatch.setattr(ca, "match_rule", counted)
     assert cli.main(["verify-proof", str(path)]) == 0
     assert capsys.readouterr().out == "ok: 10 proof(s) verified\n"
-    assert len(calls) == len(set(calls)) == len(held)
-
-
-def test_verify_proof_shares_a_memo_only_across_proofs(tmp_path, monkeypatch):
-    # a document of two or more proofs gets one judged dict for all of
-    # them; a single proof repeats no inference and is judged without one
-    memos = []
-
-    def recorded(*args, judged):
-        memos.append(judged)
-        return check_derivation(*args, judged=judged)
-
-    monkeypatch.setattr(cli, "check_derivation", recorded)
-    path = tmp_path / "proof.json"
-    single = Session([conj(p, q)], [conj(q, p)], V.ORIGINAL)
-    for doc, proofs in ((_counter_document(), 13),
-                        (golden_document(single)[0], 1)):
-        memos.clear()
-        path.write_text(json.dumps(doc))
-        assert cli.main(["verify-proof", str(path)]) == 0
-        assert len(memos) == proofs
-        if proofs == 1:
-            assert memos == [None]
-        else:
-            assert isinstance(memos[0], dict) and memos[0]
-            assert all(m is memos[0] for m in memos)
+    assert len(calls) == len(set(calls)) == rule_nodes
 
 
 # ------------------------------------------------------------ serialization

@@ -164,12 +164,12 @@ def test_proof_file_declares_variables_of_refused_queries(tmp_path, capsys):
     verdicts = Session(prob.formulas, queries, V.QPL).verdicts()
     extracted = [v.proof for v in verdicts if v.entailed]
     assert len(doc["proofs"]) == len(extracted) == 1
+    back = proof_document_from_json(doc)[2]
+    assert len(back.nodes) == len(extracted[0].nodes)
     labels = set()
-    for (_, back), proof in zip(proof_document_from_json(doc)[2], extracted):
-        assert len(back.nodes) == len(proof.nodes)
-        for read, made in zip(back.nodes, proof.nodes):
-            assert read.label is made.label
-            labels.add(read.label)
+    for read, made in zip(back.nodes, extracted[0].nodes):
+        assert read.label is made.label
+        labels.add(read.label)
     assert {atom("R", var("y")), imp(atom("R", var("y")), atom("P"))} <= labels
     assert cli.main(["verify-proof", str(out)]) == 0
 
@@ -300,7 +300,7 @@ def test_prove_writes_verifiable_proof(tmp_path, capsys):
     assert cli.main(["verify-proof", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["variant"] == "qpl"
-    _, hyps, proofs = proof_document_from_json(doc)
+    _, hyps, _, proofs = proof_document_from_json(doc)
     assert [render(h) for h in hyps] == ["A -> B", "B -> C"]
     assert len(proofs) == 1
     assert render(proofs[0][0]) == "A -> B"
@@ -310,9 +310,8 @@ def test_prove_json_stdout(tmp_path, capsys):
     hyps = write(tmp_path, "h.qpl", "p\nq\n")
     assert cli.main(["prove", hyps, "p & q", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    d = doc["proofs"][0]["derivation"]
-    assert set(d["kind"]) == {"hypothesis", "rule"}
-    assert "AndI" in d["rule"]
+    assert set(doc["kind"]) == {"hypothesis", "rule"}
+    assert "AndI" in doc["rule"]
 
 
 def test_prove_not_entailed_exits_1(tmp_path, capsys):
@@ -357,8 +356,7 @@ def test_verify_proof_rejects_mutations(tmp_path, capsys):
     out = tmp_path / "proof.json"
     assert cli.main(["prove", hyps, "p & q", "--proof", str(out)]) == 0
     doc = json.loads(out.read_text())
-    d = doc["proofs"][0]["derivation"]
-    d["rule"][d["kind"].index("rule")] = "AndE_L"
+    doc["rule"][doc["kind"].index("rule")] = "AndE_L"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert cli.main(["verify-proof", str(bad)]) == 1
@@ -402,11 +400,11 @@ _HYP_P = DerivationNode(0, P, "hypothesis", None, ())
 def _derivation_doc(root, nodes, hyps=(P,), query=P, **columns):
     """A document of one proof of query from hyps, as proof_document_to_json
     writes it. root and nodes (DerivationNode fields) are written as they
-    are, and columns replace the derivation's."""
+    are, and columns replace the node table's."""
     doc = proof_document_to_json(
         V.QPL, hyps, [], [(query, Derivation.of_nodes(root, tuple(nodes)))]
     )
-    doc["proofs"][0]["derivation"].update(columns)
+    doc.update(columns)
     return json.dumps(doc)
 
 
@@ -441,7 +439,7 @@ _ROOT_FIRST = _derivation_doc(
 
 _VERIFY_CASES = [
     ("good", _doc_with(), 0),
-    ("good-null-query", _doc_with(query=None), 0),
+    ("good-null-query", _doc_with(query=None), 2),  # a proof names its query
     ("foreign-hypothesis", _doc_with(hyps=[]), 1),  # well-formed, rejected
     ("wrong-conclusion", _derivation_doc(0, [_HYP_P], query=Q), 1),  # rejected
     ("not-json", "{not json", 2),
@@ -521,6 +519,41 @@ def test_verify_proof_prints_a_parent_listed_late(tmp_path, capsys):
     )
 
 
+def test_verify_proof_reports_a_fault_under_the_proofs_that_reach_it(
+    tmp_path, capsys
+):
+    # four proofs share one node table: nodes p, q, p & q, q & p. A failing
+    # node fails the proofs whose roots reach it, or every proof when none
+    # does; a root that is no node fails every proof
+    hyps = write(tmp_path, "h.qpl", "p\nq\n")
+    out = tmp_path / "proof.json"
+    argv = ["check", hyps, "p", "q", "p & q", "q & p", "--proof", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert doc["rule"] == [None, None, "AndI", "AndI"]
+    doc["rule"][2] = "AndE_L"
+    fault = "node 2: shape: AndE_L expects 1 premise(s), got 2"
+    unreached = json.loads(json.dumps(doc))
+    unreached["proofs"][2] = unreached["proofs"][3]
+    no_root = json.loads(out.read_text())
+    no_root["proofs"][0]["root"] = 9
+    for changed, failed in (
+        (doc, [2]),
+        (unreached, [0, 1, 2, 3]),
+    ):
+        path = write(tmp_path, "bad.json", json.dumps(changed))
+        assert cli.main(["verify-proof", path]) == 1
+        assert capsys.readouterr() == ("", "".join(
+            f"proof {i}: {fault}\n" for i in failed
+        ) + f"{len(failed)} of 4 proofs failed\n")
+    path = write(tmp_path, "bad.json", json.dumps(no_root))
+    assert cli.main(["verify-proof", path]) == 1
+    assert capsys.readouterr() == ("", "".join(
+        f"proof {i}: root 9 is not a node\n" for i in range(4)
+    ) + "4 of 4 proofs failed\n")
+
+
 def test_verify_proof_reads_the_whole_document_before_judging(tmp_path, capsys):
     # proof 0 concludes another query and proof 2 is malformed: the input
     # error names proof 2, and no verdict on proof 0 is printed before it
@@ -532,20 +565,20 @@ def test_verify_proof_reads_the_whole_document_before_judging(tmp_path, capsys):
     proofs = doc["proofs"]
     assert len(proofs) == 3
     proofs[0]["query"] = proofs[1]["query"]
-    proofs[2]["derivation"]["root"] = "x"
+    proofs[2]["root"] = "x"
     path = write(tmp_path, "bad.json", json.dumps(doc))
     assert cli.main(["verify-proof", path]) == 2
     assert capsys.readouterr() == (
-        "", "error: proof 2: derivation needs an integer 'root'\n"
+        "", "error: proof 2: needs an integer 'root'\n"
     )
 
 
 # Documents written before formula tables: hyps, queries and labels are
 # rendered formulas, and each node an object or, later, a five-element
 # array. The last shape held string hyps beside a derivation with its own
-# table.
+# table. Every older shape is refused with one message.
 WRITTEN_BEFORE_TABLES = (
-    "proof written before formula tables; re-run qpl prove or "
+    "proof written in an older format; re-run qpl prove or "
     "qpl check --proof to write it again"
 )
 
@@ -562,6 +595,20 @@ def test_verify_proof_refuses_documents_written_before_formula_tables(
     tmp_path, capsys
 ):
     _assert_refused(tmp_path, capsys, derivation_to_json(Derivation.of_nodes(0, (_HYP_P,))))
+
+
+def test_verify_proof_refuses_documents_with_a_derivation_per_proof(
+    tmp_path, capsys
+):
+    # the shape before one node table per document: each proof carried its
+    # own node columns and root, citing the document's formula table
+    table = {k: v for k, v in TABLE_PROOF.items() if k not in ("names", "formulas")}
+    doc = {"variant": "qpl", "vars": [], "names": TABLE_PROOF["names"],
+           "formulas": TABLE_PROOF["formulas"], "hyps": [0, 1],
+           "proofs": [{"query": 2, "derivation": table}]}
+    path = write(tmp_path, "doc.json", json.dumps(doc))
+    assert cli.main(["verify-proof", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {WRITTEN_BEFORE_TABLES}\n")
 
 
 # p, p -> q |- q by ImpE, as object nodes; "mutated" concludes r from a
@@ -657,12 +704,12 @@ def _round_trip(tmp_path, capsys, argv, paths, hyps, queries):
     else:
         assert out.startswith("entailed: ")
         return
-    _, got, proofs = proof_document_from_json(doc)
+    _, got, d, proofs = proof_document_from_json(doc)
     assert len(got) == len(hyps) and all(a is b for a, b in zip(got, hyps))
     read = [query for query, _ in proofs]
     assert len(read) == len(queries) and all(a is b for a, b in zip(read, queries))
-    for (_, d), query in zip(proofs, queries):
-        assert d.nodes[-1].label is query
+    for (_, root), query in zip(proofs, queries):
+        assert d.labels[d.ids.index(root)] is query
     path = write(tmp_path, "doc.json", json.dumps(doc))
     assert cli.main(["verify-proof", path]) == 0
     assert capsys.readouterr() == (f"ok: {len(queries)} proof(s) verified\n", "")
@@ -695,8 +742,7 @@ def test_proof_with_a_constant_under_its_binder_round_trips(
         cx = const("x")
         misread = forall("x", atom("R", cx, var("x")))
         doc = json.loads((tmp_path / "proof.json").read_text())
-        proofs = proof_document_from_json(doc)[2]
-        assert any(n.label is misread for _, d in proofs for n in d.nodes)
+        assert misread in proof_document_from_json(doc)[2].labels
 
 
 # y is a constant in the first two lines and a variable after @vars, so the
@@ -759,16 +805,16 @@ def test_constant_named_like_a_binder_elsewhere_still_proves(tmp_path, capsys):
 
 def _table_doc(changes=None):
     """A proof document of p & q from p and q, with TABLE_PROOF's rows as
-    the document's table and its columns as the derivation; changes
+    the document's table and its columns as the node table; changes
     replaces fields of either."""
     fields = {**TABLE_PROOF, **(changes or {})}
-    table = {k: fields.pop(k) for k in ("names", "formulas")}
+    root = fields.pop("root")
     return json.dumps({
         "variant": "qpl",
         "vars": [],
-        **table,
+        **fields,
         "hyps": [0, 1],
-        "proofs": [{"query": 2, "derivation": fields}],
+        "proofs": [{"query": 2, "root": root}],
     })
 
 
@@ -796,8 +842,7 @@ def test_verify_proof_refuses_malformed_tables(tmp_path, capsys, changes):
         ({"formulas": [2, 0, 1, 5]}, "formula row 0: bad term 5"),
         (
             {"proofs": [{"query": 2, "derivation": TABLE_PROOF}]},
-            "proof 0: derivation carries its own 'names' or 'formulas', but "
-            "one in a proof document cites the document's table",
+            WRITTEN_BEFORE_TABLES,
         ),
     ],
     ids=["hyps-strings", "hyps-out-of-range", "hyp-reserved", "term-no-name",
@@ -1128,7 +1173,10 @@ def test_cli_documents_keep_their_bytes(tmp_path, capsys):
     # arrays, and again when proof documents gained a formula table, once
     # every proof in them verified. All four were retaken when the CLI
     # went from a two-space indent to compact JSON; each new document
-    # loads to the same value as the indented one.
+    # loads to the same value as the indented one. The proof file's and
+    # prove --json's were retaken when a document came to hold one node
+    # table with a (query, root) pair per proof, once every proof in them
+    # verified.
     hyps, halting = bounded_halting_instance(MACHINE, 2)
     configs = [
         atom(f"K{i}", const(f"n{a}"), const(f"n{b}"))
@@ -1148,7 +1196,7 @@ def test_cli_documents_keep_their_bytes(tmp_path, capsys):
     assert _sha(out.encode()) == (
         "41e3120c208320e3211d074dbae8e462283749d8e09a6cfece8015a342ee99ea")
     assert _sha(proof.read_bytes()) == (
-        "fbb246259dce2882f1f0efbdd5a6ad23c928d4653c542f9adeedb5e4deaf8ee6")
+        "a9de4cd595ddc6f5a310967dabd4c9a44da2a3fd397f6dcc068094ba2f7acd20")
     assert _sha(model.read_bytes()) == (
         "4a778796ef1a9908804de4150019be520d7539b272e41f4e883ba019c3f46194")
     assert cli.main(["verify-proof", str(proof)]) == 0
@@ -1157,5 +1205,5 @@ def test_cli_documents_keep_their_bytes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out == compact(json.loads(out))
     assert _sha(out.encode()) == (
-        "72f38bb362be2b2ff8e23d50765288f8477bf9c7a1c3018a58f537f7a0eb4da4")
+        "fbd7f57ecb944d6377407d2a60ef8188b6a846f4497c657c4935010c413da4d2")
     assert cli.main(["verify-proof", write(tmp_path, "prove.json", out)]) == 0

@@ -156,29 +156,32 @@ def _document(session):
 
 
 def test_proofs_in_one_table_read_back_as_written():
-    # one formula table per session, which a proof document shares: each
-    # derivation cites its rows, and reads back through them
+    # one node table per session, which a proof document holds once: each
+    # proof is its query and root, and the table reads back to the
+    # session's derivation DAG
     for name, hyps, queries, variant in _sessions():
         doc, pairs = _document(Session(hyps, queries, variant))
-        blobs = [entry["derivation"] for entry in doc["proofs"]]
-        assert not any("names" in b or "formulas" in b for b in blobs), name
-        back = proof_document_from_json(doc)[2]
-        assert [d for _, d in back] == [d for _, d in pairs], name
+        assert all(sorted(entry) == ["query", "root"] for entry in doc["proofs"])
+        _, _, d, proofs = proof_document_from_json(doc)
+        assert [d._replace(root=root) for _, root in proofs] == [
+            p for _, p in pairs
+        ], name
 
 
 def test_proof_documents_round_trip():
-    # the reader gives back the writer's variant, hyps and (query, proof)
+    # the reader gives back the writer's variant, hyps and (query, root)
     # pairs, the very formulas, and every proof checks
     for name, hyps, queries, variant in _sessions():
         session = Session(hyps, queries, variant)
         doc, pairs = _document(session)
-        got_variant, got_hyps, proofs = proof_document_from_json(doc)
+        got_variant, got_hyps, d, proofs = proof_document_from_json(doc)
         assert got_variant is variant, name
         assert len(got_hyps) == len(session.hyps), name
         assert all(a is b for a, b in zip(got_hyps, session.hyps)), name
         assert len(proofs) == len(pairs), name
-        for (query, d), (want_query, want_d) in zip(proofs, pairs):
-            assert query is want_query and d == want_d, name
+        for (query, root), (want_query, want_d) in zip(proofs, pairs):
+            assert query is want_query and root == want_d.root, name
+            d = d._replace(root=root)
             assert check_derivation(d, variant, got_hyps, query).ok, name
 
 
