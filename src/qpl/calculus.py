@@ -19,9 +19,8 @@ hand-made nodes. JSON columns are the one shape read: a derivation
 written before formula tables, with rendered labels, is refused.
 
 The proof document format lives here too, as one writer and one reader
-(proof_document_to_json, proof_document_from_json): one node table, a
-session's derivation DAG, with a (query, root) pair per proof, and one
-formula table whose rows the hyps, the queries and the labels cite.
+(proof_document_to_json, proof_document_from_json): one node table, with
+a (query, root) pair per proof, and one formula table that all of it cites.
 """
 
 from __future__ import annotations
@@ -837,8 +836,7 @@ def proof_document_from_json(doc) -> tuple[CalculusVariant, list, Derivation, li
 
     The whole document is read before any proof is judged, so a malformed
     one raises a ValueError and no verdict is due. A fault in proof i's
-    query or root is prefixed "proof i: ". An older shape, without a
-    formula table or with a derivation per proof, is refused.
+    query or root is prefixed "proof i: ". Older shapes are refused.
     """
     if not isinstance(doc, dict):
         raise ValueError("proof document must be a JSON object")

@@ -226,8 +226,7 @@ def cmd_prove(args) -> int:
 def cmd_verify_proof(args) -> int:
     doc = json.loads(_read_text(args.proof_file))
     variant, hyps, d, proofs = proof_document_from_json(doc)
-    # one pass judges every node of the shared table; d's root is the last
-    # proof's (-1 when there is none, whose structural error fails none)
+    # d's root is the last proof's (-1 with no proofs, whose fault fails none)
     rep = check_derivation(d, variant, hyps)
     roots = {root for _, root in proofs}
     label_at = dict(compress(zip(d.ids, d.labels), map(roots.__contains__, d.ids)))
@@ -255,9 +254,8 @@ def cmd_verify_proof(args) -> int:
 
 
 def _node_faults(d, failures, proofs) -> list[list[str]]:
-    """The failing nodes' messages per proof, in document order: under
-    every proof whose root reaches the node, or every proof if none does.
-    Walked only when a node failed, so a passing document pays nothing."""
+    """The failing nodes' messages per proof: under every proof whose root
+    reaches the node, or every proof if none does. Walked only on failure."""
     reached = [set() for _ in proofs]
     if failures:
         at = {nid: i for i, nid in enumerate(d.ids)}

@@ -22,9 +22,8 @@ calculus.Derivation, building no per-node object.
 A Session is the one owner of a problem's closure, compiled rules and
 fixpoint: it builds the closure over the hypotheses and every query at
 once, compiles the rules over it once, saturates once, and hands out each
-query's verdict and proof from that shared state: one derivation DAG,
-with a node per member, holds every proof, each rooted at its query's
-node. entails is the one-query wrapper over it.
+query's verdict and proof from that shared state, each proof rooted in
+one derivation DAG. entails is the one-query wrapper over it.
 """
 
 from __future__ import annotations
@@ -343,18 +342,20 @@ class Session:
     def verdicts(self, *, with_proof: bool = True) -> list[Verdict]:
         """One verdict per query, in query order; the proofs share one DAG."""
         ct, state = self.closure_table, self.state
-        entailed = [q for q in self.queries if state.derived[ct.index[q]]]
-        proofs = {}
-        if with_proof and entailed:
-            *others, last = entailed
-            dag = proofs[last] = extract_proof(state, ct, *entailed)
-            if others:  # a member labels one node, so a label finds its node
-                node_of = dict(zip(dag.labels, dag.ids))
-                proofs.update((q, dag._replace(root=node_of[q])) for q in others)
-        out = []
+        out, entailed, targets = [], [], []
         for q in self.queries:
             ok = state.derived[ct.index[q]] == 1
-            out.append(Verdict(ok, proofs.get(q), self.stats, ct, self.hyps, q, self))
+            out.append(Verdict(ok, None, self.stats, ct, self.hyps, q, self))
+            if ok and with_proof:
+                entailed.append(out[-1])
+                targets.append(q)
+        if targets:
+            *others, last = entailed
+            dag = last.proof = extract_proof(state, ct, *targets)
+            if others:  # a member labels one node, so a label finds its node
+                node_of = dict(zip(dag.labels, dag.ids))
+                for v in others:
+                    v.proof = dag._replace(root=node_of[v.query])
         return out
 
 
@@ -381,10 +382,13 @@ def extract_proof(
     subderivations appear once. The walk visits a formula with premises
     twice: its id first, then ~id (negative) once its premises are done.
     """
-    stack = [ct.index.get(t, -1) for t in reversed(targets)]
-    if not (stack and min(stack) >= 0 and all(map(state.derived.__getitem__, stack))):
-        raise ValueError("targets must be derived in this state")
-    tid = stack[0]  # the last target
+    stack = []  # the targets' ids, the last target's first
+    for t in reversed(targets):
+        tid = ct.index.get(t, -1)
+        if tid < 0 or not state.derived[tid]:
+            raise ValueError("target is not derived in this state")
+        stack.append(tid)
+    tid = stack[0]
     why, why1, why2 = state.rule, state.premise1, state.premise2
     universe = ct.universe
     # member id -> node id, its position; in node order, so its values are
