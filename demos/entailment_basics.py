@@ -36,10 +36,12 @@ def main():
     goal = parse_formula("q & p")
     v = entails(hyps, goal, CalculusVariant.QPL)
     print(f"{render(hyps[0])} |- {render(goal)}: {v.entailed}")
-    for node in v.proof.nodes:
-        tag = node.rule if node.kind == "rule" else node.kind
-        parents = ",".join(str(i) for i in node.parents)
-        print(f"  [{node.id}] {render(node.label)}  ({tag}{' <- ' + parents if parents else ''})")
+    # node i cites its premises by position; a node naming no rule is a
+    # hypothesis, and one naming a rule but citing no premise an axiom
+    for i, node in enumerate(v.proof.nodes):
+        tag = node.rule if node.parents else "axiom" if node.rule else "hypothesis"
+        parents = ",".join(str(j) for j in node.parents)
+        print(f"  [{i}] {render(node.label)}  ({tag}{' <- ' + parents if parents else ''})")
     report = check_derivation(v.proof, CalculusVariant.QPL, hyps, goal)
     print(f"independent check: ok={report.ok}")
 

@@ -18,7 +18,6 @@ from .calculus import (
     check_derivation,
     derivation_from_json,
     derivation_to_json,
-    load_derivation,
     proof_document_from_json,
     proof_document_to_json,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "extract_proof",
     "forall",
     "imp",
-    "load_derivation",
     "parse_formula",
     "parse_problem",
     "proof_document_from_json",

@@ -1,13 +1,16 @@
 """Calculus variants, rule-instance matching, and derivation checking.
 
-A derivation is a finite DAG of labeled nodes. Hypothesis and axiom nodes
-are leaves; rule nodes list their premises as parent node ids, in the order
-the rule schema states them. Every parent is listed before its child, so a
-node cites only earlier nodes and the listing itself shows the graph
-acyclic: the checker needs no cycle search. It judges each node in the
-same pass that validates the structure, and stops judging at the first
-structural error, whose report lists structural errors only: a malformed
-graph never produces rule verdicts.
+A derivation is a finite DAG of labeled nodes, each its position in the
+listing and its rule. A hypothesis node names no rule and is a leaf;
+every other node is an instance of its rule, an axiom being a rule with
+no premises, and lists its premises by position, in the order the rule
+schema states them. Every parent is listed before its child, so a node
+cites only earlier nodes, as a formula row cites earlier rows, and the
+listing itself shows the graph acyclic: the checker needs no cycle
+search. It judges each node in the same pass that validates the
+structure, and stops judging at the first structural error, whose report
+lists structural errors only: a malformed graph never produces rule
+verdicts.
 
 A Derivation is held as node columns, one per node field, and written as
 the same JSON columns, with labels citing the rows of a formula table
@@ -16,7 +19,8 @@ constructors. The engine, the writer, the reader and the checker work on
 the columns and build no DerivationNode: Derivation.nodes builds those
 for a reader of the proof, and Derivation.of_nodes builds the columns of
 hand-made nodes. JSON columns are the one shape read: a derivation
-written before formula tables, with rendered labels, is refused.
+written before formula tables, with rendered labels, or with 'id' and
+'kind' columns, is refused.
 
 The proof document format lives here too, as one writer and one reader
 (proof_document_to_json, proof_document_from_json): one node table, with
@@ -25,11 +29,10 @@ a (query, root) pair per proof, and one formula table that all of it cites.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -285,24 +288,20 @@ def match_rule(variant: CalculusVariant, name: str, ps, conclusion: Formula):
 class DerivationNode(NamedTuple):
     """One node of a derivation, as Derivation.nodes shows it."""
 
-    id: int
     label: Formula
-    kind: str  # "hypothesis" | "axiom" | "rule"
     rule: str | None
     parents: tuple[int, ...]
 
 
 class Derivation(NamedTuple):
     """A derivation as node columns, the proof document's own shape: node
-    i is ids[i], labeled labels[i], of kinds[i], with the rule name
-    rules[i] (None on hypotheses), and its premises[i] parents are the
-    next ids of the flat parents column, in the order the rule states
-    them. root is a node id."""
+    i is labeled labels[i], with the rule name rules[i] (None on
+    hypotheses), and its premises[i] parents are the next node positions
+    of the flat parents column, in the order the rule states them. root
+    is a node position."""
 
     root: int
-    ids: tuple[int, ...]
     labels: tuple[Formula, ...]
-    kinds: tuple[str, ...]  # "hypothesis" | "axiom" | "rule"
     rules: tuple[str | None, ...]
     premises: tuple[int, ...]
     parents: tuple[int, ...]
@@ -315,16 +314,14 @@ class Derivation(NamedTuple):
         spans = map(self.parents.__getitem__, map(
             slice, accumulate(counts, initial=0), accumulate(counts)
         ))
-        return tuple(map(_new_node, zip(
-            self.ids, self.labels, self.kinds, self.rules, spans
-        )))
+        return tuple(map(_new_node, zip(self.labels, self.rules, spans)))
 
     @classmethod
     def of_nodes(cls, root: int, nodes) -> "Derivation":
         """The derivation of root and nodes, DerivationNode tuples (or any
-        (id, label, kind, rule, parents) tuples) in order."""
-        ids, labels, kinds, rules, parents = tuple(zip(*nodes)) or ((),) * 5
-        return cls(root, ids, labels, kinds, rules, tuple(map(len, parents)),
+        (label, rule, parents) tuples) in order."""
+        labels, rules, parents = tuple(zip(*nodes)) or ((),) * 3
+        return cls(root, labels, rules, tuple(map(len, parents)),
                    tuple(chain.from_iterable(parents)))
 
 
@@ -361,86 +358,53 @@ def check_derivation(
     hyps, and that the root concludes expected_conclusion when one is
     given.
 
-    The nodes judged are those d.nodes shows. Structural errors (a
-    duplicate node id, a parent not listed before its child, a missing
-    root) come first and alone: when there is any, the report lists them
-    and no node failures. Otherwise each node is judged once, and every
-    failing node gets one reason, in document order.
+    The nodes judged are those d.nodes shows. Structural errors (a parent
+    not listed before its child, a root that is no node) come first and
+    alone: when there is any, the report lists them and no node failures.
+    Otherwise each node is judged once, and every failing node gets one
+    reason, in document order. A node without a rule name is a
+    hypothesis; every other node, an axiom included, is judged by
+    match_rule alone.
     """
-    _, ids, labels, kinds, rules, counts, flat = d
-    structural: list[str] = []
-    label_of: dict[int, Formula] = {}
-    late = []  # (child, parent) ids where the parent was not listed yet
+    root, labels, rules, counts, flat = d
+    n = min(len(labels), len(rules), len(counts))  # the nodes d.nodes shows
+    late = []  # (child, parent) positions where the parent is not before it
     hypset = set(hyps)
-    label_at = label_of.get
     failures = []
     j = 0  # where the node's parents start in flat
-    for nid, label, kind, rule, k in zip(ids, labels, kinds, rules, counts):
-        if k:
-            parents = flat[j:j + k]
-            j += k
-            prems = list(map(label_at, parents))
-            if None in prems:
-                late += [(nid, pid) for pid in parents if pid not in label_of]
-        else:
-            parents = prems = ()
-        if nid in label_of:
-            structural.append(f"duplicate node id {nid}")
-        else:
-            label_of[nid] = label
-        if late or structural:
+    for i, label, rule, k in zip(count(), labels, rules, counts):
+        parents = flat[j:j + k] if k else ()
+        j += k
+        if parents and (min(parents) < 0 or max(parents) >= i):
+            late += [(i, p) for p in parents if not 0 <= p < i]
+        if late:
             continue  # the report lists structural errors only
-        if kind == "rule":
-            if rule is None:
-                reason = "rule node is missing its rule name"
-            else:
-                fault = match_rule(variant, rule, prems, label)
-                if fault is None:
-                    continue
-                reason = "%s: %s" % fault
-        elif kind == "hypothesis":
+        if rule is None:
             if parents:
                 reason = "hypothesis node has parents"
-            elif rule is not None:
-                reason = "hypothesis node carries a rule name"
-            elif label not in hypset:
+            elif label in hypset:
+                continue
+            else:
                 reason = f"{render(label)} is not among the hypotheses"
-            else:
-                continue
-        elif kind == "axiom":
-            expected = "TopI" if isinstance(label, Top) else "ImpAx"
-            first, _, check = RULES[expected]
-            if parents:
-                reason = "axiom node has parents"
-            elif check((), label) is not None:
-                reason = f"{render(label)} is not an axiom"
-            elif variant < first:
-                reason = (
-                    f"axiom {render(label)} is not part of the "
-                    f"{variant.cli_name} calculus"
-                )
-            elif rule is not None and rule != expected:
-                reason = f"axiom node labeled with rule {rule!r}"
-            else:
-                continue
         else:
-            reason = f"unknown node kind {kind!r}"
-        failures.append(NodeResult(nid, False, reason))
-    if d.root not in label_of:
-        structural.append(f"root {d.root} is not a node")
-    for nid, pid in late:
-        if pid in label_of:
+            fault = match_rule(variant, rule, [labels[p] for p in parents], label)
+            if fault is None:
+                continue
+            reason = "%s: %s" % fault
+        failures.append(NodeResult(i, False, reason))
+    structural = [] if 0 <= root < n else [f"root {root} is not a node"]
+    for i, p in late:
+        if p < 0 or p >= n:
+            structural.append(f"node {i} references missing parent {p}")
+        else:
             structural.append(
-                f"node {nid} references parent {pid}, which is not listed "
+                f"node {i} references parent {p}, which is not listed "
                 "before it"
             )
-        else:
-            structural.append(f"node {nid} references missing parent {pid}")
     if structural:
         return Report(False, structural, [])
     conclusion_ok = (
-        expected_conclusion is None
-        or label_of[d.root] is expected_conclusion
+        expected_conclusion is None or labels[root] is expected_conclusion
     )
     return Report(not failures and conclusion_ok, [], failures, conclusion_ok)
 
@@ -451,8 +415,7 @@ WRITTEN_BEFORE_TABLES = (
     "proof written in an older format; re-run qpl prove or "
     "qpl check --proof to write it again"
 )
-_NODE_KINDS = ("hypothesis", "axiom", "rule")
-_COLUMNS = ("id", "label", "kind", "rule", "premises", "parents")
+_COLUMNS = ("label", "rule", "premises", "parents")
 _INT = frozenset({int})
 _STR = frozenset({str})
 _RULE_TYPES = frozenset({str, type(None)})
@@ -564,9 +527,7 @@ class FormulaTable:
 def _node_columns(d: Derivation, table: FormulaTable) -> dict:
     """d's node columns, its labels written as rows of table."""
     return {
-        "id": list(d.ids),
         "label": table.rows(d.labels),
-        "kind": list(d.kinds),
         "rule": list(d.rules),
         "premises": list(d.premises),
         "parents": list(d.parents),
@@ -575,10 +536,10 @@ def _node_columns(d: Derivation, table: FormulaTable) -> dict:
 
 @gc_paused
 def derivation_to_json(d: Derivation) -> dict:
-    """The JSON shape of d: the root id, one array per node field, and d's
-    own formula table as names and formulas. Node i is id[i], the formula
-    row label[i], kind[i], rule[i] (null on hypotheses) and the next
-    premises[i] ids of parents, in the order the rule states them.
+    """The JSON shape of d: the root, one array per node field, and d's
+    own formula table as names and formulas. Node i is the formula row
+    label[i], rule[i] (null on hypotheses) and the next premises[i] node
+    positions of parents, in the order the rule states them.
     """
     table = FormulaTable()
     doc = _node_columns(d, table)
@@ -773,11 +734,13 @@ def derivation_from_json(obj, declared_vars=()) -> Derivation:
     of both kinds reports a column's.
 
     A derivation written before formula tables holds a 'nodes' array of
-    rendered labels instead; it is refused with WRITTEN_BEFORE_TABLES.
+    rendered labels instead, and one written before nodes were their
+    positions holds 'id' and 'kind' columns; both are refused with
+    WRITTEN_BEFORE_TABLES.
     """
     if not isinstance(obj, dict):
         raise ValueError("derivation must be a JSON object")
-    if "nodes" in obj:
+    if "nodes" in obj or "id" in obj or "kind" in obj:
         raise ValueError(WRITTEN_BEFORE_TABLES)
     if type(obj.get("root")) is not int:  # bool is an int subclass
         raise ValueError("derivation needs an integer 'root'")
@@ -788,17 +751,15 @@ def derivation_from_json(obj, declared_vars=()) -> Derivation:
 def _derivation_from_rows(obj, rows: list, declared: frozenset, root: int):
     """The derivation of root and obj's node columns, whose labels cite
     rows; derivation_from_json says what is checked."""
-    columns = ids, label, kind, rule, premises, parents = [
-        obj.get(key) for key in _COLUMNS
-    ]
+    columns = label, rule, premises, parents = [obj.get(key) for key in _COLUMNS]
     for key, column in zip(_COLUMNS, columns):
         if type(column) is not list:
             raise ValueError(f"derivation needs a {key!r} array")
-    if not len(ids) == len(label) == len(kind) == len(rule) == len(premises):
-        raise ValueError("node columns 'id', 'label', 'kind', 'rule' and "
-                         "'premises' must have one entry per node")
+    if not len(label) == len(rule) == len(premises):
+        raise ValueError("node columns 'label', 'rule' and 'premises' must "
+                         "have one entry per node")
     for key, column in zip(_COLUMNS, columns):
-        if key not in ("kind", "rule") and not _only(_INT, column):
+        if key != "rule" and not _only(_INT, column):
             raise ValueError(f"{key!r} must be an integer array")
     n_rows = len(rows)
     if label and (min(label) < 0 or max(label) >= n_rows):
@@ -806,11 +767,6 @@ def _derivation_from_rows(obj, rows: list, declared: frozenset, root: int):
         raise ValueError(
             f"'label' cites row {bad}, but 'formulas' has {n_rows} row(s)"
         )
-    known = kind.count("rule") + kind.count("hypothesis") + kind.count("axiom")
-    if known != len(kind):
-        # search by index: a null kind is a fault, not "no match"
-        at = next(i for i, k in enumerate(kind) if k not in _NODE_KINDS)
-        raise ValueError(f"node at index {at}: unknown kind {kind[at]!r}")
     if not _only(_RULE_TYPES, rule):
         raise ValueError("'rule' entries must be strings or null")
     if premises and min(premises) < 0:
@@ -824,8 +780,8 @@ def _derivation_from_rows(obj, rows: list, declared: frozenset, root: int):
         for f in labels:
             if not f.free <= declared:
                 raise ValueError(_undeclared("'label'", f.free - declared))
-    return _new_derivation((root, tuple(ids), labels, tuple(kind),
-                            tuple(rule), tuple(premises), tuple(parents)))
+    return _new_derivation((root, labels, tuple(rule), tuple(premises),
+                            tuple(parents)))
 
 
 @gc_paused
@@ -836,14 +792,15 @@ def proof_document_from_json(doc) -> tuple[CalculusVariant, list, Derivation, li
 
     The whole document is read before any proof is judged, so a malformed
     one raises a ValueError and no verdict is due. A fault in proof i's
-    query or root is prefixed "proof i: ". Older shapes are refused.
+    query or root is prefixed "proof i: ". Older shapes, among them a
+    node table with 'id' or 'kind' columns, are refused.
     """
     if not isinstance(doc, dict):
         raise ValueError("proof document must be a JSON object")
     for key in ("hyps", "proofs"):
         if not isinstance(doc.get(key), list):
             raise ValueError(f"proof document needs a {key!r} array")
-    if "formulas" not in doc or any(
+    if "formulas" not in doc or "id" in doc or "kind" in doc or any(
         isinstance(e, dict) and "derivation" in e for e in doc["proofs"]
     ):
         raise ValueError(WRITTEN_BEFORE_TABLES)
@@ -869,12 +826,3 @@ def proof_document_from_json(doc) -> tuple[CalculusVariant, list, Derivation, li
     root = proofs[-1][1] if proofs else -1
     return variant, hyps, _derivation_from_rows(doc, rows, declared, root), proofs
 
-
-@gc_paused
-def load_derivation(text: str, declared_vars=()) -> Derivation:
-    """Read a derivation from the JSON text of derivation_to_json's shape:
-    json.loads and derivation_from_json (same arguments) under one pause of
-    the collector. A caller's own json.loads of a large proof runs with the
-    collector on, which walks the growing heap again and again and finds
-    nothing."""
-    return derivation_from_json(json.loads(text), declared_vars)

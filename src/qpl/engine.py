@@ -353,7 +353,7 @@ class Session:
             *others, last = entailed
             dag = last.proof = extract_proof(state, ct, *targets)
             if others:  # a member labels one node, so a label finds its node
-                node_of = dict(zip(dag.labels, dag.ids))
+                node_of = {label: i for i, label in enumerate(dag.labels)}
                 for v in others:
                     v.proof = dag._replace(root=node_of[v.query])
         return out
@@ -375,8 +375,8 @@ def extract_proof(
     state: SaturationState, ct: ClosureTable, *targets: Formula
 ) -> Derivation:
     """Read one derivation DAG out of the state's provenance columns into
-    the derivation's node columns, with node i's id i: the proofs of
-    targets in turn, rooted at the last target's node.
+    the derivation's node columns: the proofs of targets in turn, rooted
+    at the last target's node.
 
     Nodes come out in post-order (premises before conclusions) and shared
     subderivations appear once. The walk visits a formula with premises
@@ -391,11 +391,8 @@ def extract_proof(
     tid = stack[0]
     why, why1, why2 = state.rule, state.premise1, state.premise2
     universe = ct.universe
-    # member id -> node id, its position; in node order, so its values are
-    # the ids column, sharing their int objects with the parents column
-    memo: dict[int, int] = {}
+    memo: dict[int, int] = {}  # member id -> node position
     labels: list[Formula] = []
-    kinds: list[str] = []
     rules: list[str | None] = []
     counts: list[int] = []
     parents: list[int] = []
@@ -404,7 +401,7 @@ def extract_proof(
         if fid < 0:
             fid = ~fid
             a, b = why1[fid], why2[fid]
-            kind, rule = "rule", RULE_NAMES[why[fid]]
+            rule = RULE_NAMES[why[fid]]
             if b < 0:
                 parents.append(memo[a])
                 k = 1
@@ -416,7 +413,7 @@ def extract_proof(
                 continue
             code = why[fid]
             if code == HYPOTHESIS:
-                kind, rule = "hypothesis", None
+                rule = None
             else:
                 a = why1[fid]
                 if a >= 0:
@@ -427,14 +424,12 @@ def extract_proof(
                     if a not in memo:
                         stack.append(a)
                     continue
-                kind, rule = "axiom", RULE_NAMES[code]
+                rule = RULE_NAMES[code]
             k = 0
         memo[fid] = len(labels)
         labels.append(universe[fid])
-        kinds.append(kind)
         rules.append(rule)
         counts.append(k)
     return _new_derivation((
-        memo[tid], tuple(memo.values()), tuple(labels), tuple(kinds),
-        tuple(rules), tuple(counts), tuple(parents),
+        memo[tid], tuple(labels), tuple(rules), tuple(counts), tuple(parents),
     ))

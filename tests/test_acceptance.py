@@ -346,23 +346,23 @@ def _mutants(d, hypset, rng, count):
     """count copies of d, each with one node changed; the node's columns are
     changed in place of building the nodes, which a 133k-node chain proof
     would pay for on every mutant."""
-    max_id = max(d.ids)
+    max_id = len(d.labels) - 1
     out = []
     while len(out) < count:
-        i = rng.randrange(len(d.ids))
-        kind, rule, label = d.kinds[i], d.rules[i], d.labels[i]
+        i = rng.randrange(len(d.labels))
+        rule, label = d.rules[i], d.labels[i]
         start, k = sum(d.premises[:i]), d.premises[i]
         parents = d.parents[start:start + k]
         op = rng.randrange(4)
         if op == 0:
             # every rule forces its conclusion shape except BotE
-            if kind == "rule" and rule == "BotE":
+            if k > 0 and rule == "BotE":
                 continue
             new_label = disj(label, label)
             if new_label in hypset:
                 continue
             m = d._replace(labels=_put(d.labels, i, new_label))
-        elif kind != "rule":
+        elif k == 0:  # a hypothesis or an axiom
             continue
         elif op == 2:
             m = d._replace(

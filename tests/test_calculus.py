@@ -235,12 +235,12 @@ def test_match_instance_compares_relation_arity_and_binder(
 
 # --------------------------------------------------------- check_derivation
 
-def _node(nid, label, kind, rule=None, parents=()):
-    return DerivationNode(nid, label, kind, rule, tuple(parents))
+def _node(label, rule=None, parents=()):
+    return DerivationNode(label, rule, tuple(parents))
 
 
 def test_check_single_axiom():
-    d = Derivation.of_nodes(root=0, nodes=(_node(0, top(), "axiom", "TopI"),))
+    d = Derivation.of_nodes(root=0, nodes=(_node(top(), "TopI"),))
     rep = check_derivation(d, V.ORIGINAL, set())
     assert rep.ok and not rep.structural_errors
 
@@ -249,9 +249,9 @@ def test_check_three_node_imp_e():
     d = Derivation.of_nodes(
         root=2,
         nodes=(
-            _node(0, p, "hypothesis"),
-            _node(1, imp(p, q), "hypothesis"),
-            _node(2, q, "rule", "ImpE", (0, 1)),
+            _node(p),
+            _node(imp(p, q)),
+            _node(q, "ImpE", (0, 1)),
         ),
     )
     rep = check_derivation(d, V.ORIGINAL, {p, imp(p, q)}, expected_conclusion=q)
@@ -260,9 +260,9 @@ def test_check_three_node_imp_e():
     swapped = Derivation.of_nodes(
         root=2,
         nodes=(
-            _node(0, p, "hypothesis"),
-            _node(1, imp(p, q), "hypothesis"),
-            _node(2, q, "rule", "ImpE", (1, 0)),
+            _node(p),
+            _node(imp(p, q)),
+            _node(q, "ImpE", (1, 0)),
         ),
     )
     rep = check_derivation(swapped, V.ORIGINAL, {p, imp(p, q)})
@@ -271,59 +271,58 @@ def test_check_three_node_imp_e():
 
 
 def test_check_hypothesis_membership():
-    d = Derivation.of_nodes(root=0, nodes=(_node(0, p, "hypothesis"),))
+    d = Derivation.of_nodes(root=0, nodes=(_node(p),))
     assert check_derivation(d, V.QPL, {p}).ok
     rep = check_derivation(d, V.QPL, {q})
     assert not rep.ok and "hypothes" in rep.failures[0].reason
 
 
 def test_check_axiom_shapes_and_variants():
-    ax = Derivation.of_nodes(root=0, nodes=(_node(0, imp(p, p), "axiom"),))
+    # an axiom is a rule with no premises, judged by match_rule alone
+    ax = Derivation.of_nodes(root=0, nodes=(_node(imp(p, p), "ImpAx"),))
     assert check_derivation(ax, V.PFQPL, set()).ok
     assert check_derivation(ax, V.QPL, set()).ok
     assert not check_derivation(ax, V.L2, set()).ok
-    bad = Derivation.of_nodes(root=0, nodes=(_node(0, imp(p, q), "axiom"),))
+    bad = Derivation.of_nodes(root=0, nodes=(_node(imp(p, q), "ImpAx"),))
     assert not check_derivation(bad, V.QPL, set()).ok
 
 
 def test_check_axiom_rule_name_consistency():
-    d = Derivation.of_nodes(root=0, nodes=(_node(0, top(), "axiom", "ImpAx"),))
+    d = Derivation.of_nodes(root=0, nodes=(_node(top(), "ImpAx"),))
+    assert not check_derivation(d, V.QPL, set()).ok
+    d = Derivation.of_nodes(root=0, nodes=(_node(imp(p, p), "TopI"),))
     assert not check_derivation(d, V.QPL, set()).ok
 
 
 def test_check_unknown_kind():
-    d = Derivation.of_nodes(root=0, nodes=(_node(0, p, "assumption"),))
+    # a node's kind is its rule name: one no calculus has fails the node
+    d = Derivation.of_nodes(root=0, nodes=(_node(p, "assumption"),))
     rep = check_derivation(d, V.QPL, {p})
-    assert not rep.ok and "kind" in rep.failures[0].reason
+    assert not rep.ok and "unknown rule 'assumption'" in rep.failures[0].reason
 
 
 def test_check_expected_conclusion():
-    d = Derivation.of_nodes(root=0, nodes=(_node(0, p, "hypothesis"),))
+    d = Derivation.of_nodes(root=0, nodes=(_node(p),))
     rep = check_derivation(d, V.QPL, {p}, expected_conclusion=q)
     assert not rep.ok and not rep.conclusion_ok
     assert not rep.failures  # every node fine, only the root is wrong
 
 
 def test_check_structural_errors():
-    dup = Derivation.of_nodes(
-        root=0, nodes=(_node(0, p, "hypothesis"), _node(0, q, "hypothesis"))
-    )
-    rep = check_derivation(dup, V.QPL, {p, q})
-    assert not rep.ok and any("duplicate" in s for s in rep.structural_errors)
-
-    dangling = Derivation.of_nodes(root=0, nodes=(_node(0, p, "rule", "AndE_L", (7,)),))
+    dangling = Derivation.of_nodes(root=0, nodes=(_node(p, "AndE_L", (7,)),))
     rep = check_derivation(dangling, V.QPL, set())
-    assert not rep.ok and any("missing" in s for s in rep.structural_errors)
+    assert rep == ca.Report(False, ["node 0 references missing parent 7"], [])
 
-    missing_root = Derivation.of_nodes(root=3, nodes=(_node(0, p, "hypothesis"),))
-    rep = check_derivation(missing_root, V.QPL, {p})
-    assert not rep.ok and any("root" in s for s in rep.structural_errors)
+    for root in (3, 1, -1):
+        missing_root = Derivation.of_nodes(root=root, nodes=(_node(p),))
+        rep = check_derivation(missing_root, V.QPL, {p})
+        assert rep == ca.Report(False, [f"root {root} is not a node"], [])
 
     cyc = Derivation.of_nodes(
         root=0,
         nodes=(
-            _node(0, p, "rule", "AndE_L", (1,)),
-            _node(1, conj(p, q), "rule", "AndE_L", (0,)),
+            _node(p, "AndE_L", (1,)),
+            _node(conj(p, q), "AndE_L", (0,)),
         ),
     )
     rep = check_derivation(cyc, V.QPL, set())
@@ -333,23 +332,24 @@ def test_check_structural_errors():
 
 
 def test_check_rule_node_without_name():
-    d = Derivation.of_nodes(root=0, nodes=(_node(0, p, "rule", None, ()),))
-    assert not check_derivation(d, V.QPL, set()).ok
+    # a node that names no rule is a hypothesis, which has no parents
+    d = Derivation.of_nodes(root=1, nodes=(_node(p), _node(p, None, (0,))))
+    rep = check_derivation(d, V.QPL, {p})
+    assert rep == ca.Report(
+        False, [], [NodeResult(1, False, "hypothesis node has parents")]
+    )
 
 
 def test_node_types_are_named_tuples():
-    assert DerivationNode._fields == ("id", "label", "kind", "rule", "parents")
+    assert DerivationNode._fields == ("label", "rule", "parents")
     assert NodeResult._fields == ("node_id", "ok", "reason")
-    n = DerivationNode(0, atom("p0"), "hypothesis", None, ())
+    n = DerivationNode(atom("p0"), None, ())
     assert repr(n) == (
-        "DerivationNode(id=0, label=Formula('p0'), kind='hypothesis', "
-        "rule=None, parents=())"
+        "DerivationNode(label=Formula('p0'), rule=None, parents=())"
     )
-    same = DerivationNode(
-        id=0, label=atom("p0"), kind="hypothesis", rule=None, parents=()
-    )
+    same = DerivationNode(label=atom("p0"), rule=None, parents=())
     assert same == n and hash(same) == hash(n)
-    assert n._replace(kind="axiom") == (0, atom("p0"), "axiom", None, ())
+    assert n._replace(rule="TopI") == (atom("p0"), "TopI", ())
     with pytest.raises(AttributeError):
         n.label = atom("q0")
     res = NodeResult(3, False, "why")
@@ -360,10 +360,10 @@ def test_node_types_are_named_tuples():
         res.ok = True
     # a derivation is its node columns; nodes is a view built from them
     assert Derivation._fields == (
-        "root", "ids", "labels", "kinds", "rules", "premises", "parents"
+        "root", "labels", "rules", "premises", "parents"
     )
     d = Derivation.of_nodes(root=0, nodes=(n,))
-    assert d == (0, (0,), (atom("p0"),), ("hypothesis",), (None,), (0,), ())
+    assert d == (0, (atom("p0"),), (None,), (0,), ())
     assert d.nodes == (n,)
     with pytest.raises(AttributeError):
         d.root = 1
@@ -383,32 +383,36 @@ def _extracted_proofs():
     return out
 
 
-def _relisted(d, nodes):
-    return Derivation.of_nodes(root=d.root, nodes=tuple(nodes))
+def _relisted(d, order):
+    """d with its nodes listed in order, a list of d's node positions: each
+    node and its root cite the positions their nodes move to."""
+    at = {old: new for new, old in enumerate(order)}
+    nodes = [d.nodes[i] for i in order]
+    return Derivation.of_nodes(at[d.root], tuple(
+        n._replace(parents=tuple(at[i] for i in n.parents)) for n in nodes
+    ))
 
 
-def _late_references(nodes):
-    """The structural errors of a listing whose parents are all nodes."""
-    seen = set()
-    out = []
-    for n in nodes:
-        out += [
-            f"node {n.id} references parent {pid}, which is not listed before it"
-            for pid in n.parents
-            if pid not in seen
-        ]
-        seen.add(n.id)
-    return out
+def _late_references(d):
+    """The structural errors of d, whose parents are all nodes."""
+    return [
+        f"node {i} references parent {p}, which is not listed before it"
+        for i, n in enumerate(d.nodes)
+        for p in n.parents
+        if p >= i
+    ]
 
 
 def test_check_rejects_valid_proofs_not_listed_parent_first():
     rng = random.Random(23)
     for d, variant, hyps in _extracted_proofs():
         assert check_derivation(d, variant, hyps).ok
-        assert _late_references(d.nodes[::-1])  # the root comes first
-        for nodes in (d.nodes[::-1], rng.sample(d.nodes, len(d.nodes))):
-            want = _late_references(nodes)
-            rep = check_derivation(_relisted(d, nodes), variant, hyps)
+        positions = range(len(d.labels))
+        assert _late_references(_relisted(d, positions[::-1]))  # root first
+        for order in (positions[::-1], rng.sample(positions, len(positions))):
+            relisted = _relisted(d, order)
+            want = _late_references(relisted)
+            rep = check_derivation(relisted, variant, hyps)
             if want:
                 assert rep == ca.Report(False, want, [])
             else:  # a draw that happens to list every parent first
@@ -418,7 +422,7 @@ def test_check_rejects_valid_proofs_not_listed_parent_first():
 def test_check_lists_failures_in_document_order():
     for d, variant, hyps in _extracted_proofs()[:8]:
         rep = check_derivation(d, variant, set())
-        leaves = [n.id for n in d.nodes if n.kind == "hypothesis"]
+        leaves = [i for i, rule in enumerate(d.rules) if rule is None]
         assert rep.ok == (not leaves)
         assert [r.node_id for r in rep.failures] == leaves
         for r in rep.failures:
@@ -431,10 +435,10 @@ def test_check_reports_a_back_edge_in_parent_first_order():
     d = Derivation.of_nodes(
         root=3,
         nodes=(
-            _node(0, pq, "hypothesis"),
-            _node(1, p, "rule", "AndE_L", (0, 3)),
-            _node(2, q, "rule", "AndE_R", (0,)),
-            _node(3, pq, "rule", "AndI", (1, 2)),
+            _node(pq),
+            _node(p, "AndE_L", (0, 3)),
+            _node(q, "AndE_R", (0,)),
+            _node(pq, "AndI", (1, 2)),
         ),
     )
     rep = check_derivation(d, V.ORIGINAL, {pq})
@@ -442,39 +446,43 @@ def test_check_reports_a_back_edge_in_parent_first_order():
         False, ["node 1 references parent 3, which is not listed before it"], []
     )
     # a self-loop is the shortest back edge
-    loop = Derivation.of_nodes(root=0, nodes=(_node(0, p, "rule", "OrE", (0,)),))
+    loop = Derivation.of_nodes(root=0, nodes=(_node(p, "OrE", (0,)),))
     assert check_derivation(loop, V.QPL, set()) == ca.Report(
         False, ["node 0 references parent 0, which is not listed before it"], []
     )
     # the same in extracted proofs: node 0, a leaf, now cites the root
     for d, variant, hyps in _extracted_proofs()[:5]:
         first = d.nodes[0]
-        back = _relisted(
-            d, (first._replace(parents=(d.root,)), *d.nodes[1:])
+        back = Derivation.of_nodes(
+            d.root, (first._replace(parents=(d.root,)), *d.nodes[1:])
         )
         rep = check_derivation(back, variant, hyps)
         assert rep.structural_errors == [
-            f"node {first.id} references parent {d.root}, which is not "
-            "listed before it"
+            f"node 0 references parent {d.root}, which is not listed before it"
         ]
         assert not rep.ok and not rep.failures
 
 
 def test_check_reports_missing_parents_of_a_duplicate_node():
-    # parent-first apart from the duplicate, whose parent is missing
+    # parent-first apart from a repeat of node 1, whose parent is missing;
+    # a node may repeat another's label and rule
+    pq = conj(p, q)
     d = Derivation.of_nodes(
         root=1,
         nodes=(
-            _node(0, p, "hypothesis"),
-            _node(1, p, "rule", "OrE", (0,)),
-            _node(0, q, "rule", "AndE_L", (5,)),
+            _node(pq),
+            _node(p, "AndE_L", (0,)),
+            _node(p, "AndE_L", (5,)),
+            _node(p, "AndE_L", (-1,)),
         ),
     )
-    rep = check_derivation(d, V.QPL, {p})
+    rep = check_derivation(d, V.QPL, {pq})
     assert rep.structural_errors == [
-        "duplicate node id 0",
-        "node 0 references missing parent 5",
+        "node 2 references missing parent 5",
+        "node 3 references missing parent -1",
     ]
+    repeat = Derivation.of_nodes(2, d.nodes[:2] + d.nodes[1:2])
+    assert check_derivation(repeat, V.QPL, {pq}) == ca.Report(True, [], [])
 
 
 def _read_back(d):
@@ -482,51 +490,39 @@ def _read_back(d):
 
 
 def test_check_takes_node_ids_as_given():
-    # ids 7, 3 and 11 are no positions: the checker keys labels by id, and
-    # a copy read back from JSON gets the same report
+    # a node's id is its position in the listing: the report names nodes by
+    # position, and a copy read back from JSON gets the same report
     pq = conj(p, q)
-    hyp_p, hyp_q = _node(7, p, "hypothesis"), _node(3, q, "hypothesis")
-    both = _node(11, pq, "rule", "AndI", (7, 3))
+    hyp_p, hyp_q = _node(p), _node(q)
+    late = "node {} references parent {}, which is not listed before it"
     cases = [
-        ((hyp_p, hyp_q, both), ca.Report(True, [], [])),
-        ((hyp_p, hyp_q, _node(3, p, "hypothesis"), both),
-         ca.Report(False, ["duplicate node id 3"], [])),
-        ((hyp_p, both, hyp_q), ca.Report(
-            False,
-            ["node 11 references parent 3, which is not listed before it"],
-            [],
-        )),
-        ((hyp_p, _node(3, p, "hypothesis"), both, hyp_q), ca.Report(
-            False, ["duplicate node id 3"], []
-        )),
-        ((both, hyp_q, hyp_q), ca.Report(False, [
-            "duplicate node id 3",
-            "node 11 references missing parent 7",
-            "node 11 references parent 3, which is not listed before it",
+        (2, (hyp_p, hyp_q, _node(pq, "AndI", (0, 1))), ca.Report(True, [], [])),
+        (2, (hyp_q, hyp_p, _node(pq, "AndI", (1, 0))), ca.Report(True, [], [])),
+        (1, (hyp_p, _node(pq, "AndI", (0, 2)), hyp_q),
+         ca.Report(False, [late.format(1, 2)], [])),
+        (0, (_node(pq, "AndI", (3, 1)), hyp_q, hyp_q), ca.Report(False, [
+            "node 0 references missing parent 3", late.format(0, 1),
         ], [])),
     ]
-    for nodes, want in cases:
-        d = Derivation.of_nodes(11, nodes)
-        assert d.ids == tuple(n.id for n in nodes)
+    for root, nodes, want in cases:
+        d = Derivation.of_nodes(root, nodes)
         for copy in (d, _read_back(d)):
             assert copy == d
             assert check_derivation(copy, V.ORIGINAL, {p, q}, pq) == want
-    d = Derivation.of_nodes(11, (hyp_p, hyp_q, both))
+    d = Derivation.of_nodes(2, (hyp_p, hyp_q, _node(pq, "AndI", (0, 1))))
     assert check_derivation(d, V.ORIGINAL, {p}, pq) == ca.Report(
-        False, [], [NodeResult(3, False, "q is not among the hypotheses")]
+        False, [], [NodeResult(1, False, "q is not among the hypotheses")]
     )
 
 
 def test_check_judges_the_nodes_the_view_shows():
     # columns of unequal lengths, and premise counts that do not match the
     # parents column, are judged as Derivation.nodes shows them
-    ok = Derivation.of_nodes(1, (_node(0, p, "hypothesis"),
-                                 _node(1, disj(p, q), "rule", "OrI_L", (0,))))
+    ok = Derivation.of_nodes(1, (_node(p), _node(disj(p, q), "OrI_L", (0,))))
     assert check_derivation(ok, V.QPL, {p}).ok
     changed = [
-        ok._replace(ids=(0,)),
         ok._replace(labels=(p, p, p)),
-        ok._replace(kinds=("hypothesis",)),
+        ok._replace(rules=(None,)),
         ok._replace(rules=()),
         ok._replace(premises=(0, 2)),
         ok._replace(premises=(1, 0)),
@@ -563,7 +559,6 @@ def test_columns_round_trip_and_view_on_random_proofs():
         back = derivation_from_json(derivation_to_json(d), declared)
         assert back == d
         assert Derivation.of_nodes(d.root, d.nodes) == d
-        assert [n.id for n in d.nodes] == list(d.ids)
         for hypset in (hyps, ()):
             assert check_derivation(back, variant, hypset) == check_derivation(
                 d, variant, hypset
@@ -612,8 +607,8 @@ def _node_changes(session, alone):
     replaced, its last parent dropped, its two parents swapped."""
     held = {}
     for _, d in alone:
-        for label, kind in zip(d.labels, d.kinds):
-            if kind == "rule":
+        for label, k in zip(d.labels, d.premises):
+            if k:
                 held[label] = held.get(label, 0) + 1
     # the members several proofs hold, those held most often first
     shared = sorted((f for f in held if held[f] > 1), key=lambda f: -held[f])
@@ -626,8 +621,7 @@ def _node_changes(session, alone):
 
     def faults(d, i, name, conclusion):
         start = sum(d.premises[:i])
-        ps = [d.labels[d.ids.index(pid)]
-              for pid in d.parents[start:start + d.premises[i]]]
+        ps = [d.labels[j] for j in d.parents[start:start + d.premises[i]]]
         return match_rule(session.variant, name, ps, conclusion) is not None
 
     def rename(d, i):
@@ -727,7 +721,7 @@ def test_shared_document_holds_each_member_once(name, nodes):
     alone = _alone(session)
     members = {f for _, d in alone for f in d.labels}
     _, _, d, proofs = ca.proof_document_from_json(doc)
-    assert len(d.ids) == len(set(d.labels)) == len(members) == nodes
+    assert len(d.labels) == len(set(d.labels)) == len(members) == nodes
     assert set(d.labels) == members
     assert [q for q, _ in proofs] == [q for q, _ in alone]
 
@@ -737,12 +731,12 @@ def test_verify_proof_matches_each_distinct_inference_once(
 ):
     # the document of the queries benchmark: the 4-state machine at t=6,
     # whose 10 proofs, extracted each on its own, hold 280 nodes for 45
-    # distinct members; its table holds each once, and each rule node is
-    # matched once
+    # distinct members; its table holds each once, and each node that names
+    # a rule is matched once
     session, doc = _document_of("machine/t6")
-    assert sum(len(d.ids) for _, d in _alone(session)) == 280
-    assert len(doc["id"]) == 45
-    rule_nodes = doc["kind"].count("rule")
+    assert sum(len(d.labels) for _, d in _alone(session)) == 280
+    assert len(doc["label"]) == 45
+    rule_nodes = len(doc["rule"]) - doc["rule"].count(None)
     path = tmp_path / "proof.json"
     path.write_text(json.dumps(doc))
     calls = []
@@ -764,10 +758,10 @@ def _sample_derivation():
     return Derivation.of_nodes(
         root=3,
         nodes=(
-            _node(0, pq, "hypothesis"),
-            _node(1, q, "rule", "AndE_R", (0,)),
-            _node(2, p, "rule", "AndE_L", (0,)),
-            _node(3, conj(q, p), "rule", "AndI", (1, 2)),
+            _node(pq),
+            _node(q, "AndE_R", (0,)),
+            _node(p, "AndE_L", (0,)),
+            _node(conj(q, p), "AndI", (1, 2)),
         ),
     )
 
@@ -780,9 +774,7 @@ def test_json_round_trip():
         # rows: p, q, p & q, q & p
         "names": ["p", "q"],
         "formulas": [ca.ATOM, 0, 0, ca.ATOM, 1, 0, ca.AND, 0, 1, ca.AND, 1, 0],
-        "id": [0, 1, 2, 3],
         "label": [2, 1, 0, 3],
-        "kind": ["hypothesis", "rule", "rule", "rule"],
         "rule": [None, "AndE_R", "AndE_L", "AndI"],
         "premises": [0, 1, 1, 2],
         "parents": [0, 0, 1, 2],
@@ -804,7 +796,7 @@ def test_json_rows_carry_term_kinds():
         exists("x", forall("y", disj(atom("R", x, y), imp(top(), bot())))),
     ]
     d = Derivation.of_nodes(root=0, nodes=tuple(
-        _node(i, f, "hypothesis") for i, f in enumerate(labels)
+        _node(f) for f in labels
     ))
     blob = json.loads(json.dumps(derivation_to_json(d)))
     assert blob["names"] == ["R", "y", "x"]
@@ -818,8 +810,9 @@ def test_json_refuses_derivations_written_before_formula_tables():
     # five-element array per node
     d = _sample_derivation()
     keys = ("id", "label", "kind", "rule", "parents")
-    arrays = [[n.id, render(n.label), n.kind, n.rule, list(n.parents)]
-              for n in d.nodes]
+    kinds = ("hypothesis", "rule", "rule", "rule")
+    arrays = [[i, render(n.label), kind, n.rule, list(n.parents)]
+              for i, (n, kind) in enumerate(zip(d.nodes, kinds))]
     objects = [dict(zip(keys, n)) for n in arrays]
     for blob in ({"root": 0, "nodes": []}, {"root": 3, "nodes": arrays},
                  {"root": 3, "nodes": objects}):
@@ -828,12 +821,13 @@ def test_json_refuses_derivations_written_before_formula_tables():
         assert str(info.value) == ca.WRITTEN_BEFORE_TABLES
 
 
+
 def test_json_labels_with_declared_vars():
     # a variable free in a label must be declared; rows carry term kinds,
     # so declaring y does not turn the constant y into it
     d = Derivation.of_nodes(root=0, nodes=(
-        _node(0, atom("R", y), "hypothesis"),
-        _node(1, atom("R", const("y")), "hypothesis"),
+        _node(atom("R", y)),
+        _node(atom("R", const("y"))),
     ))
     blob = json.loads(json.dumps(derivation_to_json(d)))
     back = derivation_from_json(blob, declared_vars=("y",))
@@ -844,7 +838,7 @@ def test_json_labels_with_declared_vars():
 
 def test_json_reserved_labels_accepted():
     z = const("_0")
-    d = Derivation.of_nodes(root=0, nodes=(_node(0, atom("R", z), "hypothesis"),))
+    d = Derivation.of_nodes(root=0, nodes=(_node(atom("R", z)),))
     back = derivation_from_json(derivation_to_json(d))
     assert back.nodes[0].label is atom("R", z)
 
@@ -854,9 +848,7 @@ TABLE_PROOF = {
     "root": 2,
     "names": ["p", "q"],
     "formulas": [ca.ATOM, 0, 0, ca.ATOM, 1, 0, ca.AND, 0, 1],
-    "id": [0, 1, 2],
     "label": [0, 1, 2],
-    "kind": ["hypothesis", "hypothesis", "rule"],
     "rule": [None, None, "AndI"],
     "premises": [0, 0, 2],
     "parents": [0, 1],
@@ -893,7 +885,7 @@ def test_json_table_proof_reads_and_checks():
     # a variable bound above it needs no declaration
     bound = {**TABLE_PROOF, "names": ["p", "q", "R", "x"],
              "formulas": [ca.ATOM, 2, 1, -4, ca.FORALL, 3, 0],
-             "id": [0], "label": [1], "kind": ["hypothesis"], "rule": [None],
+             "label": [1], "rule": [None],
              "premises": [0], "parents": [], "root": 0}
     assert derivation_from_json(bound).nodes[0].label is forall("x", atom("R", x))
 
@@ -904,7 +896,7 @@ def test_json_table_of_a_deep_formula():
     f = atom("p0")
     for i in range(1, 5000):
         f = imp(atom(f"p{i}"), f)
-    d = Derivation.of_nodes(root=0, nodes=(_node(0, f, "hypothesis"),))
+    d = Derivation.of_nodes(root=0, nodes=(_node(f),))
     back = derivation_from_json(json.loads(json.dumps(derivation_to_json(d))))
     assert back.nodes[0].label is f
 
@@ -1126,20 +1118,16 @@ def _reference_column_fault(columns: list, n_rows: int) -> str:
     for key, column in zip(ca._COLUMNS, columns):
         if type(column) is not list:
             return f"derivation needs a {key!r} array"
-    ids, label, kind, rule, premises, parents = columns
-    if not len(ids) == len(label) == len(kind) == len(rule) == len(premises):
-        return ("node columns 'id', 'label', 'kind', 'rule' and 'premises' "
-                "must have one entry per node")
+    label, rule, premises, parents = columns
+    if not len(label) == len(rule) == len(premises):
+        return ("node columns 'label', 'rule' and 'premises' must have one "
+                "entry per node")
     for key, column in zip(ca._COLUMNS, columns):
-        if key not in ("kind", "rule") and not _only({int}, column):
+        if key != "rule" and not _only({int}, column):
             return f"{key!r} must be an integer array"
     bad = next((i for i in label if not 0 <= i < n_rows), None)
     if bad is not None:
         return f"'label' cites row {bad}, but 'formulas' has {n_rows} row(s)"
-    # search by index: a null kind is a fault, not "no match"
-    at = next((i for i, k in enumerate(kind) if k not in ca._NODE_KINDS), None)
-    if at is not None:
-        return f"node at index {at}: unknown kind {kind[at]!r}"
     if not _only({str, type(None)}, rule):
         return "'rule' entries must be strings or null"
     if any(p < 0 for p in premises):
@@ -1157,14 +1145,13 @@ def _reference_reader(obj, declared_vars=()):
     if type(obj.get("root")) is not int:
         raise ValueError("derivation needs an integer 'root'")
     rows = _reference_table_rows(obj, {})
-    columns = ids, label, kind, rule, premises, parents = [
+    columns = label, rule, premises, parents = [
         obj.get(key) for key in ca._COLUMNS
     ]
     n_rows = len(rows)
     if not (
-        type(ids) is type(label) is type(kind) is type(rule) is list
-        and type(premises) is type(parents) is list
-        and len(ids) == len(label) == len(kind) == len(rule) == len(premises)
+        type(label) is type(rule) is type(premises) is type(parents) is list
+        and len(label) == len(rule) == len(premises)
         and _only({int}, parents)
     ):
         raise ValueError(_reference_column_fault(columns, n_rows))
@@ -1172,11 +1159,9 @@ def _reference_reader(obj, declared_vars=()):
     flat = tuple(parents)
     nodes = []
     j = 0
-    for nid, i, k, r, n in zip(ids, label, kind, rule, premises):
+    for i, r, n in zip(label, rule, premises):
         if (
-            type(nid) is not int
-            or type(i) is not int or not 0 <= i < n_rows
-            or k not in ca._NODE_KINDS
+            type(i) is not int or not 0 <= i < n_rows
             or (r is not None and r.__class__ is not str)
             or type(n) is not int or n < 0
         ):
@@ -1184,7 +1169,7 @@ def _reference_reader(obj, declared_vars=()):
         f = rows[i]
         if f.free and not f.free <= declared:
             raise ValueError(ca._undeclared("'label'", f.free - declared))
-        nodes.append(DerivationNode(nid, f, k, r, flat[j:j + n]))
+        nodes.append(DerivationNode(f, r, flat[j:j + n]))
         j += n
     if j != len(flat):
         raise ValueError(_reference_column_fault(columns, n_rows))
@@ -1259,17 +1244,6 @@ def test_reader_reports_a_column_fault_before_an_undeclared_label():
             assert got == _read(_reference_reader, mutant, ("y",))
             moved += 1
     assert moved > 0
-
-
-@pytest.mark.parametrize(
-    "kind,at",
-    [([None, "hypothesis", "rule"], 0), (["hypothesis", "hypothesis", None], 2)],
-)
-def test_reader_names_the_node_of_an_unknown_kind(kind, at):
-    # a null kind is an unknown kind too, not the end of the search
-    with pytest.raises(ValueError) as info:
-        derivation_from_json({**TABLE_PROOF, "kind": kind})
-    assert str(info.value) == f"node at index {at}: unknown kind {kind[at]!r}"
 
 
 @pytest.mark.parametrize(
@@ -1375,21 +1349,26 @@ def test_match_rule_rejection_table(
     assert res == (code, message)
 
 
-# (variant, kind, rule, parent labels, label, reason); each parent is a
-# hypothesis node, the judged node comes last
+# (variant, reads_as, rule, parent labels, label, reason); each parent is
+# a hypothesis node, the judged node comes last. reads_as is what the
+# checker reads the node as: a hypothesis when it names no rule, else an
+# axiom when it has no parents, else a rule node
 _NODE_REJECTIONS = [
     ("qpl", "hypothesis", None, ["p"], "p", "hypothesis node has parents"),
-    ("qpl", "hypothesis", "AndI", [], "p",
-     "hypothesis node carries a rule name"),
+    ("qpl", "axiom", "AndI", [], "p", "shape: AndI expects 2 premise(s), got 0"),
     ("qpl", "hypothesis", None, [], "p & q",
      "p & q is not among the hypotheses"),
-    ("qpl", "axiom", None, ["p"], "true", "axiom node has parents"),
-    ("l2", "axiom", None, [], "p -> p",
-     "axiom p -> p is not part of the l2 calculus"),
-    ("qpl", "axiom", "ImpAx", [], "p -> q", "p -> q is not an axiom"),
-    ("qpl", "axiom", "ImpAx", [], "true", "axiom node labeled with rule 'ImpAx'"),
-    ("qpl", "rule", None, [], "p", "rule node is missing its rule name"),
-    ("qpl", "assumption", None, [], "p", "unknown node kind 'assumption'"),
+    ("qpl", "rule", "ImpAx", ["p"], "p -> p",
+     "shape: ImpAx expects 0 premise(s), got 1"),
+    ("l2", "axiom", "ImpAx", [], "p -> p",
+     "unknown_rule: rule ImpAx is not part of the l2 calculus"),
+    ("qpl", "axiom", "ImpAx", [], "p -> q",
+     "shape: ImpAx: axiom instances are implications with equal sides"),
+    ("qpl", "axiom", "ImpAx", [], "true",
+     "shape: ImpAx: axiom instances are implications with equal sides"),
+    ("qpl", "axiom", "TopI", [], "p",
+     "shape: TopI: conclusion must be the truth constant"),
+    ("qpl", "axiom", "Assume", [], "p", "unknown_rule: unknown rule 'Assume'"),
     ("qpl", "rule", "ImpE", ["p -> q", "p"], "q",
      "shape: ImpE: premises must read antecedent, implication"),
     ("pfqpl", "rule", "ForallE", ["forall x. R(x)"], "R(c)",
@@ -1403,12 +1382,17 @@ _NODE_REJECTIONS = [
 
 
 @pytest.mark.parametrize(
-    "variant,kind,rule,parents,label,reason", _NODE_REJECTIONS
+    "variant,reads_as,rule,parents,label,reason", _NODE_REJECTIONS
 )
-def test_check_node_rejection_table(variant, kind, rule, parents, label, reason):
-    nodes = [_node(i, _f(s), "hypothesis") for i, s in enumerate(parents)]
+def test_check_node_rejection_table(
+    variant, reads_as, rule, parents, label, reason
+):
+    assert reads_as == (
+        "hypothesis" if rule is None else "rule" if parents else "axiom"
+    )
+    nodes = [_node(_f(s)) for s in parents]
     k = len(parents)
-    nodes.append(_node(k, _f(label), kind, rule, range(k)))
+    nodes.append(_node(_f(label), rule, range(k)))
     hyps = {n.label for n in nodes[:k]}
     rep = check_derivation(Derivation.of_nodes(k, tuple(nodes)), V.from_name(variant), hyps)
     assert not rep.ok and not rep.structural_errors

@@ -22,6 +22,7 @@ from qpl.calculus import (
     CalculusVariant as V,
     Derivation,
     DerivationNode,
+    derivation_from_json,
     derivation_to_json,
     proof_document_from_json,
     proof_document_to_json,
@@ -310,8 +311,8 @@ def test_prove_json_stdout(tmp_path, capsys):
     hyps = write(tmp_path, "h.qpl", "p\nq\n")
     assert cli.main(["prove", hyps, "p & q", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert set(doc["kind"]) == {"hypothesis", "rule"}
-    assert "AndI" in doc["rule"]
+    assert doc["rule"] == [None, None, "AndI"]
+    assert doc["premises"] == [0, 0, 2]
 
 
 def test_prove_not_entailed_exits_1(tmp_path, capsys):
@@ -356,7 +357,7 @@ def test_verify_proof_rejects_mutations(tmp_path, capsys):
     out = tmp_path / "proof.json"
     assert cli.main(["prove", hyps, "p & q", "--proof", str(out)]) == 0
     doc = json.loads(out.read_text())
-    doc["rule"][doc["kind"].index("rule")] = "AndE_L"
+    doc["rule"][doc["rule"].index("AndI")] = "AndE_L"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert cli.main(["verify-proof", str(bad)]) == 1
@@ -394,7 +395,7 @@ def test_verify_proof_malformed_exits_2(tmp_path, capsys):
 P, Q = atom("p"), atom("q")
 
 
-_HYP_P = DerivationNode(0, P, "hypothesis", None, ())
+_HYP_P = DerivationNode(P, None, ())
 
 
 def _derivation_doc(root, nodes, hyps=(P,), query=P, **columns):
@@ -429,10 +430,10 @@ def _doc_without(key):
 
 # a valid proof of p from p & q, listed root first
 _ROOT_FIRST = _derivation_doc(
-    1,
+    0,
     [
-        DerivationNode(1, P, "rule", "AndE_L", (0,)),
-        DerivationNode(0, conj(P, Q), "hypothesis", None, ()),
+        DerivationNode(P, "AndE_L", (1,)),
+        DerivationNode(conj(P, Q), None, ()),
     ],
     hyps=[conj(P, Q)],
 )
@@ -464,15 +465,17 @@ _VERIFY_CASES = [
     ("rule-int", _derivation_doc(0, [_HYP_P._replace(rule=5)]), 2),
     # JSON true/false are not node numbers, although Python's bool is an int
     ("root-bool", _derivation_doc(False, [_HYP_P]), 2),
-    ("id-bool", _derivation_doc(0, [_HYP_P._replace(id=False)]), 2),
+    # a node is its position: an id column, of bools or of ints, marks a
+    # document written before that, refused whole
+    ("id-bool", _derivation_doc(0, [_HYP_P], id=[False]), 2),
     (
         "parents-bool",
         _derivation_doc(
             2,
             [
                 _HYP_P,
-                DerivationNode(1, Q, "hypothesis", None, ()),
-                DerivationNode(2, conj(P, Q), "rule", "AndI", (False, True)),
+                DerivationNode(Q, None, ()),
+                DerivationNode(conj(P, Q), "AndI", (False, True)),
             ],
             hyps=[P, Q],
             query=conj(P, Q),
@@ -483,7 +486,7 @@ _VERIFY_CASES = [
     ("root-first", _ROOT_FIRST, 1),
     (
         "self-loop",
-        _derivation_doc(0, [DerivationNode(0, P, "rule", "OrE", (0,))]),
+        _derivation_doc(0, [DerivationNode(P, "OrE", (0,))]),
         1,
     ),
 ]
@@ -514,7 +517,7 @@ def test_verify_proof_prints_a_parent_listed_late(tmp_path, capsys):
     path = write(tmp_path, "doc.json", _ROOT_FIRST)
     assert cli.main(["verify-proof", path]) == 1
     assert capsys.readouterr().err == (
-        "proof 0: node 1 references parent 0, which is not listed before it\n"
+        "proof 0: node 0 references parent 1, which is not listed before it\n"
         "1 of 1 proofs failed\n"
     )
 
@@ -609,6 +612,24 @@ def test_verify_proof_refuses_documents_with_a_derivation_per_proof(
     path = write(tmp_path, "doc.json", json.dumps(doc))
     assert cli.main(["verify-proof", path]) == 2
     assert capsys.readouterr() == ("", f"error: {WRITTEN_BEFORE_TABLES}\n")
+
+
+def test_verify_proof_refuses_documents_with_id_or_kind_columns(
+    tmp_path, capsys
+):
+    # the shape before a node was its position and its rule: each node
+    # also had an id and a kind ("hypothesis", "axiom" or "rule"). Such a
+    # document exits 2, and derivation_from_json refuses such a standalone
+    # derivation, with the one message of every older shape
+    ids, kinds = {"id": [0, 1, 2]}, {"kind": ["hypothesis", "hypothesis", "rule"]}
+    derivation = derivation_to_json(derivation_from_json(TABLE_PROOF))
+    for extra in (ids, kinds, {**ids, **kinds}):
+        path = write(tmp_path, "doc.json", _table_doc(extra))
+        assert cli.main(["verify-proof", path]) == 2
+        assert capsys.readouterr() == ("", f"error: {WRITTEN_BEFORE_TABLES}\n")
+        with pytest.raises(ValueError) as info:
+            derivation_from_json({**derivation, **extra})
+        assert str(info.value) == WRITTEN_BEFORE_TABLES
 
 
 # p, p -> q |- q by ImpE, as object nodes; "mutated" concludes r from a
@@ -709,7 +730,7 @@ def _round_trip(tmp_path, capsys, argv, paths, hyps, queries):
     read = [query for query, _ in proofs]
     assert len(read) == len(queries) and all(a is b for a, b in zip(read, queries))
     for (_, root), query in zip(proofs, queries):
-        assert d.labels[d.ids.index(root)] is query
+        assert d.labels[root] is query
     path = write(tmp_path, "doc.json", json.dumps(doc))
     assert cli.main(["verify-proof", path]) == 0
     assert capsys.readouterr() == (f"ok: {len(queries)} proof(s) verified\n", "")
@@ -868,8 +889,8 @@ _DEEP_INSTANCE = parse_formula(_DEEP_BODY.replace("x", "c"))
 _DEEP_FORALL_E = _derivation_doc(
     1,
     [
-        DerivationNode(0, _DEEP_HYP, "hypothesis", None, ()),
-        DerivationNode(1, _DEEP_INSTANCE, "rule", "ForallE", (0,)),
+        DerivationNode(_DEEP_HYP, None, ()),
+        DerivationNode(_DEEP_INSTANCE, "ForallE", (0,)),
     ],
     hyps=[_DEEP_HYP],
     query=_DEEP_INSTANCE,
@@ -1176,7 +1197,9 @@ def test_cli_documents_keep_their_bytes(tmp_path, capsys):
     # loads to the same value as the indented one. The proof file's and
     # prove --json's were retaken when a document came to hold one node
     # table with a (query, root) pair per proof, once every proof in them
-    # verified.
+    # verified, and again when a node came to be its position and rule,
+    # without the id and kind columns: each new document loads to the old
+    # one's value less those two keys.
     hyps, halting = bounded_halting_instance(MACHINE, 2)
     configs = [
         atom(f"K{i}", const(f"n{a}"), const(f"n{b}"))
@@ -1196,7 +1219,7 @@ def test_cli_documents_keep_their_bytes(tmp_path, capsys):
     assert _sha(out.encode()) == (
         "41e3120c208320e3211d074dbae8e462283749d8e09a6cfece8015a342ee99ea")
     assert _sha(proof.read_bytes()) == (
-        "a9de4cd595ddc6f5a310967dabd4c9a44da2a3fd397f6dcc068094ba2f7acd20")
+        "0f812b45765d280c744b53b2460adb6bf22b283098185ef0e36a5755c1782ad4")
     assert _sha(model.read_bytes()) == (
         "4a778796ef1a9908804de4150019be520d7539b272e41f4e883ba019c3f46194")
     assert cli.main(["verify-proof", str(proof)]) == 0
@@ -1205,5 +1228,5 @@ def test_cli_documents_keep_their_bytes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out == compact(json.loads(out))
     assert _sha(out.encode()) == (
-        "fbd7f57ecb944d6377407d2a60ef8188b6a846f4497c657c4935010c413da4d2")
+        "d5e7570f722104587c39ffe54d5a2e8fc2a92a30f789febe02a249ec4cf42912")
     assert cli.main(["verify-proof", write(tmp_path, "prove.json", out)]) == 0

@@ -18,7 +18,6 @@ from qpl.calculus import (
     check_derivation,
     derivation_from_json,
     derivation_to_json,
-    load_derivation,
     proof_document_from_json,
     proof_document_to_json,
 )
@@ -52,7 +51,6 @@ def _entry_points(tmp_path):
         ("Session.verdicts", session.verdicts),
         ("derivation_to_json", lambda: derivation_to_json(verdict.proof)),
         ("derivation_from_json", lambda: derivation_from_json(doc, ("x",))),
-        ("load_derivation", lambda: load_derivation(json.dumps(doc), ("x",))),
         ("proof_document_to_json",
          lambda: proof_document_to_json(V.QPL, prob.formulas, ["x"], pairs)),
         ("proof_document_from_json",
@@ -70,7 +68,6 @@ def _failing_calls(tmp_path):
     return [
         ("parse_problem", lambda: parse_problem("p &\n"), ParseError),
         ("derivation_from_json", lambda: derivation_from_json([]), ValueError),
-        ("load_derivation", lambda: load_derivation("[1,"), ValueError),
         ("proof_document_from_json", lambda: proof_document_from_json({}),
          ValueError),
         ("Session", lambda: Session(parse_problem(PROBLEM).formulas, [],
@@ -97,7 +94,7 @@ def collector_on():
 
 def test_paused_entry_points_keep_their_names():
     for fn in (parse_problem, Session.__init__, Session.verdicts,
-               derivation_to_json, derivation_from_json, load_derivation,
+               derivation_to_json, derivation_from_json,
                proof_document_to_json, proof_document_from_json,
                check_derivation, cli.main):
         assert fn.__qualname__ == fn.__wrapped__.__qualname__
@@ -135,10 +132,19 @@ def test_paused_inside_the_call(collector_on):
     assert seen == [False] and gc.isenabled()
 
 
-def test_load_derivation_reads_a_large_proof_without_a_collection(collector_on):
+def test_verify_proof_reads_a_large_proof_without_a_collection(
+    tmp_path, capsys, collector_on
+):
+    # cli.main runs whole under the pause, so json.loads of the proof text
+    # and the reader and checker after it meet no collection
     hyps, query = chain_family(50_000)
-    verdict = Session(hyps, [query], V.PFQPL).verdicts()[0]
-    text = json.dumps(derivation_to_json(verdict.proof))
+    problem = tmp_path / "h.qpl"
+    problem.write_text("".join(render(h) + "\n" for h in hyps))
+    proof = tmp_path / "proof.json"
+    argv = ["prove", str(problem), render(query), "--variant", "pfqpl",
+            "--proof", str(proof)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
     collections = []
 
     def record(phase, info):
@@ -146,12 +152,11 @@ def test_load_derivation_reads_a_large_proof_without_a_collection(collector_on):
 
     gc.callbacks.append(record)
     try:
-        proof = load_derivation(text)
+        assert cli.main(["verify-proof", str(proof)]) == 0
     finally:
         gc.callbacks.remove(record)
     assert collections == []
-    assert proof == derivation_from_json(json.loads(text))
-    assert len(proof.nodes) == len(verdict.proof.nodes)
+    assert capsys.readouterr().out == "ok: 1 proof(s) verified\n"
 
 
 def _chain_pipeline():

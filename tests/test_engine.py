@@ -306,7 +306,7 @@ def test_derivation_columns_stay_small():
     finally:
         tracemalloc.stop()
         gc.enable()
-    n = len(extracted.ids)
+    n = len(extracted.labels)
     assert n == 33_333 and read == extracted
     assert extract_bytes <= 95 * n
     assert read_bytes <= 60 * n
@@ -381,7 +381,7 @@ def test_extract_modus_ponens_proof():
     assert len(nodes) == 3
     assert v.proof.root == 2
     assert nodes[2].rule == "ImpE"
-    assert [n.kind for n in nodes] == ["hypothesis", "hypothesis", "rule"]
+    assert [n.rule for n in nodes] == [None, None, "ImpE"]
     assert nodes[2].parents == (0, 1)
 
 
@@ -391,7 +391,7 @@ def test_extract_commuted_conjunction_proof():
     # full sharing: the hypothesis leaf is reused, so 4 nodes not 5
     assert len(nodes) == 4
     assert v.proof.root == 3
-    assert nodes[0].kind == "hypothesis" and nodes[0].label is conj(p, q)
+    assert nodes[0].rule is None and nodes[0].label is conj(p, q)
     assert {n.rule for n in nodes[1:]} == {"AndE_R", "AndE_L", "AndI"}
     assert nodes[3].rule == "AndI"
     rep = check_derivation(v.proof, V.ORIGINAL, {conj(p, q)},
@@ -417,10 +417,10 @@ def test_extract_is_postorder_and_within_closure():
     v = entails([conj(p, q), imp(p, imp(q, r))], r, V.ORIGINAL)
     assert v.entailed
     members = set(v.closure_table.universe)
-    for n in v.proof.nodes:
+    for i, n in enumerate(v.proof.nodes):
         assert n.label in members
         for pid in n.parents:
-            assert pid < n.id
+            assert pid < i
     assert v.proof.root == len(v.proof.nodes) - 1
 
 

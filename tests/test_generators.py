@@ -531,5 +531,5 @@ def test_counter_family_derives_its_whole_closure(d):
     n = len(v.closure_table.universe)
     assert n == 3 * 2 ** d - (d + 2)
     assert v.entailed and v.stats["derived_count"] == n
-    assert len(v.proof.ids) == n
+    assert len(v.proof.labels) == n
     assert check_derivation(v.proof, V.QPL, hyps, query).ok

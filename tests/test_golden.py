@@ -199,8 +199,8 @@ def test_proofs_round_trip_through_json_text():
                 continue
             blob = json.loads(json.dumps(derivation_to_json(v.proof)))
             assert sorted(blob) == sorted([
-                "root", "names", "formulas", "id", "label", "kind", "rule",
-                "premises", "parents",
+                "root", "names", "formulas", "label", "rule", "premises",
+                "parents",
             ])
             for key, column in blob.items():
                 assert key == "root" or {*map(type, column)} <= _FLAT, key

@@ -63,9 +63,15 @@ def test_retired_names_are_gone():
         assert not hasattr(qpl.engine, name), name
     assert not hasattr(qpl.calculus, "_check_node")
     for fn, name in ((qpl.calculus.derivation_from_json, "symbols"),
-                     (qpl.calculus.load_derivation, "symbols"),
                      (qpl.calculus.derivation_to_json, "table")):
         assert name not in inspect.signature(fn).parameters, fn.__name__
+    # a node is its position and its rule: no id or kind column, axioms are
+    # rules with no premises, and nothing reads proof text but the CLI
+    assert not {"ids", "kinds"} & set(qpl.calculus.Derivation._fields)
+    assert qpl.calculus.DerivationNode._fields == ("label", "rule", "parents")
+    assert not hasattr(qpl.calculus, "_NODE_KINDS")
+    assert "load_derivation" not in qpl.__all__
+    assert not hasattr(qpl.calculus, "load_derivation")
 
 
 def test_every_tracing_site_resolves():
