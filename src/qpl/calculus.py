@@ -298,9 +298,10 @@ class Derivation(NamedTuple):
     i is labeled labels[i], with the rule name rules[i] (None on
     hypotheses), and its premises[i] parents are the next node positions
     of the flat parents column, in the order the rule states them. root
-    is a node position."""
+    is a node position, or None on a proof document's node table, whose
+    proofs claim the roots."""
 
-    root: int
+    root: int | None
     labels: tuple[Formula, ...]
     rules: tuple[str | None, ...]
     premises: tuple[int, ...]
@@ -333,18 +334,20 @@ _new_derivation = partial(tuple.__new__, Derivation)
 
 class NodeResult(NamedTuple):
     node_id: int
-    ok: bool
-    reason: str | None
+    reason: str
 
 
 @dataclass
 class Report:
     """failures lists the nodes that do not check, in document order."""
 
-    ok: bool
     structural_errors: list[str]
     failures: list[NodeResult]
     conclusion_ok: bool = True
+
+    @property
+    def ok(self) -> bool:
+        return not (self.structural_errors or self.failures) and self.conclusion_ok
 
 
 @gc_paused
@@ -361,6 +364,7 @@ def check_derivation(
     The nodes judged are those d.nodes shows. Structural errors (a parent
     not listed before its child, a root that is no node) come first and
     alone: when there is any, the report lists them and no node failures.
+    A root of None, as on a proof document's table, claims no node.
     Otherwise each node is judged once, and every failing node gets one
     reason, in document order. A node without a rule name is a
     hypothesis; every other node, an axiom included, is judged by
@@ -391,8 +395,10 @@ def check_derivation(
             if fault is None:
                 continue
             reason = "%s: %s" % fault
-        failures.append(NodeResult(i, False, reason))
-    structural = [] if 0 <= root < n else [f"root {root} is not a node"]
+        failures.append(NodeResult(i, reason))
+    structural = (
+        [] if root is None or 0 <= root < n else [f"root {root} is not a node"]
+    )
     for i, p in late:
         if p < 0 or p >= n:
             structural.append(f"node {i} references missing parent {p}")
@@ -402,11 +408,11 @@ def check_derivation(
                 "before it"
             )
     if structural:
-        return Report(False, structural, [])
+        return Report(structural, [])
     conclusion_ok = (
         expected_conclusion is None or labels[root] is expected_conclusion
     )
-    return Report(not failures and conclusion_ok, [], failures, conclusion_ok)
+    return Report([], failures, conclusion_ok)
 
 
 # ------------------------------------------------------------ serialization
@@ -748,7 +754,7 @@ def derivation_from_json(obj, declared_vars=()) -> Derivation:
     return _derivation_from_rows(obj, rows, frozenset(declared_vars), obj["root"])
 
 
-def _derivation_from_rows(obj, rows: list, declared: frozenset, root: int):
+def _derivation_from_rows(obj, rows: list, declared: frozenset, root):
     """The derivation of root and obj's node columns, whose labels cite
     rows; derivation_from_json says what is checked."""
     columns = label, rule, premises, parents = [obj.get(key) for key in _COLUMNS]
@@ -787,8 +793,8 @@ def _derivation_from_rows(obj, rows: list, declared: frozenset, root: int):
 @gc_paused
 def proof_document_from_json(doc) -> tuple[CalculusVariant, list, Derivation, list]:
     """Read a proof document back from proof_document_to_json's shape, as
-    (variant, hyps, d, proofs): d is the node table, rooted at the last
-    proof's root (-1 without proofs), and proofs lists (query, root) pairs.
+    (variant, hyps, d, proofs): d is the node table, with root None, and
+    proofs lists the (query, root) pairs that claim its roots.
 
     The whole document is read before any proof is judged, so a malformed
     one raises a ValueError and no verdict is due. A fault in proof i's
@@ -823,6 +829,5 @@ def proof_document_from_json(doc) -> tuple[CalculusVariant, list, Derivation, li
         (query,) = _cited_formulas(rows, [entry.get("query")], declared,
                                    f"proof {i}: 'query'")
         proofs.append((query, entry["root"]))
-    root = proofs[-1][1] if proofs else -1
-    return variant, hyps, _derivation_from_rows(doc, rows, declared, root), proofs
+    return variant, hyps, _derivation_from_rows(doc, rows, declared, None), proofs
 

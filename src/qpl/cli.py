@@ -227,15 +227,14 @@ def cmd_prove(args) -> int:
 def cmd_verify_proof(args) -> int:
     doc = json.loads(_read_text(args.proof_file))
     variant, hyps, d, proofs = proof_document_from_json(doc)
-    # d's root is the last proof's (-1 with no proofs, whose fault fails none)
     rep = check_derivation(d, variant, hyps)
     n = len(d.labels)
     # a structural error, a root that is no node among them, fails every proof
-    structural = rep.structural_errors or [
+    structural = [
         f"root {root} is not a node"
         for root in sorted({root for _, root in proofs})
         if not 0 <= root < n
-    ]
+    ] + rep.structural_errors
     if structural:
         faults = [structural] * len(proofs)
     else:

@@ -83,19 +83,14 @@ class CompiledRules:
     left[m] and right[m] are the ids of the parts of an implication or a
     conjunction m, else -1. Every id is the closure index's own int object,
     so an entry costs one pointer and provenance copied from it allocates
-    nothing. instance_count is the number of rule instances the index
-    stands for."""
+    nothing. instances numbers the rule instances the index stands for."""
 
     uses: list[list[int]]
     left: list[int]
     right: list[int]
-    instance_count: int
+    instances: range
     axiom_seeds: list[tuple[int, int]]  # (member id, rule code)
     bottom_id: int  # -1 when absent or the variant lacks the bottom rule
-
-    @property
-    def instances(self) -> range:
-        return range(self.instance_count)
 
 
 def compile_rules(ct: ClosureTable, variant: CalculusVariant) -> CompiledRules:
@@ -164,7 +159,7 @@ def compile_rules(ct: ClosureTable, variant: CalculusVariant) -> CompiledRules:
                 bottom_id = fid
         elif cls is Top:
             axiom_seeds.append((fid, TOP_I))
-    return CompiledRules(uses, left, right, count, axiom_seeds, bottom_id)
+    return CompiledRules(uses, left, right, range(count), axiom_seeds, bottom_id)
 
 
 @dataclass

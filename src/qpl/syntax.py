@@ -479,13 +479,6 @@ _new_table = functools.partial(tuple.__new__, ClosureTable)
 
 # --------------------------------------------------------------- parsing
 
-class SymbolTable:
-    """Relation arities seen so far; one table spans one problem."""
-
-    def __init__(self):
-        self.arities: dict[str, int] = {}
-
-
 # A token is "->", one of "&|~().,", or an identifier; whitespace separates
 # tokens. _TOKEN skips any other character, so a text holds an unexpected
 # character exactly when its tokens are shorter than its non-whitespace
@@ -550,10 +543,11 @@ def parse_formula(
     text: str,
     declared_vars=(),
     *,
-    symbols: SymbolTable | None = None,
+    symbols: dict[str, int] | None = None,
 ) -> Formula:
     """Parse one formula; raise ParseError (or its subclasses ArityError
-    and ReservedNameError) with the column of the first error.
+    and ReservedNameError) with the column of the first error. symbols
+    maps each relation seen so far to its arity, and gains this text's.
 
     An iterative operator-precedence parser: open parentheses, prefix
     negations, quantifier scopes and binary connectives awaiting their
@@ -567,9 +561,7 @@ def parse_formula(
         raise ParseError(f"unexpected character {m.group(1)!r}", m.start())
     toks.append("")
     declared = frozenset(declared_vars)
-    if symbols is None:
-        symbols = SymbolTable()
-    arities = symbols.arities
+    arities = {} if symbols is None else symbols
     bound: list[str] = []
     stack: list[tuple] = [_START]
     i = 0
@@ -669,23 +661,23 @@ def parse_formula(
 class Problem:
     formulas: list[Formula]
     declared_vars: tuple[str, ...]
-    symbols: SymbolTable
+    symbols: dict[str, int]  # relation name -> arity
 
 
 @gc_paused
 def parse_problem(
-    text: str, declared_vars=(), symbols: SymbolTable | None = None
+    text: str, declared_vars=(), symbols: dict[str, int] | None = None
 ) -> Problem:
     """One formula per line; '#' comments; '@vars x y' declares free vars.
 
     declared_vars and symbols continue an earlier problem's, so a file of
     queries reads against its hypothesis file; the Problem returned holds
-    this text's formulas, the names declared so far and the shared table.
+    this text's formulas, the names declared so far and the shared arities.
     """
     formulas: list[Formula] = []
     declared: list[str] = list(declared_vars)
     if symbols is None:
-        symbols = SymbolTable()
+        symbols = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         cut = raw.find("#")
         line = (raw if cut < 0 else raw[:cut]).strip()

@@ -311,12 +311,12 @@ def test_check_expected_conclusion():
 def test_check_structural_errors():
     dangling = Derivation.of_nodes(root=0, nodes=(_node(p, "AndE_L", (7,)),))
     rep = check_derivation(dangling, V.QPL, set())
-    assert rep == ca.Report(False, ["node 0 references missing parent 7"], [])
+    assert rep == ca.Report(["node 0 references missing parent 7"], [])
 
     for root in (3, 1, -1):
         missing_root = Derivation.of_nodes(root=root, nodes=(_node(p),))
         rep = check_derivation(missing_root, V.QPL, {p})
-        assert rep == ca.Report(False, [f"root {root} is not a node"], [])
+        assert rep == ca.Report([f"root {root} is not a node"], [])
 
     cyc = Derivation.of_nodes(
         root=0,
@@ -327,8 +327,15 @@ def test_check_structural_errors():
     )
     rep = check_derivation(cyc, V.QPL, set())
     assert rep == ca.Report(
-        False, ["node 0 references parent 1, which is not listed before it"], []
+        ["node 0 references parent 1, which is not listed before it"], []
     )
+
+
+def test_report_ok_is_read_from_its_fields():
+    assert ca.Report([], []).ok
+    assert not ca.Report(["root 3 is not a node"], []).ok
+    assert not ca.Report([], [NodeResult(0, "why")]).ok
+    assert not ca.Report([], [], conclusion_ok=False).ok
 
 
 def test_check_rule_node_without_name():
@@ -336,13 +343,13 @@ def test_check_rule_node_without_name():
     d = Derivation.of_nodes(root=1, nodes=(_node(p), _node(p, None, (0,))))
     rep = check_derivation(d, V.QPL, {p})
     assert rep == ca.Report(
-        False, [], [NodeResult(1, False, "hypothesis node has parents")]
+        [], [NodeResult(1, "hypothesis node has parents")]
     )
 
 
 def test_node_types_are_named_tuples():
     assert DerivationNode._fields == ("label", "rule", "parents")
-    assert NodeResult._fields == ("node_id", "ok", "reason")
+    assert NodeResult._fields == ("node_id", "reason")
     n = DerivationNode(atom("p0"), None, ())
     assert repr(n) == (
         "DerivationNode(label=Formula('p0'), rule=None, parents=())"
@@ -352,12 +359,12 @@ def test_node_types_are_named_tuples():
     assert n._replace(rule="TopI") == (atom("p0"), "TopI", ())
     with pytest.raises(AttributeError):
         n.label = atom("q0")
-    res = NodeResult(3, False, "why")
-    assert repr(res) == "NodeResult(node_id=3, ok=False, reason='why')"
-    assert NodeResult(node_id=3, ok=False, reason="why") == res
-    assert hash(NodeResult(3, False, "why")) == hash(res)
+    res = NodeResult(3, "why")
+    assert repr(res) == "NodeResult(node_id=3, reason='why')"
+    assert NodeResult(node_id=3, reason="why") == res
+    assert hash(NodeResult(3, "why")) == hash(res)
     with pytest.raises(AttributeError):
-        res.ok = True
+        res.reason = "other"
     # a derivation is its node columns; nodes is a view built from them
     assert Derivation._fields == (
         "root", "labels", "rules", "premises", "parents"
@@ -414,7 +421,7 @@ def test_check_rejects_valid_proofs_not_listed_parent_first():
             want = _late_references(relisted)
             rep = check_derivation(relisted, variant, hyps)
             if want:
-                assert rep == ca.Report(False, want, [])
+                assert rep == ca.Report(want, [])
             else:  # a draw that happens to list every parent first
                 assert rep.ok
 
@@ -426,7 +433,7 @@ def test_check_lists_failures_in_document_order():
         assert rep.ok == (not leaves)
         assert [r.node_id for r in rep.failures] == leaves
         for r in rep.failures:
-            assert not r.ok and r.reason.endswith("among the hypotheses")
+            assert r.reason.endswith("among the hypotheses")
 
 
 def test_check_reports_a_back_edge_in_parent_first_order():
@@ -443,12 +450,12 @@ def test_check_reports_a_back_edge_in_parent_first_order():
     )
     rep = check_derivation(d, V.ORIGINAL, {pq})
     assert rep == ca.Report(
-        False, ["node 1 references parent 3, which is not listed before it"], []
+        ["node 1 references parent 3, which is not listed before it"], []
     )
     # a self-loop is the shortest back edge
     loop = Derivation.of_nodes(root=0, nodes=(_node(p, "OrE", (0,)),))
     assert check_derivation(loop, V.QPL, set()) == ca.Report(
-        False, ["node 0 references parent 0, which is not listed before it"], []
+        ["node 0 references parent 0, which is not listed before it"], []
     )
     # the same in extracted proofs: node 0, a leaf, now cites the root
     for d, variant, hyps in _extracted_proofs()[:5]:
@@ -482,7 +489,7 @@ def test_check_reports_missing_parents_of_a_duplicate_node():
         "node 3 references missing parent -1",
     ]
     repeat = Derivation.of_nodes(2, d.nodes[:2] + d.nodes[1:2])
-    assert check_derivation(repeat, V.QPL, {pq}) == ca.Report(True, [], [])
+    assert check_derivation(repeat, V.QPL, {pq}) == ca.Report([], [])
 
 
 def _read_back(d):
@@ -496,11 +503,11 @@ def test_check_takes_node_ids_as_given():
     hyp_p, hyp_q = _node(p), _node(q)
     late = "node {} references parent {}, which is not listed before it"
     cases = [
-        (2, (hyp_p, hyp_q, _node(pq, "AndI", (0, 1))), ca.Report(True, [], [])),
-        (2, (hyp_q, hyp_p, _node(pq, "AndI", (1, 0))), ca.Report(True, [], [])),
+        (2, (hyp_p, hyp_q, _node(pq, "AndI", (0, 1))), ca.Report([], [])),
+        (2, (hyp_q, hyp_p, _node(pq, "AndI", (1, 0))), ca.Report([], [])),
         (1, (hyp_p, _node(pq, "AndI", (0, 2)), hyp_q),
-         ca.Report(False, [late.format(1, 2)], [])),
-        (0, (_node(pq, "AndI", (3, 1)), hyp_q, hyp_q), ca.Report(False, [
+         ca.Report([late.format(1, 2)], [])),
+        (0, (_node(pq, "AndI", (3, 1)), hyp_q, hyp_q), ca.Report([
             "node 0 references missing parent 3", late.format(0, 1),
         ], [])),
     ]
@@ -511,7 +518,7 @@ def test_check_takes_node_ids_as_given():
             assert check_derivation(copy, V.ORIGINAL, {p, q}, pq) == want
     d = Derivation.of_nodes(2, (hyp_p, hyp_q, _node(pq, "AndI", (0, 1))))
     assert check_derivation(d, V.ORIGINAL, {p}, pq) == ca.Report(
-        False, [], [NodeResult(1, False, "q is not among the hypotheses")]
+        [], [NodeResult(1, "q is not among the hypotheses")]
     )
 
 

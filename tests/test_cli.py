@@ -557,6 +557,32 @@ def test_verify_proof_reports_a_fault_under_the_proofs_that_reach_it(
     ) + "4 of 4 proofs failed\n")
 
 
+def test_verify_proof_names_every_bad_root_under_every_proof(tmp_path, capsys):
+    # the proofs of C and B share one table; whichever order the proofs are
+    # listed in, each proof names every root that is no node once, in
+    # ascending order, then the table's parent faults
+    hyps = write(tmp_path, "chain.qpl", "A -> B\nB -> C\nA\n")
+    out = tmp_path / "PQ.json"
+    assert cli.main(["check", hyps, "C", "B", "--proof", str(out)]) == 0
+    capsys.readouterr()
+    late = "node 2 references parent 3, which is not listed before it"
+    for roots, first_parent, faults in (
+        ((98, 99), 0, ["root 98 is not a node", "root 99 is not a node"]),
+        ((99, 98), 0, ["root 98 is not a node", "root 99 is not a node"]),
+        ((98, 4), 3, ["root 98 is not a node", late]),
+    ):
+        doc = json.loads(out.read_text())
+        for entry, root in zip(doc["proofs"], roots):
+            entry["root"] = root
+        doc["parents"][0] = first_parent
+        want = "".join(f"proof {i}: {m}\n" for i in (0, 1) for m in faults)
+        for _ in range(2):
+            path = write(tmp_path, "bad.json", json.dumps(doc))
+            assert cli.main(["verify-proof", path]) == 1
+            assert capsys.readouterr() == ("", want + "2 of 2 proofs failed\n")
+            doc["proofs"].reverse()
+
+
 def test_verify_proof_reads_the_whole_document_before_judging(tmp_path, capsys):
     # proof 0 concludes another query and proof 2 is malformed: the input
     # error names proof 2, and no verdict on proof 0 is printed before it

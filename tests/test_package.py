@@ -38,22 +38,18 @@ def test_retired_names_are_gone():
         for module in modules:
             assert not hasattr(module, name), (module.__name__, name)
     # the parser raises its arity errors itself; a Report lists failures only
-    assert not hasattr(qpl.syntax.SymbolTable, "observe")
     assert "node_results" not in qpl.calculus.Report.__dataclass_fields__
     # proof documents have one shape, formula tables, so the label reader,
     # its cache and the parser's reserved-name switch are gone; the chain
     # timing lives in criterion 3 and perfbench
     assert not hasattr(qpl.calculus, "_derivation_from_labels")
-    assert not hasattr(qpl.syntax.SymbolTable(), "labels")
     assert not hasattr(qpl.cli, "cmd_bench_chain")
     params = inspect.signature(qpl.syntax.parse_formula).parameters
     assert "allow_reserved" not in params
     # the proof document's format lives behind calculus's writer and
-    # reader, so the table no longer rides on a SymbolTable, no derivation
-    # is read against another's table, and the node columns are checked
-    # in one sequence
+    # reader, so no derivation is read against another's table, and the
+    # node columns are checked in one sequence
     assert not hasattr(qpl.calculus, "formulas_from_json")
-    assert not hasattr(qpl.syntax.SymbolTable(), "rows")
     assert not hasattr(qpl.calculus, "_column_fault")
     assert not hasattr(qpl.cli, "_proof_doc")
     assert "FormulaTable" not in qpl.__all__
@@ -72,6 +68,17 @@ def test_retired_names_are_gone():
     assert not hasattr(qpl.calculus, "_NODE_KINDS")
     assert "load_derivation" not in qpl.__all__
     assert not hasattr(qpl.calculus, "load_derivation")
+    # one holder per fact: a problem's arities are a plain dict, a compiled
+    # rule set stores its instances range, and a report's ok is read from
+    # its fields, with no per-node flag
+    assert not hasattr(qpl.syntax, "SymbolTable")
+    assert "SymbolTable" not in namespace
+    compiled = qpl.engine.CompiledRules
+    assert "instance_count" not in compiled.__dataclass_fields__
+    assert not hasattr(compiled, "instance_count")
+    assert "instances" in compiled.__dataclass_fields__
+    assert qpl.calculus.NodeResult._fields == ("node_id", "reason")
+    assert "ok" not in qpl.calculus.Report.__dataclass_fields__
 
 
 def test_every_tracing_site_resolves():

@@ -8,9 +8,9 @@ import random
 
 import pytest
 
-from qpl import syntax
+from qpl import semantics, syntax
 from qpl.calculus import CalculusVariant as V
-from qpl.engine import HYPOTHESIS, SaturationState, entails
+from qpl.engine import HYPOTHESIS, SaturationState, Session, entails
 from qpl.semantics import (
     CountermodelError,
     OverrideFn,
@@ -600,6 +600,31 @@ def test_verdict_countermodel_reroutes_subvariant():
 
     v3 = entails([p], p, V.QPL)
     assert verdict_countermodel(v3) is None
+
+
+def test_weaker_session_resaturates_at_qpl_strength_once(monkeypatch):
+    # l2 refuses all four queries; the qpl fixpoint derives forall x. p, which
+    # gets no countermodel, and leaves q, r and q & r underived, which share
+    # one model: one re-saturation, however many refusals ask for it
+    session = Session([p], [q, forall("x", p), r, conj(q, r)], V.L2)
+    verdicts = session.verdicts()
+    assert not any(v.entailed for v in verdicts)
+    assert session.qpl_fixpoint is None
+    calls = []
+
+    def saturate(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    real = semantics.saturate
+    monkeypatch.setattr(semantics, "saturate", saturate)
+    got = [verdict_countermodel(v) for v in verdicts + verdicts]
+    assert calls == [session.hyps]
+    assert session.qpl_fixpoint is not None
+    assert got[1] is got[5] is None
+    models = [got[i] for i in (0, 2, 3, 4, 6, 7)]
+    assert all(m is models[0] for m in models)
+    assert models[0] is session.qpl_countermodel
 
 
 def test_countermodel_random_sweep():

@@ -127,8 +127,9 @@ def test_arity_mismatch_within_one_parse():
 
 
 def test_arity_tracked_across_shared_table():
-    table = sy.SymbolTable()
+    table = {}
     parse_formula("R(c)", symbols=table)
+    assert table == {"R": 1}
     with pytest.raises(ArityError):
         parse_formula("R(c, d)", symbols=table)
 
