@@ -38,7 +38,6 @@ from typing import NamedTuple
 
 from .syntax import (
     _FORMULAS,
-    _KEYWORDS,
     And,
     Atom,
     Bot,
@@ -678,10 +677,10 @@ def _arity_fault(row: int, rel: str, k: int, arities: dict) -> str:
 
 def _table_term(names: list, code: int, row: int):
     """The term an atom row writes as code."""
-    i = code if code >= 0 else -1 - code
-    if i >= len(names) or names[i] in _KEYWORDS:
-        raise ValueError(f"formula row {row}: bad term {code}")
-    return const(names[i]) if code >= 0 else var(names[i])
+    try:
+        return const(names[code]) if code >= 0 else var(names[-1 - code])
+    except (IndexError, ValueError):
+        raise ValueError(f"formula row {row}: bad term {code}") from None
 
 
 def _cited_formulas(rows: list, ids, declared: frozenset, what: str) -> list:
@@ -798,8 +797,9 @@ def proof_document_from_json(doc) -> tuple[CalculusVariant, list, Derivation, li
 
     The whole document is read before any proof is judged, so a malformed
     one raises a ValueError and no verdict is due. A fault in proof i's
-    query or root is prefixed "proof i: ". Older shapes, among them a
-    node table with 'id' or 'kind' columns, are refused.
+    query or root is prefixed "proof i: ". A node table that no proof
+    claims is refused, since no proof would judge it; older shapes, among
+    them a node table with 'id' or 'kind' columns, are refused too.
     """
     if not isinstance(doc, dict):
         raise ValueError("proof document must be a JSON object")
@@ -829,5 +829,9 @@ def proof_document_from_json(doc) -> tuple[CalculusVariant, list, Derivation, li
         (query,) = _cited_formulas(rows, [entry.get("query")], declared,
                                    f"proof {i}: 'query'")
         proofs.append((query, entry["root"]))
-    return variant, hyps, _derivation_from_rows(doc, rows, declared, None), proofs
+    d = _derivation_from_rows(doc, rows, declared, None)
+    if d.labels and not proofs:
+        raise ValueError(f"'proofs' is empty, but the node table has "
+                         f"{len(d.labels)} node(s)")
+    return variant, hyps, d, proofs
 

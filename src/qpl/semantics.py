@@ -101,20 +101,16 @@ def relation_arities(ct: ClosureTable) -> dict:
 def ground_atoms(ct: ClosureTable) -> list[Formula]:
     """Every atom over the parameter set, grouped by relation in
     first-occurrence order, argument tuples in parameter-index order."""
-    return _ground_atoms(ct.params, relation_arities(ct))
-
-
-def _ground_atoms(params, arities: dict) -> list[Formula]:
     return [
         atom(rel, *args)
-        for rel, ar in arities.items()
-        for args in itertools.product(params, repeat=ar)
+        for rel, ar in relation_arities(ct).items()
+        for args in itertools.product(ct.params, repeat=ar)
     ]
 
 
 def _exponent(ct: ClosureTable, arities: dict, dom: list) -> int:
-    """The oracle's exponent, one bit per ground atom and per override
-    domain member, counted without building the atoms."""
+    """The exponent the oracle's cap reads, one per ground atom and per
+    override domain member, counted without building the atoms."""
     n = len(ct.params)
     return sum(n**ar for ar in arities.values()) + len(dom)
 
@@ -199,8 +195,10 @@ def semantic_yields_bruteforce(
     """Exhaustively quantify over structures and override functions.
 
     Every combination of atom and override bits is one model of a single
-    batch of 2^k, so truth of every closure formula in all of them comes
-    out of one truth_mask pass over the closure.
+    batch, so truth of every closure formula in all of them comes out of
+    one truth_mask pass over the closure. truth_mask reads no atom outside
+    the universe, so only the universe's atoms get a bit; the cap still
+    counts every ground atom.
     """
     if exponent_cap < 1:
         raise ValueError("oracle cap must be positive")
@@ -211,11 +209,11 @@ def semantic_yields_bruteforce(
     k = _exponent(ct, arities, dom)
     if k > exponent_cap:
         raise TooLarge(f"enumeration exponent {k} exceeds cap {exponent_cap}")
-    slots = _ground_atoms(ct.params, arities)
-    total = 1 << k  # combinations; masks below carry one bit per combination
+    slots = [f for f in ct.universe if f.__class__ is Atom] + dom
+    total = 1 << len(slots)  # combinations; a mask has one bit for each
     full = (1 << total) - 1
     masks: list[int] = []
-    for j in range(k):
+    for j in range(len(slots)):
         half = 1 << j
         m = ((1 << half) - 1) << half
         width = half << 1
@@ -223,7 +221,7 @@ def semantic_yields_bruteforce(
             m |= m << width
             width <<= 1
         masks.append(m)
-    bits = dict(zip([*slots, *dom], masks)).__getitem__
+    bits = dict(zip(slots, masks)).__getitem__
     memo: dict = {}
     hm = full
     for h in hyp_list:

@@ -112,7 +112,7 @@ def _mk_term(kind: str, name: str) -> Term:
     key = (kind, name)
     t = _TERMS.get(key)
     if t is None:
-        if not _IDENT_FULL.match(name):
+        if not _IDENT_FULL.match(name) or name in _KEYWORDS:
             raise ValueError(f"not an identifier: {name!r}")
         t = _TERMS[key] = Term(kind, name)
     return t

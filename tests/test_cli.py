@@ -583,6 +583,40 @@ def test_verify_proof_names_every_bad_root_under_every_proof(tmp_path, capsys):
             doc["proofs"].reverse()
 
 
+def test_verify_proof_refuses_a_node_table_that_no_proof_claims(
+    tmp_path, capsys
+):
+    # the C/B chain document with its proofs removed and two faults in its
+    # node table: no proof would judge them, so the document is refused
+    hyps = write(tmp_path, "chain.qpl", "A -> B\nB -> C\nA\n")
+    out = tmp_path / "PQ.json"
+    assert cli.main(["check", hyps, "C", "B", "--proof", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    doc["proofs"] = []
+    doc["parents"][0] = 3
+    doc["rule"][2] = "OrE"
+    path = write(tmp_path, "bad.json", json.dumps(doc))
+    assert cli.main(["verify-proof", path]) == 2
+    assert capsys.readouterr() == (
+        "", "error: 'proofs' is empty, but the node table has 5 node(s)\n"
+    )
+
+
+def test_verify_proof_passes_a_document_with_no_proofs_and_no_nodes(
+    tmp_path, capsys
+):
+    # what check --proof writes when no query is entailed
+    hyps = write(tmp_path, "chain.qpl", "A -> B\nB -> C\nA\n")
+    out = tmp_path / "none.json"
+    assert cli.main(["check", hyps, "D", "--proof", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert doc["proofs"] == [] and doc["rule"] == []
+    assert cli.main(["verify-proof", str(out)]) == 0
+    assert capsys.readouterr() == ("ok: 0 proof(s) verified\n", "")
+
+
 def test_verify_proof_reads_the_whole_document_before_judging(tmp_path, capsys):
     # proof 0 concludes another query and proof 2 is malformed: the input
     # error names proof 2, and no verdict on proof 0 is printed before it
@@ -887,12 +921,29 @@ def test_verify_proof_refuses_malformed_tables(tmp_path, capsys, changes):
         ({"hyps": [0, 5]}, "'hyps' cites row 5, but 'formulas' has 3 row(s)"),
         ({"names": ["_p", "q"]}, "identifiers starting with '_' are reserved: '_p'"),
         ({"formulas": [2, 0, 1, 5]}, "formula row 0: bad term 5"),
+        # a term named like a keyword would render as that keyword
+        (
+            {"names": ["p", "q", "R", "true"],
+             "formulas": [*TABLE_PROOF["formulas"], 2, 2, 1, 3]},
+            "formula row 3: bad term 3",
+        ),
+        (
+            {"names": ["p", "q", "R", "forall"],
+             "formulas": [*TABLE_PROOF["formulas"], 2, 2, 1, -4]},
+            "formula row 3: bad term -4",
+        ),
+        (
+            {"names": ["p", "q", "R", "1x"],
+             "formulas": [*TABLE_PROOF["formulas"], 2, 2, 1, 3]},
+            "formula row 3: bad term 3",
+        ),
         (
             {"proofs": [{"query": 2, "derivation": TABLE_PROOF}]},
             WRITTEN_BEFORE_TABLES,
         ),
     ],
     ids=["hyps-strings", "hyps-out-of-range", "hyp-reserved", "term-no-name",
+         "const-keyword", "var-keyword", "term-not-identifier",
          "derivation-own-table"],
 )
 def test_verify_proof_names_what_is_wrong_with_a_table(

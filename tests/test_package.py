@@ -79,6 +79,10 @@ def test_retired_names_are_gone():
     assert "instances" in compiled.__dataclass_fields__
     assert qpl.calculus.NodeResult._fields == ("node_id", "reason")
     assert "ok" not in qpl.calculus.Report.__dataclass_fields__
+    # the oracle builds the universe's atoms only, and the term
+    # constructors refuse keywords for the proof-document reader
+    assert not hasattr(qpl.semantics, "_ground_atoms")
+    assert not hasattr(qpl.calculus, "_KEYWORDS")
 
 
 def test_every_tracing_site_resolves():

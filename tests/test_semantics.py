@@ -364,6 +364,20 @@ def test_too_large_is_refused_before_the_atoms_are_built():
     assert len(syntax._FORMULAS) - before < 1000
 
 
+def test_oracle_builds_no_ground_atom_outside_the_universe():
+    # R(d) and P(c) are ground atoms over {c, d} that no member contains:
+    # the oracle gives them no bit and builds neither, but its cap still
+    # counts all four ground atoms
+    hyps = [atom("R", const("c")), atom("P", const("d"))]
+    query = conj(*hyps)
+    before = len(syntax._FORMULAS)
+    assert semantic_yields_bruteforce(hyps, query) is True
+    assert semantic_yields_bruteforce(hyps[:1], query) is False
+    assert len(syntax._FORMULAS) == before
+    with pytest.raises(TooLarge, match="exponent 4 exceeds cap 3"):
+        semantic_yields_bruteforce(hyps, query, exponent_cap=3)
+
+
 def test_exponent_cap_kwarg():
     with pytest.raises(TooLarge):
         semantic_yields_bruteforce([disj(p, q)], p, exponent_cap=2)

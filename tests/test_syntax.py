@@ -108,6 +108,15 @@ def test_parse_errors(text):
         parse_formula(text)
 
 
+@pytest.mark.parametrize("word", ["true", "false", "forall", "exists"])
+def test_terms_refuse_keyword_names(word):
+    # a term named like a keyword would render as text the parser reads
+    # as that keyword, so neither constructor builds one
+    for make in (var, const):
+        with pytest.raises(ValueError, match=f"not an identifier: '{word}'"):
+            make(word)
+
+
 def test_parse_error_position():
     with pytest.raises(ParseError) as err:
         parse_formula("p & (q | ) & r")
