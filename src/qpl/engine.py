@@ -24,6 +24,42 @@ fixpoint: it builds the closure over the hypotheses and every query at
 once, compiles the rules over it once, saturates once, and hands out each
 query's verdict and proof from that shared state, each proof rooted in
 one derivation DAG. entails is the one-query wrapper over it.
+
+The session's universe is the guarded closure (syntax.closure with
+guarded=True): an instance I = forall y1 .. forall yk. (G_t -> B_t) of a
+member forall x. forall y1 .. forall yk. (G -> B), whose atom G has x
+free and no yi free, joins only once its guard G_t = G[x := t] is a
+member. Call I left out when G_t never joins, and the members of the
+paper's closure that the guarded one lacks left-out members. Why the
+guarded fixpoint is the eager one's, restricted to the guarded universe,
+in every variant:
+- Every part of a guarded member is a guarded member, except a left-out
+  instance; so a left-out member is reached only through a left-out
+  instance.
+- No ForallE descendant D of a left-out instance I (I itself, a partial
+  instance or a matrix instance) is a guarded member. Every quantifier of
+  D after I's is ungated, as no yi is free in G_t, so D's parts would
+  reach its matrix, whose part is G_t, and I would have joined.
+- An introduction's premises are parts of its conclusion, and an axiom
+  has none; eliminating an introduced compound or an axiom gives back a
+  member derived before it. An atom or falsity is concluded only by an
+  elimination, or by BotE once falsity is derived.
+- So, until the eager engine derives a left-out guard, each left-out
+  member it derives is introduced, an axiom, or a ForallE descendant of
+  a left-out instance (eliminating a guarded compound into a left-out
+  member is ForallE into a left-out instance). Eliminating a descendant
+  gives another descendant, except by ImpE on a matrix instance, which
+  needs its guard first. So the first left-out guard, or left-out
+  falsity, could be derived by no step at all: the eager engine derives
+  none of them.
+- Then each eager step whose conclusion is a guarded member has only
+  guarded premises: an introduction's are its parts, an elimination of
+  an introduced left-out compound gives back an earlier member, and a
+  descendant's eliminations give no guarded member. compile_rules over
+  the guarded universe emits every step among guarded members, so the
+  two fixpoints agree on it, flooding from falsity included.
+Countermodels need the paper's closure: semantics.verdict_countermodel
+builds it when the session left an instance out.
 """
 
 from __future__ import annotations
@@ -297,12 +333,17 @@ class Session:
     session's fixpoint, closure_cap bounds the joint universe, and a
     countermodel lives on the joint parameter set.
 
-    qpl_fixpoint is the full-strength fixpoint countermodels are read
-    from: the session's own state under qpl, and for a weaker variant None
-    until semantics.verdict_countermodel builds it on the first refusal and
-    keeps it here for the rest. qpl_countermodel is the (model, override)
-    pair read from that fixpoint, likewise built on the first refusal and
-    shared by every refused query.
+    The closure is the guarded one (module docstring), so the stats count
+    the guarded universe and closure_cap bounds it.
+
+    qpl_fixpoint is the (closure table, state) pair of the full-strength
+    fixpoint over the paper's closure that countermodels are read from:
+    the session's own under qpl when no instance was left out, and
+    otherwise None until semantics.verdict_countermodel builds it on the
+    first refusal, under the same cap, and keeps it here for the rest.
+    qpl_countermodel is the (model, override) pair read from that
+    fixpoint, likewise built on the first refusal and shared by every
+    refused query.
     """
 
     @gc_paused
@@ -317,13 +358,16 @@ class Session:
         self.hyps = tuple(hyps)
         self.queries = tuple(queries)
         self.variant = variant
-        ct = closure([*self.hyps, *self.queries], cap=closure_cap)
+        self.closure_cap = closure_cap
+        ct = closure([*self.hyps, *self.queries], cap=closure_cap, guarded=True)
         compiled = compile_rules(ct, variant)
         state = saturate(self.hyps, ct, compiled)
         self.closure_table = ct
         self.state = state
-        self.qpl_fixpoint: SaturationState | None = (
-            state if variant is CalculusVariant.QPL else None
+        self.qpl_fixpoint: tuple[ClosureTable, SaturationState] | None = (
+            (ct, state)
+            if variant is CalculusVariant.QPL and not ct.stats.left_out
+            else None
         )
         self.qpl_countermodel: tuple | None = None
         self.stats = {

@@ -277,22 +277,28 @@ def verdict_countermodel(
 ) -> tuple[StandardModel, OverrideFn] | None:
     """Countermodel for a failed verdict, or None when none exists.
 
-    The construction is complete only for the full calculus, so it reads
-    the session's qpl fixpoint. Under a weaker variant that means one
-    re-saturation at full strength, made on the first refusal and kept on
-    the session for the rest; if it derives the query there is no
-    countermodel to give. The model copies that fixpoint, not the query,
-    so it is built on the first refusal and kept on the session too: every
-    query the fixpoint leaves underived is refuted by the same model.
+    The construction is complete only for the full calculus over the
+    paper's closure, so it reads the session's qpl fixpoint. Under a
+    weaker variant, or when the session's guarded closure left an instance
+    out, that means one saturation at full strength over the paper's
+    closure (built under the session's cap, so it can raise
+    ResourceLimit), made on the first refusal and kept on the session for
+    the rest; if it derives the query there is no countermodel to give.
+    The model copies that fixpoint, not the query, so it is built on the
+    first refusal and kept on the session too: every query the fixpoint
+    leaves underived is refuted by the same model.
     """
     if verdict.entailed:
         return None
     session = verdict.session
-    ct = session.closure_table
-    state = session.qpl_fixpoint
-    if state is None:
+    if session.qpl_fixpoint is None:
+        ct = session.closure_table
+        if ct.stats.left_out:
+            ct = closure([*session.hyps, *session.queries],
+                         cap=session.closure_cap)
         state = saturate(session.hyps, ct, compile_rules(ct, CalculusVariant.QPL))
-        session.qpl_fixpoint = state
+        session.qpl_fixpoint = ct, state
+    ct, state = session.qpl_fixpoint
     if state.derived[ct.index[verdict.query]]:
         return None
     if session.qpl_countermodel is None:

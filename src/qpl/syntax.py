@@ -407,6 +407,7 @@ class ClosureStats(NamedTuple):
     depth: int
     input_length: int
     closure_length: int
+    left_out: int  # guarded instances whose guard never joined; 0 unguarded
 
 
 class ClosureTable(NamedTuple):
@@ -417,8 +418,8 @@ class ClosureTable(NamedTuple):
     substitutable instances of its body over params, the inputs'
     parameters_star; each is numbered when first met, breadth-first from
     the inputs. sub_instances records those instance tuples per quantified
-    member. Like ClosureStats, it is a named tuple, which closure builds
-    without its Python-level __new__.
+    member, in parameter order. Like ClosureStats, it is a named tuple,
+    which closure builds without its Python-level __new__.
     """
 
     universe: list[Formula]
@@ -428,7 +429,36 @@ class ClosureTable(NamedTuple):
     stats: ClosureStats
 
 
-def closure(s, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureTable:
+def _guard(body: Formula, v: str) -> Formula | None:
+    """The guard atom G of forall v. body when body is forall y1 .. forall
+    yk. (G -> B), k >= 0, with v free in G and no yi free in G, else None.
+    A yi free in G is bound in body, so the last test reads G.free <=
+    body.free."""
+    g = body
+    while g.__class__ is Forall:
+        g = g.body
+    if g.__class__ is Imp:
+        g = g.l
+        if g.__class__ is Atom and v in g.free and g.free <= body.free:
+            return g
+    return None
+
+
+def closure(
+    s, cap: int = DEFAULT_CLOSURE_CAP, *, guarded: bool = False
+) -> ClosureTable:
+    """The closure table of the formulas s; ResourceLimit once the universe
+    passes cap members.
+
+    guarded=False gives the paper's closure. guarded=True gives the
+    engine's universe: an instance forall y1 .. forall yk. (G -> B)[x := t]
+    of a member forall x. forall y1 .. forall yk. (G -> B), where G is an
+    atom with x free in it and no yi free in it (_guard), joins only once
+    its guard G[x := t] is a member. Until then it waits, keyed by that
+    atom, and joins when the atom is walked; an instance whose guard never
+    joins is left out, and stats.left_out counts those. The engine module
+    docstring says why that keeps every verdict.
+    """
     if cap < 1:
         raise ValueError("closure cap must be positive")
     inputs = list(dict.fromkeys(s))
@@ -440,6 +470,9 @@ def closure(s, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureTable:
     subs: dict[Formula, tuple[Formula, ...]] = {}
     # one instantiation table per bound variable name, for this call only
     tables: dict[str, dict[Formula, list]] = {}
+    # guarded only: guard atom -> the members and instances waiting for it,
+    # flat: [member, instance, member, instance, ...]
+    waiting: dict[Formula, list[Formula]] = {}
     for f in universe:
         if len(universe) > cap:
             raise ResourceLimit(
@@ -451,22 +484,47 @@ def closure(s, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureTable:
             parts = (f.l, f.r)
         elif cls in (Forall, Exists):
             parts = (f.body,)
-            if f.var in f.body.free:
-                # drop captures (None); distinct parameters give distinct instances
-                done = tables.setdefault(f.var, {})
-                parts = tuple(filter(None, _instances(f.body, f.var, params, done)))
+            v = f.var
+            guard = None
+            if v in f.body.free:
+                done = tables.setdefault(v, {})
+                insts = _instances(f.body, v, params, done)
+                # drop captures (None); distinct parameters give distinct
+                # instances
+                parts = tuple(filter(None, insts))
+                if guarded and cls is Forall:
+                    guard = _guard(f.body, v)
             subs[f] = parts
+            if guard is not None:
+                # the instances whose guard is a member join now, the
+                # others wait for it
+                parts = []
+                for h, a in zip(insts, done[guard]):
+                    if h is None:
+                        continue
+                    if a in index:
+                        parts.append(h)
+                    elif a in waiting:
+                        waiting[a] += f, h
+                    else:
+                        waiting[a] = [f, h]
+        elif waiting:  # an atom wakes the instances waiting for it
+            parts = waiting.pop(f, ())[1::2]
         else:
             continue
         for g in parts:
             if g not in index:
                 index[g] = len(universe)
                 universe.append(g)
+    # a member with an instance left out lists only those that joined
+    for f in {f for w in waiting.values() for f in w[::2]}:
+        subs[f] = tuple([h for h in subs[f] if h in index])
     stats = _new_stats((
         len(universe),
         max((f.qdepth for f in inputs), default=0),
         sum(f.length for f in inputs),
         sum(f.length for f in universe),
+        sum(map(len, waiting.values())) // 2,
     ))
     return _new_table((universe, index, subs, params, stats))
 
