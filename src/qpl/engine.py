@@ -58,8 +58,15 @@ in every variant:
   descendant's eliminations give no guarded member. compile_rules over
   the guarded universe emits every step among guarded members, so the
   two fixpoints agree on it, flooding from falsity included.
-Countermodels need the paper's closure: semantics.verdict_countermodel
-builds it when the session left an instance out.
+Countermodels are read off the guarded fixpoint. Extended by a true
+override bit outside the guarded universe and a false atom outside it,
+such a model is one over the paper's closure too: a member's truth
+depends only on its parts, and a part of a guarded member outside the
+guarded universe is a left-out instance I. Its guard G_t is false, and
+every ForallE descendant of I is outside too, so each, down to the
+matrix instances G_t -> B_t', is true by its override bit. So a gated
+universal is as true over the paper's instances as over its joined
+sub_instances.
 """
 
 from __future__ import annotations
@@ -336,11 +343,9 @@ class Session:
     The closure is the guarded one (module docstring), so the stats count
     the guarded universe and closure_cap bounds it.
 
-    qpl_fixpoint is the (closure table, state) pair of the full-strength
-    fixpoint over the paper's closure that countermodels are read from:
-    the session's own under qpl when no instance was left out, and
-    otherwise None until semantics.verdict_countermodel builds it on the
-    first refusal, under the same cap, and keeps it here for the rest.
+    qpl_fixpoint is the qpl state over the closure table that countermodels
+    are read from: the session's own under qpl, else None until
+    semantics.verdict_countermodel saturates at qpl on the first refusal.
     qpl_countermodel is the (model, override) pair read from that
     fixpoint, likewise built on the first refusal and shared by every
     refused query.
@@ -358,17 +363,12 @@ class Session:
         self.hyps = tuple(hyps)
         self.queries = tuple(queries)
         self.variant = variant
-        self.closure_cap = closure_cap
         ct = closure([*self.hyps, *self.queries], cap=closure_cap, guarded=True)
         compiled = compile_rules(ct, variant)
         state = saturate(self.hyps, ct, compiled)
         self.closure_table = ct
         self.state = state
-        self.qpl_fixpoint: tuple[ClosureTable, SaturationState] | None = (
-            (ct, state)
-            if variant is CalculusVariant.QPL and not ct.stats.left_out
-            else None
-        )
+        self.qpl_fixpoint = state if variant is CalculusVariant.QPL else None
         self.qpl_countermodel: tuple | None = None
         self.stats = {
             "universe_size": ct.stats.size,

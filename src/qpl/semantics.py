@@ -9,7 +9,9 @@ bits replace the classical value at exactly those formulas. Entailment
 against this semantics is decidable by finite enumeration, which is what
 the brute-force oracle does, and every failed engine verdict can be
 turned into an explicit countermodel whose override bits mirror the
-derived set.
+derived set. Such a model lists the atoms and override bits of the
+session's guarded closure; any other override bit is true and any other
+atom false.
 
 One evaluator, truth_mask, implements the semantics: it computes a
 formula's truth in a batch of models at once, one bit per model.
@@ -277,28 +279,23 @@ def verdict_countermodel(
 ) -> tuple[StandardModel, OverrideFn] | None:
     """Countermodel for a failed verdict, or None when none exists.
 
-    The construction is complete only for the full calculus over the
-    paper's closure, so it reads the session's qpl fixpoint. Under a
-    weaker variant, or when the session's guarded closure left an instance
-    out, that means one saturation at full strength over the paper's
-    closure (built under the session's cap, so it can raise
-    ResourceLimit), made on the first refusal and kept on the session for
-    the rest; if it derives the query there is no countermodel to give.
-    The model copies that fixpoint, not the query, so it is built on the
-    first refusal and kept on the session too: every query the fixpoint
-    leaves underived is refuted by the same model.
+    The construction is complete only for the full calculus, so it reads
+    the session's qpl fixpoint over the session's closure table: under a
+    weaker variant, one saturation at full strength made on the first
+    refusal and kept on the session. If it derives the query there is no
+    countermodel to give. The model copies that fixpoint, not the query,
+    so it is built once and kept on the session too: every query the
+    fixpoint leaves underived is refuted by the same model. It lists the
+    guarded universe's atoms and override bits; over the paper's closure,
+    an unlisted override bit is true and an unlisted atom false.
     """
     if verdict.entailed:
         return None
     session = verdict.session
-    if session.qpl_fixpoint is None:
-        ct = session.closure_table
-        if ct.stats.left_out:
-            ct = closure([*session.hyps, *session.queries],
-                         cap=session.closure_cap)
+    ct, state = session.closure_table, session.qpl_fixpoint
+    if state is None:
         state = saturate(session.hyps, ct, compile_rules(ct, CalculusVariant.QPL))
-        session.qpl_fixpoint = ct, state
-    ct, state = session.qpl_fixpoint
+        session.qpl_fixpoint = state
     if state.derived[ct.index[verdict.query]]:
         return None
     if session.qpl_countermodel is None:

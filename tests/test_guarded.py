@@ -2,7 +2,10 @@
 guarded universe, and every verdict must equal the eager engine's
 (closure, compile_rules and saturate over the paper's closure) in the same
 variant. Every proof must pass check_derivation, and the guarded universe
-must lie inside the paper's closure.
+must lie inside the paper's closure. Every countermodel, read off the
+guarded fixpoint and extended over the paper's closure (an override bit
+it does not list is true, an atom it does not list is false), must make
+every hypothesis true and its query false there.
 
 The tests run a subset of each family. ``PYTHONPATH=src python
 tests/test_guarded.py`` runs the full sizes (2,000 random draws per
@@ -13,6 +16,7 @@ and prints the tallies.
 from __future__ import annotations
 
 import inspect
+import json
 import random
 import sys
 import textwrap
@@ -32,9 +36,8 @@ from qpl.generators import (
     random_horn,
     random_instance,
 )
-from qpl.semantics import countermodel, verdict_countermodel
+from qpl.semantics import countermodel, truth_mask, verdict_countermodel
 from qpl.syntax import (
-    DEFAULT_CLOSURE_CAP,
     atom,
     bot,
     closure,
@@ -201,16 +204,16 @@ def test_step_axiom_reaches_the_matrix_only_at_held_successor_pairs():
     assert len(ct.universe) < len(closure([*hyps, halting]).universe)
 
 
-def test_countermodels_read_the_paper_closure_once(monkeypatch):
-    # the golden machine at t=2 leaves instances out: the first refusal
-    # builds the paper's closure and its qpl fixpoint once, every refusal
-    # shares the model, and the model is the eager engine's
+def test_countermodels_read_the_session_fixpoint_once(monkeypatch):
+    # the golden machine at t=2 leaves instances out, yet no refusal builds
+    # the paper's closure: every refusal shares one model, read off the
+    # session's own fixpoint
     hyps, halting = bounded_halting_instance(MACHINE, 2)
     queries = [halting, *(atom("K0", const(f"n{a}"), const("n0"))
                           for a in range(3))]
     session = Session(hyps, queries, V.QPL)
     assert session.closure_table.stats.left_out > 0
-    assert session.qpl_fixpoint is None
+    assert session.qpl_fixpoint is session.state
     calls = []
 
     def counted(*args, **kwargs):
@@ -222,16 +225,16 @@ def test_countermodels_read_the_paper_closure_once(monkeypatch):
     refused = [v for v in verdicts if not v.entailed]
     assert refused
     models = [verdict_countermodel(v) for v in refused + refused]
-    assert calls == [{"cap": DEFAULT_CLOSURE_CAP}]
+    assert calls == []
     assert all(m is models[0] for m in models)
-    ct, state = session.qpl_fixpoint
-    assert ct.universe == closure([*hyps, *queries]).universe
-    assert models[0] == countermodel(hyps, refused[0].query, state, ct)
+    assert models[0] == countermodel(
+        hyps, refused[0].query, session.state, session.closure_table
+    )
 
 
-def test_countermodel_beyond_the_cap_exits_3(tmp_path, capsys):
-    # the guarded universe fits the cap; the paper's closure, which a
-    # countermodel needs, does not
+def test_countermodel_at_the_guarded_cap_exits_0(tmp_path, capsys):
+    # the guarded universe fits the cap and the paper's closure does not;
+    # the countermodel is read off the guarded fixpoint, so it fits too
     hyps, halting = bounded_halting_instance(MACHINE, 2)
     query = "K0(n2, n2)"
     path = tmp_path / "h.qpl"
@@ -244,11 +247,72 @@ def test_countermodel_beyond_the_cap_exits_3(tmp_path, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == f"not entailed: {query}\n"
     model = tmp_path / "cm.json"
-    assert cli.main([*argv, "--countermodel", str(model)]) == 3
-    assert capsys.readouterr().err == (
-        f"resource limit: closure exceeds cap of {n} formulas; raise the cap "
-        f"to proceed\n"
-    )
+    assert cli.main([*argv, "--countermodel", str(model)]) == 0
+    assert capsys.readouterr().out == f"not entailed: {query}\n"
+    [entry] = json.loads(model.read_text())["countermodels"]
+    assert entry["query"] == query and entry["model"] is not None
+
+
+def extended_refutes(hyps, query, model, paper, memo, outside=True) -> bool:
+    """The countermodel, extended over the paper's closure table paper,
+    satisfies every hypothesis and falsifies the query: an override bit
+    the model does not list reads outside, an atom it does not list is
+    false. memo caches truth values for one model over paper."""
+    structure, override = model
+    bits = override.assignment.get
+
+    def holds(f):
+        return truth_mask(f, structure.holds, lambda g: bits(g, outside), 1,
+                          paper, memo)
+
+    return all(holds(h) for h in hyps) and not holds(query)
+
+
+@dataclass
+class ModelTally:
+    refusals: int = 0  # refusals with a model
+    left_out: int = 0  # of those, in sessions that left an instance out
+    failures: list = field(default_factory=list)
+
+
+def extended_models(cases, outside=True) -> ModelTally:
+    """Check every refusal's countermodel over the paper's closure of its
+    (name, hyps, queries, variant) case, extended as extended_refutes
+    says."""
+    tally = ModelTally()
+    for name, hyps, queries, variant in cases:
+        session = Session(hyps, queries, variant)
+        paper, memo = closure([*hyps, *queries]), {}
+        for v in session.verdicts(with_proof=False):
+            model = verdict_countermodel(v)
+            if model is None:
+                continue
+            tally.refusals += 1
+            tally.left_out += session.closure_table.stats.left_out > 0
+            if not extended_refutes(hyps, v.query, model, paper, memo, outside):
+                tally.failures.append(f"{name}: {render(v.query)}")
+    return tally
+
+
+def model_cases(draws: int, horn: int, max_t: int):
+    yield from random_cases(draws)
+    for name, clauses in horn_sets(horn):
+        forms = [c.to_formula() for c in clauses]
+        for variant in (V.QPL, V.PFQPL):
+            yield f"{name}/{variant.cli_name}", forms, [bot()], variant
+    yield from machine_cases(max_t)
+
+
+def test_countermodels_extend_to_the_paper_closure():
+    tally = extended_models(model_cases(200, 200, 4))
+    assert tally.failures == []
+    assert tally.left_out > 0
+
+
+def test_false_bits_outside_the_guarded_universe_fail_the_extension():
+    # a left-out instance is true only by its override bit
+    tally = extended_models(model_cases(200, 200, 4), outside=False)
+    assert 0 < len(tally.failures) <= tally.left_out
 
 
 def _never_waking_closure():
@@ -275,4 +339,7 @@ if __name__ == "__main__":
     differential(counter_cases(10), full)
     print(f"sessions {full.sessions}, mismatches {len(full.mismatches)}, "
           f"smaller universe {full.smaller}, proofs checked {full.proofs}")
-    sys.exit(bool(full.mismatches))
+    models = extended_models(model_cases(2000, 1000, 8))
+    print(f"refusals with a model {models.refusals}, in sessions that left "
+          f"an instance out {models.left_out}, failures {len(models.failures)}")
+    sys.exit(bool(full.mismatches or models.failures))

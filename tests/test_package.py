@@ -83,6 +83,10 @@ def test_retired_names_are_gone():
     # constructors refuse keywords for the proof-document reader
     assert not hasattr(qpl.semantics, "_ground_atoms")
     assert not hasattr(qpl.calculus, "_KEYWORDS")
+    # countermodels are read off the session's own closure table, so no
+    # session keeps its cap for a rebuild of the paper's closure
+    session = qpl.Session([qpl.atom("p")], [], qpl.CalculusVariant.QPL)
+    assert not hasattr(session, "closure_cap")
 
 
 def test_every_tracing_site_resolves():

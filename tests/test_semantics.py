@@ -634,7 +634,8 @@ def test_weaker_session_resaturates_at_qpl_strength_once(monkeypatch):
     monkeypatch.setattr(semantics, "saturate", saturate)
     got = [verdict_countermodel(v) for v in verdicts + verdicts]
     assert calls == [session.hyps]
-    assert session.qpl_fixpoint is not None
+    assert isinstance(session.qpl_fixpoint, SaturationState)
+    assert session.qpl_fixpoint is not session.state
     assert got[1] is got[5] is None
     models = [got[i] for i in (0, 2, 3, 4, 6, 7)]
     assert all(m is models[0] for m in models)
