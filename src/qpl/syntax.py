@@ -1,6 +1,8 @@
 """Formula syntax: interned terms and formulas, parsing, printing,
 parameter extraction, and the instantiation closure, which builds each
-subformula's instances for one bound variable once per closure call.
+subformula's instances for one bound variable once per closure call; the
+guarded closure builds a gated member's instances one parameter at a time,
+and only at a parameter whose guard joins.
 
 Formulas and terms are hash-interned. Building the same shape twice returns
 the same object, so equality is identity, membership tests are pointer
@@ -203,6 +205,11 @@ def atom(rel: str, *args: Term) -> Formula:
         for t in args:
             if not isinstance(t, Term):
                 raise TypeError(f"atom argument is not a Term: {t!r}")
+            if _TERMS.get((t.kind, t.name)) is not t:
+                raise TypeError(
+                    f"atom argument is not a term built by var() or const(): "
+                    f"{t!r}"
+                )
             if t.kind == VAR:
                 names.append(t.name)
         f = Atom()
@@ -311,6 +318,11 @@ def _instances(body: Formula, v: str, params, done: dict) -> list:
     maps each subformula walked so far to its instance list; it is the
     caller's table for v over these params, so a subformula met again in
     a later call, under another enclosing instance, is not walked again.
+
+    An instance atom is built here from the atom it substitutes into,
+    under atom()'s key and with the fields atom() would give it, but
+    without atom()'s checks: they held when that atom was built, and
+    params are interned terms, the only ones atom() takes.
     """
     n = len(params)
     x = var(v)
@@ -323,8 +335,29 @@ def _instances(body: Formula, v: str, params, done: dict) -> list:
         if v not in f.free:
             done[f] = [f] * n
         elif cls is Atom:
-            done[f] = [atom(f.rel, *[t if u is x else u for u in f.args])
-                       for t in params]
+            # atom()'s key, with t at the positions of x
+            key = ["A", f.rel, *f.args]
+            at = key.index(x, 2)
+            more = () if f.args.count(x) == 1 else [
+                i for i in range(at + 1, len(key)) if key[i] is x]
+            rest = None
+            insts = done[f] = []
+            for t in params:
+                key[at] = t
+                for i in more:
+                    key[i] = t
+                k = tuple(key)
+                g = _FORMULAS.get(k)
+                if g is None:
+                    if rest is None:
+                        rest = f.free - {v} or _EMPTY
+                    g = _FORMULAS[k] = Atom()
+                    g.rel = f.rel
+                    g.args = k[2:]
+                    g.free = rest | {t.name} if t.kind == VAR else rest
+                    g.qdepth = 0
+                    g.length = f.length
+                insts.append(g)
         elif cls is Forall or cls is Exists:
             sub = done.get(f.body)
             if sub is None:
@@ -343,6 +376,35 @@ def _instances(body: Formula, v: str, params, done: dict) -> list:
             done[f] = [None if g is None or h is None else mk(g, h)
                        for g, h in zip(ls, rs)]
     return done[body]
+
+
+def _instance_at(f: Formula, t: Term, tables: dict) -> Formula:
+    """The instance f.body[f.var := t] of a quantified f whose instance at
+    t is not captured, built alone, with the table tables[(f.var, t)]."""
+    key = (f.var, t)
+    done = tables.get(key)
+    if done is None:
+        done = tables[key] = {}
+    return _instances(f.body, f.var, (t,), done)[0]
+
+
+def _captures(body: Formula, v: str, w: str) -> bool:
+    """Whether body[v := w] is captured: a binder of w in body has v free
+    in its scope, where _instances gives None."""
+    stack, seen = [body], set()
+    while stack:
+        f = stack.pop()
+        if v not in f.free or f in seen:
+            continue
+        seen.add(f)
+        cls = f.__class__
+        if cls is Forall or cls is Exists:
+            if f.var == w:
+                return True
+            stack.append(f.body)
+        elif cls is not Atom:
+            stack += (f.l, f.r)
+    return False
 
 
 # ------------------------------------------------------------ parameters
@@ -458,6 +520,11 @@ def closure(
     atom, and joins when the atom is walked; an instance whose guard never
     joins is left out, and stats.left_out counts those. The engine module
     docstring says why that keeps every verdict.
+
+    Such a member's instances are built one parameter at a time, each when
+    it joins, with one instantiation table per (variable, parameter) for
+    the call, so a left-out instance is never built. Every other member's
+    instances are built at all parameters in one walk.
     """
     if cap < 1:
         raise ValueError("closure cap must be positive")
@@ -468,11 +535,17 @@ def closure(
     universe = inputs.copy()
     index = {f: i for i, f in enumerate(universe)}
     subs: dict[Formula, tuple[Formula, ...]] = {}
-    # one instantiation table per bound variable name, for this call only
-    tables: dict[str, dict[Formula, list]] = {}
-    # guarded only: guard atom -> the members and instances waiting for it,
-    # flat: [member, instance, member, instance, ...]
-    waiting: dict[Formula, list[Formula]] = {}
+    # instantiation tables for this call only: one per bound variable name
+    # over all of params, and one per (name, parameter) for the instances
+    # of gated members, each built alone
+    tables: dict = {}
+    # guarded only: guard atom -> the gated members waiting for it, each
+    # with the position in params of the instance that waits, flat:
+    # [member, position, member, position, ...]
+    waiting: dict[Formula, list] = {}
+    # guarded only: each gated member's joined instances by position in
+    # params, None where none joined; its sub_instances once the walk ends
+    rows: dict[Formula, list] = {}
     for f in universe:
         if len(universe) > cap:
             raise ResourceLimit(
@@ -483,42 +556,50 @@ def closure(
         if cls in (And, Or, Imp):
             parts = (f.l, f.r)
         elif cls in (Forall, Exists):
-            parts = (f.body,)
-            v = f.var
+            v, body = f.var, f.body
             guard = None
-            if v in f.body.free:
+            if guarded and cls is Forall and v in body.free:
+                guard = _guard(body, v)
+            if v not in body.free:
+                parts = subs[f] = (body,)
+            elif guard is None:
                 done = tables.setdefault(v, {})
-                insts = _instances(f.body, v, params, done)
                 # drop captures (None); distinct parameters give distinct
                 # instances
-                parts = tuple(filter(None, insts))
-                if guarded and cls is Forall:
-                    guard = _guard(f.body, v)
-            subs[f] = parts
-            if guard is not None:
-                # the instances whose guard is a member join now, the
-                # others wait for it
+                parts = subs[f] = tuple(
+                    filter(None, _instances(body, v, params, done))
+                )
+            else:
+                # an instance whose guard is a member joins now, the others
+                # wait for theirs; each is built only when it joins
                 parts = []
-                for h, a in zip(insts, done[guard]):
-                    if h is None:
+                row = subs[f] = rows[f] = [None] * len(params)
+                done = tables.setdefault(v, {})
+                for i, a in enumerate(_instances(guard, v, params, done)):
+                    t = params[i]
+                    if t.kind == VAR and _captures(body, v, t.name):
                         continue
                     if a in index:
+                        row[i] = h = _instance_at(f, t, tables)
                         parts.append(h)
                     elif a in waiting:
-                        waiting[a] += f, h
+                        waiting[a] += f, i
                     else:
-                        waiting[a] = [f, h]
+                        waiting[a] = [f, i]
         elif waiting:  # an atom wakes the instances waiting for it
-            parts = waiting.pop(f, ())[1::2]
+            woken = waiting.pop(f, ())
+            parts = []
+            for g, i in zip(woken[::2], woken[1::2]):
+                rows[g][i] = h = _instance_at(g, params[i], tables)
+                parts.append(h)
         else:
             continue
         for g in parts:
             if g not in index:
                 index[g] = len(universe)
                 universe.append(g)
-    # a member with an instance left out lists only those that joined
-    for f in {f for w in waiting.values() for f in w[::2]}:
-        subs[f] = tuple([h for h in subs[f] if h in index])
+    for f, row in rows.items():
+        subs[f] = tuple(filter(None, row))
     stats = _new_stats((
         len(universe),
         max((f.qdepth for f in inputs), default=0),

@@ -15,6 +15,7 @@ and prints the tallies.
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import json
 import random
@@ -112,18 +113,24 @@ def horn_sets(count: int):
         yield f"horn/{k}", random_horn(rng, rng.randrange(2, 7))
 
 
+def machine_inputs(m, t: int):
+    """The machine's hypotheses at bound t, and as queries its halting
+    formula and every configuration with both registers at most t."""
+    states = sorted({0, 1, *m.instructions})
+    hyps, halting = bounded_halting_instance(m, t)
+    configs = [
+        atom(f"K{i}", const(f"n{a}"), const(f"n{b}"))
+        for i in states
+        for a in range(t + 1)
+        for b in range(t + 1)
+    ]
+    return hyps, [halting, *configs]
+
+
 def machine_cases(max_t: int):
     for name, m in MACHINES.items():
-        states = sorted({0, 1, *m.instructions})
         for t in range(max_t + 1):
-            hyps, halting = bounded_halting_instance(m, t)
-            configs = [
-                atom(f"K{i}", const(f"n{a}"), const(f"n{b}"))
-                for i in states
-                for a in range(t + 1)
-                for b in range(t + 1)
-            ]
-            yield f"machine/{name}/t{t}", hyps, [halting, *configs], V.QPL
+            yield f"machine/{name}/t{t}", *machine_inputs(m, t), V.QPL
 
 
 def counter_cases(max_d: int):
@@ -315,20 +322,124 @@ def test_false_bits_outside_the_guarded_universe_fail_the_extension():
     assert 0 < len(tally.failures) <= tally.left_out
 
 
-def _never_waking_closure():
-    """syntax.closure with the wake of waiting instances cut out."""
-    source = textwrap.dedent(inspect.getsource(syntax.closure))
-    wake = "parts = waiting.pop(f, ())[1::2]"
-    assert wake in source
+def _mutant(fn, statement: str, replacement: str):
+    """fn, a function of syntax, with one statement of its source replaced,
+    built over syntax's globals (so it interns into syntax's tables)."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert statement in source
     namespace = dict(vars(syntax))
-    exec(source.replace(wake, "parts = ()"), namespace)
-    return namespace["closure"]
+    exec(source.replace(statement, replacement), namespace)
+    return namespace[fn.__name__]
+
+
+def _never_waking_closure():
+    """syntax.closure with the wake of waiting instances cut out: an atom
+    that some instances wait for wakes none of them."""
+    return _mutant(syntax.closure, "woken = waiting.pop(f, ())", "woken = ()")
 
 
 def test_a_closure_that_never_wakes_fails_the_differential(monkeypatch):
     monkeypatch.setattr(engine, "closure", _never_waking_closure())
     tally = differential(counter_cases(4))
     assert tally.mismatches == ["counter/3", "counter/4"]
+
+
+@contextlib.contextmanager
+def fresh_tables():
+    """Run the body on empty intern tables, as in a fresh process, and
+    restore the tables after it, so that formulas built before it are
+    interned again."""
+    formulas, terms = dict(syntax._FORMULAS), dict(syntax._TERMS)
+    syntax._FORMULAS.clear()
+    syntax._TERMS.clear()
+    try:
+        yield
+    finally:
+        syntax._FORMULAS.clear()
+        syntax._FORMULAS.update(formulas)
+        syntax._TERMS.clear()
+        syntax._TERMS.update(terms)
+
+
+@pytest.mark.parametrize("machine", ["count", "golden"])
+def test_the_guarded_closure_interns_no_left_out_instance(machine):
+    with fresh_tables():
+        hyps, queries = machine_inputs(MACHINES[machine], 6)
+        guarded = closure([*hyps, *queries], guarded=True)
+        interned = set(syntax._FORMULAS.values())
+        paper = closure([*hyps, *queries])
+    left_out = [
+        h
+        for f, joined in guarded.sub_instances.items()
+        if f.__class__ is syntax.Forall and f.var in f.body.free
+        and syntax._guard(f.body, f.var) is not None
+        for h in set(paper.sub_instances[f]) - set(joined)
+    ]
+    assert len(left_out) == guarded.stats.left_out > 0
+    assert [render(h) for h in left_out if h in interned] == []
+
+
+def interning_faults() -> list:
+    """The interned formulas that the public constructor of their kind
+    would not give back, or whose free set, quantifier depth or length
+    differs from a recomputation from their parts; an atom's arguments
+    must be a tuple of interned terms, and an empty free set the shared
+    one."""
+    faults = []
+    # a constructor called on a fault's parts interns a formula of its own
+    for f in list(syntax._FORMULAS.values()):
+        cls = f.__class__
+        if cls is syntax.Atom:
+            args = f.args
+            ok = type(args) is tuple and all(
+                syntax._TERMS.get((t.kind, t.name)) is t for t in args
+            ) and atom(f.rel, *args) is f
+            expect = (
+                frozenset(t.name for t in args if t.kind == syntax.VAR),
+                0,
+                2 * len(args) + 2 if args else 1,
+            )
+        elif cls is syntax.Forall or cls is syntax.Exists:
+            make = syntax.forall if cls is syntax.Forall else syntax.exists
+            ok = make(f.var, f.body) is f
+            b = f.body
+            expect = (b.free - {f.var}, b.qdepth + 1, b.length + 1)
+        else:
+            make = {syntax.And: syntax.conj, syntax.Or: syntax.disj,
+                    syntax.Imp: syntax.imp}[cls]
+            ok = make(f.l, f.r) is f
+            l, r = f.l, f.r
+            expect = (l.free | r.free, max(l.qdepth, r.qdepth),
+                      l.length + r.length + 1)
+        if (not ok or (f.free, f.qdepth, f.length) != expect
+                or not f.free and f.free is not syntax._EMPTY):
+            faults.append(f)
+    return faults
+
+
+def build_both_closures(cases):
+    for _, hyps, queries, _ in cases:
+        closure([*hyps, *queries], guarded=True)
+        closure([*hyps, *queries])
+
+
+def test_instance_atoms_are_the_formulas_the_constructors_build():
+    with fresh_tables():
+        build_both_closures(random_cases(500, (V.QPL,)))
+        build_both_closures(machine_cases(6))
+        build_both_closures(counter_cases(6))
+        assert len(syntax._FORMULAS) > 1_000
+        assert interning_faults() == []
+
+
+def test_an_instance_atom_that_keeps_its_variable_free_is_a_fault(monkeypatch):
+    mutant = _mutant(
+        syntax._instances, "rest = f.free - {v} or _EMPTY", "rest = f.free"
+    )
+    monkeypatch.setattr(syntax, "_instances", mutant)
+    with fresh_tables():
+        build_both_closures(counter_cases(3))
+        assert interning_faults() != []
 
 
 if __name__ == "__main__":

@@ -117,6 +117,16 @@ def test_terms_refuse_keyword_names(word):
             make(word)
 
 
+@pytest.mark.parametrize("term", [sy.Term("var", "x"), sy.Term("const", "true")])
+def test_atoms_refuse_terms_not_built_by_var_or_const(term):
+    # a hand-built variable is not var("x"), so no quantifier would ever
+    # instantiate it; a hand-built constant named like a keyword would
+    # render as the unparsable R(true)
+    with pytest.raises(TypeError, match=r"var\(\) or const\(\)"):
+        atom("R", term)
+    assert atom("R", var("x")).free == {"x"}
+
+
 def test_parse_error_position():
     with pytest.raises(ParseError) as err:
         parse_formula("p & (q | ) & r")
