@@ -9,6 +9,11 @@ information terms, and gen produces reproducible instance suites.
 Every JSON document printed (--json) or written (--proof, --countermodel)
 is compact, one line with sorted keys, so it is byte-deterministic. The
 proof document's format lives in calculus, which writes and reads it.
+check holds each session fact once: --json gives the session's stats
+beside one {query, entailed} result per query, and the countermodel
+file gives the session's one model (null when no refusal has one) beside
+one {query, refuted} entry per refused query, refuted false where the
+full calculus derives the query.
 
 Exit codes: 0 for a successful decision regardless of verdict, 2 for
 input errors, 3 for resource limits, among them running out of memory and
@@ -120,12 +125,9 @@ def cmd_check(args) -> int:
         sys.stdout.write(_json({
             "variant": session.variant.cli_name,
             "hyps": [render(h) for h in session.hyps],
+            "stats": session.stats,
             "results": [
-                {
-                    "query": render(v.query),
-                    "entailed": v.entailed,
-                    "stats": v.stats,
-                }
+                {"query": render(v.query), "entailed": v.entailed}
                 for v in verdicts
             ],
         }))
@@ -138,28 +140,16 @@ def cmd_check(args) -> int:
             session, [(v.query, v.proof) for v in verdicts if v.entailed]
         ))
     if args.countermodel is not None:
-        entries = []
-        model = None  # every refused query of a session shares one model
-        for v in verdicts:
-            if v.entailed:
-                continue
-            mo = verdict_countermodel(v)
-            if mo is None:
-                entries.append(
-                    {
-                        "query": render(v.query),
-                        "model": None,
-                        "note": "no countermodel: the full calculus"
-                        " derives this query",
-                    }
-                )
-            else:
-                if model is None:
-                    model = countermodel_json(*mo)
-                entries.append(
-                    {"query": render(v.query), "model": model, "note": None}
-                )
-        _write_json(args.countermodel, {"countermodels": entries})
+        # every refused query of a session that has a model shares one
+        refused = [(v, verdict_countermodel(v)) for v in verdicts if not v.entailed]
+        model = next((mo for _, mo in refused if mo is not None), None)
+        _write_json(args.countermodel, {
+            "model": None if model is None else countermodel_json(*model),
+            "refusals": [
+                {"query": render(v.query), "refuted": mo is not None}
+                for v, mo in refused
+            ],
+        })
     return 0
 
 

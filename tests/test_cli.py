@@ -31,6 +31,7 @@ from qpl.engine import Session, entails
 from qpl.generators import (
     bounded_halting_instance,
     counter_family,
+    parse_machine,
     random_horn,
 )
 from qpl.syntax import (
@@ -90,7 +91,7 @@ def test_check_json_deterministic(tmp_path, capsys):
     assert doc["variant"] == "qpl"
     assert doc["results"][0]["query"] == "A -> C"
     assert doc["results"][0]["entailed"] is False
-    assert doc["results"][0]["stats"]["universe_size"] > 0
+    assert doc["stats"]["universe_size"] > 0
 
 
 def test_check_query_file(tmp_path, capsys):
@@ -114,10 +115,11 @@ def test_check_countermodel_file(tmp_path, capsys):
     out = tmp_path / "cm.json"
     assert cli.main(["check", hyps, "A -> C", "--countermodel", str(out)]) == 0
     doc = json.loads(out.read_text())
-    entry = doc["countermodels"][0]
+    entry = doc["refusals"][0]
     assert entry["query"] == "A -> C"
-    assert entry["model"]["atoms_true"] == []
-    assert entry["model"]["override"] == {
+    assert entry["refuted"] is True
+    assert doc["model"]["atoms_true"] == []
+    assert doc["model"]["override"] == {
         "A -> B": True,
         "B -> C": True,
         "A -> C": False,
@@ -131,9 +133,9 @@ def test_check_countermodel_note_when_unavailable(tmp_path, capsys):
     assert cli.main(
         ["check", hyps, "p | q", "--variant", "orig", "--countermodel", str(out)]
     ) == 0
-    entry = json.loads(out.read_text())["countermodels"][0]
-    assert entry["model"] is None
-    assert "full calculus" in entry["note"]
+    doc = json.loads(out.read_text())
+    assert doc["refusals"] == [{"query": "p | q", "refuted": False}]
+    assert doc["model"] is None
 
 
 def test_check_several_queries_write_one_verifiable_proof(tmp_path, capsys):
@@ -185,12 +187,16 @@ def test_check_several_queries_share_one_session(tmp_path, capsys):
     assert cli.main(
         ["check", hyps, "q", "R(d)", "--json", "--countermodel", str(out)]
     ) == 0
-    results = json.loads(capsys.readouterr().out)["results"]
-    assert results[0]["stats"] == results[1]["stats"]
-    assert results[0]["stats"]["universe_size"] == 3
-    entries = json.loads(out.read_text())["countermodels"]
+    doc = json.loads(capsys.readouterr().out)
+    # the session's stats are written once, for both queries
+    assert [sorted(r) for r in doc["results"]] == [["entailed", "query"]] * 2
+    assert doc["stats"]["universe_size"] == 3
+    cm = json.loads(out.read_text())
+    assert cm["refusals"] == [
+        {"query": "q", "refuted": True}, {"query": "R(d)", "refuted": True}
+    ]
     # the model for q lives on the joint parameter set, d included
-    assert [e["model"]["universe"] for e in entries] == [["c", "d"], ["c", "d"]]
+    assert cm["model"]["universe"] == ["c", "d"]
 
 
 def test_check_builds_one_countermodel_for_all_refusals(
@@ -213,10 +219,8 @@ def test_check_builds_one_countermodel_for_all_refusals(
         "universe": ["_0"],
     }
     want = {
-        "countermodels": [
-            {"model": model, "note": None, "query": q}
-            for q in ("A -> C", "C", "C | A")
-        ]
+        "model": model,
+        "refusals": [{"query": q, "refuted": True} for q in ("A -> C", "C", "C | A")],
     }
     assert out.read_text() == compact(want)
 
@@ -239,12 +243,34 @@ def test_check_renders_shared_countermodel_once(tmp_path, capsys, monkeypatch):
         "universe": ["_0"],
     }
     want = {
-        "countermodels": [
-            {"model": dict(model), "note": None, "query": q}
-            for q in ("A -> C", "C", "C | A")
-        ]
+        "model": model,
+        "refusals": [{"query": q, "refuted": True} for q in ("A -> C", "C", "C | A")],
     }
     assert out.read_text() == compact(want)
+    assert out.read_text().count('"atoms_true"') == 1
+
+
+def test_check_documents_grow_linearly_in_the_queries(tmp_path, capsys):
+    # the counter machine at t=10 with all 121 K0(ni, nj) queries, 110 of
+    # them refused: a file that copied the model into every refusal took
+    # 1,157,681 bytes for a 10,480-byte model
+    hyps, _ = bounded_halting_instance(parse_machine("state 0: inc 1 -> 0"), 10)
+    h = write(tmp_path, "h.qpl", "".join(render(f) + "\n" for f in hyps))
+    q = write(tmp_path, "q.qpl", "".join(
+        f"K0(n{i}, n{j})\n" for i in range(11) for j in range(11)
+    ))
+    out = tmp_path / "cm.json"
+    assert cli.main(
+        ["check", h, "--query-file", q, "--json", "--countermodel", str(out)]
+    ) == 0
+    text = capsys.readouterr().out
+    assert text.count('"stats"') == 1
+    assert len(json.loads(text)["results"]) == 121
+    doc = json.loads(out.read_text())
+    refusals = doc["refusals"]
+    assert len(refusals) == 110 and all(r["refuted"] for r in refusals)
+    model = len(compact(doc["model"]))
+    assert len(out.read_bytes()) < 2 * model + 100 * len(refusals)
 
 
 def test_check_query_file_continues_problem_vars(tmp_path, capsys):
@@ -1285,7 +1311,12 @@ def test_cli_documents_keep_their_bytes(tmp_path, capsys):
     # countermodel's digest was retaken when it came to be read off the
     # session's guarded fixpoint: it lists the same queries, atoms and
     # override bits less the 103 bits of members outside the guarded
-    # universe, which now default to true.
+    # universe, which now default to true. The check --json and countermodel
+    # digests were retaken when check came to write each session fact once:
+    # check --json holds the session's stats once beside the results, and
+    # the countermodel file holds the one model beside a (query, refuted)
+    # entry per refusal; each new document loads to the old value with its
+    # 55 copies of the stats, and its 44 copies of the model, folded into one.
     hyps, halting = bounded_halting_instance(MACHINE, 2)
     configs = [
         atom(f"K{i}", const(f"n{a}"), const(f"n{b}"))
@@ -1303,11 +1334,11 @@ def test_cli_documents_keep_their_bytes(tmp_path, capsys):
     for text in (out, proof.read_text(), model.read_text()):
         assert text == compact(json.loads(text))
     assert _sha(out.encode()) == (
-        "ac763f4f318745ac2a949db88e6edd2df8c6ce52655482744c4095a8cb63d2f4")
+        "9e867f69369a45599ed6feb476c963d9d726fabd848567eb73b6b9520ce8fff4")
     assert _sha(proof.read_bytes()) == (
         "0f812b45765d280c744b53b2460adb6bf22b283098185ef0e36a5755c1782ad4")
     assert _sha(model.read_bytes()) == (
-        "84ab974d79f030cb8703a75094d80fac7cff422975cf8d62404c9d5e53a327a2")
+        "fbafaaa06a0d7d66609478bcc19d99f468c383804b47f1326a92a6bff626b996")
     assert cli.main(["verify-proof", str(proof)]) == 0
     assert capsys.readouterr().out == "ok: 11 proof(s) verified\n"
     assert cli.main(["prove", h, render(halting), "--json"]) == 0

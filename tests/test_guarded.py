@@ -256,8 +256,9 @@ def test_countermodel_at_the_guarded_cap_exits_0(tmp_path, capsys):
     model = tmp_path / "cm.json"
     assert cli.main([*argv, "--countermodel", str(model)]) == 0
     assert capsys.readouterr().out == f"not entailed: {query}\n"
-    [entry] = json.loads(model.read_text())["countermodels"]
-    assert entry["query"] == query and entry["model"] is not None
+    doc = json.loads(model.read_text())
+    assert doc["refusals"] == [{"query": query, "refuted": True}]
+    assert doc["model"] is not None
 
 
 def extended_refutes(hyps, query, model, paper, memo, outside=True) -> bool:

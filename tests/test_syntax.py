@@ -837,24 +837,31 @@ def test_closure_sub_instances_match_reference(text):
 def test_closure_instantiates_each_pair_once(monkeypatch):
     # the queries benchmark's machine at t=6: its step axiom is
     # forall x. forall x'. forall y. S(x, x') -> (...), and without one
-    # table per closure every forall-y walk would rebuild the atoms that
-    # mention no y (4,214 atom calls for 294 atoms)
+    # table per closure every forall-y walk would rebuild the instances
+    # that mention no y. Each instance built looks its intern key up once,
+    # so the lookups count that work: 4,550 for 3,803 members, and 8,960
+    # when every _instances call starts from an empty table
     machine = TwoRegisterMachine(
         {0: Inc(1, 2), 2: Inc(2, 3), 3: Dec(1, 4, 2), 4: Dec(2, 1, 4)}
     )
     hyps, query = bounded_halting_instance(machine, 6)
-    calls = 0
+    lookups = 0
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return atom(*args)
+    class Counting(dict):
+        def get(self, key, default=None):
+            nonlocal lookups
+            lookups += 1
+            return dict.get(self, key, default)
 
-    monkeypatch.setattr(sy, "atom", counting)
-    ct = closure([*hyps, query])
-    atoms = sum(1 for f in ct.universe if f.__class__ is sy.Atom)
-    assert atoms == 294
-    assert calls <= 2 * atoms
+    interned = sy._FORMULAS
+    counting = Counting(interned)
+    monkeypatch.setattr(sy, "_FORMULAS", counting)
+    try:
+        ct = closure([*hyps, query])
+    finally:
+        interned.update(counting)  # keep what the closure interned
+    assert len(ct.universe) == 3803
+    assert lookups <= 1.5 * len(ct.universe)
 
 
 def test_closure_transitive_on_members():
